@@ -10,11 +10,8 @@ import argparse
 from pathlib import Path
 
 from brsim import dataio, provider
-from brsim.provider import DispatchableUnit, ScenarioModel, UnitKind
-
-HEADROOM = 50.0
-BASE = DispatchableUnit(UnitKind.BASE_LOAD, 150.0, 250.0, 15.0, 200.0)
-MARGINAL = DispatchableUnit(UnitKind.MARGINAL, 150.0, 250.0, 35.0, 200.0)
+from brsim.cli import RISK_HEADROOM, RISK_UNITS
+from brsim.provider import ScenarioModel
 
 
 def main() -> None:
@@ -26,9 +23,8 @@ def main() -> None:
     ap.add_argument("--out", type=Path, default=Path("out/supply_risk.csv"))
     args = ap.parse_args()
 
-    exhaustive_model = ScenarioModel()
-    scenarios, weights = provider.exhaustive_scenarios(exhaustive_model)
-    exact = provider.risk_report(BASE, scenarios, weights)
+    base, marginal = RISK_UNITS["base_load"], RISK_UNITS["marginal"]
+    exact = provider.risk_report(base, provider.exhaustive_scenarios(ScenarioModel()))
     print(
         "exhaustive four-outcome check: incremental variance "
         f"{exact.incremental_variance:.1f} $^2 (expected delta {exact.expected_delta:+.1f})"
@@ -36,9 +32,9 @@ def main() -> None:
 
     rows = []
     for rho in args.correlations:
-        model = ScenarioModel(correlation=rho, execution_limit=HEADROOM)
+        model = ScenarioModel(correlation=rho, execution_limit=RISK_HEADROOM)
         sampled = provider.generate_scenarios(model, args.samples, args.seed)
-        cmp_ = provider.compare_kinds(BASE, MARGINAL, sampled)
+        cmp_ = provider.compare_kinds(base, marginal, sampled)
         rows.append(
             {
                 "correlation": rho,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import dataio, forecast, provider, simulation, vg
@@ -21,7 +21,7 @@ DEFAULT_PRICE_RATIOS = tuple(round(0.05 * i, 2) for i in range(11))  # 0 .. 0.5
 # Built-in units for supply-risk (no scenario file in that command). The
 # marginal unit's cost sits above the mean RT price so its dispatch flips on
 # scarcity; headroom is symmetric 50 MW and the generator clips shifts to it.
-_RISK_UNITS = {
+RISK_UNITS = {
     "base_load": DispatchableUnit(
         kind=UnitKind.BASE_LOAD, p_min=150.0, p_max=250.0,
         marginal_cost=15.0, da_schedule=200.0,
@@ -31,7 +31,7 @@ _RISK_UNITS = {
         marginal_cost=35.0, da_schedule=200.0,
     ),
 }
-_RISK_HEADROOM = 50.0
+RISK_HEADROOM = 50.0
 
 CONTRACT_COLUMNS = [
     "id", "hour", "buyer", "seller", "direction", "quantity_mw",
@@ -207,33 +207,21 @@ def cmd_supply_risk(args) -> CommandResult:
         raise UsageError(f"--correlation must be in [-1, 1], got {args.correlation}")
     if args.samples < 2:
         raise UsageError(f"--samples must be >= 2, got {args.samples}")
-    model = ScenarioModel(
-        correlation=args.correlation, execution_limit=_RISK_HEADROOM
-    )
+    model = ScenarioModel(correlation=args.correlation, execution_limit=RISK_HEADROOM)
     if args.exhaustive:
-        scenarios, weights = provider.exhaustive_scenarios(model)
+        scenarios = provider.exhaustive_scenarios(model)
     else:
         scenarios = provider.generate_scenarios(model, args.samples, args.seed)
-        weights = None
-    kinds = ["base_load", "marginal"] if args.unit_kind == "both" else [args.unit_kind]
-    rows = []
-    reports = {}
-    for kind in kinds:
-        report = provider.risk_report(_RISK_UNITS[kind], scenarios, weights)
-        reports[kind] = report
-        rows.append(
-            {
-                "kind": kind,
-                "expected_delta": report.expected_delta,
-                "variance_without": report.variance_without,
-                "variance_with": report.variance_with,
-                "incremental_variance": report.incremental_variance,
-            }
-        )
+    if args.unit_kind == "both":
+        base, marginal = RISK_UNITS["base_load"], RISK_UNITS["marginal"]
+        cmp_ = provider.compare_kinds(base, marginal, scenarios)
+        reports = {"base_load": cmp_.base, "marginal": cmp_.marginal}
+    else:
+        reports = {args.unit_kind: provider.risk_report(RISK_UNITS[args.unit_kind], scenarios)}
+    rows = [{"kind": kind, **asdict(report)} for kind, report in reports.items()]
     result = _emit(rows, args)
-    if len(kinds) == 2:
-        less = reports["marginal"].incremental_variance < reports["base_load"].incremental_variance
-        print(f"verdict: marginal_less_risky={str(less).lower()}")
+    if args.unit_kind == "both":
+        print(f"verdict: marginal_less_risky={str(cmp_.marginal_less_risky).lower()}")
     return result
 
 

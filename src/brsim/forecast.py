@@ -25,6 +25,12 @@ VARIANCE_CEIL = 0.999
 # density blows up at the support edge.
 _QUANTILE_XTOL = 1e-15
 _QUANTILE_RTOL = 4 * math.ulp(1.0)
+# The xtol term dominates brentq's stopping rule everywhere on [0, 1], so a
+# root near either end of the support, where a sub-1 shape makes the CDF
+# steep, can be good to 1e-15 in x and still miss its level by 1e-9. A few
+# Newton steps on the CDF, each kept only if it shrinks the residual, close
+# that gap to the float spacing of x.
+_QUANTILE_POLISH_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -136,14 +142,33 @@ def quantile(d: ForecastDistribution, q: float) -> float:
     if q == 1.0:
         return d.capacity
     a, b = d.shape_a, d.shape_b
-    x = brentq(
-        lambda t: special.betainc(a, b, t) - q,
-        0.0,
-        1.0,
-        xtol=_QUANTILE_XTOL,
-        rtol=_QUANTILE_RTOL,
+    x = float(
+        brentq(
+            lambda t: special.betainc(a, b, t) - q,
+            0.0,
+            1.0,
+            xtol=_QUANTILE_XTOL,
+            rtol=_QUANTILE_RTOL,
+        )
     )
-    return float(x) * d.capacity
+    resid = float(special.betainc(a, b, x)) - q
+    if abs(resid) <= _QUANTILE_RTOL * q:
+        return x * d.capacity
+    log_norm = float(special.betaln(a, b))
+    for _ in range(_QUANTILE_POLISH_STEPS):
+        if not 0.0 < x < 1.0:
+            break
+        density = math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_norm)
+        if not 0.0 < density < math.inf:
+            break
+        step = x - resid / density
+        if not 0.0 < step < 1.0:
+            break
+        step_resid = float(special.betainc(a, b, step)) - q
+        if abs(step_resid) >= abs(resid):
+            break
+        x, resid = step, step_resid
+    return x * d.capacity
 
 
 def partial_expectation(d: ForecastDistribution, lo: float, hi: float) -> float:

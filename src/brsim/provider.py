@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -62,6 +61,49 @@ class JointScenario:
             raise ValueError(f"da_price must be positive, got {self.da_price}")
         if not math.isfinite(self.rt_price) or not math.isfinite(self.executed):
             raise ValueError("rt_price and executed must be finite")
+
+
+def _first_bad(bad: np.ndarray, values: np.ndarray, what: str, error=ValueError) -> None:
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(f"scenario {i}: {what}, got {values[i]}")
+
+
+@dataclass(frozen=True, eq=False)
+class ScenarioSet:
+    """Joint draws as parallel read-only arrays: draw i is (da[i], rt[i],
+    executed[i]). ``weights`` marks an exhaustive enumeration of a discrete
+    law; without it the set is a sample. Equality is identity; compare the
+    arrays with np.array_equal."""
+
+    da: np.ndarray
+    rt: np.ndarray
+    executed: np.ndarray
+    weights: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("da", "rt", "executed", "weights"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            arr = np.array(value, dtype=np.float64)
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
+            if len(arr) != len(self.da):
+                raise ValueError(f"{name} has {len(arr)} entries, da has {len(self.da)}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        _first_bad(~(self.da > 0.0), self.da, "da price must be positive")
+        _first_bad(~np.isfinite(self.rt), self.rt, "rt price must be finite")
+        _first_bad(~np.isfinite(self.executed), self.executed, "executed must be finite")
+        if self.weights is not None:
+            _first_bad(~(self.weights >= 0.0), self.weights, "weight must be nonnegative")
+            total = float(self.weights.sum())
+            if not math.isclose(total, 1.0, rel_tol=1e-12):
+                raise ValueError(f"weights must sum to 1, got {total!r}")
+
+    def __len__(self) -> int:
+        return len(self.da)
 
 
 @dataclass(frozen=True)
@@ -142,13 +184,6 @@ def revenue_unit_with_brs(
     return sc.da_price * shifted + (out - shifted) * sc.rt_price
 
 
-def _scenario_arrays(scenarios: Sequence[JointScenario]) -> tuple[np.ndarray, ...]:
-    da = np.fromiter((s.da_price for s in scenarios), dtype=float, count=len(scenarios))
-    rt = np.fromiter((s.rt_price for s in scenarios), dtype=float, count=len(scenarios))
-    ex = np.fromiter((s.executed for s in scenarios), dtype=float, count=len(scenarios))
-    return da, rt, ex
-
-
 def _dispatch_array(u: DispatchableUnit, rt: np.ndarray) -> np.ndarray:
     if u.kind is UnitKind.BASE_LOAD:
         return np.full_like(rt, u.da_schedule)
@@ -159,11 +194,7 @@ def _dispatch_array(u: DispatchableUnit, rt: np.ndarray) -> np.ndarray:
     )
 
 
-def risk_report(
-    u: DispatchableUnit,
-    scenarios: Sequence[JointScenario],
-    weights: Sequence[float] | None = None,
-) -> RiskReport:
+def risk_report(u: DispatchableUnit, scenarios: ScenarioSet) -> RiskReport:
     """Moments of the incremental cash flow over a scenario set.
 
     Unweighted sets are treated as samples (variance with n-1). A weighted
@@ -172,30 +203,22 @@ def risk_report(
     """
     if len(scenarios) < 2:
         raise ValueError(f"need at least 2 scenarios, got {len(scenarios)}")
-    da, rt, ex = _scenario_arrays(scenarios)
-    shifted = u.da_schedule + ex
-    bad = (shifted < u.p_min - _MW_EPS) | (shifted > u.p_max + _MW_EPS)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ContractInfeasibleError(
-            f"scenario {i}: shifted schedule {shifted[i]} outside "
-            f"[{u.p_min}, {u.p_max}]"
-        )
+    da, rt = scenarios.da, scenarios.rt
+    shifted = u.da_schedule + scenarios.executed
+    outside = (shifted < u.p_min - _MW_EPS) | (shifted > u.p_max + _MW_EPS)
+    _first_bad(outside, shifted, f"shifted schedule outside [{u.p_min}, {u.p_max}]",
+               ContractInfeasibleError)
     out = _dispatch_array(u, rt)
     rev0 = da * u.da_schedule + (out - u.da_schedule) * rt
     rev1 = da * shifted + (out - shifted) * rt
     delta = rev1 - rev0
 
-    if weights is None:
+    w = scenarios.weights
+    if w is None:
         mean_delta = float(np.mean(delta))
         var0 = float(np.var(rev0, ddof=1))
         var1 = float(np.var(rev1, ddof=1))
     else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(scenarios),):
-            raise ValueError("weights must match the scenario count")
-        if (w < 0).any() or not math.isclose(float(w.sum()), 1.0, rel_tol=1e-12):
-            raise ValueError("weights must be nonnegative and sum to 1")
         mean_delta = float(w @ delta)
         var0 = float(w @ (rev0 - w @ rev0) ** 2)
         var1 = float(w @ (rev1 - w @ rev1) ** 2)
@@ -208,17 +231,14 @@ def risk_report(
 
 
 def compare_kinds(
-    base: DispatchableUnit,
-    marginal: DispatchableUnit,
-    scenarios: Sequence[JointScenario],
-    weights: Sequence[float] | None = None,
+    base: DispatchableUnit, marginal: DispatchableUnit, scenarios: ScenarioSet
 ) -> KindComparison:
     """Same scenario set applied to both unit kinds; reports whether selling
     cover adds less cash-flow variance to the marginal unit."""
     if base.kind is not UnitKind.BASE_LOAD or marginal.kind is not UnitKind.MARGINAL:
         raise ValueError("compare_kinds expects (base_load, marginal) units in that order")
-    rb = risk_report(base, scenarios, weights)
-    rm = risk_report(marginal, scenarios, weights)
+    rb = risk_report(base, scenarios)
+    rm = risk_report(marginal, scenarios)
     return KindComparison(
         base=rb,
         marginal=rm,
@@ -226,7 +246,7 @@ def compare_kinds(
     )
 
 
-def generate_scenarios(model: ScenarioModel, n: int, seed: int) -> list[JointScenario]:
+def generate_scenarios(model: ScenarioModel, n: int, seed: int) -> ScenarioSet:
     """Seeded joint draws. The shift is built from the same normal factor as
     the price gap so corr(rt_price, executed) equals model.correlation when
     the DA price is flat."""
@@ -235,30 +255,22 @@ def generate_scenarios(model: ScenarioModel, n: int, seed: int) -> list[JointSce
     rng = np.random.default_rng(seed)
     z1, z2, z3 = rng.standard_normal((3, n))
     da = model.da_price_mean + model.da_price_std * z3
-    if (da <= 0).any():
-        raise ValueError("da_price_std too large: drew a non-positive DA price")
-    gap = model.gap_std * z1
-    rt = da - gap
+    rt = da - model.gap_std * z1
     rho = model.correlation
     shift = model.execution_std * (rho * (-z1) + math.sqrt(1.0 - rho * rho) * z2)
+    # Free the normals before the set copies its arrays: lower peak memory.
+    del z1, z2, z3
     if model.execution_limit is not None:
         shift = np.clip(shift, -model.execution_limit, model.execution_limit)
-    return [
-        JointScenario(da_price=float(da[i]), rt_price=float(rt[i]), executed=float(shift[i]))
-        for i in range(n)
-    ]
+    return ScenarioSet(da, rt, shift)
 
 
-def exhaustive_scenarios(
-    model: ScenarioModel,
-) -> tuple[list[JointScenario], list[float]]:
+def exhaustive_scenarios(model: ScenarioModel) -> ScenarioSet:
     """Two-point enumeration of the joint law: gap in {-gap_std, +gap_std},
     shift in {-execution_std, +execution_std}, equiprobable, DA price at its
-    mean. Returns (scenarios, probability weights)."""
-    da = model.da_price_mean
-    scenarios = [
-        JointScenario(da_price=da, rt_price=da - g, executed=s)
-        for g in (-model.gap_std, model.gap_std)
-        for s in (-model.execution_std, model.execution_std)
-    ]
-    return scenarios, [0.25, 0.25, 0.25, 0.25]
+    mean."""
+    da, g, s = model.da_price_mean, model.gap_std, model.execution_std
+    return ScenarioSet(
+        da=[da] * 4, rt=[da + g, da + g, da - g, da - g], executed=[-s, s, -s, s],
+        weights=[0.25] * 4,
+    )

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forecast, market, provider, vg
-from .dataio import ScenarioConfig, UnitConfig
+from .dataio import OfferConfig, ScenarioConfig, UnitConfig
 from .market import (
     BrsContract,
     HourAccounts,
@@ -104,6 +104,10 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     )
     unit_zones = {u.id: u.zone for u in cfg.units if u.zone is not None}
     rng = np.random.default_rng(cfg.seed)
+    # Offers per hour in posting order, which matching depends on.
+    offers_by_hour: dict[int, list[OfferConfig]] = {}
+    for oc in cfg.offers:
+        offers_by_hour.setdefault(oc.hour, []).append(oc)
 
     hours: list[HourOutcome] = []
     phases: list[Phase] = []
@@ -120,9 +124,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
 
         hm = HourMarket(h, buyer=cfg.vg.id, id_start=next_contract_id)
         hm.open_window()
-        for oc in cfg.offers:
-            if oc.hour != h:
-                continue
+        for oc in offers_by_hour.get(h, ()):
             hm.post_offer(
                 Offer(
                     seller=oc.seller,

@@ -371,7 +371,7 @@ def test_criterion_08_shift_payoff_mean_is_centered():
         da_price_mean=30.0, gap_std=5.0, execution_std=10.0, correlation=0.0
     )
     scenarios = provider.generate_scenarios(model, 100_000, seed=2026)
-    deltas = np.array([(s.da_price - s.rt_price) * s.executed for s in scenarios])
+    deltas = (scenarios.da - scenarios.rt) * scenarios.executed
     mean = float(deltas.mean())
     stderr = float(deltas.std(ddof=1) / np.sqrt(len(deltas)))
     assert abs(mean) <= 3.0 * stderr, f"|{mean:.4f}| > 3 * {stderr:.4f}"
@@ -386,11 +386,12 @@ def test_criterion_09_enumeration_exact_and_ordering_stable():
     # than base load for 20 consecutive seeds.
     start = time.perf_counter()
     model = ScenarioModel(da_price_mean=30.0, gap_std=5.0, execution_std=10.0)
-    scenarios, weights = provider.exhaustive_scenarios(model)
+    scenarios = provider.exhaustive_scenarios(model)
     base = DispatchableUnit(UnitKind.BASE_LOAD, 150.0, 250.0, 15.0, 200.0)
     marginal = DispatchableUnit(UnitKind.MARGINAL, 150.0, 250.0, 35.0, 200.0)
-    rep = provider.risk_report(base, scenarios, weights)
-    deltas = [(s.da_price - s.rt_price) * s.executed for s in scenarios]
+    rep = provider.risk_report(base, scenarios)
+    weights = scenarios.weights
+    deltas = (scenarios.da - scenarios.rt) * scenarios.executed
     mean = sum(w * x for w, x in zip(weights, deltas))
     exact = sum(w * (x - mean) ** 2 for w, x in zip(weights, deltas))
     assert rep.incremental_variance == exact == 2500.0

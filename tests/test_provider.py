@@ -1,6 +1,7 @@
 """Dispatchable units: RT dispatch, shift payoffs, incremental risk moments."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from brsim.provider import (
     DispatchableUnit,
     JointScenario,
     ScenarioModel,
+    ScenarioSet,
     UnitKind,
 )
 
@@ -99,26 +101,87 @@ class TestRevenues:
         assert got == pytest.approx(6000.0 + 20.0 * 25.0)
 
 
+def scenario_set(rows, weights=None):
+    """A ScenarioSet from (da, rt, executed) rows."""
+    da, rt, ex = zip(*rows)
+    return ScenarioSet(da=da, rt=rt, executed=ex, weights=weights)
+
+
+class TestScenarioSet:
+    def test_fields_are_read_only_float_arrays(self):
+        scs = scenario_set([(30, 25, 0), (30, 35, 1)], weights=[0.5, 0.5])
+        assert len(scs) == 2
+        for arr in (scs.da, scs.rt, scs.executed, scs.weights):
+            assert arr.dtype == np.float64 and arr.shape == (2,)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_does_not_alias_its_inputs(self):
+        da = np.array([30.0, 31.0])
+        scs = ScenarioSet(da=da, rt=[25.0, 35.0], executed=[0.0, 1.0])
+        da[0] = -1.0
+        assert da.flags.writeable
+        assert scs.da[0] == 30.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_da(self, bad):
+        with pytest.raises(ValueError, match="scenario 2: da price"):
+            scenario_set([(30.0, 25.0, 0.0), (30.0, 25.0, 0.0), (bad, 25.0, 0.0)])
+
+    @pytest.mark.parametrize("field", ["rt", "executed"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_rt_and_executed(self, field, bad):
+        values = {"da": [30.0] * 3, "rt": [25.0] * 3, "executed": [0.0] * 3}
+        values[field][1] = bad
+        with pytest.raises(ValueError, match=f"scenario 1: {field}"):
+            ScenarioSet(**values)
+
+    def test_names_the_first_bad_index(self):
+        with pytest.raises(ValueError, match="scenario 1: rt"):
+            ScenarioSet(da=[30.0] * 4, rt=[1.0, np.nan, 2.0, np.inf], executed=[0.0] * 4)
+
+    @pytest.mark.parametrize("field", ["rt", "executed", "weights"])
+    def test_rejects_mismatched_lengths(self, field):
+        values = {"da": [30.0] * 3, "rt": [25.0] * 3, "executed": [0.0] * 3,
+                  "weights": [1 / 3] * 3}
+        values[field] = values[field][:2]
+        with pytest.raises(ValueError, match=f"{field} has 2 entries, da has 3"):
+            ScenarioSet(**values)
+
+    def test_rejects_non_vector_fields(self):
+        with pytest.raises(ValueError, match="1-d"):
+            ScenarioSet(da=[[30.0, 30.0]], rt=[[25.0, 25.0]], executed=[[0.0, 0.0]])
+        with pytest.raises(ValueError, match="1-d"):
+            ScenarioSet(da=30.0, rt=25.0, executed=0.0)
+
+    def test_weight_validation(self):
+        rows = [(30.0, 25.0, 0.0), (30.0, 35.0, 0.0)]
+        with pytest.raises(ValueError, match="weights has 1 entries"):
+            scenario_set(rows, weights=[0.5])
+        with pytest.raises(ValueError, match="sum to 1"):
+            scenario_set(rows, weights=[0.7, 0.7])
+        with pytest.raises(ValueError, match="scenario 1: weight"):
+            scenario_set(rows, weights=[1.5, -0.5])
+        with pytest.raises(ValueError, match="scenario 0: weight"):
+            scenario_set(rows, weights=[float("nan"), 1.0])
+        with pytest.raises(ValueError, match="sum to 1"):
+            scenario_set(rows, weights=[0.5, 0.5 + 1e-11])
+        scenario_set(rows, weights=[0.5, 0.5 + 1e-13])
+
+
 class TestRiskReport:
     def test_needs_two_scenarios(self):
-        sc = JointScenario(da_price=30.0, rt_price=25.0, executed=0.0)
         with pytest.raises(ValueError):
-            provider.risk_report(base_unit(), [sc])
+            provider.risk_report(base_unit(), scenario_set([(30.0, 25.0, 0.0)]))
 
     def test_infeasible_scenario_is_named(self):
-        scs = [
-            JointScenario(da_price=30.0, rt_price=25.0, executed=0.0),
-            JointScenario(da_price=30.0, rt_price=25.0, executed=-80.0),
-        ]
+        scs = scenario_set([(30.0, 25.0, 0.0), (30.0, 25.0, -80.0)])
         with pytest.raises(ContractInfeasibleError, match="scenario 1"):
             provider.risk_report(base_unit(), scs)
 
     def test_unweighted_uses_sample_variance(self):
-        scs = [
-            JointScenario(da_price=30.0, rt_price=28.0, executed=5.0),
-            JointScenario(da_price=30.0, rt_price=32.0, executed=-5.0),
-            JointScenario(da_price=30.0, rt_price=30.0, executed=0.0),
-        ]
+        scs = scenario_set([(30.0, 28.0, 5.0), (30.0, 32.0, -5.0), (30.0, 30.0, 0.0)])
         rep = provider.risk_report(base_unit(), scs)
         # Deltas are (da-rt)*shift: 10, 10, 0. Base revenue without cover is
         # flat, so the with-cover variance is the n-1 variance of the deltas.
@@ -131,39 +194,29 @@ class TestRiskReport:
         assert rep.incremental_variance == pytest.approx(var)
 
     def test_weighted_moments_are_exact(self):
-        scs = [
-            JointScenario(da_price=30.0, rt_price=25.0, executed=10.0),
-            JointScenario(da_price=30.0, rt_price=35.0, executed=10.0),
-            JointScenario(da_price=30.0, rt_price=25.0, executed=-10.0),
-        ]
         w = [0.5, 0.25, 0.25]
-        rep = provider.risk_report(base_unit(), scs, weights=w)
+        scs = scenario_set(
+            [(30.0, 25.0, 10.0), (30.0, 35.0, 10.0), (30.0, 25.0, -10.0)], weights=w
+        )
+        rep = provider.risk_report(base_unit(), scs)
         deltas = [50.0, -50.0, -50.0]
         mean = sum(p * x for p, x in zip(w, deltas))
         var = sum(p * (x - mean) ** 2 for p, x in zip(w, deltas))
         assert rep.expected_delta == pytest.approx(mean)
         assert rep.incremental_variance == pytest.approx(var)
 
-    def test_weight_validation(self):
-        scs = [
-            JointScenario(da_price=30.0, rt_price=25.0, executed=0.0),
-            JointScenario(da_price=30.0, rt_price=35.0, executed=0.0),
-        ]
-        with pytest.raises(ValueError):
-            provider.risk_report(base_unit(), scs, weights=[0.5])
-        with pytest.raises(ValueError):
-            provider.risk_report(base_unit(), scs, weights=[0.7, 0.7])
-        with pytest.raises(ValueError):
-            provider.risk_report(base_unit(), scs, weights=[1.5, -0.5])
-
 
 class TestEnumeratedLaw:
     def test_two_point_enumeration_is_exact(self):
         model = ScenarioModel(da_price_mean=30.0, gap_std=5.0, execution_std=10.0)
-        scs, weights = provider.exhaustive_scenarios(model)
+        scs = provider.exhaustive_scenarios(model)
         assert len(scs) == 4
-        assert sum(weights) == 1.0
-        rep = provider.risk_report(base_unit(), scs, weights=weights)
+        assert np.array_equal(scs.weights, [0.25] * 4)
+        assert np.array_equal(scs.da, [30.0] * 4)
+        # Every (gap, shift) sign pair appears once.
+        pairs = sorted(zip(scs.da - scs.rt, scs.executed))
+        assert pairs == [(-5.0, -10.0), (-5.0, 10.0), (5.0, -10.0), (5.0, 10.0)]
+        rep = provider.risk_report(base_unit(), scs)
         # Payoff is gap*shift = +-50 with equal probability: mean 0, second
         # moment 2500, both exact in binary floating point.
         assert rep.expected_delta == 0.0
@@ -173,11 +226,16 @@ class TestEnumeratedLaw:
 
     def test_enumeration_indifferent_without_correlation(self):
         model = ScenarioModel(da_price_mean=30.0, gap_std=5.0, execution_std=10.0)
-        scs, weights = provider.exhaustive_scenarios(model)
-        cmp_ = provider.compare_kinds(base_unit(), marginal_unit(), scs, weights)
+        scs = provider.exhaustive_scenarios(model)
+        cmp_ = provider.compare_kinds(base_unit(), marginal_unit(), scs)
         assert cmp_.base.incremental_variance == 2500.0
         assert cmp_.marginal.incremental_variance == 2500.0
         assert not cmp_.marginal_less_risky
+
+
+def same_draws(a, b):
+    return all(np.array_equal(x, y) for x, y in
+               ((a.da, b.da), (a.rt, b.rt), (a.executed, b.executed)))
 
 
 class TestScenarioGeneration:
@@ -186,8 +244,29 @@ class TestScenarioGeneration:
         a = provider.generate_scenarios(model, 50, seed=3)
         b = provider.generate_scenarios(model, 50, seed=3)
         c = provider.generate_scenarios(model, 50, seed=4)
-        assert a == b
-        assert a != c
+        assert a.weights is None
+        assert same_draws(a, b)
+        assert not np.array_equal(a.rt, c.rt)
+        assert not np.array_equal(a.executed, c.executed)
+
+    @pytest.mark.parametrize("limit", [None, 12.0])
+    def test_matches_recomputation_from_the_normals(self, limit):
+        model = ScenarioModel(
+            da_price_mean=40.0, da_price_std=3.0, gap_std=6.0, execution_std=9.0,
+            correlation=-0.35, execution_limit=limit,
+        )
+        n, seed = 1000, 23
+        z = np.random.default_rng(seed).standard_normal((3, n))
+        da = 40.0 + 3.0 * z[2]
+        rt = da - 6.0 * z[0]
+        rho = -0.35
+        ex = 9.0 * (rho * -z[0] + math.sqrt(1.0 - rho**2) * z[1])
+        if limit is not None:
+            assert np.abs(ex).max() > limit
+            ex = np.minimum(np.maximum(ex, -limit), limit)
+        scs = provider.generate_scenarios(model, n, seed)
+        assert len(scs) == n
+        assert same_draws(scs, ScenarioSet(da, rt, ex))
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -196,15 +275,13 @@ class TestScenarioGeneration:
     def test_correlation_is_respected(self):
         model = ScenarioModel(correlation=0.7)
         scs = provider.generate_scenarios(model, 50_000, seed=11)
-        rt = np.array([s.rt_price for s in scs])
-        ex = np.array([s.executed for s in scs])
-        got = float(np.corrcoef(rt, ex)[0, 1])
+        got = float(np.corrcoef(scs.rt, scs.executed)[0, 1])
         assert got == pytest.approx(0.7, abs=0.05)
 
     def test_execution_limit_clips(self):
         model = ScenarioModel(execution_std=10.0, execution_limit=25.0)
         scs = provider.generate_scenarios(model, 20_000, seed=5)
-        assert max(abs(s.executed) for s in scs) <= 25.0
+        assert np.abs(scs.executed).max() <= 25.0
 
     def test_nonpositive_da_price_rejected(self):
         model = ScenarioModel(da_price_mean=1.0, da_price_std=2.0)
@@ -234,21 +311,31 @@ class TestKindComparison:
         assert cmp_.marginal.incremental_variance < cmp_.base.incremental_variance
 
 
-def feasible_cases(draw):
+def draw_unit(draw):
     p_min = draw(st.floats(min_value=0.0, max_value=100.0))
     width = draw(st.floats(min_value=10.0, max_value=300.0))
     p_max = p_min + width
     sched = p_min + draw(st.floats(min_value=0.0, max_value=1.0)) * width
     kind = draw(st.sampled_from([UnitKind.BASE_LOAD, UnitKind.MARGINAL]))
     cost = draw(st.floats(min_value=5.0, max_value=60.0))
-    u = DispatchableUnit(kind, p_min, p_max, cost, sched)
+    return DispatchableUnit(kind, p_min, p_max, cost, sched)
+
+
+def draw_scenario(draw, u):
+    """A draw whose shift keeps u in range; the RT price may equal u's
+    marginal cost, where dispatch holds the schedule."""
     da = draw(st.floats(min_value=1.0, max_value=100.0))
-    rt = draw(st.floats(min_value=-20.0, max_value=120.0))
-    lo = p_min - sched
-    hi = p_max - sched
+    rt = draw(st.just(u.marginal_cost) | st.floats(min_value=-20.0, max_value=120.0))
+    lo = u.p_min - u.da_schedule
+    hi = u.p_max - u.da_schedule
     executed = lo + draw(st.floats(min_value=0.0, max_value=1.0)) * (hi - lo)
     executed = min(max(executed, lo), hi)
-    return u, JointScenario(da_price=da, rt_price=rt, executed=executed)
+    return JointScenario(da_price=da, rt_price=rt, executed=executed)
+
+
+def feasible_cases(draw):
+    u = draw_unit(draw)
+    return u, draw_scenario(draw, u)
 
 
 feasible_case = st.composite(feasible_cases)()
@@ -284,3 +371,41 @@ def test_zero_shift_means_zero_incremental_risk(seed, n):
     assert rep.expected_delta == 0.0
     assert rep.incremental_variance == 0.0
     assert math.isfinite(rep.variance_without)
+
+
+def feasible_sets(draw):
+    u = draw_unit(draw)
+    draws = [draw_scenario(draw, u) for _ in range(draw(st.integers(2, 8)))]
+    counts = draw(st.none() | st.lists(st.integers(0, 10), min_size=len(draws),
+                                       max_size=len(draws)).filter(any))
+    weights = None if counts is None else [k / sum(counts) for k in counts]
+    return u, draws, weights
+
+
+@given(case=st.composite(feasible_sets)())
+@settings(max_examples=80, deadline=None)
+def test_risk_report_matches_scalar_oracle(case):
+    # Per-draw revenues from the scalar functions, moments by exact
+    # summation: sample moments without weights, exact ones with them.
+    u, draws, weights = case
+    rev0 = [provider.revenue_unit(u, sc) for sc in draws]
+    rev1 = [provider.revenue_unit_with_brs(u, sc) for sc in draws]
+    delta = [b - a for a, b in zip(rev0, rev1)]
+    if weights is None:
+        mean = statistics.fmean(delta)
+        var0, var1 = statistics.variance(rev0), statistics.variance(rev1)
+    else:
+        def wmean(xs):
+            return math.fsum(w * x for w, x in zip(weights, xs))
+
+        mean = wmean(delta)
+        var0 = wmean([(x - wmean(rev0)) ** 2 for x in rev0])
+        var1 = wmean([(x - wmean(rev1)) ** 2 for x in rev1])
+    scs = scenario_set([(sc.da_price, sc.rt_price, sc.executed) for sc in draws], weights)
+    rep = provider.risk_report(u, scs)
+    scale = max(1.0, *map(abs, rev0), *map(abs, rev1))
+    assert rep.expected_delta == pytest.approx(mean, rel=1e-9, abs=1e-12 * scale)
+    tol = 1e-12 * scale**2
+    assert rep.variance_without == pytest.approx(var0, rel=1e-9, abs=tol)
+    assert rep.variance_with == pytest.approx(var1, rel=1e-9, abs=tol)
+    assert rep.incremental_variance == pytest.approx(var1 - var0, rel=1e-9, abs=2 * tol)
