@@ -24,25 +24,12 @@ def main() -> None:
     args = ap.parse_args()
 
     cfg = dataio.load_scenario(args.scenario)
-    s, _, d = simulation.hour_context(cfg, args.hour)
-    rows = []
-    for direction in (vg.DOWN, vg.UP):
-        for alpha in args.alphas:
-            pf = vg.PenaltyFactors(over=alpha, under=alpha)
-            curve = vg.demand_curve(s, pf, d, direction, args.points)
-            rows.extend(
-                {
-                    "direction": direction.value,
-                    "alpha": alpha,
-                    "quantity_mw": q,
-                    "marginal_value": value,
-                }
-                for q, value in curve.points
-            )
+    rows = simulation.demand_curve_rows(cfg, args.hour, args.alphas, args.points)
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     dataio.write_table(rows, args.out, args.out.suffix.lstrip("."))
-    print(f"hour {args.hour}: schedule {s.da_quantity:.1f} MW at {s.da_price:.2f} $/MWh")
+    schedule, price = cfg.vg.da_schedule_mw[args.hour], cfg.da_price[args.hour]
+    print(f"hour {args.hour}: schedule {schedule:.1f} MW at {price:.2f} $/MWh")
     for alpha in args.alphas:
         head = next(
             r for r in rows

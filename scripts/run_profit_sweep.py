@@ -9,54 +9,24 @@ zero and each scale sits at its own no-cover revenue.
 import argparse
 from pathlib import Path
 
-from brsim import dataio, forecast, simulation, vg
+from brsim import dataio, simulation
+from brsim.cli import DEFAULT_PRICE_RATIOS
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_SCENARIO = REPO / "scenarios" / "day24.json"
-DEFAULT_RATIOS = tuple(round(0.05 * i, 2) for i in range(11))
 DEFAULT_SCALES = (0.5, 1.0, 1.5, 2.0)
-
-
-def sweep(cfg, ratios, scales):
-    rows = []
-    for scale in scales:
-        inputs = []
-        for h in range(cfg.horizon):
-            s, pf, d = simulation.hour_context(cfg, h)
-            inputs.append((s, pf, forecast.scale_variance(d, scale)))
-        no_cover = sum(
-            vg.expected_revenue(s, pf, vg.ZERO_POSITION, d) for s, pf, d in inputs
-        )
-        for ratio in ratios:
-            profit = 0.0
-            premium = 0.0
-            for s, pf, d in inputs:
-                price = ratio * s.da_price
-                pos = vg.optimal_position(s, pf, d, price, price)
-                profit += vg.net_expected_revenue(s, pf, pos, d)
-                premium += vg.premium_cost(pos)
-            rows.append(
-                {
-                    "variance_scale": scale,
-                    "price_ratio": ratio,
-                    "expected_profit": profit,
-                    "premium_paid": premium,
-                    "no_cover_revenue": no_cover,
-                }
-            )
-    return rows
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scenario", type=Path, default=DEFAULT_SCENARIO)
-    ap.add_argument("--ratios", type=float, nargs="+", default=list(DEFAULT_RATIOS))
+    ap.add_argument("--ratios", type=float, nargs="+", default=list(DEFAULT_PRICE_RATIOS))
     ap.add_argument("--scales", type=float, nargs="+", default=list(DEFAULT_SCALES))
     ap.add_argument("--out", type=Path, default=Path("out/profit_sweep.csv"))
     args = ap.parse_args()
 
     cfg = dataio.load_scenario(args.scenario)
-    rows = sweep(cfg, sorted(args.ratios), sorted(args.scales))
+    rows = simulation.profit_sweep(cfg, args.ratios, args.scales)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     dataio.write_table(rows, args.out, args.out.suffix.lstrip("."))
 
@@ -67,11 +37,13 @@ def main() -> None:
     for scale in sorted(args.scales):
         col = [r for r in rows if r["variance_scale"] == scale]
         first, last = col[0], col[-1]
+        # Once the ratio clears both penalty factors no cover is bought, so
+        # the gross revenue is the no-cover revenue.
         print(
             f"  scale {scale}: profit {first['expected_profit']:,.0f} $ at "
             f"ratio {first['price_ratio']} falling to {last['expected_profit']:,.0f} $ "
             f"at ratio {last['price_ratio']} "
-            f"(no-cover level {last['no_cover_revenue']:,.0f} $)"
+            f"(no-cover level {last['gross_expected_revenue']:,.0f} $)"
         )
     print(f"wrote {args.out} ({len(rows)} rows)")
 

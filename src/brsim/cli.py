@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
-from . import dataio, forecast, provider, simulation, vg
-from .dataio import ScenarioError, SeriesParseError
+from . import dataio, provider, simulation, vg
+from .dataio import ScenarioError
 from .market import PhaseError
 from .provider import DispatchableUnit, ScenarioModel, UnitKind
 
@@ -45,12 +45,6 @@ class UsageError(ValueError):
     """Bad argument values caught after argparse (maps to exit code 2)."""
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    exit_code: int
-    artifacts: tuple[str, ...] = ()
-
-
 def _float_list(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -61,14 +55,12 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _emit(rows, args, columns=None) -> CommandResult:
-    fmt = args.format
+def _emit(rows, args) -> None:
     if args.out is None:
-        sys.stdout.write(dataio.format_table(rows, fmt, columns))
-        return CommandResult(0)
-    dataio.write_table(rows, args.out, fmt, columns)
+        sys.stdout.write(dataio.format_table(rows, args.format))
+        return
+    dataio.write_table(rows, args.out, args.format)
     print(f"wrote {args.out}")
-    return CommandResult(0, artifacts=(str(args.out),))
 
 
 def _load(args) -> dataio.ScenarioConfig:
@@ -81,7 +73,7 @@ def _check_hour(cfg: dataio.ScenarioConfig, hour: int) -> int:
     return hour
 
 
-def cmd_demand_curve(args) -> CommandResult:
+def cmd_demand_curve(args) -> None:
     cfg = _load(args)
     hour = _check_hour(cfg, args.hour)
     alphas = [a for chunk in args.alpha for a in chunk] if args.alpha else [
@@ -90,25 +82,10 @@ def cmd_demand_curve(args) -> CommandResult:
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise UsageError(f"--alpha values must be in [0, 1], got {a}")
-    s, _, d = simulation.hour_context(cfg, hour)
-    rows = []
-    for direction in (vg.DOWN, vg.UP):
-        for a in alphas:
-            pf = vg.PenaltyFactors(over=a, under=a)
-            curve = vg.demand_curve(s, pf, d, direction, args.points)
-            for q, value in curve.points:
-                rows.append(
-                    {
-                        "direction": direction.value,
-                        "alpha": a,
-                        "quantity_mw": q,
-                        "marginal_value": value,
-                    }
-                )
-    return _emit(rows, args)
+    _emit(simulation.demand_curve_rows(cfg, hour, alphas, args.points), args)
 
 
-def cmd_optimal(args) -> CommandResult:
+def cmd_optimal(args) -> None:
     cfg = _load(args)
     hour = _check_hour(cfg, args.hour)
     s, pf, d = simulation.hour_context(cfg, hour)
@@ -135,10 +112,10 @@ def cmd_optimal(args) -> CommandResult:
             "consumer_surplus": report.consumer_surplus,
         }
     ]
-    return _emit(rows, args)
+    _emit(rows, args)
 
 
-def cmd_profit_sweep(args) -> CommandResult:
+def cmd_profit_sweep(args) -> None:
     cfg = _load(args)
     ratios = (
         [r for chunk in args.price_ratios for r in chunk]
@@ -153,41 +130,14 @@ def cmd_profit_sweep(args) -> CommandResult:
     for r in ratios:
         if r < 0:
             raise UsageError(f"price ratios must be >= 0, got {r}")
-    rows = []
-    for scale in scales:
-        for ratio in ratios:
-            profit = 0.0
-            gross_total = 0.0
-            premium_total = 0.0
-            for h in range(cfg.horizon):
-                s, pf, d = simulation.hour_context(cfg, h)
-                d = forecast.scale_variance(d, scale)
-                price = ratio * s.da_price
-                pos = vg.optimal_position(s, pf, d, price, price)
-                gross = vg.expected_revenue(s, pf, pos, d)
-                premium = vg.premium_cost(pos)
-                profit += gross - premium
-                gross_total += gross
-                premium_total += premium
-            rows.append(
-                {
-                    "variance_scale": scale,
-                    "price_ratio": ratio,
-                    "expected_profit": profit,
-                    "gross_expected_revenue": gross_total,
-                    "premium_paid": premium_total,
-                }
-            )
-    rows.sort(key=lambda r: (r["variance_scale"], r["price_ratio"]))
-    return _emit(rows, args)
+    _emit(simulation.profit_sweep(cfg, ratios, scales), args)
 
 
-def cmd_simulate_day(args) -> CommandResult:
+def cmd_simulate_day(args) -> None:
     cfg = _load(args)
     result = simulation.simulate_day(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
     tables = (
         ("contracts", simulation.contract_rows(result), CONTRACT_COLUMNS),
         ("ledger", simulation.ledger_rows(result), LEDGER_COLUMNS),
@@ -197,12 +147,10 @@ def cmd_simulate_day(args) -> CommandResult:
         for fmt in ("csv", "json"):
             path = out_dir / f"{name}.{fmt}"
             dataio.write_table(rows, path, fmt, columns)
-            artifacts.append(str(path))
             print(f"wrote {path}")
-    return CommandResult(0, artifacts=tuple(artifacts))
 
 
-def cmd_supply_risk(args) -> CommandResult:
+def cmd_supply_risk(args) -> None:
     if not -1.0 <= args.correlation <= 1.0:
         raise UsageError(f"--correlation must be in [-1, 1], got {args.correlation}")
     if args.samples < 2:
@@ -219,10 +167,9 @@ def cmd_supply_risk(args) -> CommandResult:
     else:
         reports = {args.unit_kind: provider.risk_report(RISK_UNITS[args.unit_kind], scenarios)}
     rows = [{"kind": kind, **asdict(report)} for kind, report in reports.items()]
-    result = _emit(rows, args)
+    _emit(rows, args)
     if args.unit_kind == "both":
         print(f"verdict: marginal_less_risky={str(cmp_.marginal_less_risky).lower()}")
-    return result
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,14 +231,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.func(args)
+        args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, SeriesParseError, PhaseError, ValueError, OSError) as exc:
+    except (ScenarioError, PhaseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return result.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""File formats: hourly CSV series, JSON scenario configs, result tables.
+"""File formats: JSON scenario configs and result tables.
 
 The field names here are a compatibility surface; see docs/schemas.md.
 Scenario validation is strict: unknown fields are rejected with the full
@@ -13,97 +13,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-SERIES_UNITS = ("$/MWh", "MW")
 TABLE_FORMATS = ("csv", "json")
 
 # Numeric CSV cells are written with this many significant digits.
 _CSV_SIG_DIGITS = 6
 
 
-class SeriesParseError(ValueError):
-    """CSV series problem; message carries file and 1-based line number."""
-
-
 class ScenarioError(ValueError):
     """Scenario config problem; message carries the offending field path."""
-
-
-@dataclass(frozen=True)
-class HourlySeries:
-    hours: tuple[int, ...]
-    values: tuple[float, ...]
-    unit: str
-
-    def __post_init__(self) -> None:
-        if len(self.hours) != len(self.values):
-            raise ValueError("hours and values must have equal length")
-        for prev, cur in zip(self.hours, self.hours[1:]):
-            if cur <= prev:
-                raise ValueError(f"hours must be strictly increasing, saw {prev} then {cur}")
-
-
-def load_series(path: str | Path, unit: str) -> HourlySeries:
-    """Read an `hour,value` CSV into a unit-tagged series.
-
-    Hours must form a contiguous ascending run; gaps, duplicates, and
-    malformed cells all fail with the offending line number.
-    """
-    path = Path(path)
-    if unit not in SERIES_UNITS:
-        raise ValueError(f"unknown unit tag {unit!r}, expected one of {SERIES_UNITS}")
-    hours: list[int] = []
-    values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SeriesParseError(f"{path}:1: empty file, expected 'hour,value' header")
-        if [c.strip() for c in header] != ["hour", "value"]:
-            raise SeriesParseError(
-                f"{path}:1: expected header 'hour,value', got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise SeriesParseError(
-                    f"{path}:{lineno}: expected 2 fields, got {len(row)}"
-                )
-            try:
-                hour = int(row[0])
-            except ValueError:
-                raise SeriesParseError(
-                    f"{path}:{lineno}: non-integer hour {row[0]!r}"
-                ) from None
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise SeriesParseError(
-                    f"{path}:{lineno}: non-numeric value {row[1]!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise SeriesParseError(f"{path}:{lineno}: non-finite value {row[1]!r}")
-            if hours:
-                if hour == hours[-1]:
-                    raise SeriesParseError(f"{path}:{lineno}: duplicate hour {hour}")
-                if hour != hours[-1] + 1:
-                    raise SeriesParseError(
-                        f"{path}:{lineno}: missing hour {hours[-1] + 1} (saw {hour})"
-                    )
-            hours.append(hour)
-            values.append(value)
-    if not hours:
-        raise SeriesParseError(f"{path}:2: no data rows")
-    return HourlySeries(hours=tuple(hours), values=tuple(values), unit=unit)
-
-
-def write_series(series: HourlySeries, path: str | Path) -> None:
-    path = Path(path)
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("hour,value\n")
-        for hour, value in zip(series.hours, series.values):
-            fh.write(f"{hour},{_format_number(value)}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -49,17 +49,6 @@ class ForecastDistribution:
     clamped: bool = False
 
 
-@dataclass(frozen=True)
-class VarianceScale:
-    """Multiplicative widening/narrowing of forecast uncertainty."""
-
-    factor: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.factor) or self.factor < 0:
-            raise ValueError(f"scale factor must be finite and >= 0, got {self.factor}")
-
-
 def _clamp_normalized_variance(var_n: float, mean_n: float) -> tuple[float, bool]:
     bound = mean_n * (1.0 - mean_n)
     lo = VARIANCE_FLOOR * bound
@@ -186,7 +175,8 @@ def partial_expectation(d: ForecastDistribution, lo: float, hi: float) -> float:
     return d.mean * float(tail)
 
 
-def scale_variance(d: ForecastDistribution, k: VarianceScale | float) -> ForecastDistribution:
-    """Same mean, variance multiplied by k.factor (clamped to the feasible band)."""
-    factor = k.factor if isinstance(k, VarianceScale) else VarianceScale(k).factor
+def scale_variance(d: ForecastDistribution, factor: float) -> ForecastDistribution:
+    """Same mean, variance multiplied by factor (clamped to the feasible band)."""
+    if not math.isfinite(factor) or factor < 0:
+        raise ValueError(f"scale factor must be finite and >= 0, got {factor}")
     return from_mean_variance(d.capacity, d.mean, d.variance * factor)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import vg as vg_econ
 from .forecast import ForecastDistribution
 from .provider import DispatchableUnit
-from .vg import DOWN, UP, BrsPosition, Direction, PenaltyFactors, VgSchedule
+from .vg import DOWN, UP, Direction, PenaltyFactors, VgSchedule
 
 POOL = "pool"
 
@@ -140,7 +140,7 @@ class LedgerEntry:
 
 class SettlementLedger:
     """Append-only double-entry ledger. Every flow names a payer and a payee,
-    so the grand total over all parties is zero by construction."""
+    so the parties' nets sum to zero up to rounding."""
 
     def __init__(self) -> None:
         self.entries: list[LedgerEntry] = []
@@ -178,14 +178,11 @@ class SettlementLedger:
     def net_by_party(self) -> dict[str, float]:
         return {p: self.net(p) for p in self.parties()}
 
-    def grand_total(self) -> float:
-        # Entry-wise +amount/-amount keeps the running sum exactly zero in
-        # floating point, which the per-hour assertion relies on.
-        total = 0.0
-        for e in self.entries:
-            total += e.amount
-            total -= e.amount
-        return total
+    def is_balanced(self) -> bool:
+        """Whether the parties' nets, summed exactly, cancel to within 1e-9
+        of the gross flow."""
+        residual = math.fsum(self.net_by_party().values())
+        return abs(residual) <= 1e-9 * math.fsum(e.amount for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -334,20 +331,6 @@ def claim_execution(
         per_seller_down=per_seller[DOWN],
         per_seller_up=per_seller[UP],
     )
-
-
-def apply_execution(
-    vg_schedule: float,
-    provider_schedule: float,
-    executed_down: float,
-    executed_up: float,
-) -> tuple[float, float]:
-    """Shift both settlement schedules by the executed amounts; the total is
-    conserved exactly."""
-    if executed_down < 0.0 or executed_up < 0.0:
-        raise ValueError("executed amounts must be >= 0")
-    shift = executed_down - executed_up
-    return vg_schedule + shift, provider_schedule - shift
 
 
 @dataclass(frozen=True)
@@ -519,20 +502,3 @@ class HourMarket:
         ledger = settle(acc)
         self.phase = Phase.SETTLED
         return ledger
-
-    def position(self) -> BrsPosition:
-        """Validated cover as a position (premiums averaged per side)."""
-        down = [c for c in self.contracts if c.direction is DOWN and c.status
-                in (ContractStatus.VALIDATED, ContractStatus.EXECUTED, ContractStatus.RELEASED)]
-        up = [c for c in self.contracts if c.direction is UP and c.status
-              in (ContractStatus.VALIDATED, ContractStatus.EXECUTED, ContractStatus.RELEASED)]
-        down_qty = sum(c.quantity for c in down)
-        up_qty = sum(c.quantity for c in up)
-        down_cost = sum(c.premium_price * c.quantity for c in down)
-        up_cost = sum(c.premium_price * c.quantity for c in up)
-        return BrsPosition(
-            down_qty=down_qty,
-            up_qty=up_qty,
-            down_price=down_cost / down_qty if down_qty > 0 else 0.0,
-            up_price=up_cost / up_qty if up_qty > 0 else 0.0,
-        )

@@ -2,6 +2,7 @@
 claims, and settlement into one deterministic pipeline."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,19 +14,11 @@ from .market import (
     HourAccounts,
     HourMarket,
     Offer,
-    Phase,
     SettlementLedger,
     ZonalRule,
 )
 from .provider import DispatchableUnit, UnitKind
 from .vg import PenaltyFactors, VgSchedule
-
-
-@dataclass(frozen=True)
-class TimelineState:
-    """Per-hour lifecycle phases; monotone within a run by construction."""
-
-    phases: tuple[Phase, ...]
 
 
 @dataclass
@@ -43,7 +36,6 @@ class HourOutcome:
 @dataclass
 class DayResult:
     hours: list[HourOutcome]
-    timeline: TimelineState
 
     @property
     def ledger(self) -> SettlementLedger:
@@ -76,6 +68,66 @@ def hour_context(
     return s, PenaltyFactors(over=cfg.penalty.over, under=cfg.penalty.under), d
 
 
+def demand_curve_rows(
+    cfg: ScenarioConfig, hour: int, alphas: list[float], points: int
+) -> list[dict]:
+    """Marginal value of cover against quantity at one hour, per direction
+    and per penalty factor (applied to both sides)."""
+    s, _, d = hour_context(cfg, hour)
+    rows = []
+    for direction in (vg.DOWN, vg.UP):
+        for a in alphas:
+            pf = PenaltyFactors(over=a, under=a)
+            curve = vg.demand_curve(s, pf, d, direction, points)
+            rows.extend(
+                {
+                    "direction": direction.value,
+                    "alpha": a,
+                    "quantity_mw": q,
+                    "marginal_value": value,
+                }
+                for q, value in curve.points
+            )
+    return rows
+
+
+def profit_sweep(
+    cfg: ScenarioConfig, ratios: list[float], scales: list[float]
+) -> list[dict]:
+    """Expected profit summed over the horizon at the optimal cover, for each
+    forecast-variance scale and premium ratio (premium = ratio x DA price on
+    both sides). Rows are sorted by (scale, ratio)."""
+    rows = []
+    for scale in scales:
+        inputs = []
+        for h in range(cfg.horizon):
+            s, pf, d = hour_context(cfg, h)
+            inputs.append((s, pf, forecast.scale_variance(d, scale)))
+        for ratio in ratios:
+            profit = 0.0
+            gross_total = 0.0
+            premium_total = 0.0
+            for s, pf, d in inputs:
+                price = ratio * s.da_price
+                pos = vg.optimal_position(s, pf, d, price, price)
+                gross = vg.expected_revenue(s, pf, pos, d)
+                premium = vg.premium_cost(pos)
+                profit += gross - premium
+                gross_total += gross
+                premium_total += premium
+            rows.append(
+                {
+                    "variance_scale": scale,
+                    "price_ratio": ratio,
+                    "expected_profit": profit,
+                    "gross_expected_revenue": gross_total,
+                    "premium_paid": premium_total,
+                }
+            )
+    rows.sort(key=lambda r: (r["variance_scale"], r["price_ratio"]))
+    return rows
+
+
 def _unit_for_hour(uc: UnitConfig, hour: int) -> DispatchableUnit:
     return DispatchableUnit(
         kind=UnitKind(uc.kind),
@@ -96,7 +148,6 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     if cfg.vg.realized_mw is None:
         raise ValueError("scenario declares no realized output; cannot simulate")
 
-    pf = PenaltyFactors(over=cfg.penalty.over, under=cfg.penalty.under)
     zonal_rule = (
         ZonalRule.from_pairs(cfg.zonal_rule.congested_boundaries)
         if cfg.zonal_rule is not None
@@ -110,16 +161,9 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
         offers_by_hour.setdefault(oc.hour, []).append(oc)
 
     hours: list[HourOutcome] = []
-    phases: list[Phase] = []
     next_contract_id = 0
     for h in range(cfg.horizon):
-        d = forecast.from_mean(
-            cfg.vg.capacity_mw,
-            cfg.vg.forecast_mean_mw[h],
-            coefficient=cfg.vg.variance_coefficient,
-            scale=cfg.vg.variance_scale,
-        )
-        s = VgSchedule(da_quantity=cfg.vg.da_schedule_mw[h], da_price=cfg.da_price[h])
+        s, pf, d = hour_context(cfg, h)
         units = {u.id: _unit_for_hour(u, h) for u in cfg.units}
 
         hm = HourMarket(h, buyer=cfg.vg.id, id_start=next_contract_id)
@@ -168,6 +212,13 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
                 unit_rt_output[uc.id] = modified
             else:
                 unit_rt_output[uc.id] = provider.rt_dispatch(u, rt_price)
+        unit_schedules = {uid: u.da_schedule for uid, u in units.items()}
+        scheduled = s.da_quantity + math.fsum(unit_schedules.values())
+        shifted = vg_modified + math.fsum(unit_modified.values()) - scheduled
+        if abs(shifted) > 1e-9 * max(1.0, abs(scheduled)):
+            raise AssertionError(
+                f"hour {h}: executions changed the scheduled total by {shifted} MW"
+            )
 
         ledger = hm.settle(
             HourAccounts(
@@ -183,7 +234,8 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
                 unit_rt_output=unit_rt_output,
             )
         )
-        assert ledger.grand_total() == 0.0
+        if not ledger.is_balanced():
+            raise AssertionError(f"hour {h}: ledger nets do not cancel")
 
         hours.append(
             HourOutcome(
@@ -191,15 +243,14 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
                 vg_schedule=s.da_quantity,
                 vg_modified=vg_modified,
                 vg_realized=realized,
-                unit_schedules={u.id: units[u.id].da_schedule for u in cfg.units},
+                unit_schedules=unit_schedules,
                 unit_modified=unit_modified,
                 contracts=list(hm.contracts),
                 ledger=ledger,
             )
         )
-        phases.append(hm.phase)
 
-    return DayResult(hours=hours, timeline=TimelineState(phases=tuple(phases)))
+    return DayResult(hours=hours)
 
 
 def contract_rows(result: DayResult) -> list[dict]:

@@ -188,13 +188,6 @@ def expected_revenue(
     return lam * (below + pe_mid + above)
 
 
-def net_expected_revenue(
-    s: VgSchedule, pf: PenaltyFactors, pos: BrsPosition, d: ForecastDistribution
-) -> float:
-    """expected_revenue minus the deterministic premium outlay."""
-    return expected_revenue(s, pf, pos, d) - premium_cost(pos)
-
-
 def marginal_utility_down(
     s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution, r: float
 ) -> float:

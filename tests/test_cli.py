@@ -46,6 +46,7 @@ class TestDemandCurve:
         rows = parse_csv(out)
         assert len(rows) == 2 * 5  # both directions, one alpha
         assert rows[0].keys() == {"direction", "alpha", "quantity_mw", "marginal_value"}
+        assert {r["direction"] for r in rows} == {"down", "up"}
 
     def test_multiple_alphas(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,4 @@
-"""Series CSV parsing, scenario configs, and table writers/readers."""
+"""Scenario configs and table writers/readers."""
 
 import json
 from pathlib import Path
@@ -9,17 +9,13 @@ from hypothesis import strategies as st
 
 from brsim import dataio
 from brsim.dataio import (
-    HourlySeries,
     ScenarioError,
-    SeriesParseError,
     format_table,
     load_scenario,
-    load_series,
     read_table,
     scenario_from_dict,
     scenario_to_dict,
     write_scenario,
-    write_series,
     write_table,
 )
 
@@ -50,76 +46,6 @@ def minimal_doc():
             {"seller": "g1", "hour": 0, "direction": "down", "price": 0.5, "quantity_mw": 10.0}
         ],
     }
-
-
-class TestSeriesParsing:
-    def write(self, tmp_path, text):
-        p = tmp_path / "series.csv"
-        p.write_text(text, encoding="utf-8")
-        return p
-
-    def test_round_trip(self, tmp_path):
-        series = HourlySeries(hours=(0, 1, 2), values=(30.0, 28.5, 31.25), unit="$/MWh")
-        p = tmp_path / "prices.csv"
-        write_series(series, p)
-        back = load_series(p, "$/MWh")
-        assert back == series
-
-    def test_unknown_unit_tag(self, tmp_path):
-        p = self.write(tmp_path, "hour,value\n0,1\n")
-        with pytest.raises(ValueError, match="unit tag"):
-            load_series(p, "kWh")
-
-    def test_empty_file(self, tmp_path):
-        p = self.write(tmp_path, "")
-        with pytest.raises(SeriesParseError, match=r":1: empty file"):
-            load_series(p, "MW")
-
-    def test_wrong_header(self, tmp_path):
-        p = self.write(tmp_path, "time,mw\n0,1\n")
-        with pytest.raises(SeriesParseError, match=r":1: expected header"):
-            load_series(p, "MW")
-
-    def test_non_integer_hour(self, tmp_path):
-        p = self.write(tmp_path, "hour,value\nzero,1\n")
-        with pytest.raises(SeriesParseError, match=r":2: non-integer hour"):
-            load_series(p, "MW")
-
-    def test_non_numeric_value(self, tmp_path):
-        p = self.write(tmp_path, "hour,value\n0,lots\n")
-        with pytest.raises(SeriesParseError, match=r":2: non-numeric value"):
-            load_series(p, "MW")
-
-    def test_non_finite_value(self, tmp_path):
-        p = self.write(tmp_path, "hour,value\n0,inf\n")
-        with pytest.raises(SeriesParseError, match=r":2: non-finite"):
-            load_series(p, "MW")
-
-    def test_duplicate_hour(self, tmp_path):
-        p = self.write(tmp_path, "hour,value\n0,1\n0,2\n")
-        with pytest.raises(SeriesParseError, match=r":3: duplicate hour 0"):
-            load_series(p, "MW")
-
-    def test_gap_reports_missing_hour(self, tmp_path):
-        p = self.write(tmp_path, "hour,value\n0,1\n1,2\n3,4\n")
-        with pytest.raises(SeriesParseError, match=r":4: missing hour 2"):
-            load_series(p, "MW")
-
-    def test_header_only(self, tmp_path):
-        p = self.write(tmp_path, "hour,value\n")
-        with pytest.raises(SeriesParseError, match=r":2: no data rows"):
-            load_series(p, "MW")
-
-    def test_blank_lines_skipped(self, tmp_path):
-        p = self.write(tmp_path, "hour,value\n0,1\n\n1,2\n")
-        got = load_series(p, "MW")
-        assert got.hours == (0, 1)
-
-    def test_series_type_checks_ordering(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            HourlySeries(hours=(0, 0), values=(1.0, 2.0), unit="MW")
-        with pytest.raises(ValueError, match="equal length"):
-            HourlySeries(hours=(0,), values=(1.0, 2.0), unit="MW")
 
 
 class TestScenarioParsing:
@@ -269,26 +195,6 @@ class TestTables:
         p.write_text('{"a": 1}', encoding="utf-8")
         with pytest.raises(ValueError, match="JSON list"):
             read_table(p)
-
-
-@given(
-    hours=st.integers(min_value=1, max_value=30),
-    start=st.integers(min_value=0, max_value=5),
-    quarters=st.lists(
-        st.integers(min_value=-3999, max_value=3999), min_size=30, max_size=30
-    ),
-)
-@settings(max_examples=15, deadline=None)
-def test_series_round_trip_exact(tmp_path_factory, hours, start, quarters):
-    # Quarter-MW values are exact in binary and short enough that the 6
-    # significant digit CSV rendering is lossless.
-    values = tuple(q / 4.0 for q in quarters[:hours])
-    series = HourlySeries(
-        hours=tuple(range(start, start + hours)), values=values, unit="MW"
-    )
-    p = tmp_path_factory.mktemp("series") / "s.csv"
-    write_series(series, p)
-    assert load_series(p, "MW") == series
 
 
 @given(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brsim import forecast
-from brsim.forecast import ForecastDistribution, VarianceScale
+from brsim.forecast import ForecastDistribution
 
 
 def symmetric_case():
@@ -118,7 +118,7 @@ class TestPointwise:
 class TestVarianceScaling:
     def test_scale_preserves_mean_exactly(self):
         d = symmetric_case()
-        wider = forecast.scale_variance(d, VarianceScale(2.0))
+        wider = forecast.scale_variance(d, 2.0)
         assert wider.mean == d.mean
         assert wider.variance == pytest.approx(1000.0)
         narrower = forecast.scale_variance(d, 0.5)

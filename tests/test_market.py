@@ -19,7 +19,7 @@ from brsim.market import (
     ZonalRule,
 )
 from brsim.provider import DispatchableUnit, JointScenario, UnitKind
-from brsim.vg import DOWN, UP, PenaltyFactors, VgSchedule
+from brsim.vg import DOWN, UP, BrsPosition, PenaltyFactors, VgSchedule
 
 PF = PenaltyFactors(over=0.3, under=0.3)
 
@@ -124,12 +124,23 @@ class TestLedger:
             "b": pytest.approx(30.0),
         }
 
-    def test_grand_total_is_exactly_zero(self):
+    def test_awkward_amounts_balance(self):
         led = SettlementLedger()
         for i in range(200):
             led.add(0, "a", "b", 0.1 * (i + 1) + 1e-7, "premium")
             led.add(0, "b", "pool", 0.3333333333 * (i + 1), "rt_imbalance")
-        assert led.grand_total() == 0.0
+        assert led.is_balanced()
+
+    def test_nets_that_do_not_cancel_are_unbalanced(self, monkeypatch):
+        led = SettlementLedger()
+        led.add(0, "pool", "a", 100.0, "da_energy")
+        led.add(0, "a", "b", 30.0, "premium")
+        assert led.is_balanced()
+        nets = led.net_by_party()
+        monkeypatch.setattr(
+            SettlementLedger, "net_by_party", lambda self: {**nets, "b": 30.0 + 1e-6}
+        )
+        assert not led.is_balanced()
 
 
 class TestMatching:
@@ -307,21 +318,6 @@ class TestClaim:
         assert c.status is ContractStatus.REJECTED
 
 
-class TestApplyExecution:
-    def test_total_conserved(self):
-        vg_new, unit_new = market.apply_execution(100.0, 200.0, 20.0, 0.0)
-        assert (vg_new, unit_new) == (120.0, 180.0)
-        assert vg_new + unit_new == 300.0
-
-    def test_up_execution_shifts_other_way(self):
-        vg_new, unit_new = market.apply_execution(100.0, 200.0, 0.0, 15.0)
-        assert (vg_new, unit_new) == (85.0, 215.0)
-
-    def test_negative_amounts_rejected(self):
-        with pytest.raises(ValueError):
-            market.apply_execution(100.0, 200.0, -1.0, 0.0)
-
-
 def worked_hour_accounts():
     c = signed(0, DOWN, 20.0, seller="g1", price=0.5, buyer="wind1")
     c.transition(ContractStatus.VALIDATED)
@@ -348,7 +344,7 @@ class TestSettle:
         assert led.net("wind1") == pytest.approx(3590.0)
         assert led.net("g1") == pytest.approx(5410.0)
         assert led.net(market.POOL) == pytest.approx(-9000.0)
-        assert led.grand_total() == 0.0
+        assert led.is_balanced()
 
     def test_worked_hour_flows_by_tag(self):
         led = market.settle(worked_hour_accounts())
@@ -475,19 +471,6 @@ class TestHourMarket:
         with pytest.raises(ValueError):
             hm.post_offer(Offer("g1", 2, DOWN, price=0.5, quantity=5.0))
 
-    def test_position_reprices_to_total_premium(self):
-        hm = HourMarket(hour=0)
-        hm.open_window()
-        hm.post_offer(Offer("g1", 0, DOWN, price=0.5, quantity=5.0))
-        hm.post_offer(Offer("g2", 0, DOWN, price=1.0, quantity=5.0))
-        hm.run_matching(mid_schedule(), PF, beta22())
-        hm.close_window()
-        hm.validate({"g1": g_unit(), "g2": g_unit()})
-        pos = hm.position()
-        total = sum(c.premium_price * c.quantity for c in hm.contracts
-                    if c.status is not ContractStatus.REJECTED)
-        assert vg.premium_cost(pos) == pytest.approx(total, rel=1e-12)
-
 
 def settlement_cases(draw):
     capacity = draw(st.floats(min_value=80.0, max_value=300.0))
@@ -531,7 +514,7 @@ settlement_case = st.composite(settlement_cases)()
 def test_full_hour_settlement_equivalence(case):
     # Whatever transacts, the ledger must reproduce the closed-form payoffs:
     # banded revenue minus premiums for the producer, shift payoff plus
-    # premiums for the unit, and an exactly zero grand total.
+    # premiums for the unit, and nets that cancel.
     d, s, pf, unit, offers, lam_r, realized = case
     hm = HourMarket(hour=0, buyer="w")
     hm.open_window()
@@ -555,17 +538,19 @@ def test_full_hour_settlement_equivalence(case):
         unit_rt_output={"g1": rt_out},
     )
     led = hm.settle(acc)
-    assert led.grand_total() == 0.0
+    assert led.is_balanced()
 
-    pos = hm.position()
-    vg_expected = vg.revenue_with_brs(s, pf, pos, realized) - vg.premium_cost(pos)
+    live = [c for c in hm.contracts if c.status is not ContractStatus.REJECTED]
+    pos = BrsPosition(
+        down_qty=sum(c.quantity for c in live if c.direction is DOWN),
+        up_qty=sum(c.quantity for c in live if c.direction is UP),
+        down_price=0.0,
+        up_price=0.0,
+    )
+    premiums = sum(c.premium_price * c.quantity for c in live)
+    vg_expected = vg.revenue_with_brs(s, pf, pos, realized) - premiums
     assert led.net("w") == pytest.approx(vg_expected, rel=1e-9, abs=1e-6)
 
-    premiums = sum(
-        c.premium_price * c.quantity
-        for c in hm.contracts
-        if c.status is not ContractStatus.REJECTED
-    )
     executed = claim.executed_up - claim.executed_down
     sc = JointScenario(da_price=s.da_price, rt_price=lam_r, executed=executed)
     unit_expected = provider.revenue_unit_with_brs(unit, sc, rt_output=rt_out) + premiums

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from brsim import market, simulation
+from brsim import market, simulation, vg
 from brsim.dataio import load_scenario, scenario_from_dict
-from brsim.market import ContractStatus, Phase
+from brsim.market import ContractStatus, ExecutionClaim, SettlementLedger
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -39,11 +39,14 @@ class TestSingleHour:
         assert totals["wind1"] == pytest.approx(3590.0)
         assert totals["g1"] == pytest.approx(5410.0)
         assert totals[market.POOL] == pytest.approx(-9000.0)
-        assert res.ledger.grand_total() == 0.0
+        assert res.ledger.is_balanced()
 
     def test_every_hour_reaches_settled(self, single_hour):
         res = simulation.simulate_day(single_hour)
-        assert all(p is Phase.SETTLED for p in res.timeline.phases)
+        assert [h.hour for h in res.hours] == list(range(single_hour.horizon))
+        assert all(h.ledger.entries for h in res.hours)
+        terminal = {ContractStatus.EXECUTED, ContractStatus.RELEASED, ContractStatus.REJECTED}
+        assert all(c.status in terminal for c in res.contracts)
 
     def test_realized_output_required(self, single_hour):
         cfg = dataclasses.replace(
@@ -69,6 +72,44 @@ class TestHourContext:
             simulation.hour_context(day24, -1)
 
 
+class TestExperiments:
+    def test_profit_sweep_rows(self, day24):
+        rows = simulation.profit_sweep(day24, [0.2, 0.0], [2.0, 0.5])
+        assert [(r["variance_scale"], r["price_ratio"]) for r in rows] == [
+            (0.5, 0.0), (0.5, 0.2), (2.0, 0.0), (2.0, 0.2),
+        ]
+        ideal = sum(p * m for p, m in zip(day24.da_price, day24.vg.forecast_mean_mw))
+        for r in rows:
+            assert r["expected_profit"] == pytest.approx(
+                r["gross_expected_revenue"] - r["premium_paid"], rel=1e-12
+            )
+            if r["price_ratio"] == 0.0:
+                assert r["premium_paid"] == 0.0
+                assert r["expected_profit"] == pytest.approx(ideal, rel=1e-12)
+            else:
+                assert r["premium_paid"] > 0.0
+
+    def test_demand_curve_rows(self, day24):
+        rows = simulation.demand_curve_rows(day24, 10, [0.1, 0.5], 3)
+        s, _, d = simulation.hour_context(day24, 10)
+        blocks = [rows[i:i + 3] for i in range(0, len(rows), 3)]
+        assert len(blocks) == 4
+        for block, (direction, alpha) in zip(
+            blocks, [(vg.DOWN, 0.1), (vg.DOWN, 0.5), (vg.UP, 0.1), (vg.UP, 0.5)]
+        ):
+            pf = vg.PenaltyFactors(over=alpha, under=alpha)
+            curve = vg.demand_curve(s, pf, d, direction, 3)
+            assert block == [
+                {"direction": direction.value, "alpha": alpha,
+                 "quantity_mw": q, "marginal_value": value}
+                for q, value in curve.points
+            ]
+
+    def test_demand_curve_hour_out_of_range(self, day24):
+        with pytest.raises(ValueError):
+            simulation.demand_curve_rows(day24, 24, [0.3], 3)
+
+
 class TestDayRun:
     def test_contract_ids_unique_across_hours(self, day24):
         res = simulation.simulate_day(day24)
@@ -79,8 +120,8 @@ class TestDayRun:
     def test_each_hour_is_zero_sum(self, day24):
         res = simulation.simulate_day(day24)
         for hour in res.hours:
-            assert hour.ledger.grand_total() == 0.0
-        assert res.ledger.grand_total() == 0.0
+            assert hour.ledger.is_balanced()
+        assert res.ledger.is_balanced()
 
     def test_deterministic_for_fixed_config(self, day24):
         a = simulation.simulate_day(day24)
@@ -120,7 +161,40 @@ class TestDayRun:
             res = simulation.simulate_day(cfg)
             for c in res.contracts:
                 assert c.executed_mw <= c.quantity + 1e-9
-            assert res.ledger.grand_total() == 0.0
+            assert res.ledger.is_balanced()
+
+
+class TestHourChecks:
+    def test_unconserved_execution_raises(self, single_hour, monkeypatch):
+        # The producer's schedule moves by the executed total while no unit
+        # gives up the MW, so the hour's scheduled total is not conserved.
+        real = market.claim_execution
+
+        def lossy(*args, **kwargs):
+            claim = real(*args, **kwargs)
+            assert claim.executed_down > 0.0
+            return ExecutionClaim(
+                executed_down=claim.executed_down,
+                executed_up=claim.executed_up,
+                per_seller_down={},
+                per_seller_up=claim.per_seller_up,
+            )
+
+        monkeypatch.setattr(market, "claim_execution", lossy)
+        with pytest.raises(AssertionError, match=r"hour 0: executions changed"):
+            simulation.simulate_day(single_hour)
+
+    def test_unbalanced_ledger_raises(self, single_hour, monkeypatch):
+        real = SettlementLedger.net_by_party
+
+        def skewed(self):
+            nets = real(self)
+            nets[market.POOL] += 1.0
+            return nets
+
+        monkeypatch.setattr(SettlementLedger, "net_by_party", skewed)
+        with pytest.raises(AssertionError, match=r"hour 0: ledger nets do not cancel"):
+            simulation.simulate_day(single_hour)
 
 
 class TestZonalRuleEndToEnd:

@@ -140,10 +140,9 @@ class TestExpectedRevenue:
         assert closed == pytest.approx(numeric, abs=max(1e-6, 10 * err))
 
     def test_net_subtracts_premiums(self, beta22, mid_schedule):
+        # Net revenue is the gross expectation less 20 x 1.0 + 10 x 2.0.
         pos = BrsPosition(down_qty=20.0, up_qty=10.0, down_price=1.0, up_price=2.0)
-        gross = vg.expected_revenue(mid_schedule, PF, pos, beta22)
-        net = vg.net_expected_revenue(mid_schedule, PF, pos, beta22)
-        assert gross - net == pytest.approx(40.0)
+        assert vg.premium_cost(pos) == pytest.approx(40.0)
 
 
 class TestMarginalValue:
@@ -218,7 +217,7 @@ class TestOptimalCover:
 
         def net(r):
             pos = BrsPosition(r, 0.0, price, 0.0)
-            return vg.net_expected_revenue(mid_schedule, PF, pos, beta22)
+            return vg.expected_revenue(mid_schedule, PF, pos, beta22) - vg.premium_cost(pos)
 
         for r in (best - 1.0, best - 0.1, best + 0.1, best + 1.0):
             if 0.0 <= r <= 50.0:
