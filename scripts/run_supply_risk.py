@@ -10,8 +10,7 @@ import argparse
 from pathlib import Path
 
 from brsim import dataio, provider
-from brsim.cli import RISK_HEADROOM, RISK_UNITS
-from brsim.provider import ScenarioModel
+from brsim.provider import RISK_HEADROOM, RISK_UNITS, ScenarioModel
 
 
 def main() -> None:

@@ -1,0 +1,40 @@
+"""Elementwise argument checks and scalar results for the array-native
+forecast and producer-economics functions."""
+from __future__ import annotations
+
+import numpy as np
+
+
+def fail_where(bad, message: str, *values) -> None:
+    """Raise ``ValueError(message.format(*values))`` if any element of the
+    boolean ``bad`` is true.
+
+    The values are quoted at the first failing element, so a scalar call
+    reads exactly like a plain ``if ...: raise``. Build ``bad`` with
+    ``np.logical_not`` rather than ``~``: on a Python bool ``~`` is an
+    integer inversion.
+    """
+    if not any_true(bad):
+        return
+    bad, *values = np.broadcast_arrays(bad, *values)
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    raise ValueError(message.format(*(v[at].item() for v in values)))
+
+
+def any_true(mask) -> bool:
+    """Whether any element of a boolean array or scalar is true; on a numpy
+    scalar ``bool`` is several times faster than ``.any()``."""
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+
+
+def unwrap(x):
+    """Python scalar for a 0-d result, the array itself otherwise."""
+    if isinstance(x, np.ndarray):
+        return x if x.ndim else x.item()
+    # float() and bool() are several times faster than .item() on the
+    # numpy scalars that ufuncs return for scalar input.
+    if isinstance(x, np.floating):
+        return float(x)
+    if isinstance(x, np.bool_):
+        return bool(x)
+    return x

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain error (bad files, infeasible inputs),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -14,24 +15,9 @@ from pathlib import Path
 from . import dataio, provider, simulation, vg
 from .dataio import ScenarioError
 from .market import PhaseError
-from .provider import DispatchableUnit, ScenarioModel, UnitKind
+from .provider import RISK_HEADROOM, RISK_UNITS, ScenarioModel
 
 DEFAULT_PRICE_RATIOS = tuple(round(0.05 * i, 2) for i in range(11))  # 0 .. 0.5
-
-# Built-in units for supply-risk (no scenario file in that command). The
-# marginal unit's cost sits above the mean RT price so its dispatch flips on
-# scarcity; headroom is symmetric 50 MW and the generator clips shifts to it.
-RISK_UNITS = {
-    "base_load": DispatchableUnit(
-        kind=UnitKind.BASE_LOAD, p_min=150.0, p_max=250.0,
-        marginal_cost=15.0, da_schedule=200.0,
-    ),
-    "marginal": DispatchableUnit(
-        kind=UnitKind.MARGINAL, p_min=150.0, p_max=250.0,
-        marginal_cost=35.0, da_schedule=200.0,
-    ),
-}
-RISK_HEADROOM = 50.0
 
 CONTRACT_COLUMNS = [
     "id", "hour", "buyer", "seller", "direction", "quantity_mw",
@@ -67,6 +53,11 @@ def _load(args) -> dataio.ScenarioConfig:
     return dataio.load_scenario(args.scenario)
 
 
+def _check_nonnegative(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise UsageError(f"{flag} must be finite and >= 0, got {value}")
+
+
 def _check_hour(cfg: dataio.ScenarioConfig, hour: int) -> int:
     if not 0 <= hour < cfg.horizon:
         raise UsageError(f"--hour {hour} outside scenario horizon {cfg.horizon}")
@@ -82,6 +73,8 @@ def cmd_demand_curve(args) -> None:
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise UsageError(f"--alpha values must be in [0, 1], got {a}")
+    if args.points < 2:
+        raise UsageError(f"--points must be >= 2, got {args.points}")
     _emit(simulation.demand_curve_rows(cfg, hour, alphas, args.points), args)
 
 
@@ -92,8 +85,8 @@ def cmd_optimal(args) -> None:
     model_down, model_up = cfg.brs_price.prices_at(s.da_price)
     down_price = args.down_price if args.down_price is not None else model_down
     up_price = args.up_price if args.up_price is not None else model_up
-    if down_price < 0 or up_price < 0:
-        raise UsageError("premium prices must be >= 0")
+    _check_nonnegative("--down-price", down_price)
+    _check_nonnegative("--up-price", up_price)
     pos = vg.optimal_position(s, pf, d, down_price, up_price)
     report = vg.oic_report(s, pf, pos, d)
     gross = vg.expected_revenue(s, pf, pos, d)
@@ -128,8 +121,9 @@ def cmd_profit_sweep(args) -> None:
         else list(cfg.variance_scale_factors)
     )
     for r in ratios:
-        if r < 0:
-            raise UsageError(f"price ratios must be >= 0, got {r}")
+        _check_nonnegative("--price-ratios", r)
+    for k in scales:
+        _check_nonnegative("--variance-scales", k)
     _emit(simulation.profit_sweep(cfg, ratios, scales), args)
 
 

@@ -149,6 +149,22 @@ class ScenarioModel:
             raise ValueError("execution_limit must be positive when set")
 
 
+# Built-in units for the supply-risk experiment, which reads no scenario file.
+# The marginal unit's cost sits above the mean RT price so its dispatch flips
+# on scarcity; headroom is symmetric 50 MW and the generator clips shifts to it.
+RISK_UNITS = {
+    "base_load": DispatchableUnit(
+        kind=UnitKind.BASE_LOAD, p_min=150.0, p_max=250.0,
+        marginal_cost=15.0, da_schedule=200.0,
+    ),
+    "marginal": DispatchableUnit(
+        kind=UnitKind.MARGINAL, p_min=150.0, p_max=250.0,
+        marginal_cost=35.0, da_schedule=200.0,
+    ),
+}
+RISK_HEADROOM = 50.0
+
+
 def rt_dispatch(u: DispatchableUnit, rt_price: float) -> float:
     """Merit-order RT output: full range against the RT price for marginal
     units, the DA schedule regardless of price for base load. A tie between

@@ -2,6 +2,7 @@
 claims, and settlement into one deterministic pipeline."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,20 +53,26 @@ class DayResult:
         return self.ledger.net_by_party()
 
 
+def _producer_inputs(cfg: ScenarioConfig, mean, schedule, price):
+    d = forecast.from_mean(
+        cfg.vg.capacity_mw,
+        mean,
+        coefficient=cfg.vg.variance_coefficient,
+        scale=cfg.vg.variance_scale,
+    )
+    s = VgSchedule(da_quantity=schedule, da_price=price)
+    return s, PenaltyFactors(over=cfg.penalty.over, under=cfg.penalty.under), d
+
+
 def hour_context(
     cfg: ScenarioConfig, hour: int
 ) -> tuple[VgSchedule, PenaltyFactors, "forecast.ForecastDistribution"]:
     """Producer-side inputs (schedule, penalties, forecast) for one hour."""
     if not 0 <= hour < cfg.horizon:
         raise ValueError(f"hour {hour} outside horizon {cfg.horizon}")
-    d = forecast.from_mean(
-        cfg.vg.capacity_mw,
-        cfg.vg.forecast_mean_mw[hour],
-        coefficient=cfg.vg.variance_coefficient,
-        scale=cfg.vg.variance_scale,
+    return _producer_inputs(
+        cfg, cfg.vg.forecast_mean_mw[hour], cfg.vg.da_schedule_mw[hour], cfg.da_price[hour]
     )
-    s = VgSchedule(da_quantity=cfg.vg.da_schedule_mw[hour], da_price=cfg.da_price[hour])
-    return s, PenaltyFactors(over=cfg.penalty.over, under=cfg.penalty.under), d
 
 
 def demand_curve_rows(
@@ -74,11 +81,13 @@ def demand_curve_rows(
     """Marginal value of cover against quantity at one hour, per direction
     and per penalty factor (applied to both sides)."""
     s, _, d = hour_context(cfg, hour)
+    # Axes (alpha, point): one curve per penalty factor.
+    alpha = np.asarray(alphas, dtype=float)[:, None]
+    pf = PenaltyFactors(over=alpha, under=alpha)
     rows = []
     for direction in (vg.DOWN, vg.UP):
-        for a in alphas:
-            pf = PenaltyFactors(over=a, under=a)
-            curve = vg.demand_curve(s, pf, d, direction, points)
+        curve = vg.demand_curve(s, pf, d, direction, points)
+        for a, pairs in zip(alphas, curve.points.tolist()):
             rows.extend(
                 {
                     "direction": direction.value,
@@ -86,7 +95,7 @@ def demand_curve_rows(
                     "quantity_mw": q,
                     "marginal_value": value,
                 }
-                for q, value in curve.points
+                for q, value in pairs
             )
     return rows
 
@@ -97,33 +106,34 @@ def profit_sweep(
     """Expected profit summed over the horizon at the optimal cover, for each
     forecast-variance scale and premium ratio (premium = ratio x DA price on
     both sides). Rows are sorted by (scale, ratio)."""
-    rows = []
-    for scale in scales:
-        inputs = []
-        for h in range(cfg.horizon):
-            s, pf, d = hour_context(cfg, h)
-            inputs.append((s, pf, forecast.scale_variance(d, scale)))
-        for ratio in ratios:
-            profit = 0.0
-            gross_total = 0.0
-            premium_total = 0.0
-            for s, pf, d in inputs:
-                price = ratio * s.da_price
-                pos = vg.optimal_position(s, pf, d, price, price)
-                gross = vg.expected_revenue(s, pf, pos, d)
-                premium = vg.premium_cost(pos)
-                profit += gross - premium
-                gross_total += gross
-                premium_total += premium
-            rows.append(
-                {
-                    "variance_scale": scale,
-                    "price_ratio": ratio,
-                    "expected_profit": profit,
-                    "gross_expected_revenue": gross_total,
-                    "premium_paid": premium_total,
-                }
-            )
+    s, pf, d = _producer_inputs(
+        cfg,
+        np.asarray(cfg.vg.forecast_mean_mw, dtype=float),
+        np.asarray(cfg.vg.da_schedule_mw, dtype=float),
+        np.asarray(cfg.da_price, dtype=float),
+    )
+    # Axes (scale, ratio, hour); the hour axis is summed away.
+    d = forecast.scale_variance(d, np.asarray(scales, dtype=float)[:, None, None])
+    price = np.asarray(ratios, dtype=float)[:, None] * s.da_price
+    pos = vg.optimal_position(s, pf, d, price, price)
+    gross = vg.expected_revenue(s, pf, pos, d)
+    premium = vg.premium_cost(pos)
+    totals = zip(
+        itertools.product(scales, ratios),
+        (gross - premium).sum(axis=-1).ravel().tolist(),
+        gross.sum(axis=-1).ravel().tolist(),
+        premium.sum(axis=-1).ravel().tolist(),
+    )
+    rows = [
+        {
+            "variance_scale": scale,
+            "price_ratio": ratio,
+            "expected_profit": profit,
+            "gross_expected_revenue": gross_total,
+            "premium_paid": premium_total,
+        }
+        for (scale, ratio), profit, gross_total, premium_total in totals
+    ]
     rows.sort(key=lambda r: (r["variance_scale"], r["price_ratio"]))
     return rows
 

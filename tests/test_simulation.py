@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from brsim import market, simulation, vg
+from brsim import forecast, market, simulation, vg
 from brsim.dataio import load_scenario, scenario_from_dict
 from brsim.market import ContractStatus, ExecutionClaim, SettlementLedger
 
@@ -104,6 +104,48 @@ class TestExperiments:
                  "quantity_mw": q, "marginal_value": value}
                 for q, value in curve.points
             ]
+
+    def test_profit_sweep_equals_scalar_loop(self, day24):
+        # Scales from the variance floor (0) to sub-1 shapes (15); ratios
+        # from free cover to past both penalty factors, given out of order.
+        scales = [1.0, 0.0, 15.0, 0.3]
+        ratios = [0.5, 0.0, 0.07, 0.2, 0.07]
+        rows = simulation.profit_sweep(day24, ratios, scales)
+        expected = []
+        for scale in scales:
+            for ratio in ratios:
+                profit = gross_total = premium_total = 0.0
+                for h in range(day24.horizon):
+                    s, pf, d = simulation.hour_context(day24, h)
+                    d = forecast.scale_variance(d, scale)
+                    price = ratio * s.da_price
+                    pos = vg.optimal_position(s, pf, d, price, price)
+                    gross = vg.expected_revenue(s, pf, pos, d)
+                    premium = vg.premium_cost(pos)
+                    profit += gross - premium
+                    gross_total += gross
+                    premium_total += premium
+                expected.append((scale, ratio, profit, gross_total, premium_total))
+        expected.sort(key=lambda e: e[:2])
+        assert len(rows) == len(expected) == 20
+        for r, (scale, ratio, profit, gross_total, premium_total) in zip(rows, expected):
+            assert (r["variance_scale"], r["price_ratio"]) == (scale, ratio)
+            assert r["expected_profit"] == pytest.approx(profit, rel=1e-12)
+            assert r["gross_expected_revenue"] == pytest.approx(gross_total, rel=1e-12)
+            assert r["premium_paid"] == pytest.approx(premium_total, rel=1e-12, abs=0.0)
+            assert all(type(v) is float for v in r.values())
+
+    def test_demand_curve_rows_equal_marginal_utility(self, day24):
+        rows = simulation.demand_curve_rows(day24, 7, [0.0, 0.25, 1.0], 6)
+        s, _, d = simulation.hour_context(day24, 7)
+        assert len(rows) == 2 * 3 * 6
+        for r in rows:
+            pf = vg.PenaltyFactors(over=r["alpha"], under=r["alpha"])
+            direction = vg.Direction.from_label(r["direction"])
+            assert r["marginal_value"] == vg.marginal_utility(
+                s, pf, d, direction, r["quantity_mw"]
+            )
+            assert type(r["quantity_mw"]) is float and type(r["marginal_value"]) is float
 
     def test_demand_curve_hour_out_of_range(self, day24):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """Producer-side economics: piecewise revenues, expectations, optimal cover."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import oracles
 from brsim import forecast, vg
 from brsim.vg import (
     DOWN,
@@ -131,7 +134,7 @@ class TestExpectedRevenue:
         closed = vg.expected_revenue(mid_schedule, PF, pos, beta22)
         numeric, err = integrate.quad(
             lambda p: vg.revenue_with_brs(mid_schedule, PF, pos, p)
-            * forecast.pdf(beta22, p),
+            * oracles.pdf(beta22, p),
             0.0,
             beta22.capacity,
             points=[30.0, 40.0, 70.0],
@@ -355,3 +358,135 @@ def test_optimal_quantity_within_headroom(case, price):
     up = vg.optimal_quantity(s, pf, d, UP, price)
     assert 0.0 <= down <= d.capacity - s.da_quantity + 1e-9
     assert 0.0 <= up <= s.da_quantity + 1e-9
+
+
+class TestBroadcast:
+    """Array calls equal the scalar calls, element by element."""
+
+    # Axes (scale, price, hour): three hours of a 100 MW plant, variance
+    # scales from the floor clamp (0) to sub-1 shapes (12), premium prices
+    # from free to past both penalty factors.
+    MEAN = np.array([20.0, 50.0, 85.0])
+    SCHEDULE = np.array([25.0, 50.0, 70.0])
+    DA_PRICE = np.array([20.0, 30.0, 45.0])
+    SCALE = np.array([0.0, 0.5, 1.0, 12.0])[:, None, None]
+    PRICE = np.array([0.0, 1.0, 4.0, 20.0])[:, None]
+    PF = PenaltyFactors(over=0.3, under=0.5)
+
+    def arrays(self):
+        d = forecast.scale_variance(forecast.from_mean(100.0, self.MEAN), self.SCALE)
+        return VgSchedule(self.SCHEDULE, self.DA_PRICE), d
+
+    def cells(self):
+        for i, j, h in np.ndindex(len(self.SCALE), len(self.PRICE), len(self.MEAN)):
+            s = VgSchedule(float(self.SCHEDULE[h]), float(self.DA_PRICE[h]))
+            d = forecast.scale_variance(
+                forecast.from_mean(100.0, float(self.MEAN[h])), float(self.SCALE[i, 0, 0])
+            )
+            yield (i, j, h), s, d, float(self.PRICE[j, 0])
+
+    def test_optimum_and_expected_revenue(self):
+        s, d = self.arrays()
+        pos = vg.optimal_position(s, self.PF, d, self.PRICE, 2.0 * self.PRICE)
+        gross = vg.expected_revenue(s, self.PF, pos, d)
+        report = vg.oic_report(s, self.PF, pos, d)
+        assert gross.shape == pos.down_qty.shape == (4, 4, 3)
+        assert (pos.down_qty > 0).any() and (pos.down_qty == 0).any()
+        for cell, s1, d1, price in self.cells():
+            one = vg.optimal_position(s1, self.PF, d1, price, 2.0 * price)
+            assert (pos.down_qty[cell], pos.up_qty[cell]) == (one.down_qty, one.up_qty)
+            assert gross[cell] == vg.expected_revenue(s1, self.PF, one, d1)
+            assert report.total_oic[cell] == vg.oic_report(s1, self.PF, one, d1).total_oic
+
+    def test_marginal_utility(self):
+        s, d = self.arrays()
+        depth = np.array([0.0, 10.0, 25.0])[:, None, None, None]
+        down = vg.marginal_utility(s, self.PF, d, DOWN, depth)
+        up = vg.marginal_utility(s, self.PF, d, UP, depth)
+        for k, r in enumerate(depth.ravel().tolist()):
+            for (i, _, h), s1, d1, _ in self.cells():
+                assert down[k, i, 0, h] == vg.marginal_utility_down(s1, self.PF, d1, r)
+                assert up[k, i, 0, h] == vg.marginal_utility_up(s1, self.PF, d1, r)
+
+    def test_demand_curve_over_penalty_factors(self, beta22, mid_schedule):
+        alpha = np.array([0.1, 0.3, 0.5])[:, None]
+        curve = vg.demand_curve(mid_schedule, PenaltyFactors(alpha, alpha), beta22, UP, 5)
+        assert curve.points.shape == (3, 5, 2)
+        for a, pairs in zip(alpha.ravel().tolist(), curve.points):
+            one = vg.demand_curve(mid_schedule, PenaltyFactors(a, a), beta22, UP, 5)
+            assert pairs.tolist() == one.points.tolist()
+
+    def test_scalar_call_returns_python_scalars(self, beta22, mid_schedule):
+        pos = vg.optimal_position(mid_schedule, PF, beta22, 1.0, 9.5)
+        assert type(pos.down_qty) is float and type(pos.up_qty) is float
+        assert type(vg.expected_revenue(mid_schedule, PF, pos, beta22)) is float
+        assert type(vg.marginal_utility_up(mid_schedule, PF, beta22, 3.0)) is float
+
+
+def _s(q=50.0, price=30.0):
+    return VgSchedule(da_quantity=q, da_price=price)
+
+
+def _d():
+    return forecast.from_mean_variance(100.0, 50.0, 500.0)
+
+
+def _pos(down=0.0, up=0.0):
+    return BrsPosition(down_qty=down, up_qty=up, down_price=1.0, up_price=1.0)
+
+
+# (scalar call, the same call with the bad value inside an array)
+BAD_ELEMENTS = {
+    "over penalty": (
+        lambda: PenaltyFactors(over=1.2, under=0.3),
+        lambda: PenaltyFactors(over=np.array([0.3, 1.2]), under=0.3),
+    ),
+    "under penalty": (
+        lambda: PenaltyFactors(over=0.3, under=-0.5),
+        lambda: PenaltyFactors(over=0.3, under=np.array([[0.1], [-0.5]])),
+    ),
+    "da_quantity": (
+        lambda: _s(q=-1.0),
+        lambda: _s(q=np.array([10.0, -1.0])),
+    ),
+    "da_price": (
+        lambda: _s(price=math.nan),
+        lambda: _s(price=np.array([30.0, math.nan])),
+    ),
+    "position quantity": (
+        lambda: _pos(down=-1.0),
+        lambda: _pos(down=np.array([1.0, -1.0])),
+    ),
+    "schedule fits": (
+        lambda: vg.marginal_utility_down(_s(q=120.0), PF, _d(), 0.0),
+        lambda: vg.marginal_utility_down(_s(q=np.array([50.0, 120.0])), PF, _d(), 0.0),
+    ),
+    "headroom": (
+        lambda: vg.expected_revenue(_s(q=80.0), PF, _pos(down=30.0), _d()),
+        lambda: vg.expected_revenue(_s(q=80.0), PF, _pos(down=np.array([5.0, 30.0])), _d()),
+    ),
+    "up exceeds schedule": (
+        lambda: vg.expected_revenue(_s(), PF, _pos(up=51.0), _d()),
+        lambda: vg.expected_revenue(_s(), PF, _pos(up=np.array([51.0, 60.0])), _d()),
+    ),
+    "depth": (
+        lambda: vg.marginal_utility_up(_s(), PF, _d(), 51.0),
+        lambda: vg.marginal_utility_up(_s(), PF, _d(), np.array([0.0, 51.0])),
+    ),
+    "premium price": (
+        lambda: vg.optimal_quantity(_s(), PF, _d(), DOWN, -1.0),
+        lambda: vg.optimal_quantity(_s(), PF, _d(), DOWN, np.array([1.0, -1.0])),
+    ),
+    "nan premium price": (
+        lambda: vg.optimal_quantity(_s(), PF, _d(), UP, math.nan),
+        lambda: vg.optimal_quantity(_s(), PF, _d(), UP, np.array([1.0, math.nan])),
+    ),
+}
+
+
+@pytest.mark.parametrize("scalar_call, array_call", BAD_ELEMENTS.values(), ids=list(BAD_ELEMENTS))
+def test_bad_element_raises_scalar_message(scalar_call, array_call):
+    with pytest.raises(ValueError) as scalar:
+        scalar_call()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+        array_call()
