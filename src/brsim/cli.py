@@ -49,10 +49,6 @@ def _emit(rows, args) -> None:
     print(f"wrote {args.out}")
 
 
-def _load(args) -> dataio.ScenarioConfig:
-    return dataio.load_scenario(args.scenario)
-
-
 def _check_nonnegative(flag: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0.0):
         raise UsageError(f"{flag} must be finite and >= 0, got {value}")
@@ -65,7 +61,7 @@ def _check_hour(cfg: dataio.ScenarioConfig, hour: int) -> int:
 
 
 def cmd_demand_curve(args) -> None:
-    cfg = _load(args)
+    cfg = dataio.load_scenario(args.scenario)
     hour = _check_hour(cfg, args.hour)
     alphas = [a for chunk in args.alpha for a in chunk] if args.alpha else [
         cfg.penalty.over
@@ -79,7 +75,7 @@ def cmd_demand_curve(args) -> None:
 
 
 def cmd_optimal(args) -> None:
-    cfg = _load(args)
+    cfg = dataio.load_scenario(args.scenario)
     hour = _check_hour(cfg, args.hour)
     s, pf, d = simulation.hour_context(cfg, hour)
     model_down, model_up = cfg.brs_price.prices_at(s.da_price)
@@ -109,7 +105,7 @@ def cmd_optimal(args) -> None:
 
 
 def cmd_profit_sweep(args) -> None:
-    cfg = _load(args)
+    cfg = dataio.load_scenario(args.scenario)
     ratios = (
         [r for chunk in args.price_ratios for r in chunk]
         if args.price_ratios
@@ -128,7 +124,7 @@ def cmd_profit_sweep(args) -> None:
 
 
 def cmd_simulate_day(args) -> None:
-    cfg = _load(args)
+    cfg = dataio.load_scenario(args.scenario)
     result = simulation.simulate_day(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,17 +1,19 @@
 """File formats: JSON scenario configs and result tables.
 
-The field names here are a compatibility surface; see docs/schemas.md.
-Scenario validation is strict: unknown fields are rejected with the full
-field path, every parse error names its location.
+The field names here are a compatibility surface; see docs/schemas.md. A
+scenario is checked against the packaged ``scenario.schema.json``, then
+against the cross-field rules, and every error names its field path.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
+from functools import cache
+from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 TABLE_FORMATS = ("csv", "json")
 
@@ -35,12 +37,12 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class VgParams:
-    id: str
     capacity_mw: float
     forecast_mean_mw: tuple[float, ...]
+    id: str = "vg"
     variance_coefficient: float = 0.05
     variance_scale: float = 1.0
-    da_schedule_mw: tuple[float, ...] = ()
+    da_schedule_mw: tuple[float, ...] = ()  # the loader's default: the means
     realized_mw: tuple[float, ...] | None = None
     claim_error_std_mw: float = 0.0
     zone: str | None = None
@@ -102,284 +104,179 @@ class ScenarioConfig:
     seed: int = 0
 
 
-class _Checker:
-    """Tiny recursive validator that tracks the field path for messages."""
+# ---------------------------------------------------------------------------
+# loading: the packaged JSON Schema, the cross-field rules, the dataclasses
+# ---------------------------------------------------------------------------
 
-    def __init__(self, data: Any, path: str):
-        self.data = data
-        self.path = path
-
-    def fail(self, reason: str):
-        raise ScenarioError(f"{self.path}: {reason}")
-
-    def mapping(self, required: set[str], optional: set[str]) -> dict:
-        if not isinstance(self.data, dict):
-            self.fail(f"expected an object, got {type(self.data).__name__}")
-        unknown = set(self.data) - required - optional
-        if unknown:
-            self.fail(f"unknown field(s) {sorted(unknown)}")
-        missing = required - set(self.data)
-        if missing:
-            self.fail(f"missing required field(s) {sorted(missing)}")
-        return self.data
-
-    def child(self, key: str | int) -> "_Checker":
-        label = f"[{key}]" if isinstance(key, int) else f".{key}"
-        return _Checker(self.data[key], f"{self.path}{label}" if self.path else str(key))
+_BOUNDS = {"minimum": -math.inf, "exclusiveMinimum": -math.inf, "maximum": math.inf}
+# The keywords each type interprets. "type", "enum", "oneOf" and the
+# annotations may appear anywhere; the interpreter refuses any other keyword.
+_KEYWORDS = {
+    "object": {"properties", "required", "additionalProperties"},
+    "array": {"items", "minItems", "maxItems"},
+    "number": set(_BOUNDS), "integer": set(_BOUNDS), "string": set(), "null": set(),
+}
+_ANYWHERE = {"type", "enum", "oneOf", "$schema", "$id", "title", "description"}
+_NAMES = {"object": "an object", "array": "a list", "integer": "an integer", "null": "null"}
 
 
-def _check_number(c: _Checker, *, positive=False, nonnegative=False) -> float:
-    if isinstance(c.data, bool) or not isinstance(c.data, (int, float)):
-        c.fail(f"expected a number, got {type(c.data).__name__}")
-    value = float(c.data)
-    if not math.isfinite(value):
-        c.fail("expected a finite number")
-    if positive and value <= 0:
-        c.fail(f"must be > 0, got {value}")
-    if nonnegative and value < 0:
-        c.fail(f"must be >= 0, got {value}")
-    return value
+@dataclass(eq=False)
+class _Invalid(Exception):
+    """A broken rule at ``path``, the keys from the document root down."""
+    reason: str
+    path: list = field(default_factory=list)
 
 
-def _check_int(c: _Checker, *, positive=False, nonnegative=False) -> int:
-    if isinstance(c.data, bool) or not isinstance(c.data, int):
-        c.fail(f"expected an integer, got {type(c.data).__name__}")
-    if positive and c.data <= 0:
-        c.fail(f"must be > 0, got {c.data}")
-    if nonnegative and c.data < 0:
-        c.fail(f"must be >= 0, got {c.data}")
-    return c.data
+def _compile(node: dict) -> Callable[[Any], Any]:
+    """The check of one subschema. It returns a normalized copy of a value
+    (numbers as float, integers as int, arrays as tuples) or raises
+    _Invalid. It refuses what it cannot interpret, so the schema cannot
+    outgrow it unnoticed."""
+    types = [node["type"]] if isinstance(node.get("type"), str) else node.get("type", [])
+    kind = next((t for t in types if t != "null"), None)
+    branches = [_compile(branch) for branch in node.get("oneOf", ())]
+    # At most one type besides null, and none beside oneOf.
+    if not set(types) <= _KEYWORDS.keys() or len(set(types) - {"null"}) > 1 or branches and types:
+        raise ValueError(f"unsupported schema type {types}")
+    unsupported = node.keys() - _ANYWHERE.union(*(_KEYWORDS[t] for t in types))
+    if unsupported:
+        raise ValueError(f"unsupported schema keyword(s) {sorted(unsupported)}")
+    wanted = " or ".join(_NAMES.get(t, "a " + t) for t in types)
+    enum = node.get("enum")
+    lo, above, hi = (node.get(key, default) for key, default in _BOUNDS.items())
+    items = _compile(node.get("items", {})) if kind == "array" else None
+    min_items, max_items = node.get("minItems", 0), node.get("maxItems", math.inf)
+    props = {key: _compile(sub) for key, sub in node.get("properties", {}).items()}
+    required, closed = set(node.get("required", ())), node.get("additionalProperties") is False
+
+    def check(x):
+        if enum is not None and x not in enum:
+            raise _Invalid(f"expected one of {enum}, got {x!r}")
+        if branches:
+            passed, failed = [], []
+            for branch in branches:
+                try:
+                    passed.append(branch(x))
+                except _Invalid as exc:
+                    failed.append(exc)
+            if len(passed) == 1:
+                return passed[0]
+            if passed:
+                raise _Invalid(f"matches {len(passed)} alternatives, expected exactly one")
+            # The alternative that got furthest into the value explains best.
+            raise max(failed, key=lambda exc: len(exc.path))
+        if not types or x is None and "null" in types or kind == "string" and isinstance(x, str):
+            return x
+        if isinstance(x, (int, float)) and not isinstance(x, bool) and (
+                kind == "number" or kind == "integer" and x % 1 == 0):
+            big = abs(x) > sys.float_info.max  # float() of so large an int overflows
+            x = int(x) if kind == "integer" else math.inf if big else float(x)
+            if not -math.inf < x < math.inf:
+                raise _Invalid("expected a finite number")
+            if x < lo:
+                raise _Invalid(f"must be >= {lo}, got {x}")
+            if x <= above:
+                raise _Invalid(f"must be > {above}, got {x}")
+            if x > hi:
+                raise _Invalid(f"must be <= {hi}, got {x}")
+            return x
+        if kind == "array" and isinstance(x, list):
+            if not min_items <= len(x) <= max_items:
+                bound = f"at least {min_items}" if len(x) < min_items else f"at most {max_items}"
+                raise _Invalid(f"expected {bound} entries, got {len(x)}")
+            pairs = enumerate(x)
+        elif kind == "object" and isinstance(x, dict):
+            if closed and not x.keys() <= props.keys():
+                raise _Invalid(f"unknown field(s) {sorted(x.keys() - props.keys())}")
+            if not required <= x.keys():
+                raise _Invalid(f"missing required field(s) {sorted(required - x.keys())}")
+            pairs = x.items()
+        else:
+            raise _Invalid(f"expected {wanted}, got {type(x).__name__}")
+        out = {}
+        try:
+            for key, value in pairs:
+                out[key] = items(value) if items else props[key](value) if key in props else value
+        except _Invalid as exc:
+            exc.path.insert(0, key)
+            raise
+        return tuple(out.values()) if items else out
+
+    return check
 
 
-def _check_str(c: _Checker, allowed: tuple[str, ...] | None = None) -> str:
-    if not isinstance(c.data, str):
-        c.fail(f"expected a string, got {type(c.data).__name__}")
-    if allowed is not None and c.data not in allowed:
-        c.fail(f"expected one of {list(allowed)}, got {c.data!r}")
-    return c.data
+@cache
+def _scenario_schema() -> Callable[[Any], Any]:
+    text = (resources.files(__package__) / "scenario.schema.json").read_text(encoding="utf-8")
+    return _compile(json.loads(text))
 
 
-def _check_number_list(c: _Checker, length: int | None = None, **kw) -> tuple[float, ...]:
-    if not isinstance(c.data, list):
-        c.fail(f"expected a list, got {type(c.data).__name__}")
-    if length is not None and len(c.data) != length:
-        c.fail(f"expected {length} entries, got {len(c.data)}")
-    return tuple(_check_number(c.child(i), **kw) for i in range(len(c.data)))
-
-
-def _parse_vg(c: _Checker, horizon: int) -> VgParams:
-    c.mapping(
-        required={"capacity_mw", "forecast_mean_mw"},
-        optional={
-            "id", "variance_coefficient", "variance_scale", "da_schedule_mw",
-            "realized_mw", "claim_error_std_mw", "zone",
-        },
-    )
-    capacity = _check_number(c.child("capacity_mw"), positive=True)
-    means = _check_number_list(c.child("forecast_mean_mw"), length=horizon)
-    for i, m in enumerate(means):
-        if not 0.0 < m < capacity:
-            _Checker(m, f"{c.path}.forecast_mean_mw[{i}]").fail(
-                f"mean must lie strictly inside (0, {capacity})"
-            )
-    schedule = (
-        _check_number_list(c.child("da_schedule_mw"), length=horizon, nonnegative=True)
-        if "da_schedule_mw" in c.data
-        else means
-    )
-    for i, s in enumerate(schedule):
-        if s > capacity:
-            _Checker(s, f"{c.path}.da_schedule_mw[{i}]").fail(
-                f"schedule {s} exceeds capacity {capacity}"
-            )
-    realized = (
-        _check_number_list(c.child("realized_mw"), length=horizon, nonnegative=True)
-        if "realized_mw" in c.data
-        else None
-    )
-    if realized is not None:
-        for i, r in enumerate(realized):
-            if r > capacity:
-                _Checker(r, f"{c.path}.realized_mw[{i}]").fail(
-                    f"realized output {r} exceeds capacity {capacity}"
-                )
-    return VgParams(
-        id=_check_str(c.child("id")) if "id" in c.data else "vg",
-        capacity_mw=capacity,
-        forecast_mean_mw=means,
-        variance_coefficient=(
-            _check_number(c.child("variance_coefficient"), positive=True)
-            if "variance_coefficient" in c.data
-            else 0.05
-        ),
-        variance_scale=(
-            _check_number(c.child("variance_scale"), nonnegative=True)
-            if "variance_scale" in c.data
-            else 1.0
-        ),
-        da_schedule_mw=schedule,
-        realized_mw=realized,
-        claim_error_std_mw=(
-            _check_number(c.child("claim_error_std_mw"), nonnegative=True)
-            if "claim_error_std_mw" in c.data
-            else 0.0
-        ),
-        zone=_check_str(c.child("zone")) if "zone" in c.data else None,
-    )
-
-
-def _parse_unit(c: _Checker, horizon: int) -> UnitConfig:
-    c.mapping(
-        required={"id", "kind", "p_min_mw", "p_max_mw", "marginal_cost", "da_schedule_mw"},
-        optional={"rt_mode", "zone"},
-    )
-    sched_c = c.child("da_schedule_mw")
-    if isinstance(sched_c.data, list):
-        schedule = _check_number_list(sched_c, length=horizon, nonnegative=True)
-    else:
-        schedule = (_check_number(sched_c, nonnegative=True),) * horizon
-    p_min = _check_number(c.child("p_min_mw"), nonnegative=True)
-    p_max = _check_number(c.child("p_max_mw"), nonnegative=True)
-    if p_max < p_min:
-        c.child("p_max_mw").fail(f"p_max_mw {p_max} below p_min_mw {p_min}")
-    for i, s in enumerate(schedule):
-        if not p_min <= s <= p_max:
-            _Checker(s, f"{c.path}.da_schedule_mw[{i}]").fail(
-                f"schedule {s} outside [{p_min}, {p_max}]"
-            )
-    return UnitConfig(
-        id=_check_str(c.child("id")),
-        kind=_check_str(c.child("kind"), allowed=("base_load", "marginal")),
-        p_min_mw=p_min,
-        p_max_mw=p_max,
-        marginal_cost=_check_number(c.child("marginal_cost")),
-        da_schedule_mw=schedule,
-        rt_mode=(
-            _check_str(c.child("rt_mode"), allowed=("merit", "modified_schedule"))
-            if "rt_mode" in c.data
-            else "merit"
-        ),
-        zone=_check_str(c.child("zone")) if "zone" in c.data else None,
-    )
-
-
-def _parse_offer(c: _Checker, horizon: int, unit_ids: set[str]) -> OfferConfig:
-    c.mapping(
-        required={"seller", "hour", "direction", "price", "quantity_mw"},
-        optional={"zone"},
-    )
-    hour = _check_int(c.child("hour"), nonnegative=True)
-    if hour >= horizon:
-        c.child("hour").fail(f"hour {hour} outside horizon {horizon}")
-    seller = _check_str(c.child("seller"))
-    if seller not in unit_ids:
-        c.child("seller").fail(f"unknown unit id {seller!r}")
-    return OfferConfig(
-        seller=seller,
-        hour=hour,
-        direction=_check_str(c.child("direction"), allowed=("down", "up")),
-        price=_check_number(c.child("price"), nonnegative=True),
-        quantity_mw=_check_number(c.child("quantity_mw"), positive=True),
-        zone=_check_str(c.child("zone")) if "zone" in c.data else None,
-    )
+def _check_rules(doc: dict) -> None:
+    """The cross-field rules of docs/schemas.md, on a schema-checked copy."""
+    horizon, vg, units = doc["horizon"], doc["vg"], doc.get("units", ())
+    hourly = [(["da_price"], doc["da_price"]), (["rt_price"], doc.get("rt_price"))]
+    for key in ("forecast_mean_mw", "da_schedule_mw", "realized_mw"):
+        hourly.append((["vg", key], vg.get(key)))
+    hourly += [(["units", i, "da_schedule_mw"], u["da_schedule_mw"]) for i, u in enumerate(units)]
+    for path, values in hourly:
+        if isinstance(values, tuple) and len(values) != horizon:
+            raise _Invalid(f"expected {horizon} entries, got {len(values)}", path)
+    cap = vg["capacity_mw"]
+    for i, mw in enumerate(vg["forecast_mean_mw"]):
+        if not 0.0 < mw < cap:
+            path = ["vg", "forecast_mean_mw", i]
+            raise _Invalid(f"mean must lie strictly inside (0, {cap})", path)
+    for key, what in (("da_schedule_mw", "schedule"), ("realized_mw", "realized output")):
+        for i, mw in enumerate(vg.get(key, ())):
+            if mw > cap:
+                raise _Invalid(f"{what} {mw} exceeds capacity {cap}", ["vg", key, i])
+    for i, unit in enumerate(units):
+        lo, hi, schedule = unit["p_min_mw"], unit["p_max_mw"], unit["da_schedule_mw"]
+        if hi < lo:
+            raise _Invalid(f"p_max_mw {hi} below p_min_mw {lo}", ["units", i, "p_max_mw"])
+        for j, mw in enumerate(schedule if isinstance(schedule, tuple) else (schedule,)):
+            if not lo <= mw <= hi:
+                path = ["units", i, "da_schedule_mw", j]
+                raise _Invalid(f"schedule {mw} outside [{lo}, {hi}]", path)
+    ids = [unit["id"] for unit in units]
+    if len(set(ids)) != len(ids):
+        duplicates = sorted({i for i in ids if ids.count(i) > 1})
+        raise _Invalid(f"duplicate unit ids {duplicates}", ["units"])
+    for i, offer in enumerate(doc.get("offers", ())):
+        if offer["hour"] >= horizon:
+            path = ["offers", i, "hour"]
+            raise _Invalid(f"hour {offer['hour']} outside horizon {horizon}", path)
+        if offer["seller"] not in ids:
+            raise _Invalid(f"unknown unit id {offer['seller']!r}", ["offers", i, "seller"])
+    for i, (a, b) in enumerate((doc.get("zonal_rule") or {}).get("congested_boundaries", ())):
+        if a == b:
+            path = ["zonal_rule", "congested_boundaries", i]
+            raise _Invalid(f"boundary must join two distinct zones, got {a!r} twice", path)
 
 
 def scenario_from_dict(data: Any, source: str = "scenario") -> ScenarioConfig:
-    root = _Checker(data, source)
-    root.mapping(
-        required={"horizon", "vg", "penalty", "da_price"},
-        optional={
-            "rt_price", "brs_price", "units", "offers", "zonal_rule",
-            "variance_scale_factors", "seed",
-        },
-    )
-    horizon = _check_int(root.child("horizon"), positive=True)
-
-    pc = root.child("penalty")
-    pc.mapping(required={"over", "under"}, optional=set())
-    over = _check_number(pc.child("over"), nonnegative=True)
-    if over > 1.0:
-        pc.child("over").fail(f"over-generation penalty factor must be <= 1, got {over}")
-    penalty = PenaltyConfig(over=over, under=_check_number(pc.child("under"), nonnegative=True))
-
-    da_price = _check_number_list(root.child("da_price"), length=horizon, positive=True)
-    rt_price = (
-        _check_number_list(root.child("rt_price"), length=horizon)
-        if "rt_price" in data
-        else da_price
-    )
-
-    if "brs_price" in data:
-        bc = root.child("brs_price")
-        bc.mapping(required={"mode", "down", "up"}, optional=set())
-        brs_price = BrsPriceModel(
-            mode=_check_str(bc.child("mode"), allowed=("ratio", "absolute")),
-            down=_check_number(bc.child("down"), nonnegative=True),
-            up=_check_number(bc.child("up"), nonnegative=True),
-        )
-    else:
-        brs_price = BrsPriceModel()
-
-    units: list[UnitConfig] = []
-    if "units" in data:
-        uc = root.child("units")
-        if not isinstance(uc.data, list):
-            uc.fail(f"expected a list, got {type(uc.data).__name__}")
-        units = [_parse_unit(uc.child(i), horizon) for i in range(len(uc.data))]
-        ids = [u.id for u in units]
-        if len(set(ids)) != len(ids):
-            uc.fail(f"duplicate unit ids {sorted({i for i in ids if ids.count(i) > 1})}")
-
-    offers: list[OfferConfig] = []
-    if "offers" in data:
-        oc = root.child("offers")
-        if not isinstance(oc.data, list):
-            oc.fail(f"expected a list, got {type(oc.data).__name__}")
-        unit_ids = {u.id for u in units}
-        offers = [_parse_offer(oc.child(i), horizon, unit_ids) for i in range(len(oc.data))]
-
-    zonal_rule = None
-    if "zonal_rule" in data and data["zonal_rule"] is not None:
-        zc = root.child("zonal_rule")
-        zc.mapping(required={"congested_boundaries"}, optional=set())
-        bc = zc.child("congested_boundaries")
-        if not isinstance(bc.data, list):
-            bc.fail(f"expected a list, got {type(bc.data).__name__}")
-        pairs = []
-        for i, pair in enumerate(bc.data):
-            item = bc.child(i)
-            if not isinstance(pair, list) or len(pair) != 2:
-                item.fail("expected a [zone_a, zone_b] pair")
-            a = _check_str(item.child(0))
-            b = _check_str(item.child(1))
-            if a == b:
-                item.fail(f"boundary must join two distinct zones, got {a!r} twice")
-            pairs.append((a, b))
-        zonal_rule = ZonalRuleConfig(congested_boundaries=tuple(pairs))
-
-    vg_params = _parse_vg(root.child("vg"), horizon)
-
-    scales = (
-        _check_number_list(root.child("variance_scale_factors"), nonnegative=True)
-        if "variance_scale_factors" in data
-        else (1.0,)
-    )
-    if "variance_scale_factors" in data and not scales:
-        root.child("variance_scale_factors").fail("must not be empty")
-
-    return ScenarioConfig(
-        horizon=horizon,
-        vg=vg_params,
-        penalty=penalty,
-        da_price=da_price,
-        rt_price=rt_price,
-        brs_price=brs_price,
-        units=tuple(units),
-        offers=tuple(offers),
-        zonal_rule=zonal_rule,
-        variance_scale_factors=scales,
-        seed=_check_int(root.child("seed"), nonnegative=True) if "seed" in data else 0,
-    )
+    """The config of a parsed scenario document, or a ScenarioError naming
+    the field path below ``source``."""
+    try:
+        doc = _scenario_schema()(data)
+        _check_rules(doc)
+    except _Invalid as exc:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in exc.path)
+        raise ScenarioError(f"{source}{where}: {exc.reason}") from None
+    # The checked copy becomes the config; only derived defaults are filled in.
+    doc["vg"].setdefault("da_schedule_mw", doc["vg"]["forecast_mean_mw"])
+    doc.setdefault("rt_price", doc["da_price"])
+    for unit in doc.get("units", ()):
+        if not isinstance(unit["da_schedule_mw"], tuple):
+            unit["da_schedule_mw"] = (unit["da_schedule_mw"],) * doc["horizon"]
+    for key, cls in (("vg", VgParams), ("penalty", PenaltyConfig),
+                     ("brs_price", BrsPriceModel), ("zonal_rule", ZonalRuleConfig)):
+        if doc.get(key) is not None:
+            doc[key] = cls(**doc[key])
+    for key, cls in (("units", UnitConfig), ("offers", OfferConfig)):
+        if key in doc:
+            doc[key] = tuple(cls(**entry) for entry in doc[key])
+    return ScenarioConfig(**doc)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -392,79 +289,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return scenario_from_dict(data, source=str(path))
 
 
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    vg_block: dict[str, Any] = {
-        "id": cfg.vg.id,
-        "capacity_mw": cfg.vg.capacity_mw,
-        "forecast_mean_mw": list(cfg.vg.forecast_mean_mw),
-        "variance_coefficient": cfg.vg.variance_coefficient,
-        "variance_scale": cfg.vg.variance_scale,
-        "da_schedule_mw": list(cfg.vg.da_schedule_mw),
-        "claim_error_std_mw": cfg.vg.claim_error_std_mw,
-    }
-    if cfg.vg.realized_mw is not None:
-        vg_block["realized_mw"] = list(cfg.vg.realized_mw)
-    if cfg.vg.zone is not None:
-        vg_block["zone"] = cfg.vg.zone
-    out: dict[str, Any] = {
-        "horizon": cfg.horizon,
-        "seed": cfg.seed,
-        "vg": vg_block,
-        "penalty": {"over": cfg.penalty.over, "under": cfg.penalty.under},
-        "da_price": list(cfg.da_price),
-        "rt_price": list(cfg.rt_price),
-        "brs_price": {
-            "mode": cfg.brs_price.mode,
-            "down": cfg.brs_price.down,
-            "up": cfg.brs_price.up,
-        },
-        "variance_scale_factors": list(cfg.variance_scale_factors),
-        "units": [
-            {
-                k: v
-                for k, v in {
-                    "id": u.id,
-                    "kind": u.kind,
-                    "p_min_mw": u.p_min_mw,
-                    "p_max_mw": u.p_max_mw,
-                    "marginal_cost": u.marginal_cost,
-                    "da_schedule_mw": list(u.da_schedule_mw),
-                    "rt_mode": u.rt_mode,
-                    "zone": u.zone,
-                }.items()
-                if v is not None
-            }
-            for u in cfg.units
-        ],
-        "offers": [
-            {
-                k: v
-                for k, v in {
-                    "seller": o.seller,
-                    "hour": o.hour,
-                    "direction": o.direction,
-                    "price": o.price,
-                    "quantity_mw": o.quantity_mw,
-                    "zone": o.zone,
-                }.items()
-                if v is not None
-            }
-            for o in cfg.offers
-        ],
-    }
-    if cfg.zonal_rule is not None:
-        out["zonal_rule"] = {
-            "congested_boundaries": [list(p) for p in cfg.zonal_rule.congested_boundaries]
-        }
-    return out
-
-
-def write_scenario(cfg: ScenarioConfig, path: str | Path) -> None:
-    with open(Path(path), "w", newline="\n", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # result tables
 # ---------------------------------------------------------------------------
@@ -472,8 +296,6 @@ def write_scenario(cfg: ScenarioConfig, path: str | Path) -> None:
 def _format_number(value: Any) -> str:
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         if value == int(value) and abs(value) < 1e15:
             return str(int(value))
@@ -502,7 +324,7 @@ def format_table(rows: list[dict], fmt: str, columns: list[str] | None = None) -
         )
         return "\n".join(lines) + "\n"
     ordered = [{c: row[c] for c in cols} for row in rows]
-    return json.dumps(ordered, indent=2) + "\n"
+    return json.dumps(ordered) + "\n"
 
 
 def write_table(
@@ -513,32 +335,3 @@ def write_table(
     with open(Path(path), "w", newline="\n", encoding="utf-8") as fh:
         fh.write(text)
 
-
-def _parse_cell(cell: str) -> Any:
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        pass
-    if cell == "true":
-        return True
-    if cell == "false":
-        return False
-    return cell
-
-
-def read_table(path: str | Path) -> list[dict]:
-    """Read back a table written by write_table (format from the extension)."""
-    path = Path(path)
-    if path.suffix == ".json":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, list):
-            raise ValueError(f"{path}: expected a JSON list of rows")
-        return data
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        return [{k: _parse_cell(v) for k, v in row.items()} for row in reader]

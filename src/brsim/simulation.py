@@ -246,6 +246,15 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
         )
         if not ledger.is_balanced():
             raise AssertionError(f"hour {h}: ledger nets do not cancel")
+        # The pool pays each DA schedule at the DA price and clears each residual
+        # deviation, the producer's at its penalized DA price, units' at RT.
+        residual = realized - vg_modified
+        factor = 1.0 - pf.over if residual > 0.0 else 1.0 + pf.under
+        flows = [-s.da_price * scheduled, -factor * s.da_price * residual]
+        flows += [-rt_price * (unit_rt_output[uid] - unit_modified[uid]) for uid in unit_modified]
+        pool_net, owed = ledger.net(market.POOL), math.fsum(flows)
+        if abs(pool_net - owed) > 1e-9 * max(1.0, math.fsum(map(abs, flows))):
+            raise AssertionError(f"hour {h}: pool net {pool_net} differs from {owed} owed")
 
         hours.append(
             HourOutcome(

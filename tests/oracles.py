@@ -8,15 +8,24 @@ cannot change an oracle along with the code it judges.
   used before it switched to ``scipy.special.betaincinv``.
 - ``pdf`` is the forecast density from ``scipy.stats``, for the quadrature
   oracles.
+- ``scenario_to_dict`` and ``write_scenario`` turn a loaded config back
+  into a scenario document, for round trips through the loader.
+- ``read_table`` reads back a CSV or JSON table written by
+  ``dataio.write_table``.
 """
 from __future__ import annotations
 
+import csv
+import json
 import math
+from pathlib import Path
+from typing import Any
 
 from scipy import special
 from scipy.optimize import brentq
 from scipy.stats import beta as _beta
 
+from brsim.dataio import ScenarioConfig
 from brsim.forecast import ForecastDistribution
 
 # Normalized-scale tolerances for the quantile root find. The contract asks
@@ -77,3 +86,106 @@ def quantile(d: ForecastDistribution, q: float) -> float:
             break
         x, resid = step, step_resid
     return x * d.capacity
+
+
+def scenario_to_dict(cfg: ScenarioConfig) -> dict:
+    vg_block: dict[str, Any] = {
+        "id": cfg.vg.id,
+        "capacity_mw": cfg.vg.capacity_mw,
+        "forecast_mean_mw": list(cfg.vg.forecast_mean_mw),
+        "variance_coefficient": cfg.vg.variance_coefficient,
+        "variance_scale": cfg.vg.variance_scale,
+        "da_schedule_mw": list(cfg.vg.da_schedule_mw),
+        "claim_error_std_mw": cfg.vg.claim_error_std_mw,
+    }
+    if cfg.vg.realized_mw is not None:
+        vg_block["realized_mw"] = list(cfg.vg.realized_mw)
+    if cfg.vg.zone is not None:
+        vg_block["zone"] = cfg.vg.zone
+    out: dict[str, Any] = {
+        "horizon": cfg.horizon,
+        "seed": cfg.seed,
+        "vg": vg_block,
+        "penalty": {"over": cfg.penalty.over, "under": cfg.penalty.under},
+        "da_price": list(cfg.da_price),
+        "rt_price": list(cfg.rt_price),
+        "brs_price": {
+            "mode": cfg.brs_price.mode,
+            "down": cfg.brs_price.down,
+            "up": cfg.brs_price.up,
+        },
+        "variance_scale_factors": list(cfg.variance_scale_factors),
+        "units": [
+            {
+                k: v
+                for k, v in {
+                    "id": u.id,
+                    "kind": u.kind,
+                    "p_min_mw": u.p_min_mw,
+                    "p_max_mw": u.p_max_mw,
+                    "marginal_cost": u.marginal_cost,
+                    "da_schedule_mw": list(u.da_schedule_mw),
+                    "rt_mode": u.rt_mode,
+                    "zone": u.zone,
+                }.items()
+                if v is not None
+            }
+            for u in cfg.units
+        ],
+        "offers": [
+            {
+                k: v
+                for k, v in {
+                    "seller": o.seller,
+                    "hour": o.hour,
+                    "direction": o.direction,
+                    "price": o.price,
+                    "quantity_mw": o.quantity_mw,
+                    "zone": o.zone,
+                }.items()
+                if v is not None
+            }
+            for o in cfg.offers
+        ],
+    }
+    if cfg.zonal_rule is not None:
+        out["zonal_rule"] = {
+            "congested_boundaries": [list(p) for p in cfg.zonal_rule.congested_boundaries]
+        }
+    return out
+
+
+def write_scenario(cfg: ScenarioConfig, path: str | Path) -> None:
+    with open(Path(path), "w", newline="\n", encoding="utf-8") as fh:
+        json.dump(scenario_to_dict(cfg), fh, indent=2)
+        fh.write("\n")
+
+
+def _parse_cell(cell: str) -> Any:
+    try:
+        return int(cell)
+    except ValueError:
+        pass
+    try:
+        return float(cell)
+    except ValueError:
+        pass
+    if cell == "true":
+        return True
+    if cell == "false":
+        return False
+    return cell
+
+
+def read_table(path: str | Path) -> list[dict]:
+    """Read back a table written by write_table (format from the extension)."""
+    path = Path(path)
+    if path.suffix == ".json":
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, list):
+            raise ValueError(f"{path}: expected a JSON list of rows")
+        return data
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        return [{k: _parse_cell(v) for k, v in row.items()} for row in reader]

@@ -13,7 +13,8 @@ import pytest
 
 from brsim import forecast, simulation, vg
 from brsim.cli import main
-from brsim.dataio import load_scenario, read_table
+from brsim.dataio import load_scenario
+from oracles import read_table
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"

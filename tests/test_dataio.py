@@ -1,6 +1,7 @@
-"""Scenario configs and table writers/readers."""
+"""Scenario configs, the packaged schema, and table writers/readers."""
 
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -12,14 +13,13 @@ from brsim.dataio import (
     ScenarioError,
     format_table,
     load_scenario,
-    read_table,
     scenario_from_dict,
-    scenario_to_dict,
-    write_scenario,
     write_table,
 )
+from oracles import read_table, scenario_to_dict, write_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def minimal_doc():
@@ -116,6 +116,42 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="capacity"):
             scenario_from_dict(doc)
 
+    def test_unit_schedule_within_unit_range(self):
+        doc = minimal_doc()
+        doc["units"][0]["da_schedule_mw"] = [100.0, 20.0]
+        with pytest.raises(
+            ScenarioError, match=r"units\[0\]\.da_schedule_mw\[1\]: schedule 20.0 outside"
+        ):
+            scenario_from_dict(doc)
+
+    def test_unit_range_ordered(self):
+        doc = minimal_doc()
+        doc["units"][0]["p_max_mw"] = 40.0
+        with pytest.raises(ScenarioError, match=r"units\[0\]\.p_max_mw: .* below p_min_mw"):
+            scenario_from_dict(doc)
+
+    def test_unit_ids_unique(self):
+        doc = minimal_doc()
+        doc["units"].append(dict(doc["units"][0]))
+        with pytest.raises(ScenarioError, match=r"scenario\.units: duplicate unit ids \['g1'\]"):
+            scenario_from_dict(doc)
+
+    def test_mean_inside_capacity(self):
+        doc = minimal_doc()
+        doc["vg"]["forecast_mean_mw"] = [60.0, 100.0]
+        with pytest.raises(ScenarioError, match=r"forecast_mean_mw\[1\]: mean must lie"):
+            scenario_from_dict(doc)
+
+    def test_list_sizes(self):
+        doc = minimal_doc()
+        doc["variance_scale_factors"] = []
+        with pytest.raises(ScenarioError, match=r"variance_scale_factors: expected at least 1"):
+            scenario_from_dict(doc)
+        doc = minimal_doc()
+        doc["zonal_rule"] = {"congested_boundaries": [["a", "b", "c"]]}
+        with pytest.raises(ScenarioError, match=r"boundaries\[0\]: expected at most 2"):
+            scenario_from_dict(doc)
+
     def test_zonal_boundaries_must_differ(self):
         doc = minimal_doc()
         doc["zonal_rule"] = {"congested_boundaries": [["a", "a"]]}
@@ -142,6 +178,63 @@ class TestScenarioParsing:
     def test_non_mapping_rejected(self):
         with pytest.raises(ScenarioError):
             scenario_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+    def test_non_finite_number_rejected(self, value):
+        doc = minimal_doc()
+        doc["vg"]["capacity_mw"] = value
+        with pytest.raises(ScenarioError, match=r"^scenario\.vg\.capacity_mw: expected a finite"):
+            scenario_from_dict(doc)
+
+    def test_integral_float_is_an_integer(self):
+        doc = minimal_doc()
+        doc["seed"] = 1.0
+        cfg = scenario_from_dict(doc)
+        assert cfg.seed == 1 and type(cfg.seed) is int
+        doc["offers"][0]["hour"] = 0.5
+        with pytest.raises(
+            ScenarioError, match=r"^scenario\.offers\[0\]\.hour: expected an integer, got float$"
+        ):
+            scenario_from_dict(doc)
+
+
+class TestSchemaInterpreter:
+    def test_unsupported_keyword_rejected_on_load(self):
+        schema = {"type": "object", "properties": {"id": {"type": "string", "pattern": "^g"}}}
+        with pytest.raises(ValueError, match=r"unsupported schema keyword\(s\) \['pattern'\]"):
+            dataio._compile(schema)
+
+    def test_keyword_of_another_type_rejected_on_load(self):
+        with pytest.raises(ValueError, match=r"\['minimum'\]"):
+            dataio._compile({"type": "string", "minimum": 0})
+        with pytest.raises(ValueError, match="unsupported schema type"):
+            dataio._compile({"type": ["string", "number"]})
+        with pytest.raises(ValueError, match="unsupported schema type"):
+            dataio._compile({"type": "null", "oneOf": [{"type": "number"}]})
+
+    def test_one_of_needs_exactly_one_match(self):
+        check = dataio._compile(
+            {"oneOf": [{"type": "number"}, {"type": "number", "minimum": 0}]}
+        )
+        assert check(-1) == -1.0
+        with pytest.raises(dataio._Invalid, match="matches 2 alternatives"):
+            check(1)
+
+    def test_one_of_reports_the_closest_alternative(self):
+        doc = minimal_doc()
+        doc["units"][0]["da_schedule_mw"] = -1.0
+        with pytest.raises(ScenarioError, match=r"\.da_schedule_mw: must be >= 0, got -1.0$"):
+            scenario_from_dict(doc)
+        doc["units"][0]["da_schedule_mw"] = [100.0, -1.0]
+        with pytest.raises(ScenarioError, match=r"\.da_schedule_mw\[1\]: must be >= 0"):
+            scenario_from_dict(doc)
+
+    def test_schema_ships_in_the_package(self):
+        assert (resources.files("brsim") / "scenario.schema.json").is_file()
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+        assert "scenario.schema.json" in package_data["brsim"]
 
 
 class TestTables:

@@ -1,5 +1,5 @@
-"""The scenario loader and docs/scenario.schema.json accept and reject the
-same documents.
+"""The scenario loader and src/brsim/scenario.schema.json accept and reject
+the same documents.
 
 Each shipped scenario, and day24 with every optional block filled in, is
 mutated one field at a time: a wrong type, a number from a fixed set of
@@ -19,7 +19,9 @@ import pytest
 from brsim.dataio import ScenarioError, scenario_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = json.loads((ROOT / "docs" / "scenario.schema.json").read_text(encoding="utf-8"))
+SCHEMA = json.loads(
+    (ROOT / "src" / "brsim" / "scenario.schema.json").read_text(encoding="utf-8")
+)
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 
@@ -73,9 +75,11 @@ def _probes(value, node):
     if not isinstance(value, (int, float)):
         return
     if node.get("type") == "integer":
-        # Never an integral float such as 1.0: JSON Schema counts it as an
-        # integer, while the loader wants a Python int.
-        yield from (p for p in NUMBER_PROBES if isinstance(p, int))
+        # An integral float such as 1.0 is an integer to JSON Schema, and to
+        # the loader, so each integer probe is also tried as a float.
+        integer_probes = [p for p in NUMBER_PROBES if isinstance(p, int)]
+        yield from integer_probes
+        yield from (float(p) for p in integer_probes)
     else:
         yield from NUMBER_PROBES
     if "minimum" in node:

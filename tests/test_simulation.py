@@ -238,6 +238,20 @@ class TestHourChecks:
         with pytest.raises(AssertionError, match=r"hour 0: ledger nets do not cancel"):
             simulation.simulate_day(single_hour)
 
+    def test_pool_flow_mismatch_raises(self, single_hour, monkeypatch):
+        # Settlement pays the producer's DA energy on its realized output
+        # instead of its DA schedule. Every flow still has a payer and a
+        # payee, so the ledger balances, but the pool's net is wrong.
+        real = market.settle
+
+        def on_realized(acc):
+            return real(dataclasses.replace(acc, vg_da_schedule=acc.vg_realized))
+
+        monkeypatch.setattr(market, "settle", on_realized)
+        owed = r"hour 0: pool net -8820\.0 differs from -9000\.0 owed"
+        with pytest.raises(AssertionError, match=owed):
+            simulation.simulate_day(single_hour)
+
 
 class TestZonalRuleEndToEnd:
     def test_cross_boundary_contracts_rejected(self, single_hour):
