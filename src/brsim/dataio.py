@@ -297,10 +297,16 @@ def _format_number(value: Any) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15:
+        if value.is_integer() and abs(value) < 1e15:
             return str(int(value))
         return f"{value:.{_CSV_SIG_DIGITS}g}"
     return str(value)
+
+
+def _in_order(i: int, row: dict, cols: list[str]) -> dict:
+    if set(row) != set(cols):
+        raise ValueError(f"row {i} columns {sorted(row)} differ from {sorted(cols)}")
+    return {c: row[c] for c in cols}
 
 
 def format_table(rows: list[dict], fmt: str, columns: list[str] | None = None) -> str:
@@ -308,23 +314,21 @@ def format_table(rows: list[dict], fmt: str, columns: list[str] | None = None) -
 
     CSV numbers carry 6 significant digits; JSON keeps full precision.
     ``columns`` is only required when rows is empty (CSV still gets a header).
+    A non-finite number is written as ``inf``, ``-inf`` or ``nan`` in CSV and
+    raises ``ValueError`` in JSON, which has no such values.
     """
     if fmt not in TABLE_FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {TABLE_FORMATS}")
     if not rows and columns is None:
         raise ValueError("empty table needs an explicit column list")
-    cols = columns if columns is not None else list(rows[0].keys())
-    for i, row in enumerate(rows):
-        if set(row.keys()) != set(cols):
-            raise ValueError(f"row {i} columns {sorted(row)} differ from {sorted(cols)}")
+    cols = list(columns) if columns is not None else list(rows[0])
+    # Rows whose keys already come in column order are used as they are.
+    rows = [row if list(row) == cols else _in_order(i, row, cols) for i, row in enumerate(rows)]
     if fmt == "csv":
         lines = [",".join(cols)]
-        lines.extend(
-            ",".join(_format_number(row[c]) for c in cols) for row in rows
-        )
+        lines.extend(",".join(map(_format_number, row.values())) for row in rows)
         return "\n".join(lines) + "\n"
-    ordered = [{c: row[c] for c in cols} for row in rows]
-    return json.dumps(ordered) + "\n"
+    return json.dumps(rows, allow_nan=False) + "\n"
 
 
 def write_table(

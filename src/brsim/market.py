@@ -10,7 +10,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import vg as vg_econ
 from .forecast import ForecastDistribution
@@ -160,11 +162,7 @@ class SettlementLedger:
         self.entries.extend(other.entries)
 
     def parties(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in self.entries:
-            seen.setdefault(e.payer)
-            seen.setdefault(e.payee)
-        return list(seen)
+        return list(self.net_by_party())
 
     def net(self, party: str) -> float:
         total = 0.0
@@ -176,7 +174,13 @@ class SettlementLedger:
         return total
 
     def net_by_party(self) -> dict[str, float]:
-        return {p: self.net(p) for p in self.parties()}
+        """Each party's net, in order of first appearance (payer before
+        payee), summed in entry order exactly as ``net`` sums it."""
+        nets: dict[str, float] = {}
+        for e in self.entries:
+            nets[e.payer] = nets.get(e.payer, 0.0) - e.amount
+            nets[e.payee] = nets.get(e.payee, 0.0) + e.amount
+        return nets
 
     def is_balanced(self) -> bool:
         """Whether the parties' nets, summed exactly, cancel to within 1e-9
@@ -195,11 +199,46 @@ class ExecutionClaim:
     per_seller_up: dict[str, float]
 
 
-def match_offers(
+def _at_hours(x, hours):
+    """A per-hour input at each offer's hour: an array is indexed by hour,
+    a scalar holds for every hour."""
+    return np.asarray(x)[hours] if np.ndim(x) else x
+
+
+def buyer_demand(
     offers: list[Offer],
     s: VgSchedule,
     pf: PenaltyFactors,
     d: ForecastDistribution,
+) -> list[float]:
+    """The buyer's optimal total cover on each offer's side at the offer's
+    price, in offer order: the MW that matching takes up to at that price.
+
+    One ``vg.optimal_quantity`` evaluation per direction. The fields of
+    ``s`` and ``d`` are scalars for one hour, or arrays over the horizon
+    that are read at each offer's hour; ``pf`` holds for every offer.
+    """
+    desired = [0.0] * len(offers)
+    for direction in (DOWN, UP):
+        at = [i for i, o in enumerate(offers) if o.direction is direction]
+        if not at:
+            continue
+        hours = np.array([offers[i].hour for i in at])
+        side_s = VgSchedule(
+            da_quantity=_at_hours(s.da_quantity, hours),
+            da_price=_at_hours(s.da_price, hours),
+        )
+        side_d = ForecastDistribution(**{k: _at_hours(v, hours) for k, v in vars(d).items()})
+        prices = np.array([offers[i].price for i in at])
+        mw = vg_econ.optimal_quantity(side_s, pf, side_d, direction, prices)
+        for i, q in zip(at, mw.tolist()):
+            desired[i] = q
+    return desired
+
+
+def match_offers(
+    offers: list[Offer],
+    desired: list[float],
     direction: Direction,
     buyer: str,
     id_start: int = 0,
@@ -207,22 +246,22 @@ def match_offers(
     """Greedy price-priority match of one side of the book against the
     buyer's marginal-value curve.
 
-    Walks price levels ascending; each level is taken up to the buyer's
-    optimal total at that price (beyond it the marginal value is below the
-    price). A level that only partially fits is allocated pro-rata by offer
-    quantity.
+    ``desired`` is ``buyer_demand`` of the offers, which all belong to one
+    hour. Walks price levels ascending; each level is taken up to the
+    buyer's optimal total at that price (beyond it the marginal value is
+    below the price). A level that only partially fits is allocated
+    pro-rata by offer quantity.
     """
     book = sorted(
-        [o for o in offers if o.direction is direction],
-        key=lambda o: o.price,
+        [(o, mw) for o, mw in zip(offers, desired, strict=True) if o.direction is direction],
+        key=lambda pair: pair[0].price,
     )
     contracts: list[BrsContract] = []
     taken = 0.0
     next_id = id_start
-    for price, level_iter in itertools.groupby(book, key=lambda o: o.price):
-        level = list(level_iter)
-        desired = vg_econ.optimal_quantity(s, pf, d, direction, price)
-        room = desired - taken
+    for price, level_iter in itertools.groupby(book, key=lambda pair: pair[0].price):
+        level, wants = zip(*level_iter)
+        room = wants[0] - taken
         if room <= _MW_EPS:
             break
         level_qty = sum(o.quantity for o in level)
@@ -462,13 +501,13 @@ class HourMarket:
         self.offers.append(offer)
         return True
 
-    def run_matching(
-        self, s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution
-    ) -> list[BrsContract]:
+    def run_matching(self, desired: list[float]) -> list[BrsContract]:
+        """Match both sides of the book; ``desired`` is ``buyer_demand`` of
+        the posted offers, in posting order."""
         self._require(Phase.BRS_WINDOW_OPEN)
         for direction in (DOWN, UP):
             new = match_offers(
-                self.offers, s, pf, d, direction, self.buyer,
+                self.offers, desired, direction, self.buyer,
                 id_start=self.id_start + len(self.contracts),
             )
             self.contracts.extend(new)

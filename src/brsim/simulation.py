@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forecast, market, provider, vg
-from .dataio import OfferConfig, ScenarioConfig, UnitConfig
+from .dataio import ScenarioConfig, UnitConfig
 from .market import (
     BrsContract,
     HourAccounts,
@@ -64,6 +64,16 @@ def _producer_inputs(cfg: ScenarioConfig, mean, schedule, price):
     return s, PenaltyFactors(over=cfg.penalty.over, under=cfg.penalty.under), d
 
 
+def _horizon_inputs(cfg: ScenarioConfig):
+    """Producer-side inputs with one array element per hour."""
+    return _producer_inputs(
+        cfg,
+        np.asarray(cfg.vg.forecast_mean_mw, dtype=float),
+        np.asarray(cfg.vg.da_schedule_mw, dtype=float),
+        np.asarray(cfg.da_price, dtype=float),
+    )
+
+
 def hour_context(
     cfg: ScenarioConfig, hour: int
 ) -> tuple[VgSchedule, PenaltyFactors, "forecast.ForecastDistribution"]:
@@ -106,12 +116,7 @@ def profit_sweep(
     """Expected profit summed over the horizon at the optimal cover, for each
     forecast-variance scale and premium ratio (premium = ratio x DA price on
     both sides). Rows are sorted by (scale, ratio)."""
-    s, pf, d = _producer_inputs(
-        cfg,
-        np.asarray(cfg.vg.forecast_mean_mw, dtype=float),
-        np.asarray(cfg.vg.da_schedule_mw, dtype=float),
-        np.asarray(cfg.da_price, dtype=float),
-    )
+    s, pf, d = _horizon_inputs(cfg)
     # Axes (scale, ratio, hour); the hour axis is summed away.
     d = forecast.scale_variance(d, np.asarray(scales, dtype=float)[:, None, None])
     price = np.asarray(ratios, dtype=float)[:, None] * s.da_price
@@ -165,31 +170,37 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     )
     unit_zones = {u.id: u.zone for u in cfg.units if u.zone is not None}
     rng = np.random.default_rng(cfg.seed)
-    # Offers per hour in posting order, which matching depends on.
-    offers_by_hour: dict[int, list[OfferConfig]] = {}
-    for oc in cfg.offers:
-        offers_by_hour.setdefault(oc.hour, []).append(oc)
+    directions = {direction.value: direction for direction in vg.Direction}
+    offers = [
+        Offer(
+            seller=oc.seller,
+            hour=oc.hour,
+            direction=directions[oc.direction],
+            price=oc.price,
+            quantity=oc.quantity_mw,
+            zone=oc.zone if oc.zone is not None else unit_zones.get(oc.seller),
+        )
+        for oc in cfg.offers
+    ]
+    s, pf, d = _horizon_inputs(cfg)
+    # Offers per hour in posting order, which matching depends on, each with
+    # the buyer's demand at its price.
+    book: dict[int, list[tuple[Offer, float]]] = {}
+    for offer, desired in zip(offers, market.buyer_demand(offers, s, pf, d)):
+        book.setdefault(offer.hour, []).append((offer, desired))
 
     hours: list[HourOutcome] = []
     next_contract_id = 0
     for h in range(cfg.horizon):
-        s, pf, d = hour_context(cfg, h)
+        schedule, da_price = cfg.vg.da_schedule_mw[h], cfg.da_price[h]
         units = {u.id: _unit_for_hour(u, h) for u in cfg.units}
 
         hm = HourMarket(h, buyer=cfg.vg.id, id_start=next_contract_id)
         hm.open_window()
-        for oc in offers_by_hour.get(h, ()):
-            hm.post_offer(
-                Offer(
-                    seller=oc.seller,
-                    hour=oc.hour,
-                    direction=vg.Direction.from_label(oc.direction),
-                    price=oc.price,
-                    quantity=oc.quantity_mw,
-                    zone=oc.zone if oc.zone is not None else (unit_zones.get(oc.seller)),
-                )
-            )
-        hm.run_matching(s, pf, d)
+        posted = book.get(h, [])
+        for offer, _ in posted:
+            hm.post_offer(offer)
+        hm.run_matching([desired for _, desired in posted])
         next_contract_id += len(hm.contracts)
         hm.close_window()
         hm.validate(units, cfg.vg.zone, unit_zones, zonal_rule)
@@ -204,10 +215,10 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
                     cfg.vg.capacity_mw,
                 )
             )
-        claim = hm.claim(s.da_quantity, claimed)
+        claim = hm.claim(schedule, claimed)
 
         rt_price = cfg.rt_price[h]
-        vg_modified = s.da_quantity + claim.executed_down - claim.executed_up
+        vg_modified = schedule + claim.executed_down - claim.executed_up
         unit_modified: dict[str, float] = {}
         unit_rt_output: dict[str, float] = {}
         for uc in cfg.units:
@@ -223,7 +234,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
             else:
                 unit_rt_output[uc.id] = provider.rt_dispatch(u, rt_price)
         unit_schedules = {uid: u.da_schedule for uid, u in units.items()}
-        scheduled = s.da_quantity + math.fsum(unit_schedules.values())
+        scheduled = schedule + math.fsum(unit_schedules.values())
         shifted = vg_modified + math.fsum(unit_modified.values()) - scheduled
         if abs(shifted) > 1e-9 * max(1.0, abs(scheduled)):
             raise AssertionError(
@@ -234,10 +245,10 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
             HourAccounts(
                 hour=h,
                 vg_id=cfg.vg.id,
-                da_price=s.da_price,
+                da_price=da_price,
                 rt_price=rt_price,
                 penalty=pf,
-                vg_da_schedule=s.da_quantity,
+                vg_da_schedule=schedule,
                 vg_realized=realized,
                 contracts=hm.contracts,
                 units=units,
@@ -250,7 +261,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
         # deviation, the producer's at its penalized DA price, units' at RT.
         residual = realized - vg_modified
         factor = 1.0 - pf.over if residual > 0.0 else 1.0 + pf.under
-        flows = [-s.da_price * scheduled, -factor * s.da_price * residual]
+        flows = [-da_price * scheduled, -factor * da_price * residual]
         flows += [-rt_price * (unit_rt_output[uid] - unit_modified[uid]) for uid in unit_modified]
         pool_net, owed = ledger.net(market.POOL), math.fsum(flows)
         if abs(pool_net - owed) > 1e-9 * max(1.0, math.fsum(map(abs, flows))):
@@ -259,7 +270,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
         hours.append(
             HourOutcome(
                 hour=h,
-                vg_schedule=s.da_quantity,
+                vg_schedule=schedule,
                 vg_modified=vg_modified,
                 vg_realized=realized,
                 unit_schedules=unit_schedules,

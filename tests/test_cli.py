@@ -196,6 +196,28 @@ class TestSimulateDay:
         cfg = load_scenario(SINGLE)
         assert ledger == simulation.ledger_rows(simulation.simulate_day(cfg))
 
+    # Tables written by the per-hour implementation that the day-batched
+    # buyer demand replaced.
+    @pytest.mark.parametrize("scenario", ["day24", "single_hour"])
+    def test_matches_per_hour_implementation(self, capsys, tmp_path, scenario):
+        path = str(SCENARIOS / f"{scenario}.json")
+        code, _, _ = run_cli(capsys, "simulate-day", path, "--out-dir", str(tmp_path))
+        assert code == 0
+        for table in ("contracts", "ledger", "totals"):
+            golden = GOLDEN / f"simulate_day_{scenario}_{table}"
+            csv_text = (tmp_path / f"{table}.csv").read_text(encoding="utf-8")
+            assert csv_text == Path(f"{golden}.csv").read_text(encoding="utf-8"), table
+            rows = json.loads((tmp_path / f"{table}.json").read_text(encoding="utf-8"))
+            want_rows = json.loads(Path(f"{golden}.json").read_text(encoding="utf-8"))
+            assert len(rows) == len(want_rows), table
+            for row, want in zip(rows, want_rows):
+                assert row.keys() == want.keys()
+                for key, value in want.items():
+                    if isinstance(value, float):
+                        assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+                    else:
+                        assert row[key] == value, key
+
     def test_out_dir_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate-day", SINGLE])

@@ -258,6 +258,21 @@ class TestTables:
         text = format_table([{"x": 1234.56789}], "json")
         assert json.loads(text) == [{"x": 1234.56789}]
 
+    def test_csv_writes_non_finite_numbers(self):
+        rows = [{"x": float("inf")}, {"x": float("-inf")}, {"x": float("nan")}]
+        assert format_table(rows, "csv") == "x\ninf\n-inf\nnan\n"
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_json_rejects_non_finite_numbers(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            format_table([{"x": 1.0}, {"x": value}], "json")
+
+    def test_rows_out_of_column_order_are_reordered(self):
+        rows = [{"a": 1, "b": 2.5}, {"b": 4.0, "a": 3}]
+        assert format_table(rows, "csv") == "a,b\n1,2.5\n3,4\n"
+        assert format_table(rows, "json") == '[{"a": 1, "b": 2.5}, {"a": 3, "b": 4.0}]\n'
+        assert format_table(rows, "csv", columns=("b", "a")) == "b,a\n2.5,1\n4,3\n"
+
     def test_empty_table_needs_columns(self):
         with pytest.raises(ValueError, match="column list"):
             format_table([], "csv")

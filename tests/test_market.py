@@ -1,5 +1,6 @@
 """Hourly capacity market: matching, validation, claims, settlement."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +132,28 @@ class TestLedger:
             led.add(0, "b", "pool", 0.3333333333 * (i + 1), "rt_imbalance")
         assert led.is_balanced()
 
+    @given(
+        flows=st.lists(
+            st.tuples(
+                st.permutations(["pool", "vg", "g1", "g2"]),
+                st.floats(1e-6, 1e6),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_net_by_party_equals_each_net(self, flows):
+        led = SettlementLedger()
+        for (payer, payee, _, _), amount in flows:
+            led.add(0, payer, payee, amount, "premium")
+        first_seen = []
+        for e in led.entries:
+            first_seen += [p for p in (e.payer, e.payee) if p not in first_seen]
+        nets = led.net_by_party()
+        assert list(nets) == first_seen
+        for party in first_seen:
+            assert nets[party] == led.net(party)
+
     def test_nets_that_do_not_cancel_are_unbalanced(self, monkeypatch):
         led = SettlementLedger()
         led.add(0, "pool", "a", 100.0, "da_energy")
@@ -147,7 +170,8 @@ class TestMatching:
     def test_single_offer_trimmed_to_optimum(self):
         s, d = mid_schedule(), beta22()
         offers = [Offer("g1", 0, DOWN, price=1.40625, quantity=40.0)]
-        got = market.match_offers(offers, s, PF, d, DOWN, buyer="vg")
+        desired = market.buyer_demand(offers, s, PF, d)
+        got = market.match_offers(offers, desired, DOWN, buyer="vg")
         assert len(got) == 1
         assert got[0].quantity == pytest.approx(25.0, abs=1e-6)
         assert got[0].premium_price == 1.40625
@@ -156,7 +180,8 @@ class TestMatching:
     def test_small_cheap_offer_taken_whole(self):
         s, d = mid_schedule(), beta22()
         offers = [Offer("g1", 0, DOWN, price=0.5, quantity=20.0)]
-        got = market.match_offers(offers, s, PF, d, DOWN, buyer="vg")
+        desired = market.buyer_demand(offers, s, PF, d)
+        got = market.match_offers(offers, desired, DOWN, buyer="vg")
         assert len(got) == 1
         assert got[0].quantity == pytest.approx(20.0)
 
@@ -166,7 +191,8 @@ class TestMatching:
             Offer("g1", 0, DOWN, price=1.40625, quantity=15.0),
             Offer("g2", 0, DOWN, price=1.40625, quantity=35.0),
         ]
-        got = market.match_offers(offers, s, PF, d, DOWN, buyer="vg")
+        desired = market.buyer_demand(offers, s, PF, d)
+        got = market.match_offers(offers, desired, DOWN, buyer="vg")
         assert len(got) == 2
         fills = {c.seller: c.quantity for c in got}
         assert fills["g1"] == pytest.approx(25.0 * 15.0 / 50.0, abs=1e-6)
@@ -179,7 +205,8 @@ class TestMatching:
             Offer("g2", 0, DOWN, price=2.0, quantity=50.0),
             Offer("g1", 0, DOWN, price=0.5, quantity=5.0),
         ]
-        got = market.match_offers(offers, s, PF, d, DOWN, buyer="vg")
+        desired = market.buyer_demand(offers, s, PF, d)
+        got = market.match_offers(offers, desired, DOWN, buyer="vg")
         assert [c.seller for c in got] == ["g1", "g2"]
         assert got[0].quantity == pytest.approx(5.0)
         assert got[1].quantity == pytest.approx(desired_at_2 - 5.0, abs=1e-6)
@@ -190,12 +217,14 @@ class TestMatching:
             Offer("g1", 0, DOWN, price=9.0, quantity=10.0),
             Offer("g2", 0, DOWN, price=12.0, quantity=10.0),
         ]
-        assert market.match_offers(offers, s, PF, d, DOWN, buyer="vg") == []
+        desired = market.buyer_demand(offers, s, PF, d)
+        assert market.match_offers(offers, desired, DOWN, buyer="vg") == []
 
     def test_other_direction_ignored(self):
         s, d = mid_schedule(), beta22()
         offers = [Offer("g1", 0, UP, price=0.5, quantity=20.0)]
-        assert market.match_offers(offers, s, PF, d, DOWN, buyer="vg") == []
+        desired = market.buyer_demand(offers, s, PF, d)
+        assert market.match_offers(offers, desired, DOWN, buyer="vg") == []
 
     def test_ids_start_where_asked(self):
         s, d = mid_schedule(), beta22()
@@ -203,8 +232,33 @@ class TestMatching:
             Offer("g1", 0, DOWN, price=0.5, quantity=5.0),
             Offer("g2", 0, DOWN, price=0.6, quantity=5.0),
         ]
-        got = market.match_offers(offers, s, PF, d, DOWN, buyer="vg", id_start=7)
+        desired = market.buyer_demand(offers, s, PF, d)
+        got = market.match_offers(offers, desired, DOWN, buyer="vg", id_start=7)
         assert [c.id for c in got] == [7, 8]
+
+    def test_demand_must_cover_every_offer(self):
+        s, d = mid_schedule(), beta22()
+        offers = [Offer("g1", 0, DOWN, price=0.5, quantity=5.0)]
+        desired = market.buyer_demand(offers, s, PF, d)
+        with pytest.raises(ValueError, match="shorter"):
+            market.match_offers(offers + offers, desired, DOWN, buyer="vg")
+
+    def test_demand_reads_each_offer_hour(self):
+        # Day-level inputs hold one element per hour; each offer is priced
+        # against its own hour's schedule and forecast.
+        means, schedules, prices = [30.0, 50.0, 70.0], [40.0, 50.0, 60.0], [20.0, 30.0, 40.0]
+        d = forecast.from_mean(100.0, np.array(means))
+        s = VgSchedule(da_quantity=np.array(schedules), da_price=np.array(prices))
+        offers = [
+            Offer("g1", 2, DOWN, price=1.0, quantity=5.0),
+            Offer("g1", 0, UP, price=1.0, quantity=5.0),
+            Offer("g1", 1, DOWN, price=2.0, quantity=5.0),
+        ]
+        got = market.buyer_demand(offers, s, PF, d)
+        for o, mw in zip(offers, got):
+            s_h = VgSchedule(da_quantity=schedules[o.hour], da_price=prices[o.hour])
+            d_h = forecast.from_mean(100.0, means[o.hour])
+            assert mw == vg.optimal_quantity(s_h, PF, d_h, o.direction, o.price)
 
 
 class TestValidation:
@@ -455,7 +509,7 @@ class TestHourMarket:
         hm.post_offer(offer)
         with pytest.raises(PhaseError):
             hm.validate({"g1": g_unit()})
-        hm.run_matching(mid_schedule(), PF, beta22())
+        hm.run_matching(market.buyer_demand(hm.offers, mid_schedule(), PF, beta22()))
         hm.close_window()
         with pytest.raises(PhaseError):
             hm.post_offer(offer)
@@ -520,7 +574,7 @@ def test_full_hour_settlement_equivalence(case):
     hm.open_window()
     for o in offers:
         hm.post_offer(o)
-    hm.run_matching(s, pf, d)
+    hm.run_matching(market.buyer_demand(hm.offers, s, pf, d))
     hm.close_window()
     hm.validate({"g1": unit})
     claim = hm.claim(s.da_quantity, realized)

@@ -3,9 +3,9 @@ the same documents.
 
 Each shipped scenario, and day24 with every optional block filled in, is
 mutated one field at a time: a wrong type, a number from a fixed set of
-probes or just outside the schema's documented range, an unknown field, a
-deleted field, and null. Both the schema and ``dataio.scenario_from_dict``
-judge every mutant.
+probes or just outside the schema's documented range, a list emptied or
+one item too long, an unknown field, a deleted field, and null. Both the
+schema and ``dataio.scenario_from_dict`` judge every mutant.
 """
 
 import copy
@@ -68,10 +68,15 @@ def _subschema(path):
 
 
 def _probes(value, node):
-    """The fixed probes for a number, and values just past every bound the
-    schema states."""
+    """The fixed probes for a number, values just past every bound the
+    schema states, and for a list an empty one and one item too many."""
     if "enum" in node:
         yield "bogus"
+    if isinstance(value, list):
+        node = next((b for b in node.get("oneOf", ()) if b.get("type") == "array"), node)
+        if "minItems" in node or "maxItems" in node:
+            yield []
+            yield [value[0]] * (node.get("maxItems", len(value)) + 1)
     if not isinstance(value, (int, float)):
         return
     if node.get("type") == "integer":

@@ -5,10 +5,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brsim import forecast, market, simulation, vg
 from brsim.dataio import load_scenario, scenario_from_dict
-from brsim.market import ContractStatus, ExecutionClaim, SettlementLedger
+from brsim.market import ContractStatus, ExecutionClaim, HourMarket, Offer, SettlementLedger
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -204,6 +206,73 @@ class TestDayRun:
             for c in res.contracts:
                 assert c.executed_mw <= c.quantity + 1e-9
             assert res.ledger.is_balanced()
+
+
+@st.composite
+def small_days(draw):
+    """A scenario of a few hours whose units never trim or reject cover, so
+    every contract keeps the quantity matching gave it. Each side of each
+    hour gets zero to five offers at prices drawn as fractions of the first
+    MW's value, so levels tie, reach or pass that value, and lie beyond
+    the point where the greedy walk stops."""
+    horizon = draw(st.integers(1, 4))
+    capacity = draw(st.floats(50.0, 300.0))
+    hourly = st.lists(st.floats(0.02, 0.98), min_size=horizon, max_size=horizon)
+    means = [f * capacity for f in draw(hourly)]
+    schedule = [f * capacity for f in draw(hourly)]
+    da_price = draw(st.lists(st.floats(5.0, 80.0), min_size=horizon, max_size=horizon))
+    penalty = {"over": draw(st.floats(0.05, 1.0)), "under": draw(st.floats(0.05, 1.5))}
+    levels = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.3])
+    offers = []
+    for h in range(horizon):
+        for direction, factor in (("down", penalty["over"]), ("up", penalty["under"])):
+            for _ in range(draw(st.integers(0, 5))):
+                offers.append({
+                    "seller": draw(st.sampled_from(["g1", "g2"])),
+                    "hour": h,
+                    "direction": direction,
+                    "price": draw(levels) * da_price[h] * factor,
+                    "quantity_mw": draw(st.floats(0.5, 0.4 * capacity)),
+                })
+    unit = {"kind": "base_load", "p_min_mw": 0.0, "p_max_mw": 4000.0,
+            "marginal_cost": 20.0, "da_schedule_mw": 2000.0}
+    return scenario_from_dict({
+        "horizon": horizon,
+        "vg": {"capacity_mw": capacity, "forecast_mean_mw": means,
+               "da_schedule_mw": schedule, "realized_mw": means},
+        "penalty": penalty,
+        "da_price": da_price,
+        "units": [{"id": "g1", **unit}, {"id": "g2", **unit}],
+        "offers": offers,
+    })
+
+
+def _matched(contract):
+    return (contract.id, contract.hour, contract.buyer, contract.seller,
+            contract.direction, contract.quantity, contract.premium_price)
+
+
+class TestDayBatchedDemand:
+    @given(cfg=small_days())
+    @settings(max_examples=60, deadline=None)
+    def test_contracts_equal_per_hour_matching(self, cfg):
+        # Reference: each hour on its own, with the buyer's optimum priced
+        # one offer at a time from that hour's scalar inputs.
+        expected = []
+        for h in range(cfg.horizon):
+            s, pf, d = simulation.hour_context(cfg, h)
+            hm = HourMarket(h, buyer=cfg.vg.id, id_start=len(expected))
+            hm.open_window()
+            for oc in cfg.offers:
+                if oc.hour == h:
+                    direction = vg.Direction.from_label(oc.direction)
+                    hm.post_offer(Offer(oc.seller, h, direction, oc.price, oc.quantity_mw))
+            desired = [vg.optimal_quantity(s, pf, d, o.direction, o.price) for o in hm.offers]
+            assert market.buyer_demand(hm.offers, s, pf, d) == desired
+            expected += [_matched(c) for c in hm.run_matching(desired)]
+        res = simulation.simulate_day(cfg)
+        assert all(c.trimmed_mw == 0.0 for c in res.contracts)
+        assert [_matched(c) for c in res.contracts] == expected
 
 
 class TestHourChecks:
