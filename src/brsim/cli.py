@@ -128,15 +128,16 @@ def cmd_simulate_day(args) -> None:
     result = simulation.simulate_day(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Each table is built again for each format, so none is held whole.
     tables = (
-        ("contracts", simulation.contract_rows(result), CONTRACT_COLUMNS),
-        ("ledger", simulation.ledger_rows(result), LEDGER_COLUMNS),
-        ("totals", simulation.totals_rows(result), TOTALS_COLUMNS),
+        ("contracts", simulation.contract_rows, CONTRACT_COLUMNS),
+        ("ledger", simulation.ledger_rows, LEDGER_COLUMNS),
+        ("totals", simulation.totals_rows, TOTALS_COLUMNS),
     )
     for name, rows, columns in tables:
         for fmt in ("csv", "json"):
             path = out_dir / f"{name}.{fmt}"
-            dataio.write_table(rows, path, fmt, columns)
+            dataio.write_table(rows(result), path, fmt, columns)
             print(f"wrote {path}")
 
 

@@ -6,19 +6,25 @@ against the cross-field rules, and every error names its field path.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 TABLE_FORMATS = ("csv", "json")
 
 # Numeric CSV cells are written with this many significant digits.
 _CSV_SIG_DIGITS = 6
+# JSON tables are encoded this many rows at a time, which bounds the rows
+# and the text held while a table is written.
+_JSON_BATCH_ROWS = 2048
 
 
 class ScenarioError(ValueError):
@@ -48,7 +54,7 @@ class VgParams:
     zone: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitConfig:
     id: str
     kind: str
@@ -60,7 +66,7 @@ class UnitConfig:
     zone: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OfferConfig:
     seller: str
     hour: int
@@ -293,14 +299,29 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 # result tables
 # ---------------------------------------------------------------------------
 
-def _format_number(value: Any) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        if value.is_integer() and abs(value) < 1e15:
-            return str(int(value))
-        return f"{value:.{_CSV_SIG_DIGITS}g}"
-    return str(value)
+def _format_float(value: float) -> str:
+    if value.is_integer() and abs(value) < 1e15:
+        return str(int(value))
+    return f"{value:.{_CSV_SIG_DIGITS}g}"
+
+
+def _format_other(value: Any) -> str:
+    # A float subclass, such as numpy's float64, keeps the float rule.
+    return _format_float(value) if isinstance(value, float) else str(value)
+
+
+# The CSV text of a cell by its exact type, so that a bool never takes the
+# int path.
+_CELL_TEXT: dict[type, Callable[[Any], str]] = {
+    str: str,
+    int: str,
+    float: _format_float,
+    bool: lambda value: "true" if value else "false",
+}
+
+
+def _format_cell(value: Any) -> str:
+    return _CELL_TEXT.get(type(value), _format_other)(value)
 
 
 def _in_order(i: int, row: dict, cols: list[str]) -> dict:
@@ -309,7 +330,44 @@ def _in_order(i: int, row: dict, cols: list[str]) -> dict:
     return {c: row[c] for c in cols}
 
 
-def format_table(rows: list[dict], fmt: str, columns: list[str] | None = None) -> str:
+def _table_chunks(
+    rows: Iterable[dict], fmt: str, columns: Sequence[str] | None
+) -> Iterator[str]:
+    """The text of a table in pieces: CSV line by line, JSON
+    ``_JSON_BATCH_ROWS`` rows at a time. Rows are read as the pieces are
+    asked for, so no more than one batch of them is held."""
+    if fmt not in TABLE_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {TABLE_FORMATS}")
+    rows = iter(rows)
+    if columns is None:
+        first = next(rows, None)
+        if first is None:
+            raise ValueError("empty table needs an explicit column list")
+        cols = list(first)
+        rows = itertools.chain((first,), rows)
+    else:
+        cols = list(columns)
+    # Rows whose keys already come in column order are used as they are.
+    rows = (row if list(row) == cols else _in_order(i, row, cols) for i, row in enumerate(rows))
+    if fmt == "csv":
+        yield ",".join(cols) + "\n"
+        for row in rows:
+            yield ",".join(map(_format_cell, row.values())) + "\n"
+        return
+    # Each batch is a JSON list without its brackets; joined by the
+    # separator json.dumps puts between items, the batches read as
+    # json.dumps of all the rows.
+    yield "["
+    separator = ""
+    while batch := list(itertools.islice(rows, _JSON_BATCH_ROWS)):
+        yield separator + json.dumps(batch, allow_nan=False)[1:-1]
+        separator = ", "
+    yield "]\n"
+
+
+def format_table(
+    rows: Iterable[dict], fmt: str, columns: Sequence[str] | None = None
+) -> str:
     """Render homogeneous row dicts as CSV or JSON text.
 
     CSV numbers carry 6 significant digits; JSON keeps full precision.
@@ -317,25 +375,38 @@ def format_table(rows: list[dict], fmt: str, columns: list[str] | None = None) -
     A non-finite number is written as ``inf``, ``-inf`` or ``nan`` in CSV and
     raises ``ValueError`` in JSON, which has no such values.
     """
-    if fmt not in TABLE_FORMATS:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {TABLE_FORMATS}")
-    if not rows and columns is None:
-        raise ValueError("empty table needs an explicit column list")
-    cols = list(columns) if columns is not None else list(rows[0])
-    # Rows whose keys already come in column order are used as they are.
-    rows = [row if list(row) == cols else _in_order(i, row, cols) for i, row in enumerate(rows)]
-    if fmt == "csv":
-        lines = [",".join(cols)]
-        lines.extend(",".join(map(_format_number, row.values())) for row in rows)
-        return "\n".join(lines) + "\n"
-    return json.dumps(rows, allow_nan=False) + "\n"
+    return "".join(_table_chunks(rows, fmt, columns))
 
 
 def write_table(
-    rows: list[dict], path: str | Path, fmt: str, columns: list[str] | None = None
+    rows: Iterable[dict], path: str | Path, fmt: str, columns: Sequence[str] | None = None
 ) -> None:
-    """format_table to a file with LF endings."""
-    text = format_table(rows, fmt, columns)
-    with open(Path(path), "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(text)
+    """format_table to a file with LF endings, written as the rows arrive.
 
+    A regular file, or a path where nothing exists yet, is written to a
+    temporary file beside it that replaces it once complete, so a failed
+    write leaves the target as it was. Other targets, such as a symlink, a
+    pipe or ``/dev/stdout``, are written in place.
+    """
+    chunks = _table_chunks(rows, fmt, columns)
+    path = Path(path)
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        return
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    # Mode "x" creates the file with the permissions a new target gets.
+    fh = open(temp, "x", newline="\n", encoding="utf-8")
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            fh.writelines(chunks)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise

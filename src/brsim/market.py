@@ -57,7 +57,7 @@ _LEGAL_TRANSITIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Offer:
     """Standing sell offer for re-dispatch capacity in one hour."""
 
@@ -77,7 +77,7 @@ class Offer:
             raise ValueError(f"hour must be >= 0, got {self.hour}")
 
 
-@dataclass
+@dataclass(slots=True)
 class BrsContract:
     """Signed cover for one hour. executed_mw is set when the claim lands;
     trimmed_mw records quantity removed at validation."""
@@ -131,7 +131,7 @@ class ZonalRule:
         return frozenset((zone_a, zone_b)) in self.congested_boundaries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
     hour: int
     payer: str

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .provider import DispatchableUnit, UnitKind
 from .vg import PenaltyFactors, VgSchedule
 
 
-@dataclass
+@dataclass(slots=True)
 class HourOutcome:
     hour: int
     vg_schedule: float
@@ -143,14 +144,17 @@ def profit_sweep(
     return rows
 
 
-def _unit_for_hour(uc: UnitConfig, hour: int) -> DispatchableUnit:
-    return DispatchableUnit(
-        kind=UnitKind(uc.kind),
-        p_min=uc.p_min_mw,
-        p_max=uc.p_max_mw,
-        marginal_cost=uc.marginal_cost,
-        da_schedule=uc.da_schedule_mw[hour],
-    )
+def _unit_hours(uc: UnitConfig) -> Iterator[DispatchableUnit]:
+    """The unit at each hour of the day, its kind resolved once."""
+    kind = UnitKind(uc.kind)
+    for schedule in uc.da_schedule_mw:
+        yield DispatchableUnit(
+            kind=kind,
+            p_min=uc.p_min_mw,
+            p_max=uc.p_max_mw,
+            marginal_cost=uc.marginal_cost,
+            da_schedule=schedule,
+        )
 
 
 def simulate_day(cfg: ScenarioConfig) -> DayResult:
@@ -189,11 +193,12 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     for offer, desired in zip(offers, market.buyer_demand(offers, s, pf, d)):
         book.setdefault(offer.hour, []).append((offer, desired))
 
+    unit_hours = [(uc.id, _unit_hours(uc)) for uc in cfg.units]
     hours: list[HourOutcome] = []
     next_contract_id = 0
     for h in range(cfg.horizon):
         schedule, da_price = cfg.vg.da_schedule_mw[h], cfg.da_price[h]
-        units = {u.id: _unit_for_hour(u, h) for u in cfg.units}
+        units = {uid: next(at_hour) for uid, at_hour in unit_hours}
 
         hm = HourMarket(h, buyer=cfg.vg.id, id_start=next_contract_id)
         hm.open_window()
@@ -283,12 +288,11 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     return DayResult(hours=hours)
 
 
-def contract_rows(result: DayResult) -> list[dict]:
-    """Flat table of every contract signed during the day."""
-    rows = []
-    for c in result.contracts:
-        rows.append(
-            {
+def contract_rows(result: DayResult) -> Iterator[dict]:
+    """Flat table of every contract signed during the day, one row at a time."""
+    for hour in result.hours:
+        for c in hour.contracts:
+            yield {
                 "id": c.id,
                 "hour": c.hour,
                 "buyer": c.buyer,
@@ -300,25 +304,22 @@ def contract_rows(result: DayResult) -> list[dict]:
                 "executed_mw": c.executed_mw,
                 "trimmed_mw": c.trimmed_mw,
             }
-        )
-    return rows
 
 
-def ledger_rows(result: DayResult) -> list[dict]:
-    return [
-        {
-            "hour": e.hour,
-            "payer": e.payer,
-            "payee": e.payee,
-            "amount": e.amount,
-            "tag": e.tag,
-        }
-        for e in result.ledger.entries
-    ]
+def ledger_rows(result: DayResult) -> Iterator[dict]:
+    """Every ledger entry of the day, one row at a time."""
+    for hour in result.hours:
+        for e in hour.ledger.entries:
+            yield {
+                "hour": e.hour,
+                "payer": e.payer,
+                "payee": e.payee,
+                "amount": e.amount,
+                "tag": e.tag,
+            }
 
 
-def totals_rows(result: DayResult) -> list[dict]:
-    return [
-        {"party": party, "net_cash": net}
-        for party, net in result.party_totals().items()
-    ]
+def totals_rows(result: DayResult) -> Iterator[dict]:
+    """Each party's net cash over the day, one row at a time."""
+    for party, net in result.party_totals().items():
+        yield {"party": party, "net_cash": net}

@@ -264,7 +264,7 @@ def test_criterion_05_settlement_equivalence_and_zero_sum():
                 vg_expected, rel=1e-9, abs=1e-6
             ), f"day {day_index} hour {h}: producer net mismatch"
             for uc in cfg.units:
-                unit = simulation._unit_for_hour(uc, h)
+                unit = list(simulation._unit_hours(uc))[h]
                 executed = sum(c.executed_mw for c in live if c.seller == uc.id and c.direction is UP) - sum(
                     c.executed_mw for c in live if c.seller == uc.id and c.direction is DOWN
                 )

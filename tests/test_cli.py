@@ -194,7 +194,7 @@ class TestSimulateDay:
         assert sum(r["net_cash"] for r in totals) == pytest.approx(0.0, abs=1e-9)
         ledger = read_table(out_dir / "ledger.json")
         cfg = load_scenario(SINGLE)
-        assert ledger == simulation.ledger_rows(simulation.simulate_day(cfg))
+        assert ledger == list(simulation.ledger_rows(simulation.simulate_day(cfg)))
 
     # Tables written by the per-hour implementation that the day-batched
     # buyer demand replaced.

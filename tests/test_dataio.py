@@ -1,9 +1,14 @@
 """Scenario configs, the packaged schema, and table writers/readers."""
 
 import json
+import os
+import stat
+import threading
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -303,6 +308,106 @@ class TestTables:
         p.write_text('{"a": 1}', encoding="utf-8")
         with pytest.raises(ValueError, match="JSON list"):
             read_table(p)
+
+    def test_csv_cells_follow_their_type(self):
+        # A float subclass keeps the float rule; other types are written as str.
+        row = {"f": np.float64(1234.56789), "i": np.int64(7), "none": None}
+        assert format_table([row], "csv") == "f,i,none\n1234.57,7,None\n"
+
+
+def _ledger_like(n):
+    """Rows shaped like simulate-day's ledger, made one at a time."""
+    for i in range(n):
+        yield {
+            "hour": i // 13,
+            "payer": "pool" if i % 3 else f"g{i % 7}",
+            "payee": f"u{i % 11}",
+            "amount": 1000.0 + i / 7.0,
+            "tag": "da_energy",
+        }
+
+
+class TestStreamedTables:
+    B = dataio._JSON_BATCH_ROWS
+    COLUMNS = ["hour", "payer", "payee", "amount", "tag"]
+
+    @pytest.mark.parametrize("fmt", dataio.TABLE_FORMATS)
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_batch_boundaries(self, tmp_path, fmt, n):
+        p = tmp_path / f"table.{fmt}"
+        write_table(_ledger_like(n), p, fmt, self.COLUMNS)
+        text = format_table(_ledger_like(n), fmt, self.COLUMNS)
+        assert p.read_bytes() == text.encode("utf-8")
+        if fmt == "json":
+            assert text == json.dumps(list(_ledger_like(n))) + "\n"
+        else:
+            assert text.count("\n") == n + 1
+        assert os.listdir(tmp_path) == [p.name]
+
+    @pytest.mark.parametrize("fmt", dataio.TABLE_FORMATS)
+    def test_memory_is_bounded_by_a_batch(self, tmp_path, fmt):
+        n = 50_000
+        tracemalloc.start()
+        try:
+            rows = list(_ledger_like(n))
+            held = tracemalloc.get_traced_memory()[0]
+            del rows
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_table(_ledger_like(n), tmp_path / f"table.{fmt}", fmt, self.COLUMNS)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < held / 4, (peak, held)
+
+    @pytest.mark.parametrize(
+        "fmt, rows, match",
+        [
+            # A ragged row, and a NaN in the third JSON batch, both at row 5,000.
+            ("csv", lambda: ({"x": i} if i != 5_000 else {"y": i} for i in range(6_000)),
+             "row 5000 columns"),
+            ("json", lambda: ({"x": i / 2 if i != 5_000 else float("nan")} for i in range(6_000)),
+             "not JSON compliant"),
+        ],
+    )
+    def test_failed_write_leaves_target_as_it_was(self, tmp_path, fmt, rows, match):
+        p = tmp_path / f"table.{fmt}"
+        p.write_text("old content\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            write_table(rows(), p, fmt)
+        assert p.read_text(encoding="utf-8") == "old content\n"
+        assert os.listdir(tmp_path) == [p.name]
+
+    def test_rewrite_keeps_file_mode(self, tmp_path):
+        p = tmp_path / "table.csv"
+        p.write_text("old content\n", encoding="utf-8")
+        p.chmod(0o640)
+        write_table(TestTables.ROWS, p, "csv")
+        assert stat.S_IMODE(p.stat().st_mode) == 0o640
+        assert read_table(p) == TestTables.ROWS
+
+    def test_symlink_stays_a_link(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old content\n", encoding="utf-8")
+        link.symlink_to(target)
+        write_table(TestTables.ROWS, link, "csv")
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == format_table(TestTables.ROWS, "csv")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(fifo.read_text(encoding="utf-8")), daemon=True
+        )
+        reader.start()
+        write_table(TestTables.ROWS, fifo, "csv")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [format_table(TestTables.ROWS, "csv")]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 @given(

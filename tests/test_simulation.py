@@ -170,8 +170,8 @@ class TestDayRun:
     def test_deterministic_for_fixed_config(self, day24):
         a = simulation.simulate_day(day24)
         b = simulation.simulate_day(day24)
-        assert simulation.ledger_rows(a) == simulation.ledger_rows(b)
-        assert simulation.contract_rows(a) == simulation.contract_rows(b)
+        assert list(simulation.ledger_rows(a)) == list(simulation.ledger_rows(b))
+        assert list(simulation.contract_rows(a)) == list(simulation.contract_rows(b))
 
     def test_merit_units_settle_rt_deviations(self, day24):
         res = simulation.simulate_day(day24)
@@ -192,9 +192,9 @@ class TestDayRun:
         cfg_a = dataclasses.replace(single_hour, vg=noisy_vg, seed=4)
         cfg_b = dataclasses.replace(single_hour, vg=noisy_vg, seed=4)
         cfg_c = dataclasses.replace(single_hour, vg=noisy_vg, seed=5)
-        rows_a = simulation.ledger_rows(simulation.simulate_day(cfg_a))
-        rows_b = simulation.ledger_rows(simulation.simulate_day(cfg_b))
-        rows_c = simulation.ledger_rows(simulation.simulate_day(cfg_c))
+        rows_a = list(simulation.ledger_rows(simulation.simulate_day(cfg_a)))
+        rows_b = list(simulation.ledger_rows(simulation.simulate_day(cfg_b)))
+        rows_c = list(simulation.ledger_rows(simulation.simulate_day(cfg_c)))
         assert rows_a == rows_b
         assert rows_a != rows_c
 
@@ -340,7 +340,7 @@ class TestZonalRuleEndToEnd:
 class TestTableDumps:
     def test_contract_rows_shape(self, single_hour):
         res = simulation.simulate_day(single_hour)
-        rows = simulation.contract_rows(res)
+        rows = list(simulation.contract_rows(res))
         assert rows[0].keys() == {
             "id", "hour", "buyer", "seller", "direction", "quantity_mw",
             "premium_price", "status", "executed_mw", "trimmed_mw",
@@ -349,7 +349,7 @@ class TestTableDumps:
 
     def test_ledger_rows_match_entries(self, day24):
         res = simulation.simulate_day(day24)
-        rows = simulation.ledger_rows(res)
+        rows = list(simulation.ledger_rows(res))
         assert len(rows) == len(res.ledger.entries)
         assert all(row["tag"] in market.LEDGER_TAGS for row in rows)
 
