@@ -48,25 +48,28 @@ class DispatchableUnit:
             raise ValueError("marginal_cost must be finite")
 
 
-@dataclass(frozen=True)
-class JointScenario:
-    """One joint draw of prices and executed shift (signed MW, + = upward)."""
-
-    da_price: float
-    rt_price: float
-    executed: float
-
-    def __post_init__(self) -> None:
-        if not self.da_price > 0.0:
-            raise ValueError(f"da_price must be positive, got {self.da_price}")
-        if not math.isfinite(self.rt_price) or not math.isfinite(self.executed):
-            raise ValueError("rt_price and executed must be finite")
+# Draws per chunk of temporaries in risk_report (about 4 MB for a chunk) and
+# in generate_scenarios.
+_RISK_CHUNK = 65_536
 
 
-def _first_bad(bad: np.ndarray, values: np.ndarray, what: str, error=ValueError) -> None:
+def _first_bad(bad: np.ndarray, values: np.ndarray, what: str, error=ValueError,
+               start: int = 0) -> None:
+    """Raise for the first flagged draw; ``start`` is the index of values[0]."""
     if bad.any():
         i = int(np.argmax(bad))
-        raise error(f"scenario {i}: {what}, got {values[i]}")
+        raise error(f"scenario {start + i}: {what}, got {values[i]}")
+
+
+def _shareable(value) -> bool:
+    """A read-only float64 array over memory that no array can write to."""
+    if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
+        return False
+    while isinstance(value, np.ndarray):
+        if value.flags.writeable:
+            return False
+        value = value.base
+    return value is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +77,9 @@ class ScenarioSet:
     """Joint draws as parallel read-only arrays: draw i is (da[i], rt[i],
     executed[i]). ``weights`` marks an exhaustive enumeration of a discrete
     law; without it the set is a sample. Equality is identity; compare the
-    arrays with np.array_equal."""
+    arrays with np.array_equal. A read-only float64 input whose ``.base``
+    chain is read-only down to the array owning the memory is kept as it is;
+    any other, a read-only view of a writeable array too, is copied."""
 
     da: np.ndarray
     rt: np.ndarray
@@ -86,7 +91,7 @@ class ScenarioSet:
             value = getattr(self, name)
             if value is None:
                 continue
-            arr = np.array(value, dtype=np.float64)
+            arr = value if _shareable(value) else np.array(value, dtype=np.float64)
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
             if len(arr) != len(self.da):
@@ -178,36 +183,24 @@ def rt_dispatch(u: DispatchableUnit, rt_price: float) -> float:
     return u.da_schedule
 
 
-def revenue_unit(
-    u: DispatchableUnit, sc: JointScenario, rt_output: float | None = None
-) -> float:
-    """Two-settlement revenue with no cover sold."""
-    out = rt_dispatch(u, sc.rt_price) if rt_output is None else rt_output
-    return sc.da_price * u.da_schedule + (out - u.da_schedule) * sc.rt_price
-
-
-def revenue_unit_with_brs(
-    u: DispatchableUnit, sc: JointScenario, rt_output: float | None = None
-) -> float:
-    """Revenue gross of premiums with sc.executed MW of shift applied to the
-    settlement schedule."""
-    shifted = u.da_schedule + sc.executed
-    if not u.p_min - _MW_EPS <= shifted <= u.p_max + _MW_EPS:
-        raise ContractInfeasibleError(
-            f"shifted schedule {shifted} outside [{u.p_min}, {u.p_max}]"
-        )
-    out = rt_dispatch(u, sc.rt_price) if rt_output is None else rt_output
-    return sc.da_price * shifted + (out - shifted) * sc.rt_price
-
-
-def _dispatch_array(u: DispatchableUnit, rt: np.ndarray) -> np.ndarray:
-    if u.kind is UnitKind.BASE_LOAD:
-        return np.full_like(rt, u.da_schedule)
-    return np.where(
-        rt > u.marginal_cost,
-        u.p_max,
-        np.where(rt < u.marginal_cost, u.p_min, u.da_schedule),
-    )
+def _revenue_chunks(u: DispatchableUnit, scenarios: ScenarioSet):
+    """(slice, revenue without cover, revenue with cover) for each chunk of
+    at most _RISK_CHUNK draws, in order."""
+    for lo in range(0, len(scenarios), _RISK_CHUNK):
+        sl = slice(lo, lo + _RISK_CHUNK)
+        da, rt = scenarios.da[sl], scenarios.rt[sl]
+        shifted = u.da_schedule + scenarios.executed[sl]
+        outside = (shifted < u.p_min - _MW_EPS) | (shifted > u.p_max + _MW_EPS)
+        _first_bad(outside, shifted, f"shifted schedule outside [{u.p_min}, {u.p_max}]",
+                   ContractInfeasibleError, lo)
+        if u.kind is UnitKind.BASE_LOAD:
+            out = np.full_like(rt, u.da_schedule)
+        else:  # rt_dispatch over the chunk
+            out = np.where(rt > u.marginal_cost, u.p_max,
+                           np.where(rt < u.marginal_cost, u.p_min, u.da_schedule))
+        rev0 = da * u.da_schedule + (out - u.da_schedule) * rt
+        rev1 = da * shifted + (out - shifted) * rt
+        yield sl, rev0, rev1
 
 
 def risk_report(u: DispatchableUnit, scenarios: ScenarioSet) -> RiskReport:
@@ -215,35 +208,33 @@ def risk_report(u: DispatchableUnit, scenarios: ScenarioSet) -> RiskReport:
 
     Unweighted sets are treated as samples (variance with n-1). A weighted
     set is an exhaustive enumeration of a discrete joint law; moments are
-    then exact under the weights.
+    then exact under the weights. Two walks over chunks, for the means and
+    then the squared deviations, add their chunk sums with math.fsum; one
+    chunk gives exactly np.mean, np.var(ddof=1) or the weighted dot products.
     """
-    if len(scenarios) < 2:
-        raise ValueError(f"need at least 2 scenarios, got {len(scenarios)}")
-    da, rt = scenarios.da, scenarios.rt
-    shifted = u.da_schedule + scenarios.executed
-    outside = (shifted < u.p_min - _MW_EPS) | (shifted > u.p_max + _MW_EPS)
-    _first_bad(outside, shifted, f"shifted schedule outside [{u.p_min}, {u.p_max}]",
-               ContractInfeasibleError)
-    out = _dispatch_array(u, rt)
-    rev0 = da * u.da_schedule + (out - u.da_schedule) * rt
-    rev1 = da * shifted + (out - shifted) * rt
-    delta = rev1 - rev0
-
+    n = len(scenarios)
+    if n < 2:
+        raise ValueError(f"need at least 2 scenarios, got {n}")
     w = scenarios.weights
-    if w is None:
-        mean_delta = float(np.mean(delta))
-        var0 = float(np.var(rev0, ddof=1))
-        var1 = float(np.var(rev1, ddof=1))
-    else:
-        mean_delta = float(w @ delta)
-        var0 = float(w @ (rev0 - w @ rev0) ** 2)
-        var1 = float(w @ (rev1 - w @ rev1) ** 2)
-    return RiskReport(
-        expected_delta=mean_delta,
-        variance_without=var0,
-        variance_with=var1,
-        incremental_variance=var1 - var0,
-    )
+    # A sample divides by n, and by n - 1 for the variance; weights sum to 1.
+    mean_div, var_div = (n, n - 1) if w is None else (1.0, 1.0)
+
+    def chunk_sum(x: np.ndarray, sl: slice) -> float:
+        return float(x.sum()) if w is None else float(w[sl] @ x)
+
+    sums = ([], [], [])
+    for sl, rev0, rev1 in _revenue_chunks(u, scenarios):
+        for x, parts in zip((rev0, rev1, rev1 - rev0), sums):
+            parts.append(chunk_sum(x, sl))
+    mean0, mean1, mean_delta = (math.fsum(parts) / mean_div for parts in sums)
+    squares = ([], [])
+    for sl, rev0, rev1 in _revenue_chunks(u, scenarios):
+        for x, mean, parts in zip((rev0, rev1), (mean0, mean1), squares):
+            x -= mean
+            x *= x
+            parts.append(chunk_sum(x, sl))
+    var0, var1 = (math.fsum(parts) / var_div for parts in squares)
+    return RiskReport(mean_delta, var0, var1, var1 - var0)
 
 
 def compare_kinds(
@@ -268,16 +259,24 @@ def generate_scenarios(model: ScenarioModel, n: int, seed: int) -> ScenarioSet:
     the DA price is flat."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    z1, z2, z3 = rng.standard_normal((3, n))
-    da = model.da_price_mean + model.da_price_std * z3
-    rt = da - model.gap_std * z1
+    z = np.random.default_rng(seed).standard_normal((3, n))
+    z1, z2, z3 = z
+    # In place, rounded as shift = std_e*(rho*(-z1) + sqrt(1-rho^2)*z2),
+    # da = mean + std*z3 and rt = da - gap*z1; z1*(-rho) is the only
+    # temporary, one chunk at a time. The set keeps the read-only buffer.
     rho = model.correlation
-    shift = model.execution_std * (rho * (-z1) + math.sqrt(1.0 - rho * rho) * z2)
-    # Free the normals before the set copies its arrays: lower peak memory.
-    del z1, z2, z3
+    z2 *= math.sqrt(1.0 - rho * rho)
+    for lo in range(0, n, _RISK_CHUNK):
+        z2[lo:lo + _RISK_CHUNK] += z1[lo:lo + _RISK_CHUNK] * (-rho)
+    z2 *= model.execution_std
     if model.execution_limit is not None:
-        shift = np.clip(shift, -model.execution_limit, model.execution_limit)
+        np.clip(z2, -model.execution_limit, model.execution_limit, out=z2)
+    z3 *= model.da_price_std
+    z3 += model.da_price_mean
+    z1 *= model.gap_std
+    np.subtract(z3, z1, out=z1)
+    z.flags.writeable = False
+    rt, shift, da = z
     return ScenarioSet(da, rt, shift)
 
 

@@ -12,12 +12,16 @@ cannot change an oracle along with the code it judges.
   into a scenario document, for round trips through the loader.
 - ``read_table`` reads back a CSV or JSON table written by
   ``dataio.write_table``.
+- ``JointScenario``, ``revenue_unit`` and ``revenue_unit_with_brs`` price
+  one draw with scalar arithmetic, the way ``provider`` did before its
+  risk moments were taken over arrays of draws.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -27,6 +31,7 @@ from scipy.stats import beta as _beta
 
 from brsim.dataio import ScenarioConfig
 from brsim.forecast import ForecastDistribution
+from brsim.provider import _MW_EPS, ContractInfeasibleError, DispatchableUnit, rt_dispatch
 
 # Normalized-scale tolerances for the quantile root find. The contract asks
 # for 1e-10 absolute; brentq converges fast enough that tightening is free,
@@ -189,3 +194,40 @@ def read_table(path: str | Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         return [{k: _parse_cell(v) for k, v in row.items()} for row in reader]
+
+
+@dataclass(frozen=True)
+class JointScenario:
+    """One joint draw of prices and executed shift (signed MW, + = upward)."""
+
+    da_price: float
+    rt_price: float
+    executed: float
+
+    def __post_init__(self) -> None:
+        if not self.da_price > 0.0:
+            raise ValueError(f"da_price must be positive, got {self.da_price}")
+        if not math.isfinite(self.rt_price) or not math.isfinite(self.executed):
+            raise ValueError("rt_price and executed must be finite")
+
+
+def revenue_unit(
+    u: DispatchableUnit, sc: JointScenario, rt_output: float | None = None
+) -> float:
+    """Two-settlement revenue with no cover sold."""
+    out = rt_dispatch(u, sc.rt_price) if rt_output is None else rt_output
+    return sc.da_price * u.da_schedule + (out - u.da_schedule) * sc.rt_price
+
+
+def revenue_unit_with_brs(
+    u: DispatchableUnit, sc: JointScenario, rt_output: float | None = None
+) -> float:
+    """Revenue gross of premiums with sc.executed MW of shift applied to the
+    settlement schedule."""
+    shifted = u.da_schedule + sc.executed
+    if not u.p_min - _MW_EPS <= shifted <= u.p_max + _MW_EPS:
+        raise ContractInfeasibleError(
+            f"shifted schedule {shifted} outside [{u.p_min}, {u.p_max}]"
+        )
+    out = rt_dispatch(u, sc.rt_price) if rt_output is None else rt_output
+    return sc.da_price * shifted + (out - shifted) * sc.rt_price

@@ -17,7 +17,7 @@ import oracles
 from brsim import forecast, market, provider, simulation, vg
 from brsim.dataio import load_scenario, scenario_from_dict
 from brsim.market import ContractStatus
-from brsim.provider import DispatchableUnit, JointScenario, ScenarioModel, UnitKind
+from brsim.provider import DispatchableUnit, ScenarioModel, UnitKind
 from brsim.vg import DOWN, UP, BrsPosition, PenaltyFactors, VgSchedule
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -268,7 +268,7 @@ def test_criterion_05_settlement_equivalence_and_zero_sum():
                 executed = sum(c.executed_mw for c in live if c.seller == uc.id and c.direction is UP) - sum(
                     c.executed_mw for c in live if c.seller == uc.id and c.direction is DOWN
                 )
-                sc = JointScenario(
+                sc = oracles.JointScenario(
                     da_price=cfg.da_price[h],
                     rt_price=cfg.rt_price[h],
                     executed=executed,
@@ -277,7 +277,7 @@ def test_criterion_05_settlement_equivalence_and_zero_sum():
                     c.premium_price * c.quantity for c in live if c.seller == uc.id
                 )
                 unit_expected = (
-                    provider.revenue_unit_with_brs(
+                    oracles.revenue_unit_with_brs(
                         unit, sc, rt_output=provider.rt_dispatch(unit, cfg.rt_price[h])
                     )
                     + unit_premiums

@@ -260,6 +260,20 @@ class TestSupplyRisk:
         assert code == 2
         assert "usage error" in err
 
+    # Tables written before risk_report walked the set in chunks; 300,000
+    # draws span five chunks.
+    @pytest.mark.parametrize("name, flags", [
+        ("samples300000_seed7", ["--samples", "300000", "--seed", "7", "--correlation", "0.4"]),
+        ("exhaustive", ["--exhaustive"]),
+    ])
+    def test_matches_golden(self, capsys, tmp_path, name, flags):
+        path = tmp_path / "risk.csv"
+        code, out, _ = run_cli(capsys, "supply-risk", "--unit-kind", "both", *flags,
+                               "--out", str(path))
+        assert code == 0
+        assert out.startswith(f"wrote {path}\nverdict: ")
+        assert path.read_bytes() == (GOLDEN / f"supply_risk_{name}.csv").read_bytes()
+
     def test_seed_changes_sampled_rows(self, capsys):
         _, out_a, _ = run_cli(capsys, "supply-risk", "--samples", "500", "--seed", "1")
         _, out_b, _ = run_cli(capsys, "supply-risk", "--samples", "500", "--seed", "1")

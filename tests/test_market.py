@@ -19,8 +19,9 @@ from brsim.market import (
     SettlementLedger,
     ZonalRule,
 )
-from brsim.provider import DispatchableUnit, JointScenario, UnitKind
+from brsim.provider import DispatchableUnit, UnitKind
 from brsim.vg import DOWN, UP, BrsPosition, PenaltyFactors, VgSchedule
+from oracles import JointScenario, revenue_unit_with_brs
 
 PF = PenaltyFactors(over=0.3, under=0.3)
 
@@ -607,5 +608,5 @@ def test_full_hour_settlement_equivalence(case):
 
     executed = claim.executed_up - claim.executed_down
     sc = JointScenario(da_price=s.da_price, rt_price=lam_r, executed=executed)
-    unit_expected = provider.revenue_unit_with_brs(unit, sc, rt_output=rt_out) + premiums
+    unit_expected = revenue_unit_with_brs(unit, sc, rt_output=rt_out) + premiums
     assert led.net("g1") == pytest.approx(unit_expected, rel=1e-9, abs=1e-6)

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from brsim import provider
 from brsim.provider import (
     ContractInfeasibleError,
     DispatchableUnit,
-    JointScenario,
     ScenarioModel,
     ScenarioSet,
     UnitKind,
 )
+from oracles import JointScenario, revenue_unit, revenue_unit_with_brs
 
 
 def base_unit(schedule=200.0):
@@ -74,30 +75,30 @@ class TestRtDispatch:
 class TestRevenues:
     def test_base_load_flat(self):
         sc = JointScenario(da_price=30.0, rt_price=25.0, executed=0.0)
-        assert provider.revenue_unit(base_unit(), sc) == pytest.approx(6000.0)
+        assert revenue_unit(base_unit(), sc) == pytest.approx(6000.0)
 
     def test_marginal_backs_down_when_rt_cheap(self):
         sc = JointScenario(da_price=30.0, rt_price=25.0, executed=0.0)
         # Output at p_min 150: 6000 + (150-200)*25.
-        assert provider.revenue_unit(marginal_unit(), sc) == pytest.approx(4750.0)
+        assert revenue_unit(marginal_unit(), sc) == pytest.approx(4750.0)
 
     def test_marginal_ramps_when_rt_rich(self):
         sc = JointScenario(da_price=30.0, rt_price=40.0, executed=0.0)
-        assert provider.revenue_unit(marginal_unit(), sc) == pytest.approx(8000.0)
+        assert revenue_unit(marginal_unit(), sc) == pytest.approx(8000.0)
 
     def test_shift_worth_price_gap(self):
         sc = JointScenario(da_price=30.0, rt_price=25.0, executed=10.0)
         u = base_unit()
-        assert provider.revenue_unit_with_brs(u, sc) == pytest.approx(6050.0)
+        assert revenue_unit_with_brs(u, sc) == pytest.approx(6050.0)
 
     def test_shift_must_stay_in_range(self):
         sc = JointScenario(da_price=30.0, rt_price=25.0, executed=60.0)
         with pytest.raises(ContractInfeasibleError):
-            provider.revenue_unit_with_brs(base_unit(), sc)
+            revenue_unit_with_brs(base_unit(), sc)
 
     def test_rt_output_override(self):
         sc = JointScenario(da_price=30.0, rt_price=25.0, executed=0.0)
-        got = provider.revenue_unit(base_unit(), sc, rt_output=220.0)
+        got = revenue_unit(base_unit(), sc, rt_output=220.0)
         assert got == pytest.approx(6000.0 + 20.0 * 25.0)
 
 
@@ -123,6 +124,41 @@ class TestScenarioSet:
         da[0] = -1.0
         assert da.flags.writeable
         assert scs.da[0] == 30.0
+
+    def test_keeps_read_only_arrays_and_copies_the_rest(self):
+        owned = np.array([30.0, 31.0])
+        owned.flags.writeable = False
+        single = np.array([25.0, 35.0], dtype=np.float32)
+        single.flags.writeable = False
+        scs = ScenarioSet(da=owned, rt=single, executed=[0.0, 1.0])
+        assert scs.da is owned
+        assert scs.rt.dtype == np.float64 and not np.shares_memory(scs.rt, single)
+
+    def test_copies_a_read_only_view_of_a_writeable_array(self):
+        base = np.array([30.0, 31.0, 32.0])
+        view = base[:]
+        view.flags.writeable = False
+        scs = ScenarioSet(da=view, rt=view, executed=np.zeros(3))
+        base[0] = -1.0
+        assert scs.da[0] == 30.0 and scs.rt[0] == 30.0
+        assert not np.shares_memory(scs.da, base)
+
+    def test_copies_a_read_only_array_over_foreign_memory(self):
+        memory = bytearray(np.array([30.0, 31.0]).tobytes())
+        da = np.frombuffer(memory)
+        da.flags.writeable = False
+        scs = ScenarioSet(da=da, rt=[25.0, 35.0], executed=[0.0, 1.0])
+        memory[:8] = np.array([-1.0]).tobytes()
+        assert scs.da[0] == 30.0
+
+    def test_generated_set_shares_one_read_only_buffer(self):
+        scs = provider.generate_scenarios(ScenarioModel(), 100, seed=1)
+        buffer = scs.da.base
+        assert buffer.shape == (3, 100) and not buffer.flags.writeable
+        for arr in (scs.da, scs.rt, scs.executed):
+            assert arr.base is buffer
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
     def test_rejects_non_positive_da(self, bad):
@@ -231,6 +267,137 @@ class TestEnumeratedLaw:
         assert cmp_.base.incremental_variance == 2500.0
         assert cmp_.marginal.incremental_variance == 2500.0
         assert not cmp_.marginal_less_risky
+
+
+C = provider._RISK_CHUNK
+RISK_MODEL = ScenarioModel(
+    da_price_mean=30.0, da_price_std=2.0, gap_std=5.0, execution_std=10.0,
+    correlation=0.4, execution_limit=provider.RISK_HEADROOM,
+)
+UNITS = [provider.RISK_UNITS["base_load"], provider.RISK_UNITS["marginal"]]
+
+
+def chunk_test_sets(n):
+    """A generated set of n draws, and the same draws with random weights."""
+    scs = provider.generate_scenarios(RISK_MODEL, n, seed=n)
+    w = np.random.default_rng(n).random(n)
+    w /= w.sum()
+    return scs, ScenarioSet(scs.da, scs.rt, scs.executed, weights=w)
+
+
+def whole_set_report(u, scs):
+    """risk_report's moments as taken over the whole set at once, before it
+    walked the set in chunks."""
+    da, rt, w = scs.da, scs.rt, scs.weights
+    shifted = u.da_schedule + scs.executed
+    if u.kind is UnitKind.BASE_LOAD:
+        out = np.full_like(rt, u.da_schedule)
+    else:
+        out = np.where(rt > u.marginal_cost, u.p_max,
+                       np.where(rt < u.marginal_cost, u.p_min, u.da_schedule))
+    rev0 = da * u.da_schedule + (out - u.da_schedule) * rt
+    rev1 = da * shifted + (out - shifted) * rt
+    delta = rev1 - rev0
+    if w is None:
+        return (float(np.mean(delta)), float(np.var(rev0, ddof=1)),
+                float(np.var(rev1, ddof=1)))
+    return (float(w @ delta), float(w @ (rev0 - w @ rev0) ** 2),
+            float(w @ (rev1 - w @ rev1) ** 2))
+
+
+def fsum_moments(xs, w=None):
+    """Mean and variance by exact summation: sample moments without weights."""
+    if w is None:
+        mean = math.fsum(xs) / len(xs)
+        return mean, math.fsum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+    mean = math.fsum(p * x for p, x in zip(w, xs))
+    return mean, math.fsum(p * (x - mean) ** 2 for p, x in zip(w, xs))
+
+
+class TestChunkedMoments:
+    # One draw is an error: TestRiskReport.test_needs_two_scenarios.
+    @pytest.mark.parametrize("n", [2, C - 1, C, C + 1, 2 * C + 1])
+    def test_matches_scalar_oracle_across_chunk_boundaries(self, n):
+        # Same oracle and tolerances as test_risk_report_matches_scalar_oracle.
+        sets = chunk_test_sets(n)
+        draws = [JointScenario(*row) for row in zip(sets[0].da.tolist(),
+                                                     sets[0].rt.tolist(),
+                                                     sets[0].executed.tolist())]
+        for u in UNITS:
+            rev0 = [revenue_unit(u, sc) for sc in draws]
+            rev1 = [revenue_unit_with_brs(u, sc) for sc in draws]
+            delta = [b - a for a, b in zip(rev0, rev1)]
+            scale = max(1.0, *map(abs, rev0), *map(abs, rev1))
+            tol = 1e-12 * scale**2
+            for scs in sets:
+                w = None if scs.weights is None else scs.weights.tolist()
+                mean = fsum_moments(delta, w)[0]
+                var0, var1 = fsum_moments(rev0, w)[1], fsum_moments(rev1, w)[1]
+                rep = provider.risk_report(u, scs)
+                assert rep.expected_delta == pytest.approx(mean, rel=1e-9, abs=1e-12 * scale)
+                assert rep.variance_without == pytest.approx(var0, rel=1e-9, abs=tol)
+                assert rep.variance_with == pytest.approx(var1, rel=1e-9, abs=tol)
+                assert rep.incremental_variance == pytest.approx(var1 - var0, rel=1e-9,
+                                                                 abs=2 * tol)
+
+    @pytest.mark.parametrize("n", [2, C - 1, C])
+    def test_one_chunk_is_bit_for_bit_the_whole_set(self, n):
+        for scs in chunk_test_sets(n):
+            for u in UNITS:
+                rep = provider.risk_report(u, scs)
+                mean, var0, var1 = whole_set_report(u, scs)
+                assert rep.expected_delta == mean
+                assert rep.variance_without == var0
+                assert rep.variance_with == var1
+                assert rep.incremental_variance == var1 - var0
+
+    def test_chunk_sums_are_added_exactly(self):
+        # Base-load deltas (da - rt) * shift of 2^40 fill the first chunk,
+        # 2^-14 the second, and one draw of -2^56 the third. The chunk sums
+        # 2^56, 4 and -2^56 cancel to 4, which a plain float sum rounds away.
+        da = np.full(2 * C + 1, 30.0)
+        rt = np.concatenate([np.full(C, 30.0 - 2.0**35), np.full(C, 30.0 - 2.0**-14),
+                             [30.0 - 2.0**51]])
+        executed = np.concatenate([np.full(C, 32.0), np.ones(C), [-32.0]])
+        rep = provider.risk_report(UNITS[0], ScenarioSet(da, rt, executed))
+        assert rep.expected_delta == 4.0 / (2 * C + 1)
+
+    @pytest.mark.parametrize("u", UNITS, ids=lambda u: u.kind.value)
+    def test_infeasible_draw_is_named_by_its_index_in_the_set(self, u):
+        scs = provider.generate_scenarios(RISK_MODEL, 2 * C + 1, seed=3)
+        executed = scs.executed.copy()
+        executed[C + 3] = -80.0
+        executed[2 * C] = 80.0
+        bad = ScenarioSet(scs.da, scs.rt, executed)
+        with pytest.raises(ContractInfeasibleError, match=f"^scenario {C + 3}: "):
+            provider.risk_report(u, bad)
+
+
+def traced_peak(fn):
+    """fn()'s result and its peak of traced memory above what was held."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_risk_memory_stays_near_the_scenario_set():
+    # The set is three float64 arrays. Generation fills them in place of the
+    # normals, and the reports hold one chunk of temporaries at a time.
+    n = 400_000
+    set_bytes = 3 * 8 * n
+    model = ScenarioModel(correlation=0.4, execution_limit=provider.RISK_HEADROOM)
+    scs, generation = traced_peak(lambda: provider.generate_scenarios(model, n, seed=7))
+    _, reports = traced_peak(lambda: provider.compare_kinds(*UNITS, scs))
+    assert generation <= 1.5 * set_bytes
+    assert reports < set_bytes
 
 
 def same_draws(a, b):
@@ -345,8 +512,8 @@ feasible_case = st.composite(feasible_cases)()
 @settings(max_examples=80, deadline=None)
 def test_shift_payoff_identity(case):
     u, sc = case
-    with_cover = provider.revenue_unit_with_brs(u, sc)
-    without = provider.revenue_unit(u, sc)
+    with_cover = revenue_unit_with_brs(u, sc)
+    without = revenue_unit(u, sc)
     expected = (sc.da_price - sc.rt_price) * sc.executed
     assert with_cover - without == pytest.approx(expected, abs=1e-6)
 
@@ -356,8 +523,8 @@ def test_shift_payoff_identity(case):
 def test_shift_payoff_identity_any_rt_output(case, rt_out):
     # The identity holds whatever output the unit actually runs at.
     u, sc = case
-    with_cover = provider.revenue_unit_with_brs(u, sc, rt_output=rt_out)
-    without = provider.revenue_unit(u, sc, rt_output=rt_out)
+    with_cover = revenue_unit_with_brs(u, sc, rt_output=rt_out)
+    without = revenue_unit(u, sc, rt_output=rt_out)
     expected = (sc.da_price - sc.rt_price) * sc.executed
     assert with_cover - without == pytest.approx(expected, abs=1e-6)
 
@@ -388,8 +555,8 @@ def test_risk_report_matches_scalar_oracle(case):
     # Per-draw revenues from the scalar functions, moments by exact
     # summation: sample moments without weights, exact ones with them.
     u, draws, weights = case
-    rev0 = [provider.revenue_unit(u, sc) for sc in draws]
-    rev1 = [provider.revenue_unit_with_brs(u, sc) for sc in draws]
+    rev0 = [revenue_unit(u, sc) for sc in draws]
+    rev1 = [revenue_unit_with_brs(u, sc) for sc in draws]
     delta = [b - a for a, b in zip(rev0, rev1)]
     if weights is None:
         mean = statistics.fmean(delta)
