@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 domain error (bad files, infeasible inputs),
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -18,6 +17,10 @@ from .market import PhaseError
 from .provider import RISK_HEADROOM, RISK_UNITS, ScenarioModel
 
 DEFAULT_PRICE_RATIOS = tuple(round(0.05 * i, 2) for i in range(11))  # 0 .. 0.5
+# The largest value a price, ratio or scale flag takes. It is the scenario
+# schema's bound on prices and factors, which keeps every cash flow and
+# variance finite (see docs/schemas.md).
+_FLAG_MAX = 1e6
 
 CONTRACT_COLUMNS = [
     "id", "hour", "buyer", "seller", "direction", "quantity_mw",
@@ -50,8 +53,8 @@ def _emit(rows, args) -> None:
 
 
 def _check_nonnegative(flag: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0.0):
-        raise UsageError(f"{flag} must be finite and >= 0, got {value}")
+    if not 0.0 <= value <= _FLAG_MAX:
+        raise UsageError(f"{flag} must be in [0, {_FLAG_MAX:g}], got {value}")
 
 
 def _check_hour(cfg: dataio.ScenarioConfig, hour: int) -> int:
@@ -78,11 +81,12 @@ def cmd_optimal(args) -> None:
     cfg = dataio.load_scenario(args.scenario)
     hour = _check_hour(cfg, args.hour)
     s, pf, d = simulation.hour_context(cfg, hour)
+    for flag, price in (("--down-price", args.down_price), ("--up-price", args.up_price)):
+        if price is not None:
+            _check_nonnegative(flag, price)
     model_down, model_up = cfg.brs_price.prices_at(s.da_price)
     down_price = args.down_price if args.down_price is not None else model_down
     up_price = args.up_price if args.up_price is not None else model_up
-    _check_nonnegative("--down-price", down_price)
-    _check_nonnegative("--up-price", up_price)
     pos = vg.optimal_position(s, pf, d, down_price, up_price)
     report = vg.oic_report(s, pf, pos, d)
     gross = vg.expected_revenue(s, pf, pos, d)

@@ -292,6 +292,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: invalid JSON: nested too deeply") from None
     return scenario_from_dict(data, source=str(path))
 
 

@@ -1,9 +1,11 @@
 """Bilateral re-dispatch capacity market for one delivery hour.
 
-Lifecycle: DA clearing happens elsewhere; this module runs the capacity
-window (offers, matching), physical validation against seller headroom,
-execution claims against realized output, and the cash settlement that makes
-every hour a closed zero-sum ledger against the settlement pool.
+Lifecycle: DA clearing happens elsewhere. Each hour runs four functions in
+order: ``match_offers`` (the capacity window, once per side),
+``validate_contracts`` (seller headroom), ``claim_execution`` (realized
+output) and ``settle`` (a closed zero-sum ledger against the settlement
+pool). Each contract's status enforces that order: an operation on a
+contract in the wrong status raises PhaseError.
 """
 from __future__ import annotations
 
@@ -16,28 +18,16 @@ import numpy as np
 
 from . import vg as vg_econ
 from .forecast import ForecastDistribution
-from .provider import DispatchableUnit
+from .provider import _MW_EPS, DispatchableUnit
 from .vg import DOWN, UP, Direction, PenaltyFactors, VgSchedule
 
 POOL = "pool"
 
 LEDGER_TAGS = ("premium", "da_energy", "brs_energy_shift", "rt_imbalance", "penalty")
 
-# MW below which a fill or execution share is treated as nothing.
-_MW_EPS = 1e-9
-
 
 class PhaseError(RuntimeError):
-    """Operation attempted outside its lifecycle phase."""
-
-
-class Phase(enum.Enum):
-    DA_CLEARED = 0
-    BRS_WINDOW_OPEN = 1
-    BRS_WINDOW_CLOSED = 2
-    VALIDATED = 3
-    RT_CLAIMED = 4
-    SETTLED = 5
+    """Operation attempted on a contract outside its lifecycle status."""
 
 
 class ContractStatus(str, enum.Enum):
@@ -153,7 +143,10 @@ class SettlementLedger:
         if tag not in LEDGER_TAGS:
             raise ValueError(f"unknown ledger tag {tag!r}")
         if amount < 0.0 or not math.isfinite(amount):
-            raise ValueError(f"amount must be finite and >= 0, got {amount}")
+            raise ValueError(
+                f"hour {hour}: {tag} from {payer!r} to {payee!r} must be finite "
+                f"and >= 0, got {amount}"
+            )
         if amount == 0.0:
             return
         self.entries.append(LedgerEntry(hour, payer, payee, amount, tag))
@@ -161,21 +154,9 @@ class SettlementLedger:
     def extend(self, other: "SettlementLedger") -> None:
         self.entries.extend(other.entries)
 
-    def parties(self) -> list[str]:
-        return list(self.net_by_party())
-
-    def net(self, party: str) -> float:
-        total = 0.0
-        for e in self.entries:
-            if e.payee == party:
-                total += e.amount
-            if e.payer == party:
-                total -= e.amount
-        return total
-
     def net_by_party(self) -> dict[str, float]:
         """Each party's net, in order of first appearance (payer before
-        payee), summed in entry order exactly as ``net`` sums it."""
+        payee), summed in entry order."""
         nets: dict[str, float] = {}
         for e in self.entries:
             nets[e.payer] = nets.get(e.payer, 0.0) - e.amount
@@ -463,81 +444,3 @@ def settle(acc: HourAccounts) -> SettlementLedger:
                 ledger.add(acc.hour, POOL, uid, -lam_r * (-dev), "rt_imbalance")
 
     return ledger
-
-
-class HourMarket:
-    """Phase machine for one delivery hour.
-
-    open_window -> post_offer*/run_matching -> close_window -> validate ->
-    claim -> settle. Operations outside their phase raise PhaseError.
-    """
-
-    def __init__(self, hour: int, buyer: str = "vg", id_start: int = 0) -> None:
-        self.hour = hour
-        self.buyer = buyer
-        self.id_start = id_start
-        self.phase = Phase.DA_CLEARED
-        self.offers: list[Offer] = []
-        self.contracts: list[BrsContract] = []
-        self._claim: ExecutionClaim | None = None
-
-    def _require(self, *phases: Phase) -> None:
-        if self.phase not in phases:
-            allowed = ", ".join(p.name for p in phases)
-            raise PhaseError(
-                f"hour {self.hour}: operation requires phase {allowed}, "
-                f"currently {self.phase.name}"
-            )
-
-    def open_window(self) -> Phase:
-        self._require(Phase.DA_CLEARED)
-        self.phase = Phase.BRS_WINDOW_OPEN
-        return self.phase
-
-    def post_offer(self, offer: Offer) -> bool:
-        self._require(Phase.BRS_WINDOW_OPEN)
-        if offer.hour != self.hour:
-            raise ValueError(f"offer for hour {offer.hour} posted to hour {self.hour}")
-        self.offers.append(offer)
-        return True
-
-    def run_matching(self, desired: list[float]) -> list[BrsContract]:
-        """Match both sides of the book; ``desired`` is ``buyer_demand`` of
-        the posted offers, in posting order."""
-        self._require(Phase.BRS_WINDOW_OPEN)
-        for direction in (DOWN, UP):
-            new = match_offers(
-                self.offers, desired, direction, self.buyer,
-                id_start=self.id_start + len(self.contracts),
-            )
-            self.contracts.extend(new)
-        return self.contracts
-
-    def close_window(self) -> Phase:
-        self._require(Phase.BRS_WINDOW_OPEN)
-        self.phase = Phase.BRS_WINDOW_CLOSED
-        return self.phase
-
-    def validate(
-        self,
-        units: dict[str, DispatchableUnit],
-        buyer_zone: str | None = None,
-        unit_zones: dict[str, str] | None = None,
-        zonal_rule: ZonalRule | None = None,
-    ) -> Phase:
-        self._require(Phase.BRS_WINDOW_CLOSED)
-        validate_contracts(self.contracts, units, buyer_zone, unit_zones, zonal_rule)
-        self.phase = Phase.VALIDATED
-        return self.phase
-
-    def claim(self, da_quantity: float, claimed_output: float) -> ExecutionClaim:
-        self._require(Phase.VALIDATED)
-        self._claim = claim_execution(self.contracts, da_quantity, claimed_output)
-        self.phase = Phase.RT_CLAIMED
-        return self._claim
-
-    def settle(self, acc: HourAccounts) -> SettlementLedger:
-        self._require(Phase.RT_CLAIMED)
-        ledger = settle(acc)
-        self.phase = Phase.SETTLED
-        return ledger

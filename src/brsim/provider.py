@@ -20,8 +20,8 @@ class UnitKind(str, enum.Enum):
 
 
 # Feasibility slack in MW. Full-headroom contracts reconstruct range edges by
-# subtraction, which can land an ulp outside; the same slack is used by the
-# matching and settlement layers.
+# subtraction, which can land an ulp outside. The market uses the same slack,
+# and treats a fill or execution share at or below it as nothing.
 _MW_EPS = 1e-9
 
 

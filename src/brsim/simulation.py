@@ -11,14 +11,7 @@ import numpy as np
 
 from . import forecast, market, provider, vg
 from .dataio import ScenarioConfig, UnitConfig
-from .market import (
-    BrsContract,
-    HourAccounts,
-    HourMarket,
-    Offer,
-    SettlementLedger,
-    ZonalRule,
-)
+from .market import BrsContract, HourAccounts, Offer, SettlementLedger, ZonalRule
 from .provider import DispatchableUnit, UnitKind
 from .vg import PenaltyFactors, VgSchedule
 
@@ -45,10 +38,6 @@ class DayResult:
         for h in self.hours:
             merged.extend(h.ledger)
         return merged
-
-    @property
-    def contracts(self) -> list[BrsContract]:
-        return [c for h in self.hours for c in h.contracts]
 
     def party_totals(self) -> dict[str, float]:
         return self.ledger.net_by_party()
@@ -189,9 +178,11 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     s, pf, d = _horizon_inputs(cfg)
     # Offers per hour in posting order, which matching depends on, each with
     # the buyer's demand at its price.
-    book: dict[int, list[tuple[Offer, float]]] = {}
+    book: dict[int, tuple[list[Offer], list[float]]] = {}
     for offer, desired in zip(offers, market.buyer_demand(offers, s, pf, d)):
-        book.setdefault(offer.hour, []).append((offer, desired))
+        posted, wants = book.setdefault(offer.hour, ([], []))
+        posted.append(offer)
+        wants.append(desired)
 
     unit_hours = [(uc.id, _unit_hours(uc)) for uc in cfg.units]
     hours: list[HourOutcome] = []
@@ -200,15 +191,15 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
         schedule, da_price = cfg.vg.da_schedule_mw[h], cfg.da_price[h]
         units = {uid: next(at_hour) for uid, at_hour in unit_hours}
 
-        hm = HourMarket(h, buyer=cfg.vg.id, id_start=next_contract_id)
-        hm.open_window()
-        posted = book.get(h, [])
-        for offer, _ in posted:
-            hm.post_offer(offer)
-        hm.run_matching([desired for _, desired in posted])
-        next_contract_id += len(hm.contracts)
-        hm.close_window()
-        hm.validate(units, cfg.vg.zone, unit_zones, zonal_rule)
+        posted, wants = book.get(h, ([], []))
+        contracts = market.match_offers(
+            posted, wants, vg.DOWN, cfg.vg.id, id_start=next_contract_id
+        )
+        contracts += market.match_offers(
+            posted, wants, vg.UP, cfg.vg.id, id_start=next_contract_id + len(contracts)
+        )
+        next_contract_id += len(contracts)
+        market.validate_contracts(contracts, units, cfg.vg.zone, unit_zones, zonal_rule)
 
         realized = cfg.vg.realized_mw[h]
         claimed = realized
@@ -220,7 +211,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
                     cfg.vg.capacity_mw,
                 )
             )
-        claim = hm.claim(schedule, claimed)
+        claim = market.claim_execution(contracts, schedule, claimed)
 
         rt_price = cfg.rt_price[h]
         vg_modified = schedule + claim.executed_down - claim.executed_up
@@ -246,7 +237,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
                 f"hour {h}: executions changed the scheduled total by {shifted} MW"
             )
 
-        ledger = hm.settle(
+        ledger = market.settle(
             HourAccounts(
                 hour=h,
                 vg_id=cfg.vg.id,
@@ -255,7 +246,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
                 penalty=pf,
                 vg_da_schedule=schedule,
                 vg_realized=realized,
-                contracts=hm.contracts,
+                contracts=contracts,
                 units=units,
                 unit_rt_output=unit_rt_output,
             )
@@ -268,7 +259,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
         factor = 1.0 - pf.over if residual > 0.0 else 1.0 + pf.under
         flows = [-da_price * scheduled, -factor * da_price * residual]
         flows += [-rt_price * (unit_rt_output[uid] - unit_modified[uid]) for uid in unit_modified]
-        pool_net, owed = ledger.net(market.POOL), math.fsum(flows)
+        pool_net, owed = ledger.net_by_party().get(market.POOL, 0.0), math.fsum(flows)
         if abs(pool_net - owed) > 1e-9 * max(1.0, math.fsum(map(abs, flows))):
             raise AssertionError(f"hour {h}: pool net {pool_net} differs from {owed} owed")
 
@@ -280,7 +271,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
                 vg_realized=realized,
                 unit_schedules=unit_schedules,
                 unit_modified=unit_modified,
-                contracts=list(hm.contracts),
+                contracts=contracts,
                 ledger=ledger,
             )
         )

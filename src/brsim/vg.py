@@ -14,7 +14,6 @@ apply elementwise; a scalar call returns Python scalars.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +28,6 @@ class Direction(str, enum.Enum):
 
     DOWN_COVERS_OVER = "down"
     UP_COVERS_UNDER = "up"
-
-    @classmethod
-    def from_label(cls, label: str) -> "Direction":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown direction {label!r}, expected 'down' or 'up'")
 
 
 DOWN = Direction.DOWN_COVERS_OVER
@@ -111,13 +103,6 @@ class OicReport:
     consumer_surplus: float
 
 
-def _check_actual(actual: float, capacity: float | None) -> None:
-    if actual < 0.0 or not math.isfinite(actual):
-        raise ValueError(f"actual output must be finite and >= 0, got {actual}")
-    if capacity is not None and actual > capacity:
-        raise ValueError(f"actual output {actual} exceeds capacity {capacity}")
-
-
 def _check_schedule_fits(s: VgSchedule, d: ForecastDistribution) -> None:
     fail_where(
         s.da_quantity > d.capacity,
@@ -137,42 +122,6 @@ def _check_position_fits(pos: BrsPosition, s: VgSchedule, d: ForecastDistributio
     )
 
 
-def revenue_realized(
-    s: VgSchedule, pf: PenaltyFactors, actual: float, capacity: float | None = None
-) -> float:
-    """Settled revenue with no re-dispatch cover: deviations clear at the
-    penalized DA price."""
-    _check_actual(actual, capacity)
-    lam = s.da_price
-    if actual >= s.da_quantity:
-        return lam * s.da_quantity + (1.0 - pf.over) * lam * (actual - s.da_quantity)
-    return lam * s.da_quantity - (1.0 + pf.under) * lam * (s.da_quantity - actual)
-
-
-def revenue_with_brs(
-    s: VgSchedule,
-    pf: PenaltyFactors,
-    pos: BrsPosition,
-    actual: float,
-    capacity: float | None = None,
-) -> float:
-    """Settled revenue gross of premiums, with the covered band [schedule -
-    up_qty, schedule + down_qty] paying the full DA price."""
-    _check_actual(actual, capacity)
-    if pos.up_qty > s.da_quantity + 1e-9:
-        raise ValueError(f"up_qty {pos.up_qty} exceeds schedule {s.da_quantity}")
-    if capacity is not None and pos.down_qty > capacity - s.da_quantity + 1e-9:
-        raise ValueError("down_qty exceeds headroom")
-    lam = s.da_price
-    hi = s.da_quantity + pos.down_qty
-    lo = s.da_quantity - pos.up_qty
-    if actual > hi:
-        return lam * hi + (1.0 - pf.over) * lam * (actual - hi)
-    if actual < lo:
-        return lam * lo - (1.0 + pf.under) * lam * (lo - actual)
-    return lam * actual
-
-
 def premium_cost(pos: BrsPosition) -> float:
     return pos.down_price * pos.down_qty + pos.up_price * pos.up_qty
 
@@ -180,7 +129,10 @@ def premium_cost(pos: BrsPosition) -> float:
 def expected_revenue(
     s: VgSchedule, pf: PenaltyFactors, pos: BrsPosition, d: ForecastDistribution
 ):
-    """Expectation of revenue_with_brs under the forecast, in closed form.
+    """Expectation under the forecast, in closed form, of the settled
+    revenue with the covered band [schedule - up_qty, schedule + down_qty]
+    paid at the full DA price and deviations beyond it at the penalized DA
+    price.
 
     Gross of premiums. Splits the support at the covered band's edges and
     reduces each piece to CDF / partial-expectation terms; the partial

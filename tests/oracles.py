@@ -15,6 +15,11 @@ cannot change an oracle along with the code it judges.
 - ``JointScenario``, ``revenue_unit`` and ``revenue_unit_with_brs`` price
   one draw with scalar arithmetic, the way ``provider`` did before its
   risk moments were taken over arrays of draws.
+- ``revenue_realized`` and ``revenue_with_brs`` are the producer's settled
+  revenue at one realized output, the piecewise payoffs whose expectation
+  ``vg.expected_revenue`` takes in closed form.
+- ``ledger_net`` is one party's net over a ledger, summed entry by entry,
+  for checking ``SettlementLedger.net_by_party``.
 """
 from __future__ import annotations
 
@@ -31,7 +36,9 @@ from scipy.stats import beta as _beta
 
 from brsim.dataio import ScenarioConfig
 from brsim.forecast import ForecastDistribution
+from brsim.market import SettlementLedger
 from brsim.provider import _MW_EPS, ContractInfeasibleError, DispatchableUnit, rt_dispatch
+from brsim.vg import BrsPosition, PenaltyFactors, VgSchedule
 
 # Normalized-scale tolerances for the quantile root find. The contract asks
 # for 1e-10 absolute; brentq converges fast enough that tightening is free,
@@ -231,3 +238,57 @@ def revenue_unit_with_brs(
         )
     out = rt_dispatch(u, sc.rt_price) if rt_output is None else rt_output
     return sc.da_price * shifted + (out - shifted) * sc.rt_price
+
+
+def _check_actual(actual: float, capacity: float | None) -> None:
+    if actual < 0.0 or not math.isfinite(actual):
+        raise ValueError(f"actual output must be finite and >= 0, got {actual}")
+    if capacity is not None and actual > capacity:
+        raise ValueError(f"actual output {actual} exceeds capacity {capacity}")
+
+
+def revenue_realized(
+    s: VgSchedule, pf: PenaltyFactors, actual: float, capacity: float | None = None
+) -> float:
+    """Settled revenue with no re-dispatch cover: deviations clear at the
+    penalized DA price."""
+    _check_actual(actual, capacity)
+    lam = s.da_price
+    if actual >= s.da_quantity:
+        return lam * s.da_quantity + (1.0 - pf.over) * lam * (actual - s.da_quantity)
+    return lam * s.da_quantity - (1.0 + pf.under) * lam * (s.da_quantity - actual)
+
+
+def revenue_with_brs(
+    s: VgSchedule,
+    pf: PenaltyFactors,
+    pos: BrsPosition,
+    actual: float,
+    capacity: float | None = None,
+) -> float:
+    """Settled revenue gross of premiums, with the covered band [schedule -
+    up_qty, schedule + down_qty] paying the full DA price."""
+    _check_actual(actual, capacity)
+    if pos.up_qty > s.da_quantity + 1e-9:
+        raise ValueError(f"up_qty {pos.up_qty} exceeds schedule {s.da_quantity}")
+    if capacity is not None and pos.down_qty > capacity - s.da_quantity + 1e-9:
+        raise ValueError("down_qty exceeds headroom")
+    lam = s.da_price
+    hi = s.da_quantity + pos.down_qty
+    lo = s.da_quantity - pos.up_qty
+    if actual > hi:
+        return lam * hi + (1.0 - pf.over) * lam * (actual - hi)
+    if actual < lo:
+        return lam * lo - (1.0 + pf.under) * lam * (lo - actual)
+    return lam * actual
+
+
+def ledger_net(ledger: SettlementLedger, party: str) -> float:
+    """One party's net over the ledger, summed in entry order."""
+    total = 0.0
+    for e in ledger.entries:
+        if e.payee == party:
+            total += e.amount
+        if e.payer == party:
+            total -= e.amount
+    return total

@@ -144,7 +144,7 @@ def test_criterion_03_closed_form_vs_quadrature():
             }
         )
         numeric, _ = integrate.quad(
-            lambda p: vg.revenue_with_brs(s, pf, pos, p) * oracles.pdf(d, p),
+            lambda p: oracles.revenue_with_brs(s, pf, pos, p) * oracles.pdf(d, p),
             0.0,
             d.capacity,
             points=breaks,
@@ -258,9 +258,9 @@ def test_criterion_05_settlement_equivalence_and_zero_sum():
             )
             premiums = sum(c.premium_price * c.quantity for c in live)
             vg_expected = (
-                vg.revenue_with_brs(s, pf, pos, hour.vg_realized) - premiums
+                oracles.revenue_with_brs(s, pf, pos, hour.vg_realized) - premiums
             )
-            assert hour.ledger.net("w") == pytest.approx(
+            assert oracles.ledger_net(hour.ledger, "w") == pytest.approx(
                 vg_expected, rel=1e-9, abs=1e-6
             ), f"day {day_index} hour {h}: producer net mismatch"
             for uc in cfg.units:
@@ -282,7 +282,7 @@ def test_criterion_05_settlement_equivalence_and_zero_sum():
                     )
                     + unit_premiums
                 )
-                assert hour.ledger.net(uc.id) == pytest.approx(
+                assert oracles.ledger_net(hour.ledger, uc.id) == pytest.approx(
                     unit_expected, rel=1e-9, abs=1e-6
                 ), f"day {day_index} hour {h}: unit {uc.id} net mismatch"
     elapsed = time.perf_counter() - start

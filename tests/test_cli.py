@@ -282,12 +282,49 @@ class TestSupplyRisk:
         assert out_a != out_c
 
 
+def write_doc(tmp_path, name, edit):
+    """single_hour.json with ``edit`` applied to its parsed document."""
+    doc = json.loads(Path(SINGLE).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestBadScenario:
+    def test_deeply_nested_document(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run_cli(capsys, "optimal", str(path))
+        assert code == 1
+        assert err == f"error: {path}: invalid JSON: nested too deeply\n"
+        assert "Traceback" not in err and out == ""
+
+    # A finite number too large for the cash flows fails at load, with its
+    # JSON path, instead of overflowing to inf or nan.
+    @pytest.mark.parametrize("command", ["optimal", "profit-sweep", "simulate-day"])
+    def test_huge_da_price(self, capsys, tmp_path, command):
+        path = write_doc(tmp_path, "huge.json", lambda doc: doc.update(da_price=[1e308]))
+        out_dir = ["--out-dir", str(tmp_path)] if command == "simulate-day" else []
+        code, out, err = run_cli(capsys, command, path, *out_dir)
+        assert code == 1
+        assert err == f"error: {path}.da_price[0]: must be <= 1000000.0, got 1e+308\n"
+        assert out == ""
+
+    def test_huge_negative_rt_price(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "huge.json", lambda doc: doc.update(rt_price=[-1e308]))
+        code, out, err = run_cli(capsys, "simulate-day", path, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err == f"error: {path}.rt_price[0]: must be >= -1000000.0, got -1e+308\n"
+        assert out == ""
+
+
 # Bad flag values exit 2 with the flag's name, before any library call.
 BAD_FLAGS = [
-    ("--price-ratios", ["profit-sweep", DAY], ["nan", "inf", "-0.1", "0.1,-inf"]),
-    ("--variance-scales", ["profit-sweep", DAY], ["nan", "inf", "-1", "1,nan"]),
-    ("--down-price", ["optimal", DAY], ["nan", "inf", "-1"]),
-    ("--up-price", ["optimal", DAY], ["nan", "-inf", "-1"]),
+    ("--price-ratios", ["profit-sweep", DAY], ["nan", "inf", "-0.1", "0.1,-inf", "1e308"]),
+    ("--variance-scales", ["profit-sweep", DAY], ["nan", "inf", "-1", "1,nan", "1e308"]),
+    ("--down-price", ["optimal", DAY], ["nan", "inf", "-1", "1000001", "1e308"]),
+    ("--up-price", ["optimal", DAY], ["nan", "-inf", "-1", "1000001", "1e308"]),
     ("--points", ["demand-curve", DAY], ["0", "1", "-3"]),
     ("--alpha", ["demand-curve", DAY], ["nan", "1.5"]),
     ("--correlation", ["supply-risk", "--samples", "100"], ["nan", "2.0"]),

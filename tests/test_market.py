@@ -11,17 +11,15 @@ from brsim.market import (
     ContractStatus,
     ExecutionClaim,
     HourAccounts,
-    HourMarket,
     LedgerEntry,
     Offer,
-    Phase,
     PhaseError,
     SettlementLedger,
     ZonalRule,
 )
 from brsim.provider import DispatchableUnit, UnitKind
 from brsim.vg import DOWN, UP, BrsPosition, PenaltyFactors, VgSchedule
-from oracles import JointScenario, revenue_unit_with_brs
+from oracles import JointScenario, ledger_net, revenue_unit_with_brs, revenue_with_brs
 
 PF = PenaltyFactors(over=0.3, under=0.3)
 
@@ -107,6 +105,12 @@ class TestLedger:
         with pytest.raises(ValueError):
             led.add(0, "a", "b", float("inf"), "premium")
 
+    def test_bad_amount_names_its_flow(self):
+        led = SettlementLedger()
+        msg = r"^hour 7: premium from 'a' to 'b' must be finite and >= 0, got inf$"
+        with pytest.raises(ValueError, match=msg):
+            led.add(7, "a", "b", float("inf"), "premium")
+
     def test_zero_amounts_are_dropped(self):
         led = SettlementLedger()
         led.add(0, "a", "b", 0.0, "premium")
@@ -116,10 +120,10 @@ class TestLedger:
         led = SettlementLedger()
         led.add(0, "pool", "a", 100.0, "da_energy")
         led.add(0, "a", "b", 30.0, "premium")
-        assert led.net("a") == pytest.approx(70.0)
-        assert led.net("b") == pytest.approx(30.0)
-        assert led.net("pool") == pytest.approx(-100.0)
-        assert led.parties() == ["pool", "a", "b"]
+        assert ledger_net(led, "a") == pytest.approx(70.0)
+        assert ledger_net(led, "b") == pytest.approx(30.0)
+        assert ledger_net(led, "pool") == pytest.approx(-100.0)
+        assert list(led.net_by_party()) == ["pool", "a", "b"]
         assert led.net_by_party() == {
             "pool": pytest.approx(-100.0),
             "a": pytest.approx(70.0),
@@ -153,7 +157,7 @@ class TestLedger:
         nets = led.net_by_party()
         assert list(nets) == first_seen
         for party in first_seen:
-            assert nets[party] == led.net(party)
+            assert nets[party] == ledger_net(led, party)
 
     def test_nets_that_do_not_cancel_are_unbalanced(self, monkeypatch):
         led = SettlementLedger()
@@ -396,9 +400,9 @@ def worked_hour_accounts():
 class TestSettle:
     def test_worked_hour_nets(self):
         led = market.settle(worked_hour_accounts())
-        assert led.net("wind1") == pytest.approx(3590.0)
-        assert led.net("g1") == pytest.approx(5410.0)
-        assert led.net(market.POOL) == pytest.approx(-9000.0)
+        assert ledger_net(led, "wind1") == pytest.approx(3590.0)
+        assert ledger_net(led, "g1") == pytest.approx(5410.0)
+        assert ledger_net(led, market.POOL) == pytest.approx(-9000.0)
         assert led.is_balanced()
 
     def test_worked_hour_flows_by_tag(self):
@@ -498,35 +502,6 @@ class TestSettle:
             market.settle(acc)
 
 
-class TestHourMarket:
-    def test_operations_gated_by_phase(self):
-        hm = HourMarket(hour=0)
-        offer = Offer("g1", 0, DOWN, price=0.5, quantity=5.0)
-        with pytest.raises(PhaseError):
-            hm.post_offer(offer)
-        hm.open_window()
-        with pytest.raises(PhaseError):
-            hm.open_window()
-        hm.post_offer(offer)
-        with pytest.raises(PhaseError):
-            hm.validate({"g1": g_unit()})
-        hm.run_matching(market.buyer_demand(hm.offers, mid_schedule(), PF, beta22()))
-        hm.close_window()
-        with pytest.raises(PhaseError):
-            hm.post_offer(offer)
-        with pytest.raises(PhaseError):
-            hm.claim(50.0, 60.0)
-        hm.validate({"g1": g_unit()})
-        hm.claim(50.0, 60.0)
-        assert hm.phase is Phase.RT_CLAIMED
-
-    def test_offer_for_wrong_hour_rejected(self):
-        hm = HourMarket(hour=3)
-        hm.open_window()
-        with pytest.raises(ValueError):
-            hm.post_offer(Offer("g1", 2, DOWN, price=0.5, quantity=5.0))
-
-
 def settlement_cases(draw):
     capacity = draw(st.floats(min_value=80.0, max_value=300.0))
     mean = draw(st.floats(min_value=0.3, max_value=0.7)) * capacity
@@ -571,14 +546,11 @@ def test_full_hour_settlement_equivalence(case):
     # banded revenue minus premiums for the producer, shift payoff plus
     # premiums for the unit, and nets that cancel.
     d, s, pf, unit, offers, lam_r, realized = case
-    hm = HourMarket(hour=0, buyer="w")
-    hm.open_window()
-    for o in offers:
-        hm.post_offer(o)
-    hm.run_matching(market.buyer_demand(hm.offers, s, pf, d))
-    hm.close_window()
-    hm.validate({"g1": unit})
-    claim = hm.claim(s.da_quantity, realized)
+    desired = market.buyer_demand(offers, s, pf, d)
+    contracts = market.match_offers(offers, desired, DOWN, "w")
+    contracts += market.match_offers(offers, desired, UP, "w", id_start=len(contracts))
+    market.validate_contracts(contracts, {"g1": unit})
+    claim = market.claim_execution(contracts, s.da_quantity, realized)
     rt_out = provider.rt_dispatch(unit, lam_r)
     acc = HourAccounts(
         hour=0,
@@ -588,14 +560,14 @@ def test_full_hour_settlement_equivalence(case):
         penalty=pf,
         vg_da_schedule=s.da_quantity,
         vg_realized=realized,
-        contracts=hm.contracts,
+        contracts=contracts,
         units={"g1": unit},
         unit_rt_output={"g1": rt_out},
     )
-    led = hm.settle(acc)
+    led = market.settle(acc)
     assert led.is_balanced()
 
-    live = [c for c in hm.contracts if c.status is not ContractStatus.REJECTED]
+    live = [c for c in contracts if c.status is not ContractStatus.REJECTED]
     pos = BrsPosition(
         down_qty=sum(c.quantity for c in live if c.direction is DOWN),
         up_qty=sum(c.quantity for c in live if c.direction is UP),
@@ -603,10 +575,10 @@ def test_full_hour_settlement_equivalence(case):
         up_price=0.0,
     )
     premiums = sum(c.premium_price * c.quantity for c in live)
-    vg_expected = vg.revenue_with_brs(s, pf, pos, realized) - premiums
-    assert led.net("w") == pytest.approx(vg_expected, rel=1e-9, abs=1e-6)
+    vg_expected = revenue_with_brs(s, pf, pos, realized) - premiums
+    assert ledger_net(led, "w") == pytest.approx(vg_expected, rel=1e-9, abs=1e-6)
 
     executed = claim.executed_up - claim.executed_down
     sc = JointScenario(da_price=s.da_price, rt_price=lam_r, executed=executed)
     unit_expected = revenue_unit_with_brs(unit, sc, rt_output=rt_out) + premiums
-    assert led.net("g1") == pytest.approx(unit_expected, rel=1e-9, abs=1e-6)
+    assert ledger_net(led, "g1") == pytest.approx(unit_expected, rel=1e-9, abs=1e-6)

@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 
 from brsim import forecast, market, simulation, vg
 from brsim.dataio import load_scenario, scenario_from_dict
-from brsim.market import ContractStatus, ExecutionClaim, HourMarket, Offer, SettlementLedger
+from brsim.market import ContractStatus, ExecutionClaim, Offer, SettlementLedger
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def day_contracts(res):
+    """Every contract of the day, hour by hour."""
+    return [c for hour in res.hours for c in hour.contracts]
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +53,7 @@ class TestSingleHour:
         assert [h.hour for h in res.hours] == list(range(single_hour.horizon))
         assert all(h.ledger.entries for h in res.hours)
         terminal = {ContractStatus.EXECUTED, ContractStatus.RELEASED, ContractStatus.REJECTED}
-        assert all(c.status in terminal for c in res.contracts)
+        assert all(c.status in terminal for c in day_contracts(res))
 
     def test_realized_output_required(self, single_hour):
         cfg = dataclasses.replace(
@@ -143,7 +148,7 @@ class TestExperiments:
         assert len(rows) == 2 * 3 * 6
         for r in rows:
             pf = vg.PenaltyFactors(over=r["alpha"], under=r["alpha"])
-            direction = vg.Direction.from_label(r["direction"])
+            direction = vg.Direction(r["direction"])
             assert r["marginal_value"] == vg.marginal_utility(
                 s, pf, d, direction, r["quantity_mw"]
             )
@@ -157,7 +162,7 @@ class TestExperiments:
 class TestDayRun:
     def test_contract_ids_unique_across_hours(self, day24):
         res = simulation.simulate_day(day24)
-        ids = [c.id for c in res.contracts]
+        ids = [c.id for c in day_contracts(res)]
         assert len(ids) == len(set(ids))
         assert len(ids) > 24  # both sides transact on this profile
 
@@ -203,7 +208,7 @@ class TestDayRun:
         for seed in range(6):
             cfg = dataclasses.replace(single_hour, vg=noisy_vg, seed=seed)
             res = simulation.simulate_day(cfg)
-            for c in res.contracts:
+            for c in day_contracts(res):
                 assert c.executed_mw <= c.quantity + 1e-9
             assert res.ledger.is_balanced()
 
@@ -261,18 +266,21 @@ class TestDayBatchedDemand:
         expected = []
         for h in range(cfg.horizon):
             s, pf, d = simulation.hour_context(cfg, h)
-            hm = HourMarket(h, buyer=cfg.vg.id, id_start=len(expected))
-            hm.open_window()
-            for oc in cfg.offers:
-                if oc.hour == h:
-                    direction = vg.Direction.from_label(oc.direction)
-                    hm.post_offer(Offer(oc.seller, h, direction, oc.price, oc.quantity_mw))
-            desired = [vg.optimal_quantity(s, pf, d, o.direction, o.price) for o in hm.offers]
-            assert market.buyer_demand(hm.offers, s, pf, d) == desired
-            expected += [_matched(c) for c in hm.run_matching(desired)]
+            offers = [
+                Offer(oc.seller, h, vg.Direction(oc.direction), oc.price, oc.quantity_mw)
+                for oc in cfg.offers
+                if oc.hour == h
+            ]
+            desired = [vg.optimal_quantity(s, pf, d, o.direction, o.price) for o in offers]
+            assert market.buyer_demand(offers, s, pf, d) == desired
+            for direction in (vg.DOWN, vg.UP):
+                contracts = market.match_offers(
+                    offers, desired, direction, cfg.vg.id, id_start=len(expected)
+                )
+                expected += [_matched(c) for c in contracts]
         res = simulation.simulate_day(cfg)
-        assert all(c.trimmed_mw == 0.0 for c in res.contracts)
-        assert [_matched(c) for c in res.contracts] == expected
+        assert all(c.trimmed_mw == 0.0 for c in day_contracts(res))
+        assert [_matched(c) for c in day_contracts(res)] == expected
 
 
 class TestHourChecks:
@@ -322,6 +330,31 @@ class TestHourChecks:
             simulation.simulate_day(single_hour)
 
 
+class TestMarketCalls:
+    def test_each_hour_calls_the_market_through_its_module(self, day24, monkeypatch):
+        # The benchmark's per-layer spans wrap these module attributes; a
+        # call that bypasses them would drop out of its metrics.
+        calls = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        names = ("match_offers", "validate_contracts", "claim_execution", "settle")
+        for name in names:
+            monkeypatch.setattr(market, name, counting(name, getattr(market, name)))
+        simulation.simulate_day(day24)
+        horizon = day24.horizon
+        assert calls == {
+            "match_offers": 2 * horizon,
+            "validate_contracts": horizon,
+            "claim_execution": horizon,
+            "settle": horizon,
+        }
+
+
 class TestZonalRuleEndToEnd:
     def test_cross_boundary_contracts_rejected(self, single_hour):
         with open(SCENARIOS / "single_hour.json") as fh:
@@ -331,7 +364,7 @@ class TestZonalRuleEndToEnd:
         doc["zonal_rule"] = {"congested_boundaries": [["north", "south"]]}
         cfg = scenario_from_dict(doc)
         res = simulation.simulate_day(cfg)
-        assert all(c.status is ContractStatus.REJECTED for c in res.contracts)
+        assert all(c.status is ContractStatus.REJECTED for c in day_contracts(res))
         # Without executable cover the full 20 MW of over-generation settles
         # at the discounted price: 3000 + 0.7 * 30 * 20.
         assert res.party_totals()["wind1"] == pytest.approx(3420.0)

