@@ -66,9 +66,7 @@ def _check_hour(cfg: dataio.ScenarioConfig, hour: int) -> int:
 def cmd_demand_curve(args) -> None:
     cfg = dataio.load_scenario(args.scenario)
     hour = _check_hour(cfg, args.hour)
-    alphas = [a for chunk in args.alpha for a in chunk] if args.alpha else [
-        cfg.penalty.over
-    ]
+    alphas = args.alpha or [cfg.penalty.over]
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise UsageError(f"--alpha values must be in [0, 1], got {a}")
@@ -110,16 +108,8 @@ def cmd_optimal(args) -> None:
 
 def cmd_profit_sweep(args) -> None:
     cfg = dataio.load_scenario(args.scenario)
-    ratios = (
-        [r for chunk in args.price_ratios for r in chunk]
-        if args.price_ratios
-        else list(DEFAULT_PRICE_RATIOS)
-    )
-    scales = (
-        [k for chunk in args.variance_scales for k in chunk]
-        if args.variance_scales
-        else list(cfg.variance_scale_factors)
-    )
+    ratios = args.price_ratios or list(DEFAULT_PRICE_RATIOS)
+    scales = args.variance_scales or list(cfg.variance_scale_factors)
     for r in ratios:
         _check_nonnegative("--price-ratios", r)
     for k in scales:
@@ -181,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demand-curve", help="marginal value of cover vs quantity")
     p.add_argument("scenario", type=Path)
     p.add_argument("--hour", type=int, default=0)
-    p.add_argument("--alpha", type=_float_list, action="append",
+    p.add_argument("--alpha", type=_float_list, action="extend",
                    help="penalty factor(s), comma-separated and/or repeated")
     p.add_argument("--points", type=int, default=21)
     add_output_flags(p)
@@ -197,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profit-sweep", help="expected profit over premium ratios and variance scales")
     p.add_argument("scenario", type=Path)
-    p.add_argument("--price-ratios", type=_float_list, action="append",
+    p.add_argument("--price-ratios", type=_float_list, action="extend",
                    help=f"premium/DA-price ratios (default {','.join(str(r) for r in DEFAULT_PRICE_RATIOS)})")
-    p.add_argument("--variance-scales", type=_float_list, action="append",
+    p.add_argument("--variance-scales", type=_float_list, action="extend",
                    help="variance scale factors (default: scenario's variance_scale_factors)")
     add_output_flags(p)
     p.set_defaults(func=cmd_profit_sweep)

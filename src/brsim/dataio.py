@@ -19,6 +19,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 TABLE_FORMATS = ("csv", "json")
+# The settlement pool's party name in ledgers; no unit or producer may take it.
+POOL = "pool"
 
 # Numeric CSV cells are written with this many significant digits.
 _CSV_SIG_DIGITS = 6
@@ -248,12 +250,26 @@ def _check_rules(doc: dict) -> None:
     if len(set(ids)) != len(ids):
         duplicates = sorted({i for i in ids if ids.count(i) > 1})
         raise _Invalid(f"duplicate unit ids {duplicates}", ["units"])
+    # Ledgers name parties by id, so the producer, each unit and the pool
+    # need distinct ones.
+    vg_id = vg.get("id", VgParams.id)
+    if vg_id == POOL:
+        raise _Invalid(f"id {POOL!r} is reserved for the settlement pool", ["vg", "id"])
+    for i, uid in enumerate(ids):
+        if uid in (POOL, vg_id):
+            owner = "the settlement pool" if uid == POOL else "the producer"
+            raise _Invalid(f"id {uid!r} is taken by {owner}", ["units", i, "id"])
+    zones = {unit["id"]: unit.get("zone") for unit in units}
     for i, offer in enumerate(doc.get("offers", ())):
         if offer["hour"] >= horizon:
             path = ["offers", i, "hour"]
             raise _Invalid(f"hour {offer['hour']} outside horizon {horizon}", path)
-        if offer["seller"] not in ids:
+        if offer["seller"] not in zones:
             raise _Invalid(f"unknown unit id {offer['seller']!r}", ["offers", i, "seller"])
+        zone, seller_zone = offer.get("zone"), zones[offer["seller"]]
+        if zone is not None and zone != seller_zone:
+            path = ["offers", i, "zone"]
+            raise _Invalid(f"zone {zone!r} differs from the seller's zone {seller_zone!r}", path)
     for i, (a, b) in enumerate((doc.get("zonal_rule") or {}).get("congested_boundaries", ())):
         if a == b:
             path = ["zonal_rule", "congested_boundaries", i]

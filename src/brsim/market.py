@@ -2,10 +2,10 @@
 
 Lifecycle: DA clearing happens elsewhere. Each hour runs four functions in
 order: ``match_offers`` (the capacity window, once per side),
-``validate_contracts`` (seller headroom), ``claim_execution`` (realized
-output) and ``settle`` (a closed zero-sum ledger against the settlement
-pool). Each contract's status enforces that order: an operation on a
-contract in the wrong status raises PhaseError.
+``validate_contracts`` (zonal rule, seller headroom), ``claim_execution``
+(realized output) and ``settle`` (a closed zero-sum ledger against the
+settlement pool). Each contract's status enforces that order: an operation
+on a contract in the wrong status raises PhaseError.
 """
 from __future__ import annotations
 
@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vg as vg_econ
+from .dataio import POOL
 from .forecast import ForecastDistribution
 from .provider import _MW_EPS, DispatchableUnit
 from .vg import DOWN, UP, Direction, PenaltyFactors, VgSchedule
-
-POOL = "pool"
 
 LEDGER_TAGS = ("premium", "da_energy", "brs_energy_shift", "rt_imbalance", "penalty")
 
@@ -56,7 +55,6 @@ class Offer:
     direction: Direction
     price: float
     quantity: float
-    zone: str | None = None
 
     def __post_init__(self) -> None:
         if self.quantity <= 0.0:
@@ -98,27 +96,6 @@ class BrsContract:
                 f"{self.status.value} -> {new_status.value}"
             )
         self.status = new_status
-
-
-@dataclass(frozen=True)
-class ZonalRule:
-    """Binary prohibition: no contracts across the flagged zone boundaries."""
-
-    congested_boundaries: frozenset[frozenset[str]]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "ZonalRule":
-        boundaries = set()
-        for a, b in pairs:
-            if a == b:
-                raise ValueError(f"boundary must join two distinct zones, got ({a}, {b})")
-            boundaries.add(frozenset((a, b)))
-        return cls(congested_boundaries=frozenset(boundaries))
-
-    def blocks(self, zone_a: str | None, zone_b: str | None) -> bool:
-        if zone_a is None or zone_b is None or zone_a == zone_b:
-            return False
-        return frozenset((zone_a, zone_b)) in self.congested_boundaries
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,17 +251,16 @@ def match_offers(
 def validate_contracts(
     contracts: list[BrsContract],
     units: dict[str, DispatchableUnit],
-    buyer_zone: str | None = None,
-    unit_zones: dict[str, str] | None = None,
-    zonal_rule: ZonalRule | None = None,
+    blocked: frozenset[str] = frozenset(),
 ) -> None:
     """Physical validation against seller headroom, oldest contracts first.
 
     Upward cover consumes p_max - da_schedule, downward consumes
     da_schedule - p_min. A contract that straddles the remaining headroom is
     trimmed (the overflow MW are rejected); strictly newer contracts on an
-    exhausted side are rejected whole. Optional zonal rule rejects contracts
-    across flagged boundaries outright.
+    exhausted side are rejected whole. Contracts with a ``blocked`` seller,
+    one across a congested zone boundary from the buyer, are rejected
+    outright.
     """
     used: dict[tuple[str, Direction], float] = {}
     for c in sorted(contracts, key=lambda c: c.id):
@@ -292,8 +268,7 @@ def validate_contracts(
             raise PhaseError(f"contract {c.id} already {c.status.value}, cannot validate")
         if c.seller not in units:
             raise ValueError(f"contract {c.id}: unknown seller {c.seller!r}")
-        seller_zone = (unit_zones or {}).get(c.seller)
-        if zonal_rule is not None and zonal_rule.blocks(buyer_zone, seller_zone):
+        if c.seller in blocked:
             c.transition(ContractStatus.REJECTED)
             continue
         u = units[c.seller]
@@ -323,10 +298,10 @@ def claim_execution(
     Only the deviation side executes, capped by the contracted total, and the
     cap is shared pro-rata by contract quantity. Remainders are released.
     """
-    validated = [c for c in contracts if c.status is ContractStatus.VALIDATED]
     for c in contracts:
-        if c.status is ContractStatus.SIGNED:
-            raise PhaseError(f"contract {c.id} not validated, cannot claim")
+        if c.status not in (ContractStatus.VALIDATED, ContractStatus.REJECTED):
+            raise PhaseError(f"contract {c.id} is {c.status.value}, cannot claim")
+    validated = [c for c in contracts if c.status is ContractStatus.VALIDATED]
     deviation = claimed_output - da_quantity
     per_seller: dict[Direction, dict[str, float]] = {DOWN: {}, UP: {}}
     totals = {DOWN: 0.0, UP: 0.0}
@@ -430,17 +405,12 @@ def settle(acc: HourAccounts) -> SettlementLedger:
             )
         if uid not in acc.unit_rt_output:
             raise ValueError(f"missing RT output for unit {uid!r}")
-        dev = acc.unit_rt_output[uid] - modified
-        if lam_r >= 0.0:
-            if dev > 0.0:
-                ledger.add(acc.hour, POOL, uid, lam_r * dev, "rt_imbalance")
-            elif dev < 0.0:
-                ledger.add(acc.hour, uid, POOL, lam_r * (-dev), "rt_imbalance")
-        else:
-            # Negative RT price flips who owes whom for the same deviation.
-            if dev > 0.0:
-                ledger.add(acc.hour, uid, POOL, -lam_r * dev, "rt_imbalance")
-            elif dev < 0.0:
-                ledger.add(acc.hour, POOL, uid, -lam_r * (-dev), "rt_imbalance")
+        # The pool pays a positive value and is paid a negative one, so a
+        # negative RT price flips who owes whom for the same deviation.
+        value = lam_r * (acc.unit_rt_output[uid] - modified)
+        if value > 0.0:
+            ledger.add(acc.hour, POOL, uid, value, "rt_imbalance")
+        elif value < 0.0:
+            ledger.add(acc.hour, uid, POOL, -value, "rt_imbalance")
 
     return ledger

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import forecast, market, provider, vg
 from .dataio import ScenarioConfig, UnitConfig
-from .market import BrsContract, HourAccounts, Offer, SettlementLedger, ZonalRule
+from .market import BrsContract, HourAccounts, Offer, SettlementLedger
 from .provider import DispatchableUnit, UnitKind
 from .vg import PenaltyFactors, VgSchedule
 
@@ -31,16 +31,8 @@ class HourOutcome:
 @dataclass
 class DayResult:
     hours: list[HourOutcome]
-
-    @property
-    def ledger(self) -> SettlementLedger:
-        merged = SettlementLedger()
-        for h in self.hours:
-            merged.extend(h.ledger)
-        return merged
-
-    def party_totals(self) -> dict[str, float]:
-        return self.ledger.net_by_party()
+    # Every hour's ledger entries, in hour order.
+    ledger: SettlementLedger
 
 
 def _producer_inputs(cfg: ScenarioConfig, mean, schedule, price):
@@ -156,13 +148,16 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     if cfg.vg.realized_mw is None:
         raise ValueError("scenario declares no realized output; cannot simulate")
 
-    zonal_rule = (
-        ZonalRule.from_pairs(cfg.zonal_rule.congested_boundaries)
-        if cfg.zonal_rule is not None
-        else None
-    )
-    unit_zones = {u.id: u.zone for u in cfg.units if u.zone is not None}
-    rng = np.random.default_rng(cfg.seed)
+    # The loader makes each boundary join two distinct zones, so a unit with
+    # no zone, or in the producer's own zone, never matches one.
+    pairs = cfg.zonal_rule.congested_boundaries if cfg.zonal_rule is not None else ()
+    boundaries = {frozenset(pair) for pair in pairs}
+    blocked = frozenset(u.id for u in cfg.units if frozenset((cfg.vg.zone, u.zone)) in boundaries)
+    # Each hour's claim: the realized output plus the claim-time error.
+    noise = np.random.default_rng(cfg.seed).standard_normal(cfg.horizon)
+    claims = np.clip(
+        np.asarray(cfg.vg.realized_mw) + cfg.vg.claim_error_std_mw * noise, 0.0, cfg.vg.capacity_mw
+    ).tolist()
     directions = {direction.value: direction for direction in vg.Direction}
     offers = [
         Offer(
@@ -171,7 +166,6 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
             direction=directions[oc.direction],
             price=oc.price,
             quantity=oc.quantity_mw,
-            zone=oc.zone if oc.zone is not None else unit_zones.get(oc.seller),
         )
         for oc in cfg.offers
     ]
@@ -186,6 +180,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
 
     unit_hours = [(uc.id, _unit_hours(uc)) for uc in cfg.units]
     hours: list[HourOutcome] = []
+    day_ledger = SettlementLedger()
     next_contract_id = 0
     for h in range(cfg.horizon):
         schedule, da_price = cfg.vg.da_schedule_mw[h], cfg.da_price[h]
@@ -199,19 +194,10 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
             posted, wants, vg.UP, cfg.vg.id, id_start=next_contract_id + len(contracts)
         )
         next_contract_id += len(contracts)
-        market.validate_contracts(contracts, units, cfg.vg.zone, unit_zones, zonal_rule)
+        market.validate_contracts(contracts, units, blocked)
 
         realized = cfg.vg.realized_mw[h]
-        claimed = realized
-        if cfg.vg.claim_error_std_mw > 0.0:
-            claimed = float(
-                np.clip(
-                    realized + cfg.vg.claim_error_std_mw * rng.standard_normal(),
-                    0.0,
-                    cfg.vg.capacity_mw,
-                )
-            )
-        claim = market.claim_execution(contracts, schedule, claimed)
+        claim = market.claim_execution(contracts, schedule, claims[h])
 
         rt_price = cfg.rt_price[h]
         vg_modified = schedule + claim.executed_down - claim.executed_up
@@ -262,6 +248,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
         pool_net, owed = ledger.net_by_party().get(market.POOL, 0.0), math.fsum(flows)
         if abs(pool_net - owed) > 1e-9 * max(1.0, math.fsum(map(abs, flows))):
             raise AssertionError(f"hour {h}: pool net {pool_net} differs from {owed} owed")
+        day_ledger.extend(ledger)
 
         hours.append(
             HourOutcome(
@@ -276,7 +263,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
             )
         )
 
-    return DayResult(hours=hours)
+    return DayResult(hours=hours, ledger=day_ledger)
 
 
 def contract_rows(result: DayResult) -> Iterator[dict]:
@@ -299,18 +286,17 @@ def contract_rows(result: DayResult) -> Iterator[dict]:
 
 def ledger_rows(result: DayResult) -> Iterator[dict]:
     """Every ledger entry of the day, one row at a time."""
-    for hour in result.hours:
-        for e in hour.ledger.entries:
-            yield {
-                "hour": e.hour,
-                "payer": e.payer,
-                "payee": e.payee,
-                "amount": e.amount,
-                "tag": e.tag,
-            }
+    for e in result.ledger.entries:
+        yield {
+            "hour": e.hour,
+            "payer": e.payer,
+            "payee": e.payee,
+            "amount": e.amount,
+            "tag": e.tag,
+        }
 
 
 def totals_rows(result: DayResult) -> Iterator[dict]:
     """Each party's net cash over the day, one row at a time."""
-    for party, net in result.party_totals().items():
+    for party, net in result.ledger.net_by_party().items():
         yield {"party": party, "net_cash": net}

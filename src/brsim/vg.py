@@ -153,27 +153,6 @@ def expected_revenue(
     return unwrap(lam * (below + pe_mid + above))
 
 
-def marginal_utility_down(s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution, r):
-    """Marginal value ($/MW) of the next MW of over-generation cover at depth r."""
-    _check_schedule_fits(s, d)
-    headroom = d.capacity - s.da_quantity
-    fail_where(
-        np.logical_not((0.0 <= r) & (r <= headroom + 1e-9)),
-        "r={} outside [0, {}]", r, headroom,
-    )
-    return unwrap(s.da_price * pf.over * (1.0 - forecast.cdf(d, s.da_quantity + r)))
-
-
-def marginal_utility_up(s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution, r):
-    """Marginal value ($/MW) of the next MW of under-generation cover at depth r."""
-    _check_schedule_fits(s, d)
-    fail_where(
-        np.logical_not((0.0 <= r) & (r <= s.da_quantity + 1e-9)),
-        "r={} outside [0, {}]", r, s.da_quantity,
-    )
-    return unwrap(s.da_price * pf.under * forecast.cdf(d, s.da_quantity - r))
-
-
 def marginal_utility(
     s: VgSchedule,
     pf: PenaltyFactors,
@@ -181,9 +160,17 @@ def marginal_utility(
     direction: Direction,
     r,
 ):
+    """Marginal value ($/MW) of the next MW of cover at depth r: over-generation
+    cover for DOWN, under-generation cover for UP."""
+    _check_schedule_fits(s, d)
+    headroom = d.capacity - s.da_quantity if direction is DOWN else s.da_quantity
+    fail_where(
+        np.logical_not((0.0 <= r) & (r <= headroom + 1e-9)),
+        "r={} outside [0, {}]", r, headroom,
+    )
     if direction is DOWN:
-        return marginal_utility_down(s, pf, d, r)
-    return marginal_utility_up(s, pf, d, r)
+        return unwrap(s.da_price * pf.over * (1.0 - forecast.cdf(d, s.da_quantity + r)))
+    return unwrap(s.da_price * pf.under * forecast.cdf(d, s.da_quantity - r))
 
 
 def optimal_quantity(

@@ -13,6 +13,7 @@ CRITERIA = {
     8: "sampled schedule-shift payoff mean is consistent with the closed form",
     9: "weighted enumeration variance is exact and the risk ordering holds",
     10: "quantile inversion, density normalization, and mean preservation",
+    11: "cover cost falls with offered capacity and rises with forecast variance",
 }
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d\d)")

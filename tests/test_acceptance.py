@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks with stated tolerances and budgets.
+"""Acceptance gate: eleven end-to-end checks with stated tolerances and budgets.
 
 Each test prints through the conftest summary as one PASS/FAIL line. Oracles
 here are deliberately independent of the library code paths they judge:
@@ -16,7 +16,7 @@ from scipy import integrate, special
 import oracles
 from brsim import forecast, market, provider, simulation, vg
 from brsim.dataio import load_scenario, scenario_from_dict
-from brsim.market import ContractStatus
+from brsim.market import ContractStatus, Offer
 from brsim.provider import DispatchableUnit, ScenarioModel, UnitKind
 from brsim.vg import DOWN, UP, BrsPosition, PenaltyFactors, VgSchedule
 
@@ -110,10 +110,10 @@ def test_criterion_02_finite_difference_gradients():
                 continue
             if direction is DOWN:
                 pos = lambda x: BrsPosition(x, 0.0, 0.0, 0.0)  # noqa: E731
-                formula = vg.marginal_utility_down(s, pf, d, r)
+                formula = vg.marginal_utility(s, pf, d, DOWN, r)
             else:
                 pos = lambda x: BrsPosition(0.0, x, 0.0, 0.0)  # noqa: E731
-                formula = vg.marginal_utility_up(s, pf, d, r)
+                formula = vg.marginal_utility(s, pf, d, UP, r)
             lo = vg.expected_revenue(s, pf, pos(r - h), d)
             hi = vg.expected_revenue(s, pf, pos(r + h), d)
             fd = (hi - lo) / (2.0 * h)
@@ -442,3 +442,92 @@ def test_criterion_10_forecast_numerics():
             assert scaled.mean == d.mean
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
+
+
+def _oracle_optimum(d, s, pf, direction, price):
+    """The buyer's optimal cover on one side: the critical fractile, inverted
+    with the root-find quantile of the oracles."""
+    if direction is DOWN:
+        depth = oracles.quantile(d, 1.0 - price / (s.da_price * pf.over)) - s.da_quantity
+        return min(max(depth, 0.0), d.capacity - s.da_quantity)
+    depth = s.da_quantity - oracles.quantile(d, price / (s.da_price * pf.under))
+    return min(max(depth, 0.0), s.da_quantity)
+
+
+def _oracle_net(d, s, pf, pos):
+    """Expected revenue net of premiums, the expectation by adaptive
+    quadrature of the settled revenue against the forecast density."""
+    breaks = sorted({max(s.da_quantity - pos.up_qty, 1e-9),
+                     min(s.da_quantity + pos.down_qty, d.capacity - 1e-9)})
+    gross, _ = integrate.quad(
+        lambda p: oracles.revenue_with_brs(s, pf, pos, p) * oracles.pdf(d, p),
+        0.0, d.capacity, points=breaks, limit=300,
+    )
+    return gross - pos.down_price * pos.down_qty - pos.up_price * pos.up_qty
+
+
+def _matched_position(d, s, pf, direction, price, offered):
+    """The position that matching buys from one price level of ``offered`` MW,
+    posted as two offers."""
+    offers = [Offer(seller, 0, direction, price, share * offered)
+              for seller, share in (("g1", 0.4), ("g2", 0.6))]
+    desired = market.buyer_demand(offers, s, pf, d)
+    cover = sum(c.quantity for c in market.match_offers(offers, desired, direction, "vg"))
+    if direction is DOWN:
+        return cover, BrsPosition(cover, 0.0, price, 0.0)
+    return cover, BrsPosition(0.0, cover, 0.0, price)
+
+
+def test_criterion_11_cost_causation():
+    # One offer price level of Q MW on one side, 30 random settings: the
+    # matched cover is min(Q, q*) within 1e-8 of capacity, with q* from the
+    # oracle quantile; the quadrature expected net profit is nondecreasing in
+    # Q and flat for Q >= q*, and oic_report's total_oic, which agrees with
+    # the quadrature cost within 1e-7 relative, is nonincreasing in Q; at a
+    # fixed Q the quadrature cost is nondecreasing in the variance scale.
+    # Monotone means within 1e-9 of the ideal revenue.
+    start = time.perf_counter()
+    rng = np.random.default_rng(1111)
+    fractions = (0.25, 0.5, 0.75, 1.0, 1.5, 3.0)
+    scales = (0.5, 1.0, 1.5, 2.0)
+    checked = 0
+    while checked < 30:
+        d, s, pf = random_setting(rng)
+        direction = DOWN if checked % 2 else UP
+        factor = pf.over if direction is DOWN else pf.under
+        price = rng.uniform(0.05, 0.9) * s.da_price * factor
+        optimum = _oracle_optimum(d, s, pf, direction, price)
+        if optimum < 1.0:
+            continue
+        checked += 1
+        ideal = s.da_price * d.mean
+        tol = 1e-9 * ideal
+        nets, costs = [], []
+        for fraction in fractions:
+            offered = fraction * optimum
+            cover, pos = _matched_position(d, s, pf, direction, price, offered)
+            assert cover == pytest.approx(min(offered, optimum), abs=1e-8 * d.capacity), (
+                f"Q={offered:.4f}: matched {cover:.6f} vs q* {optimum:.6f}"
+            )
+            nets.append(_oracle_net(d, s, pf, pos))
+            costs.append(vg.oic_report(s, pf, pos, d).total_oic)
+            assert costs[-1] == pytest.approx(ideal - nets[-1], rel=1e-7), f"Q={offered:.4f}"
+        assert all(b >= a - tol for a, b in zip(nets, nets[1:])), f"net not nondecreasing: {nets}"
+        at_optimum = nets[fractions.index(1.0)]
+        assert all(abs(n - at_optimum) <= tol for n in nets[fractions.index(1.0):]), (
+            f"net not flat beyond q*: {nets}"
+        )
+        assert all(b <= a + tol for a, b in zip(costs, costs[1:])), (
+            f"total_oic not nonincreasing: {costs}"
+        )
+        for offered in (0.5 * optimum, 2.0 * optimum):
+            by_scale = []
+            for scale in scales:
+                d_k = forecast.scale_variance(d, scale)
+                _, pos = _matched_position(d_k, s, pf, direction, price, offered)
+                by_scale.append(s.da_price * d_k.mean - _oracle_net(d_k, s, pf, pos))
+            assert all(b >= a - tol for a, b in zip(by_scale, by_scale[1:])), (
+                f"Q={offered:.4f}: cost not nondecreasing in scale: {by_scale}"
+            )
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0, f"took {elapsed:.1f}s, budget 20s"

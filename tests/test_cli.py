@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from brsim import forecast, simulation, vg
+from brsim import simulation, vg
 from brsim.cli import main
 from brsim.dataio import load_scenario
 from oracles import read_table
@@ -218,6 +218,21 @@ class TestSimulateDay:
                     else:
                         assert row[key] == value, key
 
+    def test_noisy_claims_match_golden(self, capsys, tmp_path):
+        # The claim-time error is drawn once per day; these tables were
+        # written when it was drawn hour by hour.
+        doc = json.loads(Path(DAY).read_text(encoding="utf-8"))
+        doc["vg"]["claim_error_std_mw"] = 6.0
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, _ = run_cli(capsys, "simulate-day", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        for table in ("contracts", "ledger", "totals"):
+            for fmt in ("csv", "json"):
+                got = (tmp_path / "out" / f"{table}.{fmt}").read_bytes()
+                want = (GOLDEN / f"simulate_day_day24_noisy_{table}.{fmt}").read_bytes()
+                assert got == want, f"{table}.{fmt}"
+
     def test_out_dir_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate-day", SINGLE])
@@ -309,6 +324,39 @@ class TestBadScenario:
         code, out, err = run_cli(capsys, command, path, *out_dir)
         assert code == 1
         assert err == f"error: {path}.da_price[0]: must be <= 1000000.0, got 1e+308\n"
+        assert out == ""
+
+    # Ledgers name parties by id: a unit may not share the producer's id,
+    # and neither may take the pool's. Without offers such a day used to
+    # run, and merge the two parties' totals into one row.
+    @pytest.mark.parametrize("vg_id, unit_id, where, reason", [
+        ("wind1", "wind1", ".units[0].id", "id 'wind1' is taken by the producer"),
+        ("wind1", "pool", ".units[0].id", "id 'pool' is taken by the settlement pool"),
+        ("pool", "g1", ".vg.id", "id 'pool' is reserved for the settlement pool"),
+    ], ids=["unit-is-producer", "unit-is-pool", "producer-is-pool"])
+    def test_colliding_party_ids(self, capsys, tmp_path, vg_id, unit_id, where, reason):
+        def edit(doc):
+            doc["vg"]["id"] = vg_id
+            doc["units"][0]["id"] = unit_id
+            del doc["offers"]
+
+        path = write_doc(tmp_path, "ids.json", edit)
+        code, out, err = run_cli(capsys, "simulate-day", path, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err == f"error: {path}{where}: {reason}\n"
+        assert out == ""
+
+    def test_offer_zone_must_be_its_sellers(self, capsys, tmp_path):
+        def edit(doc):
+            doc["units"][0]["zone"] = "north"
+            doc["offers"][0]["zone"] = "south"
+
+        path = write_doc(tmp_path, "zones.json", edit)
+        code, out, err = run_cli(capsys, "simulate-day", path, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err == (
+            f"error: {path}.offers[0].zone: zone 'south' differs from the seller's zone 'north'\n"
+        )
         assert out == ""
 
     def test_huge_negative_rt_price(self, capsys, tmp_path):

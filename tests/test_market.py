@@ -9,13 +9,10 @@ from brsim import forecast, market, provider, vg
 from brsim.market import (
     BrsContract,
     ContractStatus,
-    ExecutionClaim,
     HourAccounts,
-    LedgerEntry,
     Offer,
     PhaseError,
     SettlementLedger,
-    ZonalRule,
 )
 from brsim.provider import DispatchableUnit, UnitKind
 from brsim.vg import DOWN, UP, BrsPosition, PenaltyFactors, VgSchedule
@@ -77,20 +74,6 @@ class TestOfferAndContractChecks:
         c.transition(ContractStatus.REJECTED)
         with pytest.raises(PhaseError):
             c.transition(ContractStatus.VALIDATED)
-
-
-class TestZonalRule:
-    def test_blocks_flagged_boundary_symmetrically(self):
-        rule = ZonalRule.from_pairs([("north", "south")])
-        assert rule.blocks("north", "south")
-        assert rule.blocks("south", "north")
-        assert not rule.blocks("north", "north")
-        assert not rule.blocks("north", "east")
-        assert not rule.blocks(None, "south")
-
-    def test_boundary_needs_distinct_zones(self):
-        with pytest.raises(ValueError):
-            ZonalRule.from_pairs([("north", "north")])
 
 
 class TestLedger:
@@ -305,18 +288,17 @@ class TestValidation:
             market.validate_contracts([c], {"g1": g_unit()})
 
     def test_zonal_rule_rejects_across_boundary(self):
-        rule = ZonalRule.from_pairs([("north", "south")])
         c0 = signed(0, DOWN, 10.0, seller="g1")
         c1 = signed(1, DOWN, 10.0, seller="g2")
-        market.validate_contracts(
-            [c0, c1],
-            {"g1": g_unit(), "g2": g_unit()},
-            buyer_zone="north",
-            unit_zones={"g1": "south", "g2": "north"},
-            zonal_rule=rule,
-        )
+        market.validate_contracts([c0, c1], {"g1": g_unit(), "g2": g_unit()}, frozenset({"g1"}))
         assert c0.status is ContractStatus.REJECTED
+        assert c0.trimmed_mw == 0.0
         assert c1.status is ContractStatus.VALIDATED
+
+    def test_unknown_seller_is_checked_before_the_block(self):
+        c = signed(0, DOWN, 10.0, seller="ghost")
+        with pytest.raises(ValueError, match="unknown seller"):
+            market.validate_contracts([c], {"g1": g_unit()}, frozenset({"ghost"}))
 
 
 class TestClaim:
@@ -368,6 +350,18 @@ class TestClaim:
         c = signed(0, DOWN, 10.0)
         with pytest.raises(PhaseError):
             market.claim_execution([c], da_quantity=100.0, claimed_output=110.0)
+
+    @pytest.mark.parametrize("status", [ContractStatus.EXECUTED, ContractStatus.RELEASED])
+    def test_second_claim_refused(self, status):
+        # A contract already claimed fails the claim before any other one
+        # changes: the validated contract stays validated.
+        fresh = self._validated(DOWN, [10.0])[0]
+        claimed = self._validated(DOWN, [10.0])[0]
+        claimed.id = 1
+        claimed.transition(status)
+        with pytest.raises(PhaseError, match=f"contract 1 is {status.value}, cannot claim"):
+            market.claim_execution([fresh, claimed], da_quantity=100.0, claimed_output=110.0)
+        assert fresh.status is ContractStatus.VALIDATED and fresh.executed_mw == 0.0
 
     def test_rejected_contracts_ignored(self):
         c = signed(0, DOWN, 10.0)

@@ -42,7 +42,7 @@ class TestSingleHour:
         assert len(contracts) == 1
         assert contracts[0].status is ContractStatus.EXECUTED
         assert contracts[0].executed_mw == pytest.approx(20.0)
-        totals = res.party_totals()
+        totals = res.ledger.net_by_party()
         assert totals["wind1"] == pytest.approx(3590.0)
         assert totals["g1"] == pytest.approx(5410.0)
         assert totals[market.POOL] == pytest.approx(-9000.0)
@@ -367,7 +367,24 @@ class TestZonalRuleEndToEnd:
         assert all(c.status is ContractStatus.REJECTED for c in day_contracts(res))
         # Without executable cover the full 20 MW of over-generation settles
         # at the discounted price: 3000 + 0.7 * 30 * 20.
-        assert res.party_totals()["wind1"] == pytest.approx(3420.0)
+        assert res.ledger.net_by_party()["wind1"] == pytest.approx(3420.0)
+
+    def test_only_sellers_across_a_listed_boundary_are_blocked(self):
+        # A northern producer and one seller in each case: across the
+        # listed boundary (given in the other order), in the producer's
+        # own zone, in a zone no boundary names, and with no zone.
+        zones = {"south": "south", "north": "north", "east": "east", "nowhere": None}
+        doc = json.loads((SCENARIOS / "single_hour.json").read_text(encoding="utf-8"))
+        doc["vg"]["zone"] = "north"
+        doc["zonal_rule"] = {"congested_boundaries": [["south", "north"]]}
+        unit = doc["units"][0]
+        doc["units"] = [{**unit, "id": uid} | ({"zone": z} if z else {}) for uid, z in zones.items()]
+        doc["offers"] = [{**doc["offers"][0], "seller": uid, "quantity_mw": 2.0} for uid in zones]
+        res = simulation.simulate_day(scenario_from_dict(doc))
+        status = {c.seller: c.status for c in day_contracts(res)}
+        assert status.keys() == zones.keys()
+        assert status.pop("south") is ContractStatus.REJECTED
+        assert set(status.values()) == {ContractStatus.EXECUTED}
 
 
 class TestTableDumps:

@@ -144,24 +144,24 @@ class TestExpectedRevenue:
 class TestMarginalValue:
     def test_down_at_zero_depth(self, beta22, mid_schedule):
         # 30 * 0.3 * (1 - F(50)) with F(50) = 0.5.
-        got = vg.marginal_utility_down(mid_schedule, PF, beta22, 0.0)
+        got = vg.marginal_utility(mid_schedule, PF, beta22, DOWN, 0.0)
         assert got == pytest.approx(4.5, abs=1e-12)
 
     def test_down_at_depth_25(self, beta22, mid_schedule):
         # 30 * 0.3 * (1 - F(75)) with F(75) = 0.84375.
-        got = vg.marginal_utility_down(mid_schedule, PF, beta22, 25.0)
+        got = vg.marginal_utility(mid_schedule, PF, beta22, DOWN, 25.0)
         assert got == pytest.approx(1.40625, abs=1e-12)
 
     def test_up_mirrors_down_for_symmetric_forecast(self, beta22, mid_schedule):
-        down = vg.marginal_utility_down(mid_schedule, PF, beta22, 25.0)
-        up = vg.marginal_utility_up(mid_schedule, PF, beta22, 25.0)
+        down = vg.marginal_utility(mid_schedule, PF, beta22, DOWN, 25.0)
+        up = vg.marginal_utility(mid_schedule, PF, beta22, UP, 25.0)
         assert up == pytest.approx(down, abs=1e-12)
 
     def test_depth_range_enforced(self, beta22, mid_schedule):
         with pytest.raises(ValueError):
-            vg.marginal_utility_down(mid_schedule, PF, beta22, 51.0)
+            vg.marginal_utility(mid_schedule, PF, beta22, DOWN, 51.0)
         with pytest.raises(ValueError):
-            vg.marginal_utility_up(mid_schedule, PF, beta22, 51.0)
+            vg.marginal_utility(mid_schedule, PF, beta22, UP, 51.0)
 
     def test_finite_difference_agreement(self, beta22, mid_schedule):
         h = 1e-5
@@ -173,7 +173,7 @@ class TestMarginalValue:
                 mid_schedule, PF, BrsPosition(r + h, 0.0, 0.0, 0.0), beta22
             )
             fd = (hi - lo) / (2.0 * h)
-            formula = vg.marginal_utility_down(mid_schedule, PF, beta22, r)
+            formula = vg.marginal_utility(mid_schedule, PF, beta22, DOWN, r)
             assert fd == pytest.approx(formula, abs=1e-5)
 
 
@@ -239,7 +239,7 @@ class TestDemandCurve:
         # Integrating the marginal value from 0 to full headroom recovers the
         # expected-revenue lift of full cover on that side.
         gain, _ = integrate.quad(
-            lambda r: vg.marginal_utility_down(mid_schedule, PF, beta22, r), 0.0, 50.0
+            lambda r: vg.marginal_utility(mid_schedule, PF, beta22, DOWN, r), 0.0, 50.0
         )
         full = vg.expected_revenue(
             mid_schedule, PF, BrsPosition(50.0, 0.0, 0.0, 0.0), beta22
@@ -398,8 +398,8 @@ class TestBroadcast:
         up = vg.marginal_utility(s, self.PF, d, UP, depth)
         for k, r in enumerate(depth.ravel().tolist()):
             for (i, _, h), s1, d1, _ in self.cells():
-                assert down[k, i, 0, h] == vg.marginal_utility_down(s1, self.PF, d1, r)
-                assert up[k, i, 0, h] == vg.marginal_utility_up(s1, self.PF, d1, r)
+                assert down[k, i, 0, h] == vg.marginal_utility(s1, self.PF, d1, DOWN, r)
+                assert up[k, i, 0, h] == vg.marginal_utility(s1, self.PF, d1, UP, r)
 
     def test_demand_curve_over_penalty_factors(self, beta22, mid_schedule):
         alpha = np.array([0.1, 0.3, 0.5])[:, None]
@@ -413,7 +413,7 @@ class TestBroadcast:
         pos = vg.optimal_position(mid_schedule, PF, beta22, 1.0, 9.5)
         assert type(pos.down_qty) is float and type(pos.up_qty) is float
         assert type(vg.expected_revenue(mid_schedule, PF, pos, beta22)) is float
-        assert type(vg.marginal_utility_up(mid_schedule, PF, beta22, 3.0)) is float
+        assert type(vg.marginal_utility(mid_schedule, PF, beta22, UP, 3.0)) is float
 
 
 def _s(q=50.0, price=30.0):
@@ -451,8 +451,8 @@ BAD_ELEMENTS = {
         lambda: _pos(down=np.array([1.0, -1.0])),
     ),
     "schedule fits": (
-        lambda: vg.marginal_utility_down(_s(q=120.0), PF, _d(), 0.0),
-        lambda: vg.marginal_utility_down(_s(q=np.array([50.0, 120.0])), PF, _d(), 0.0),
+        lambda: vg.marginal_utility(_s(q=120.0), PF, _d(), DOWN, 0.0),
+        lambda: vg.marginal_utility(_s(q=np.array([50.0, 120.0])), PF, _d(), DOWN, 0.0),
     ),
     "headroom": (
         lambda: vg.expected_revenue(_s(q=80.0), PF, _pos(down=30.0), _d()),
@@ -463,8 +463,8 @@ BAD_ELEMENTS = {
         lambda: vg.expected_revenue(_s(), PF, _pos(up=np.array([51.0, 60.0])), _d()),
     ),
     "depth": (
-        lambda: vg.marginal_utility_up(_s(), PF, _d(), 51.0),
-        lambda: vg.marginal_utility_up(_s(), PF, _d(), np.array([0.0, 51.0])),
+        lambda: vg.marginal_utility(_s(), PF, _d(), UP, 51.0),
+        lambda: vg.marginal_utility(_s(), PF, _d(), UP, np.array([0.0, 51.0])),
     ),
     "premium price": (
         lambda: vg.optimal_quantity(_s(), PF, _d(), DOWN, -1.0),
