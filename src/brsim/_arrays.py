@@ -1,12 +1,12 @@
-"""Elementwise argument checks and scalar results for the array-native
-forecast and producer-economics functions."""
+"""Elementwise checks and scalar results for the array-native forecast,
+producer-economics and market functions."""
 from __future__ import annotations
 
 import numpy as np
 
 
-def fail_where(bad, message: str, *values) -> None:
-    """Raise ``ValueError(message.format(*values))`` if any element of the
+def fail_where(bad, message: str, *values, error: type[Exception] = ValueError) -> None:
+    """Raise ``error(message.format(*values))`` if any element of the
     boolean ``bad`` is true.
 
     The values are quoted at the first failing element, so a scalar call
@@ -18,7 +18,7 @@ def fail_where(bad, message: str, *values) -> None:
         return
     bad, *values = np.broadcast_arrays(bad, *values)
     at = np.unravel_index(np.argmax(bad), bad.shape)
-    raise ValueError(message.format(*(v[at].item() for v in values)))
+    raise error(message.format(*(v.item(at) for v in values)))
 
 
 def any_true(mask) -> bool:

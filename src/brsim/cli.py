@@ -22,13 +22,6 @@ DEFAULT_PRICE_RATIOS = tuple(round(0.05 * i, 2) for i in range(11))  # 0 .. 0.5
 # variance finite (see docs/schemas.md).
 _FLAG_MAX = 1e6
 
-CONTRACT_COLUMNS = [
-    "id", "hour", "buyer", "seller", "direction", "quantity_mw",
-    "premium_price", "status", "executed_mw", "trimmed_mw",
-]
-LEDGER_COLUMNS = ["hour", "payer", "payee", "amount", "tag"]
-TOTALS_COLUMNS = ["party", "net_cash"]
-
 
 class UsageError(ValueError):
     """Bad argument values caught after argparse (maps to exit code 2)."""
@@ -122,16 +115,13 @@ def cmd_simulate_day(args) -> None:
     result = simulation.simulate_day(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Each table is built again for each format, so none is held whole.
-    tables = (
-        ("contracts", simulation.contract_rows, CONTRACT_COLUMNS),
-        ("ledger", simulation.ledger_rows, LEDGER_COLUMNS),
-        ("totals", simulation.totals_rows, TOTALS_COLUMNS),
-    )
-    for name, rows, columns in tables:
+    tables = {"contracts": simulation.contract_rows, "ledger": simulation.ledger_rows,
+              "totals": simulation.totals_rows}
+    for name, table in tables.items():
+        columns = table(result)
         for fmt in ("csv", "json"):
             path = out_dir / f"{name}.{fmt}"
-            dataio.write_table(rows(result), path, fmt, columns)
+            dataio.write_table(columns, path, fmt)
             print(f"wrote {path}")
 
 

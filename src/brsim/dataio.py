@@ -6,6 +6,7 @@ against the cross-field rules, and every error names its field path.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 TABLE_FORMATS = ("csv", "json")
 # The settlement pool's party name in ledgers; no unit or producer may take it.
@@ -24,9 +26,14 @@ POOL = "pool"
 
 # Numeric CSV cells are written with this many significant digits.
 _CSV_SIG_DIGITS = 6
-# JSON tables are encoded this many rows at a time, which bounds the rows
-# and the text held while a table is written.
-_JSON_BATCH_ROWS = 2048
+_SIG_DIGITS_FORMAT = f"{{:.{_CSV_SIG_DIGITS}g}}".format
+# Tables are formatted this many rows at a time, which bounds the rows and
+# the text held while a table is written.
+_BATCH_ROWS = 2048
+
+
+# A table: row dicts, or a mapping of column names to equally long columns.
+Table = Iterable[dict] | Mapping[str, Sequence]
 
 
 class ScenarioError(ValueError):
@@ -320,26 +327,49 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 def _format_float(value: float) -> str:
     if value.is_integer() and abs(value) < 1e15:
         return str(int(value))
-    return f"{value:.{_CSV_SIG_DIGITS}g}"
+    return _SIG_DIGITS_FORMAT(value)
 
 
-def _format_other(value: Any) -> str:
-    # A float subclass, such as numpy's float64, keeps the float rule.
-    return _format_float(value) if isinstance(value, float) else str(value)
+def _csv_floats(values: list) -> list[str]:
+    # The format writes an integral value as str(int(value)) does, except in
+    # exponent form (from 1e6 on) and -0.0 as "-0"; only then does a batch
+    # take the rule value by value.
+    text = list(map(_SIG_DIGITS_FORMAT, values))
+    joined = ",".join(text) + ","
+    return list(map(_format_float, values)) if "e" in joined or "-0," in joined else text
 
 
-# The CSV text of a cell by its exact type, so that a bool never takes the
-# int path.
-_CELL_TEXT: dict[type, Callable[[Any], str]] = {
-    str: str,
-    int: str,
-    float: _format_float,
-    bool: lambda value: "true" if value else "false",
-}
+def _json_floats(values: list) -> list[str]:
+    if not all(map(math.isfinite, values)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return list(map(float.__repr__, values))
+
+
+def _bools(values: list) -> list[str]:
+    return ["true" if v else "false" for v in values]
 
 
 def _format_cell(value: Any) -> str:
-    return _CELL_TEXT.get(type(value), _format_other)(value)
+    # A float subclass, such as numpy's float64, keeps the float rule.
+    if type(value) is bool:
+        return "true" if value else "false"
+    return _format_float(value) if isinstance(value, float) else str(value)
+
+
+# The text of a column whose cells all have one of these exact types (so a
+# bool never takes the int path), made in one call; any other column is
+# written cell by cell.
+_CSV_TEXT = {str: list, int: lambda v: list(map(str, v)), float: _csv_floats, bool: _bools}
+_JSON_TEXT = {
+    str: lambda v: list(map(encode_basestring_ascii, v)), int: lambda v: list(map(int.__repr__, v)),
+    float: _json_floats, bool: _bools, type(None): lambda v: ["null"] * len(v),
+}
+
+
+def _column_text(values: list, by_type: dict, cell: Callable[[Any], str]) -> list[str]:
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    return by_type[kind](values) if kind in by_type else list(map(cell, values))
 
 
 def _in_order(i: int, row: dict, cols: list[str]) -> dict:
@@ -348,15 +378,20 @@ def _in_order(i: int, row: dict, cols: list[str]) -> dict:
     return {c: row[c] for c in cols}
 
 
-def _table_chunks(
-    rows: Iterable[dict], fmt: str, columns: Sequence[str] | None
-) -> Iterator[str]:
-    """The text of a table in pieces: CSV line by line, JSON
-    ``_JSON_BATCH_ROWS`` rows at a time. Rows are read as the pieces are
-    asked for, so no more than one batch of them is held."""
-    if fmt not in TABLE_FORMATS:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {TABLE_FORMATS}")
-    rows = iter(rows)
+def _batches(table: Table, columns: Sequence[str] | None) -> tuple[list[str], Iterator[list]]:
+    """The column names, and the table ``_BATCH_ROWS`` rows at a time, one
+    list of cells per column. Row dicts are read as the batches are asked
+    for; a mapping of columns is sliced."""
+    if isinstance(table, Mapping):
+        cols = list(table if columns is None else columns)
+        data = [table[c] for c in cols]
+        n = len(data[0]) if data else 0
+        if any(len(col) != n for col in data):
+            raise ValueError(f"columns {cols} differ in length")
+        parts = ([col[lo:lo + _BATCH_ROWS] for col in data] for lo in range(0, n, _BATCH_ROWS))
+        return cols, ([p.tolist() if hasattr(p, "tolist") else list(p) for p in batch]
+                      for batch in parts)
+    rows = iter(table)
     if columns is None:
         first = next(rows, None)
         if first is None:
@@ -367,37 +402,52 @@ def _table_chunks(
         cols = list(columns)
     # Rows whose keys already come in column order are used as they are.
     rows = (row if list(row) == cols else _in_order(i, row, cols) for i, row in enumerate(rows))
+    batches = iter(lambda: list(itertools.islice(rows, _BATCH_ROWS)), [])
+    return cols, ([list(cells) for cells in zip(*(row.values() for row in batch))]
+                  for batch in batches)
+
+
+def _table_chunks(table: Table, fmt: str, columns: Sequence[str] | None) -> Iterator[str]:
+    """The text of a table, a batch of rows at a time, each column of a
+    batch formatted by one call chosen by the type of its cells."""
+    if fmt not in TABLE_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {TABLE_FORMATS}")
+    cols, batches = _batches(table, columns)
     if fmt == "csv":
         yield ",".join(cols) + "\n"
-        for row in rows:
-            yield ",".join(map(_format_cell, row.values())) + "\n"
+        for batch in batches:
+            text = [_column_text(cells, _CSV_TEXT, _format_cell) for cells in batch]
+            yield "\n".join(map(",".join, zip(*text))) + "\n"
         return
-    # Each batch is a JSON list without its brackets; joined by the
-    # separator json.dumps puts between items, the batches read as
-    # json.dumps of all the rows.
+    # Each batch is the text json.dumps gives its rows, without the list's
+    # brackets; joined by the separator json.dumps puts between items, the
+    # batches read as json.dumps of all the rows.
+    cell = functools.partial(json.dumps, allow_nan=False)
+    row = "{" + ", ".join(json.dumps(c).replace("%", "%%") + ": %s" for c in cols) + "}"
     yield "["
     separator = ""
-    while batch := list(itertools.islice(rows, _JSON_BATCH_ROWS)):
-        yield separator + json.dumps(batch, allow_nan=False)[1:-1]
+    for batch in batches:
+        text = [_column_text(cells, _JSON_TEXT, cell) for cells in batch]
+        yield separator + ", ".join(map(row.__mod__, zip(*text)))
         separator = ", "
     yield "]\n"
 
 
-def format_table(
-    rows: Iterable[dict], fmt: str, columns: Sequence[str] | None = None
-) -> str:
-    """Render homogeneous row dicts as CSV or JSON text.
+def format_table(rows: Table, fmt: str, columns: Sequence[str] | None = None) -> str:
+    """Render a table as CSV or JSON text: homogeneous row dicts, or a
+    mapping of column names to equally long columns (lists or arrays).
 
     CSV numbers carry 6 significant digits; JSON keeps full precision.
-    ``columns`` is only required when rows is empty (CSV still gets a header).
-    A non-finite number is written as ``inf``, ``-inf`` or ``nan`` in CSV and
-    raises ``ValueError`` in JSON, which has no such values.
+    ``columns`` orders the columns; it is only required when rows is empty
+    (CSV still gets a header). A non-finite number is written as ``inf``,
+    ``-inf`` or ``nan`` in CSV and raises ``ValueError`` in JSON, which has
+    no such values.
     """
     return "".join(_table_chunks(rows, fmt, columns))
 
 
 def write_table(
-    rows: Iterable[dict], path: str | Path, fmt: str, columns: Sequence[str] | None = None
+    rows: Table, path: str | Path, fmt: str, columns: Sequence[str] | None = None
 ) -> None:
     """format_table to a file with LF endings, written as the rows arrive.
 

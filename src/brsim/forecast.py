@@ -23,6 +23,8 @@ from ._arrays import any_true, fail_where, unwrap
 # clamping is reported on the returned distribution.
 VARIANCE_FLOOR = 1e-6
 VARIANCE_CEIL = 0.999
+# Below this level quantile checks betaincinv's point against its level.
+_TAIL_LEVEL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,11 +115,16 @@ def quantile(d: ForecastDistribution, q):
             np.logical_not((0.0 <= q) & (q <= 1.0)),
             "quantile level must be in [0, 1], got {}", q,
         )
-        # It also returns nan far out in the lower tail: from q = 1e-90 on,
-        # for some shapes. There x is below 1e-25, and the CDF is
-        # x**a / (a * B(a, b)) to within a relative O(x), so invert that.
-        log_q = np.log(np.where(lost, q, 1.0))
-        x = np.where(lost, np.exp((log_q + np.log(a) + special.betaln(a, b)) / a), x)
+    # Far in the lower tail betaincinv also returns nan (from q = 1e-90 for
+    # some shapes) or a point whose CDF misses q (0 at q = 1e-290, a = 29,
+    # b = 0.45). There the CDF is x**a / (a * B(a, b)) to within a relative
+    # O(x): invert that, and keep it where it meets q more closely.
+    tail = (0.0 < q) & (q < _TAIL_LEVEL)
+    if any_true(lost | tail):
+        log_q = np.log(np.where(lost | tail, q, 1.0))
+        lead = np.exp((log_q + np.log(a) + special.betaln(a, b)) / a)
+        closer = np.abs(special.betainc(a, b, lead) - q) < np.abs(special.betainc(a, b, x) - q)
+        x = np.where(lost | tail & closer, lead, x)
     return unwrap(x * d.capacity)
 
 

@@ -1,416 +1,434 @@
-"""Bilateral re-dispatch capacity market for one delivery hour.
+"""Bilateral re-dispatch capacity market over the delivery hours of a day.
 
-Lifecycle: DA clearing happens elsewhere. Each hour runs four functions in
-order: ``match_offers`` (the capacity window, once per side),
-``validate_contracts`` (zonal rule, seller headroom), ``claim_execution``
-(realized output) and ``settle`` (a closed zero-sum ledger against the
-settlement pool). Each contract's status enforces that order: an operation
-on a contract in the wrong status raises PhaseError.
+The day is held as columns, one row per offer, contract or ledger entry,
+and each step runs every hour at once (DA clearing happens elsewhere):
+``buyer_demand`` prices the book, ``match_offers`` fills it,
+``validate_contracts`` applies the zonal rule and seller headroom,
+``claim_execution`` executes the producer's near-RT claims,
+``executed_by_seller`` and ``modified_schedules`` move the schedules, and
+``settle`` writes a zero-sum ledger against the settlement pool. A step
+given contracts in the wrong status raises PhaseError. The rules are
+stated per hour; where one adds MW or cash a term at a time, the columns
+add in that order too (``_in_order``), so every value keeps its bits.
 """
 from __future__ import annotations
 
-import enum
-import itertools
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import vg as vg_econ
+from ._arrays import fail_where
 from .dataio import POOL
 from .forecast import ForecastDistribution
 from .provider import _MW_EPS, DispatchableUnit
-from .vg import DOWN, UP, Direction, PenaltyFactors, VgSchedule
+from .vg import DOWN, UP, PenaltyFactors, VgSchedule
 
-LEDGER_TAGS = ("premium", "da_energy", "brs_energy_shift", "rt_imbalance", "penalty")
+LEDGER_TAGS = ("premium", "da_energy", "brs_energy_shift", "rt_imbalance")
+# Contract status codes, and the rule behind a trim or a rejection.
+STATUSES = ("signed", "validated", "rejected", "executed", "released")
+SIGNED, VALIDATED, REJECTED, EXECUTED, RELEASED = range(len(STATUSES))
+REASONS = ("", "headroom", "zonal")
+NO_REASON, HEADROOM, ZONAL = range(len(REASONS))
+# Ledger party codes: the pool, the producer, then the units in order.
+_POOL, _VG, _UNITS = 0, 1, 2
 
 
 class PhaseError(RuntimeError):
     """Operation attempted on a contract outside its lifecycle status."""
 
 
-class ContractStatus(str, enum.Enum):
-    SIGNED = "signed"
-    VALIDATED = "validated"
-    REJECTED = "rejected"
-    EXECUTED = "executed"
-    RELEASED = "released"
-
-
-_LEGAL_TRANSITIONS = {
-    ContractStatus.SIGNED: {ContractStatus.VALIDATED, ContractStatus.REJECTED},
-    ContractStatus.VALIDATED: {ContractStatus.EXECUTED, ContractStatus.RELEASED},
-    ContractStatus.REJECTED: set(),
-    ContractStatus.EXECUTED: set(),
-    ContractStatus.RELEASED: set(),
+# Each column's dtype, and the value a contract starts with.
+_COLUMNS = {
+    "hour": (np.int64, 0), "up": (bool, False), "seller": (np.int64, 0),
+    "price": (float, 0.0), "quantity": (float, 0.0), "status": (np.int8, SIGNED),
+    "trimmed": (float, 0.0), "executed": (float, 0.0), "reason": (np.int8, NO_REASON),
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Offer:
-    """Standing sell offer for re-dispatch capacity in one hour."""
+def _runs(*keys: np.ndarray) -> np.ndarray:
+    """The first row of each run of rows equal in every key column."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
 
-    seller: str
-    hour: int
-    direction: Direction
-    price: float
-    quantity: float
+
+def _groups(rows: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` sorted stably by the key columns, the first key first, and
+    the first position of each run of rows equal in every key."""
+    order = rows[np.lexsort([key[rows] for key in reversed(keys)])]
+    return order, _runs(*(key[order] for key in keys))
+
+
+def _in_order(starts: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For k = 0, 1, ...: the runs of more than k rows (indices into
+    ``starts``) and each one's k-th row. Every run's rows come in row
+    order, as in a loop over one run, each step for all runs at once."""
+    sizes = np.diff(np.append(starts, n))
+    live = np.arange(len(starts))
+    k = 0
+    while len(live):
+        yield live, starts[live] + k
+        k += 1
+        live = live[sizes[live] > k]
+
+
+def _sums(starts: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Within each run of ``x``: the sum of the rows before each row, and
+    the run's total on each row, added one row at a time from 0.0."""
+    before, total = np.empty_like(x), np.zeros(len(starts))
+    for live, at in _in_order(starts, len(x)):
+        before[at] = total[live]
+        total[live] += x[at]
+    return before, np.repeat(total, np.diff(np.append(starts, len(x))))
+
+
+def _at_hours(x, hours):
+    """A per-hour input at each row's hour: an array is indexed by hour, a
+    scalar holds for every hour."""
+    return np.asarray(x)[hours] if np.ndim(x) else x
+
+
+@dataclass(frozen=True, eq=False)
+class Book:
+    """Standing sell offers of re-dispatch capacity, one row per offer in
+    posting order. ``seller`` indexes the day's units, and ``up`` marks
+    upward cover."""
+
+    hour: np.ndarray
+    up: np.ndarray
+    seller: np.ndarray
+    price: np.ndarray
+    quantity: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.quantity <= 0.0:
-            raise ValueError(f"offer quantity must be positive, got {self.quantity}")
-        if self.price < 0.0:
-            raise ValueError(f"offer price must be >= 0, got {self.price}")
-        if self.hour < 0:
-            raise ValueError(f"hour must be >= 0, got {self.hour}")
+        n = len(self.hour)
+        for field in dataclasses.fields(self):
+            dtype, start = _COLUMNS[field.name]
+            value = getattr(self, field.name)
+            col = np.full(n, start, dtype) if value is None else np.asarray(value, dtype)
+            if col.shape != (n,):
+                raise ValueError(f"column {field.name} has shape {col.shape}, expected ({n},)")
+            object.__setattr__(self, field.name, col)
+        fail_where(~(self.quantity > 0.0), "quantity must be positive, got {}", self.quantity)
+        fail_where(~(self.price >= 0.0), "price must be >= 0, got {}", self.price)
+        fail_where(self.hour < 0, "hour must be >= 0, got {}", self.hour)
 
 
-@dataclass(slots=True)
-class BrsContract:
-    """Signed cover for one hour. executed_mw is set when the claim lands;
-    trimmed_mw records quantity removed at validation."""
+@dataclass(frozen=True, eq=False)
+class Contracts(Book):
+    """Signed cover, one row per contract, a row's index its id: the
+    producer buys at the premium ``price``. ``trimmed`` holds the MW cut at
+    validation, ``reason`` the rule (``REASONS``) behind a trim or a
+    rejection, and ``executed`` the MW a claim executed."""
 
-    id: int
-    buyer: str
-    seller: str
-    hour: int
-    direction: Direction
-    quantity: float
-    premium_price: float
-    status: ContractStatus = ContractStatus.SIGNED
-    executed_mw: float = 0.0
-    trimmed_mw: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.quantity <= 0.0:
-            raise ValueError(f"contract quantity must be positive, got {self.quantity}")
-        if self.premium_price < 0.0:
-            raise ValueError(f"premium price must be >= 0, got {self.premium_price}")
-        if self.buyer == self.seller:
-            raise ValueError("buyer and seller must differ")
-
-    def transition(self, new_status: ContractStatus) -> None:
-        if new_status not in _LEGAL_TRANSITIONS[self.status]:
-            raise PhaseError(
-                f"contract {self.id}: illegal transition "
-                f"{self.status.value} -> {new_status.value}"
-            )
-        self.status = new_status
+    status: np.ndarray | None = None
+    trimmed: np.ndarray | None = None
+    executed: np.ndarray | None = None
+    reason: np.ndarray | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerEntry:
-    hour: int
-    payer: str
-    payee: str
-    amount: float
-    tag: str
+def _require(c: Contracts, allowed: tuple[int, ...], step: str) -> None:
+    names = np.array(STATUSES, dtype=object)[c.status]
+    fail_where(~np.isin(c.status, allowed), f"contract {{}} is {{}}, cannot {step}",
+               np.arange(len(names)), names, error=PhaseError)
 
 
+def buyer_demand(
+    book: Book, s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution
+) -> np.ndarray:
+    """The buyer's optimal total cover on each offer's side at the offer's
+    price, per offer: the MW that matching takes up to at that price.
+
+    One ``vg.optimal_quantity`` evaluation per side, over its offers in
+    posting order. The fields of ``s`` and ``d`` are scalars, or arrays over
+    the horizon read at each offer's hour; ``pf`` holds for every offer.
+    """
+    desired = np.zeros(len(book.hour))
+    for direction in (DOWN, UP):
+        at = np.flatnonzero(book.up == (direction is UP))
+        if not len(at):
+            continue
+        hours = book.hour[at]
+        side_s = VgSchedule(_at_hours(s.da_quantity, hours), _at_hours(s.da_price, hours))
+        side_d = ForecastDistribution(**{k: _at_hours(v, hours) for k, v in vars(d).items()})
+        desired[at] = vg_econ.optimal_quantity(side_s, pf, side_d, direction, book.price[at])
+    return desired
+
+
+def match_offers(book: Book, desired) -> Contracts:
+    """Greedy price-priority match of every hour's book, both sides, against
+    the buyer's marginal-value curve, ``desired`` (``buyer_demand``).
+
+    Per hour and side, price levels are walked ascending; each is taken up
+    to the buyer's optimal total at its price (beyond it the marginal value
+    is below the price). A level with no room ends the walk, as does one
+    that only partially fits, allocated pro rata by offer quantity. A fill
+    at or below _MW_EPS signs nothing. Contract ids run by hour, the
+    downward side first, by price, then in posting order.
+    """
+    desired = np.asarray(desired, dtype=float)
+    if desired.shape != book.price.shape:
+        raise ValueError(f"demand covers {len(desired)} offers, the book holds {len(book.price)}")
+    # A stable sort keeps posting order within a price level.
+    order, levels = _groups(np.arange(len(book.hour)), book.hour, book.up, book.price)
+    hour, up, price, qty = book.hour[order], book.up[order], book.price[order], book.quantity[order]
+    level = np.repeat(np.arange(len(levels)), np.diff(np.append(levels, len(order))))
+    level_qty = _sums(levels, qty)[1][levels]
+    # The MW taken before each offer if every level before it filled whole.
+    sides = _runs(hour, up)
+    taken = _sums(sides, np.where(qty > _MW_EPS, qty, 0.0))[0][levels]
+    room = desired[order][levels] - taken
+    stops = (room <= _MW_EPS) | (level_qty > room)
+    # A level is reached if no earlier level of its side stopped the walk.
+    reached = _sums(np.searchsorted(levels, sides), stops.astype(float))[0] == 0.0
+    whole, split = reached & ~stops, reached & stops & (room > _MW_EPS)
+    fill = np.where(whole[level], qty, 0.0)
+    fill = np.where(split[level], room[level] * qty / level_qty[level], fill)
+    at = np.flatnonzero(fill > _MW_EPS)
+    return Contracts(hour=hour[at], up=up[at], seller=book.seller[order][at],
+                     price=price[levels][level][at], quantity=fill[at])
+
+
+def validate_contracts(
+    contracts: Contracts, units: Sequence[DispatchableUnit], blocked: frozenset[int] = frozenset()
+) -> Contracts:
+    """Physical validation against seller headroom, oldest contracts first.
+
+    Per hour, upward cover consumes its seller's p_max - da_schedule (a
+    scalar or one value per hour), downward cover da_schedule - p_min. A
+    contract straddling the remaining headroom is trimmed; newer ones on an
+    exhausted side are rejected whole. A ``blocked`` seller (an index into
+    ``units``), across a congested zone boundary from the buyer, has its
+    contracts rejected outright.
+    """
+    c = contracts
+    _require(c, (SIGNED,), "validate")
+    fail_where((c.seller < 0) | (c.seller >= len(units)), "contract {}: unknown seller {}",
+               np.arange(len(c.hour)), c.seller)
+    headroom = np.empty(len(c.hour))
+    for j, u in enumerate(units):
+        mine = np.flatnonzero(c.seller == j)
+        schedule = _at_hours(u.da_schedule, c.hour[mine])
+        headroom[mine] = np.where(c.up[mine], u.p_max - schedule, schedule - u.p_min)
+    zonal = np.isin(c.seller, list(blocked))
+    status, reason = np.where(zonal, REJECTED, VALIDATED), np.where(zonal, ZONAL, NO_REASON)
+    quantity, trimmed = c.quantity.copy(), c.trimmed.copy()
+    # Headroom is used per hour, seller and side, in id order.
+    order, starts = _groups(np.flatnonzero(~zonal), c.hour, c.seller, c.up)
+    used = np.zeros(len(starts))
+    for runs, at in _in_order(starts, len(order)):
+        i = order[at]
+        room = headroom[i] - used[runs]
+        full = room <= _MW_EPS
+        over = ~full & (quantity[i] > room)
+        status[i[full]] = REJECTED
+        reason[i[full | over]] = HEADROOM
+        trimmed[i[over]] = quantity[i[over]] - room[over]
+        quantity[i[over]] = room[over]
+        used[runs] += np.where(full, 0.0, quantity[i])
+    return dataclasses.replace(c, quantity=quantity, trimmed=trimmed, status=status, reason=reason)
+
+
+def claim_execution(contracts: Contracts, da_quantity, claimed_output) -> Contracts:
+    """Turn the producer's near-RT output claims into executions.
+
+    Per hour, only the deviation side executes, capped by its validated
+    total, and the cap is shared pro rata by contract quantity; a share at
+    or below _MW_EPS is released. ``da_quantity`` and ``claimed_output``
+    are the producer's schedule and claim, scalars or one value per hour.
+    """
+    c = contracts
+    _require(c, (VALIDATED, REJECTED), "claim")
+    # Contract quantities are positive, so no side total is zero.
+    live, sides = _groups(np.flatnonzero(c.status == VALIDATED), c.hour, c.up)
+    hours, up, qty = c.hour[live], c.up[live], c.quantity[live]
+    side_qty = _sums(sides, qty)[1]
+    deviation = _at_hours(claimed_output, hours) - _at_hours(da_quantity, hours)
+    want = np.maximum(np.where(up, -deviation, deviation), 0.0)
+    mw = np.minimum(want, side_qty) * (qty / side_qty)
+    hit = mw > _MW_EPS
+    executed, status = c.executed.copy(), c.status.copy()
+    executed[live[hit]] = mw[hit]
+    status[live] = np.where(hit, EXECUTED, RELEASED)
+    return dataclasses.replace(c, executed=executed, status=status)
+
+
+@dataclass(frozen=True, eq=False)
+class Shifts:
+    """Executed MW per hour, side and seller, one row each: by hour, the
+    downward side first, then in the order of each seller's first executed
+    contract. Each row adds up its contracts' MW in id order."""
+
+    hour: np.ndarray
+    up: np.ndarray
+    seller: np.ndarray
+    mw: np.ndarray
+
+
+def executed_by_seller(contracts: Contracts) -> Shifts:
+    c = contracts
+    order, starts = _groups(np.flatnonzero(c.status == EXECUTED), c.hour, c.up, c.seller)
+    mw = _sums(starts, c.executed[order])[1][starts]
+    first = order[starts]
+    rows = np.lexsort((first, c.up[first], c.hour[first]))
+    first = first[rows]
+    return Shifts(hour=c.hour[first], up=c.up[first], seller=c.seller[first], mw=mw[rows])
+
+
+def _schedules(units: Sequence[DispatchableUnit], horizon: int) -> np.ndarray:
+    """The units' DA schedules, one row per hour and one column per unit."""
+    return np.array([np.broadcast_to(u.da_schedule, horizon) for u in units]).reshape(-1, horizon).T
+
+
+def modified_schedules(
+    vg_schedule: np.ndarray, units: Sequence[DispatchableUnit], shifts: Shifts
+) -> tuple[np.ndarray, np.ndarray]:
+    """The producer's schedule per hour, and each unit's (one column per
+    unit), after executions. Executed downward cover moves MW from the
+    producer to its seller, upward cover back; the producer's shift adds
+    the sellers' MW in shift order (bincount adds in input order)."""
+    horizon = len(vg_schedule)
+    signed = np.where(shifts.up, -shifts.mw, shifts.mw)
+    vg_shift = np.bincount(shifts.hour, signed, minlength=horizon)
+    moved = np.zeros((2, horizon, len(units)))
+    moved[shifts.up.astype(int), shifts.hour, shifts.seller] = shifts.mw
+    return vg_schedule + vg_shift, _schedules(units, horizon) - moved[0] + moved[1]
+
+
+@dataclass(frozen=True, eq=False)
 class SettlementLedger:
-    """Append-only double-entry ledger. Every flow names a payer and a payee,
-    so the parties' nets sum to zero up to rounding."""
+    """Append-only double-entry ledger, one row per entry: in ``hour``,
+    ``amount`` moves from ``parties[payer]`` to ``parties[payee]`` under
+    ``LEDGER_TAGS[tag]``. Every flow names a payer and a payee, so the
+    parties' nets sum to zero up to rounding. Build one with ``of``."""
 
-    def __init__(self) -> None:
-        self.entries: list[LedgerEntry] = []
+    parties: tuple[str, ...]
+    hour: np.ndarray
+    payer: np.ndarray
+    payee: np.ndarray
+    amount: np.ndarray
+    tag: np.ndarray
 
-    def add(self, hour: int, payer: str, payee: str, amount: float, tag: str) -> None:
-        if payer == payee:
-            raise ValueError(f"payer and payee must differ, both {payer!r}")
-        if tag not in LEDGER_TAGS:
-            raise ValueError(f"unknown ledger tag {tag!r}")
-        if amount < 0.0 or not math.isfinite(amount):
-            raise ValueError(
-                f"hour {hour}: {tag} from {payer!r} to {payee!r} must be finite "
-                f"and >= 0, got {amount}"
-            )
-        if amount == 0.0:
-            return
-        self.entries.append(LedgerEntry(hour, payer, payee, amount, tag))
+    @classmethod
+    def of(cls, parties: Sequence[str], flows: Iterable[tuple]) -> "SettlementLedger":
+        """The ledger of ``flows``: (tag, hour, payer, payee, amount) groups
+        of columns or scalars that broadcast, each in hour order, with
+        payer and payee indexing ``parties``. Entries run by hour, and
+        within an hour in the order of the groups, then of their rows.
+        Zero amounts are dropped; an unknown tag, a payer that is its own
+        payee, or an amount that is negative or not finite is refused."""
+        groups = []
+        for tag, *columns in flows:
+            if tag not in LEDGER_TAGS:
+                raise ValueError(f"unknown ledger tag {tag!r}")
+            groups.append(np.broadcast_arrays(*map(np.atleast_1d, columns), LEDGER_TAGS.index(tag)))
+        columns = [np.concatenate(col) for col in zip(*groups)] if groups else [np.zeros(0)] * 5
+        if (same := columns[1] == columns[2]).any():
+            raise ValueError(f"payer and payee must differ, both {parties[columns[1][same][0]]!r}")
+        order = np.argsort(columns[0], kind="stable")
+        hour, payer, payee, amount, tag = (col[order[columns[3][order] != 0.0]] for col in columns)
+        if (bad := ~(amount >= 0.0) | (amount == math.inf)).any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"hour {hour[i]}: {LEDGER_TAGS[tag[i]]} from {parties[payer[i]]!r} to "
+                             f"{parties[payee[i]]!r} must be finite and >= 0, got {amount[i]}")
+        hour, payer, payee, tag = (col.astype(np.int64, copy=False) for col in (hour, payer, payee, tag))
+        return cls(tuple(parties), hour, payer, payee, amount.astype(float, copy=False), tag)
 
-    def extend(self, other: "SettlementLedger") -> None:
-        self.entries.extend(other.entries)
+    def _nets(self, keys: np.ndarray, size: int) -> np.ndarray:
+        # Each entry takes its amount from the payer's net (keys[0::2]), then
+        # adds it to the payee's (keys[1::2]); bincount adds in input order.
+        return np.bincount(keys, np.column_stack((-self.amount, self.amount)).ravel(), minlength=size)
 
     def net_by_party(self) -> dict[str, float]:
         """Each party's net, in order of first appearance (payer before
         payee), summed in entry order."""
-        nets: dict[str, float] = {}
-        for e in self.entries:
-            nets[e.payer] = nets.get(e.payer, 0.0) - e.amount
-            nets[e.payee] = nets.get(e.payee, 0.0) + e.amount
-        return nets
+        seen = np.column_stack((self.payer, self.payee)).ravel()
+        nets = self._nets(seen, len(self.parties)).tolist()
+        first = {p: np.argmax(seen == p) for p in np.flatnonzero(np.bincount(seen)).tolist()}
+        return {self.parties[p]: nets[p] for p in sorted(first, key=first.get)}
+
+    def hourly_nets(self, horizon: int) -> np.ndarray:
+        """Each party's (column's) net within each hour (row), in entry order."""
+        at = self.hour * len(self.parties)
+        keys = np.column_stack((at + self.payer, at + self.payee)).ravel()
+        return self._nets(keys, horizon * len(self.parties)).reshape(horizon, len(self.parties))
 
     def is_balanced(self) -> bool:
         """Whether the parties' nets, summed exactly, cancel to within 1e-9
         of the gross flow."""
         residual = math.fsum(self.net_by_party().values())
-        return abs(residual) <= 1e-9 * math.fsum(e.amount for e in self.entries)
+        return abs(residual) <= 1e-9 * math.fsum(self.amount.tolist())
 
 
-@dataclass(frozen=True)
-class ExecutionClaim:
-    """Outcome of claiming execution against (near-)RT output."""
+@dataclass(frozen=True, eq=False)
+class DayAccounts:
+    """Everything settle needs for the day, after claims: the hourly inputs
+    hold one value per hour, ``unit_rt_output`` one column per unit too."""
 
-    executed_down: float
-    executed_up: float
-    per_seller_down: dict[str, float]
-    per_seller_up: dict[str, float]
-
-
-def _at_hours(x, hours):
-    """A per-hour input at each offer's hour: an array is indexed by hour,
-    a scalar holds for every hour."""
-    return np.asarray(x)[hours] if np.ndim(x) else x
-
-
-def buyer_demand(
-    offers: list[Offer],
-    s: VgSchedule,
-    pf: PenaltyFactors,
-    d: ForecastDistribution,
-) -> list[float]:
-    """The buyer's optimal total cover on each offer's side at the offer's
-    price, in offer order: the MW that matching takes up to at that price.
-
-    One ``vg.optimal_quantity`` evaluation per direction. The fields of
-    ``s`` and ``d`` are scalars for one hour, or arrays over the horizon
-    that are read at each offer's hour; ``pf`` holds for every offer.
-    """
-    desired = [0.0] * len(offers)
-    for direction in (DOWN, UP):
-        at = [i for i, o in enumerate(offers) if o.direction is direction]
-        if not at:
-            continue
-        hours = np.array([offers[i].hour for i in at])
-        side_s = VgSchedule(
-            da_quantity=_at_hours(s.da_quantity, hours),
-            da_price=_at_hours(s.da_price, hours),
-        )
-        side_d = ForecastDistribution(**{k: _at_hours(v, hours) for k, v in vars(d).items()})
-        prices = np.array([offers[i].price for i in at])
-        mw = vg_econ.optimal_quantity(side_s, pf, side_d, direction, prices)
-        for i, q in zip(at, mw.tolist()):
-            desired[i] = q
-    return desired
-
-
-def match_offers(
-    offers: list[Offer],
-    desired: list[float],
-    direction: Direction,
-    buyer: str,
-    id_start: int = 0,
-) -> list[BrsContract]:
-    """Greedy price-priority match of one side of the book against the
-    buyer's marginal-value curve.
-
-    ``desired`` is ``buyer_demand`` of the offers, which all belong to one
-    hour. Walks price levels ascending; each level is taken up to the
-    buyer's optimal total at that price (beyond it the marginal value is
-    below the price). A level that only partially fits is allocated
-    pro-rata by offer quantity.
-    """
-    book = sorted(
-        [(o, mw) for o, mw in zip(offers, desired, strict=True) if o.direction is direction],
-        key=lambda pair: pair[0].price,
-    )
-    contracts: list[BrsContract] = []
-    taken = 0.0
-    next_id = id_start
-    for price, level_iter in itertools.groupby(book, key=lambda pair: pair[0].price):
-        level, wants = zip(*level_iter)
-        room = wants[0] - taken
-        if room <= _MW_EPS:
-            break
-        level_qty = sum(o.quantity for o in level)
-        if level_qty <= room:
-            fills = [(o, o.quantity) for o in level]
-        else:
-            fills = [(o, room * o.quantity / level_qty) for o in level]
-        for o, mw in fills:
-            if mw <= _MW_EPS:
-                continue
-            contracts.append(
-                BrsContract(
-                    id=next_id,
-                    buyer=buyer,
-                    seller=o.seller,
-                    hour=o.hour,
-                    direction=direction,
-                    quantity=mw,
-                    premium_price=price,
-                )
-            )
-            next_id += 1
-            taken += mw
-        if level_qty > room:
-            break
-    return contracts
-
-
-def validate_contracts(
-    contracts: list[BrsContract],
-    units: dict[str, DispatchableUnit],
-    blocked: frozenset[str] = frozenset(),
-) -> None:
-    """Physical validation against seller headroom, oldest contracts first.
-
-    Upward cover consumes p_max - da_schedule, downward consumes
-    da_schedule - p_min. A contract that straddles the remaining headroom is
-    trimmed (the overflow MW are rejected); strictly newer contracts on an
-    exhausted side are rejected whole. Contracts with a ``blocked`` seller,
-    one across a congested zone boundary from the buyer, are rejected
-    outright.
-    """
-    used: dict[tuple[str, Direction], float] = {}
-    for c in sorted(contracts, key=lambda c: c.id):
-        if c.status is not ContractStatus.SIGNED:
-            raise PhaseError(f"contract {c.id} already {c.status.value}, cannot validate")
-        if c.seller not in units:
-            raise ValueError(f"contract {c.id}: unknown seller {c.seller!r}")
-        if c.seller in blocked:
-            c.transition(ContractStatus.REJECTED)
-            continue
-        u = units[c.seller]
-        if c.direction is UP:
-            headroom = u.p_max - u.da_schedule
-        else:
-            headroom = u.da_schedule - u.p_min
-        key = (c.seller, c.direction)
-        room = headroom - used.get(key, 0.0)
-        if room <= _MW_EPS:
-            c.transition(ContractStatus.REJECTED)
-            continue
-        if c.quantity > room:
-            c.trimmed_mw = c.quantity - room
-            c.quantity = room
-        used[key] = used.get(key, 0.0) + c.quantity
-        c.transition(ContractStatus.VALIDATED)
-
-
-def claim_execution(
-    contracts: list[BrsContract],
-    da_quantity: float,
-    claimed_output: float,
-) -> ExecutionClaim:
-    """Turn a near-RT output claim into per-contract executions.
-
-    Only the deviation side executes, capped by the contracted total, and the
-    cap is shared pro-rata by contract quantity. Remainders are released.
-    """
-    for c in contracts:
-        if c.status not in (ContractStatus.VALIDATED, ContractStatus.REJECTED):
-            raise PhaseError(f"contract {c.id} is {c.status.value}, cannot claim")
-    validated = [c for c in contracts if c.status is ContractStatus.VALIDATED]
-    deviation = claimed_output - da_quantity
-    per_seller: dict[Direction, dict[str, float]] = {DOWN: {}, UP: {}}
-    totals = {DOWN: 0.0, UP: 0.0}
-    for direction in (DOWN, UP):
-        side = [c for c in validated if c.direction is direction]
-        side_qty = sum(c.quantity for c in side)
-        want = max(deviation, 0.0) if direction is DOWN else max(-deviation, 0.0)
-        total = min(want, side_qty)
-        for c in side:
-            mw = total * (c.quantity / side_qty) if side_qty > 0.0 else 0.0
-            if mw > _MW_EPS:
-                c.executed_mw = mw
-                c.transition(ContractStatus.EXECUTED)
-                bucket = per_seller[direction]
-                bucket[c.seller] = bucket.get(c.seller, 0.0) + mw
-            else:
-                c.transition(ContractStatus.RELEASED)
-        totals[direction] = sum(per_seller[direction].values())
-    return ExecutionClaim(
-        executed_down=totals[DOWN],
-        executed_up=totals[UP],
-        per_seller_down=per_seller[DOWN],
-        per_seller_up=per_seller[UP],
-    )
-
-
-@dataclass(frozen=True)
-class HourAccounts:
-    """Everything settle needs for one hour, after claims are applied."""
-
-    hour: int
     vg_id: str
-    da_price: float
-    rt_price: float
+    da_price: np.ndarray
+    rt_price: np.ndarray
     penalty: PenaltyFactors
-    vg_da_schedule: float
-    vg_realized: float
-    contracts: list[BrsContract]
+    vg_schedule: np.ndarray
+    vg_realized: np.ndarray
+    contracts: Contracts
+    shifts: Shifts
     units: dict[str, DispatchableUnit]
-    unit_rt_output: dict[str, float]
+    unit_rt_output: np.ndarray
 
 
-def settle(acc: HourAccounts) -> SettlementLedger:
-    """Cash out one hour into a zero-sum ledger.
+def settle(acc: DayAccounts) -> SettlementLedger:
+    """Cash out the day into a zero-sum ledger.
 
     Premiums are owed on the full validated quantity (released cover is still
-    paid for). DA energy is settled on original schedules, with a bilateral
-    transfer at the DA price moving the executed MW so both sides effectively
-    settle on modified schedules. Residual deviations clear against the pool:
-    the producer at the penalized DA price, units at the RT price.
+    paid for). DA energy is settled on original schedules, and a transfer at
+    the DA price moves the executed MW, so both sides settle on modified
+    schedules. Residual deviations clear against the pool: the producer's at
+    the penalized DA price, units' at the RT price. Each hour's entries run
+    in that order: premiums by contract id, DA energy (the producer first),
+    transfers in shift order, then imbalances (the producer first).
     """
-    lam_d, lam_r = acc.da_price, acc.rt_price
-    ledger = SettlementLedger()
-
-    executed_down: dict[str, float] = {}
-    executed_up: dict[str, float] = {}
-    for c in acc.contracts:
-        if c.status is ContractStatus.REJECTED:
-            continue
-        if c.status not in (ContractStatus.EXECUTED, ContractStatus.RELEASED):
-            raise PhaseError(f"contract {c.id} still {c.status.value} at settlement")
-        ledger.add(acc.hour, c.buyer, c.seller, c.premium_price * c.quantity, "premium")
-        if c.status is ContractStatus.EXECUTED:
-            side = executed_down if c.direction is DOWN else executed_up
-            side[c.seller] = side.get(c.seller, 0.0) + c.executed_mw
-
-    # DA energy on original schedules.
-    ledger.add(acc.hour, POOL, acc.vg_id, lam_d * acc.vg_da_schedule, "da_energy")
-    for uid, u in acc.units.items():
-        ledger.add(acc.hour, POOL, uid, lam_d * u.da_schedule, "da_energy")
-
-    # Bilateral transfer of the executed MW at the DA price.
-    vg_shift = 0.0
-    for uid, mw in executed_down.items():
-        ledger.add(acc.hour, uid, acc.vg_id, lam_d * mw, "brs_energy_shift")
-        vg_shift += mw
-    for uid, mw in executed_up.items():
-        ledger.add(acc.hour, acc.vg_id, uid, lam_d * mw, "brs_energy_shift")
-        vg_shift -= mw
-
-    # Producer residual deviation vs the pool at the penalized DA price.
-    vg_modified = acc.vg_da_schedule + vg_shift
+    c = acc.contracts
+    _require(c, (EXECUTED, RELEASED, REJECTED), "settle")
+    ids, units = tuple(acc.units), tuple(acc.units.values())
+    horizon, lam_d, lam_r = len(acc.da_price), acc.da_price, acc.rt_price
+    if np.shape(acc.unit_rt_output) != (horizon, len(units)):
+        raise ValueError(f"missing RT output: need shape {(horizon, len(units))}, "
+                         f"got {np.shape(acc.unit_rt_output)}")
+    vg_modified, unit_modified = modified_schedules(acc.vg_schedule, units, acc.shifts)
+    lo = np.array([u.p_min for u in units]) - _MW_EPS
+    hi = np.array([u.p_max for u in units]) + _MW_EPS
+    hours = np.arange(horizon)
+    fail_where(~((lo <= unit_modified) & (unit_modified <= hi)),
+               "hour {}: unit {} pushed to {} MW despite validation",
+               hours[:, None], np.array(ids, dtype=object), unit_modified, error=AssertionError)
+    unit_hours = np.repeat(hours, len(units))
+    unit_party = np.tile(_UNITS + np.arange(len(units)), horizon)
+    live, s = np.flatnonzero(c.status != REJECTED), acc.shifts
     residual = acc.vg_realized - vg_modified
-    if residual > 0.0:
-        ledger.add(
-            acc.hour, POOL, acc.vg_id, (1.0 - acc.penalty.over) * lam_d * residual,
-            "rt_imbalance",
-        )
-    elif residual < 0.0:
-        ledger.add(
-            acc.hour, acc.vg_id, POOL, (1.0 + acc.penalty.under) * lam_d * (-residual),
-            "rt_imbalance",
-        )
+    over = residual > 0.0
+    vg_owed = np.where(over, (1.0 - acc.penalty.over) * lam_d * residual,
+                       (1.0 + acc.penalty.under) * lam_d * -residual)
+    # The pool pays a positive value and is paid a negative one, so a
+    # negative RT price flips who owes whom for the same deviation.
+    value = (lam_r[:, None] * (acc.unit_rt_output - unit_modified)).ravel()
+    return SettlementLedger.of((POOL, acc.vg_id, *ids), [
+        ("premium", c.hour[live], _VG, _UNITS + c.seller[live], c.price[live] * c.quantity[live]),
+        ("da_energy", hours, _POOL, _VG, lam_d * acc.vg_schedule),
+        ("da_energy", unit_hours, _POOL, unit_party,
+         (lam_d[:, None] * _schedules(units, horizon)).ravel()),
+        ("brs_energy_shift", s.hour, *_either(s.up, _VG, _UNITS + s.seller), lam_d[s.hour] * s.mw),
+        ("rt_imbalance", hours, *_either(over, _POOL, _VG), vg_owed),
+        ("rt_imbalance", unit_hours, *_either(value > 0.0, _POOL, unit_party), np.abs(value)),
+    ])
 
-    # Unit deviations from modified schedules vs the pool at the RT price.
-    for uid, u in acc.units.items():
-        modified = u.da_schedule - executed_down.get(uid, 0.0) + executed_up.get(uid, 0.0)
-        if not u.p_min - _MW_EPS <= modified <= u.p_max + _MW_EPS:
-            raise AssertionError(
-                f"unit {uid} pushed to {modified} MW despite validation"
-            )
-        if uid not in acc.unit_rt_output:
-            raise ValueError(f"missing RT output for unit {uid!r}")
-        # The pool pays a positive value and is paid a negative one, so a
-        # negative RT price flips who owes whom for the same deviation.
-        value = lam_r * (acc.unit_rt_output[uid] - modified)
-        if value > 0.0:
-            ledger.add(acc.hour, POOL, uid, value, "rt_imbalance")
-        elif value < 0.0:
-            ledger.add(acc.hour, uid, POOL, -value, "rt_imbalance")
 
-    return ledger
+def _either(forward: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(payer, payee): a pays b where ``forward`` is set, b pays a elsewhere."""
+    return np.where(forward, a, b), np.where(forward, b, a)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import fail_where, unwrap
+
 
 class UnitKind(str, enum.Enum):
     BASE_LOAD = "base_load"
@@ -31,19 +33,22 @@ class ContractInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class DispatchableUnit:
+    """A unit's operating range, cost and DA schedule: a scalar for one hour,
+    or an array with one value per hour of a day."""
+
     kind: UnitKind
     p_min: float
     p_max: float
     marginal_cost: float
-    da_schedule: float
+    da_schedule: float | np.ndarray
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_min <= self.p_max:
             raise ValueError(f"need 0 <= p_min <= p_max, got [{self.p_min}, {self.p_max}]")
-        if not self.p_min <= self.da_schedule <= self.p_max:
-            raise ValueError(
-                f"da_schedule {self.da_schedule} outside [{self.p_min}, {self.p_max}]"
-            )
+        fail_where(
+            np.logical_not((self.p_min <= self.da_schedule) & (self.da_schedule <= self.p_max)),
+            "da_schedule {} outside [{}, {}]", self.da_schedule, self.p_min, self.p_max,
+        )
         if not math.isfinite(self.marginal_cost):
             raise ValueError("marginal_cost must be finite")
 
@@ -170,17 +175,19 @@ RISK_UNITS = {
 RISK_HEADROOM = 50.0
 
 
-def rt_dispatch(u: DispatchableUnit, rt_price: float) -> float:
+def rt_dispatch(u: DispatchableUnit, rt_price):
     """Merit-order RT output: full range against the RT price for marginal
     units, the DA schedule regardless of price for base load. A tie between
-    RT price and marginal cost holds the schedule."""
+    RT price and marginal cost holds the schedule.
+
+    Elementwise over the RT prices and the schedule, selecting values
+    without arithmetic; a scalar call returns a Python float."""
+    rt = np.asarray(rt_price)
     if u.kind is UnitKind.BASE_LOAD:
-        return u.da_schedule
-    if rt_price > u.marginal_cost:
-        return u.p_max
-    if rt_price < u.marginal_cost:
-        return u.p_min
-    return u.da_schedule
+        shape = np.broadcast_shapes(rt.shape, np.shape(u.da_schedule))
+        return unwrap(np.broadcast_to(u.da_schedule, shape))
+    cost = u.marginal_cost
+    return unwrap(np.where(rt > cost, u.p_max, np.where(rt < cost, u.p_min, u.da_schedule)))
 
 
 def _revenue_chunks(u: DispatchableUnit, scenarios: ScenarioSet):
@@ -193,11 +200,7 @@ def _revenue_chunks(u: DispatchableUnit, scenarios: ScenarioSet):
         outside = (shifted < u.p_min - _MW_EPS) | (shifted > u.p_max + _MW_EPS)
         _first_bad(outside, shifted, f"shifted schedule outside [{u.p_min}, {u.p_max}]",
                    ContractInfeasibleError, lo)
-        if u.kind is UnitKind.BASE_LOAD:
-            out = np.full_like(rt, u.da_schedule)
-        else:  # rt_dispatch over the chunk
-            out = np.where(rt > u.marginal_cost, u.p_max,
-                           np.where(rt < u.marginal_cost, u.p_min, u.da_schedule))
+        out = rt_dispatch(u, rt)
         rev0 = da * u.da_schedule + (out - u.da_schedule) * rt
         rev1 = da * shifted + (out - shifted) * rt
         yield sl, rev0, rev1

@@ -1,38 +1,33 @@
-"""Scenario-driven day runs: wires forecasts, the hourly capacity market,
-claims, and settlement into one deterministic pipeline."""
+"""Scenario-driven day runs: wires forecasts, the capacity market, claims,
+and settlement into one deterministic pipeline, every step over the whole
+horizon at once."""
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from . import forecast, market, provider, vg
-from .dataio import ScenarioConfig, UnitConfig
-from .market import BrsContract, HourAccounts, Offer, SettlementLedger
+from ._arrays import fail_where
+from .dataio import ScenarioConfig
+from .market import Contracts, SettlementLedger
 from .provider import DispatchableUnit, UnitKind
 from .vg import PenaltyFactors, VgSchedule
 
 
-@dataclass(slots=True)
-class HourOutcome:
-    hour: int
-    vg_schedule: float
-    vg_modified: float
-    vg_realized: float
-    unit_schedules: dict[str, float]
-    unit_modified: dict[str, float]
-    contracts: list[BrsContract]
-    ledger: SettlementLedger
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DayResult:
-    hours: list[HourOutcome]
-    # Every hour's ledger entries, in hour order.
+    """A day's market as columns: contracts, ledger entries, and each hour's
+    schedules after executions, the producer's and each unit's (a column)."""
+
+    vg_id: str
+    unit_ids: tuple[str, ...]
+    contracts: Contracts
     ledger: SettlementLedger
+    vg_modified: np.ndarray
+    unit_modified: np.ndarray
 
 
 def _producer_inputs(cfg: ScenarioConfig, mean, schedule, price):
@@ -125,25 +120,14 @@ def profit_sweep(
     return rows
 
 
-def _unit_hours(uc: UnitConfig) -> Iterator[DispatchableUnit]:
-    """The unit at each hour of the day, its kind resolved once."""
-    kind = UnitKind(uc.kind)
-    for schedule in uc.da_schedule_mw:
-        yield DispatchableUnit(
-            kind=kind,
-            p_min=uc.p_min_mw,
-            p_max=uc.p_max_mw,
-            marginal_cost=uc.marginal_cost,
-            da_schedule=schedule,
-        )
-
-
 def simulate_day(cfg: ScenarioConfig) -> DayResult:
     """Run the full lifecycle for every hour of the scenario.
 
     Requires the scenario to declare offers and realized producer output.
     Deterministic for a fixed config (the seed only feeds the optional
-    claim-time forecast error).
+    claim-time forecast error). An hour whose executions change its
+    scheduled MW, whose ledger does not balance, or whose pool net is not
+    what the pool owes raises AssertionError.
     """
     if cfg.vg.realized_mw is None:
         raise ValueError("scenario declares no realized output; cannot simulate")
@@ -152,151 +136,99 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     # no zone, or in the producer's own zone, never matches one.
     pairs = cfg.zonal_rule.congested_boundaries if cfg.zonal_rule is not None else ()
     boundaries = {frozenset(pair) for pair in pairs}
-    blocked = frozenset(u.id for u in cfg.units if frozenset((cfg.vg.zone, u.zone)) in boundaries)
+    blocked = frozenset(
+        j for j, u in enumerate(cfg.units) if frozenset((cfg.vg.zone, u.zone)) in boundaries
+    )
     # Each hour's claim: the realized output plus the claim-time error.
     noise = np.random.default_rng(cfg.seed).standard_normal(cfg.horizon)
-    claims = np.clip(
-        np.asarray(cfg.vg.realized_mw) + cfg.vg.claim_error_std_mw * noise, 0.0, cfg.vg.capacity_mw
-    ).tolist()
-    directions = {direction.value: direction for direction in vg.Direction}
-    offers = [
-        Offer(
-            seller=oc.seller,
-            hour=oc.hour,
-            direction=directions[oc.direction],
-            price=oc.price,
-            quantity=oc.quantity_mw,
-        )
-        for oc in cfg.offers
-    ]
+    realized = np.asarray(cfg.vg.realized_mw, dtype=float)
+    claims = np.clip(realized + cfg.vg.claim_error_std_mw * noise, 0.0, cfg.vg.capacity_mw)
+    units = {uc.id: DispatchableUnit(UnitKind(uc.kind), uc.p_min_mw, uc.p_max_mw, uc.marginal_cost,
+                                     np.asarray(uc.da_schedule_mw, dtype=float))
+             for uc in cfg.units}
+    unit_list = list(units.values())
+    seller = {uid: j for j, uid in enumerate(units)}
+    offers = [(oc.hour, oc.direction == "up", seller[oc.seller], oc.price, oc.quantity_mw)
+              for oc in cfg.offers]
+    book = market.Book(*(zip(*offers) if offers else ((),) * 5))  # hour, up, seller, price, MW
     s, pf, d = _horizon_inputs(cfg)
-    # Offers per hour in posting order, which matching depends on, each with
-    # the buyer's demand at its price.
-    book: dict[int, tuple[list[Offer], list[float]]] = {}
-    for offer, desired in zip(offers, market.buyer_demand(offers, s, pf, d)):
-        posted, wants = book.setdefault(offer.hour, ([], []))
-        posted.append(offer)
-        wants.append(desired)
 
-    unit_hours = [(uc.id, _unit_hours(uc)) for uc in cfg.units]
-    hours: list[HourOutcome] = []
-    day_ledger = SettlementLedger()
-    next_contract_id = 0
-    for h in range(cfg.horizon):
-        schedule, da_price = cfg.vg.da_schedule_mw[h], cfg.da_price[h]
-        units = {uid: next(at_hour) for uid, at_hour in unit_hours}
+    contracts = market.match_offers(book, market.buyer_demand(book, s, pf, d))
+    contracts = market.validate_contracts(contracts, unit_list, blocked)
+    contracts = market.claim_execution(contracts, s.da_quantity, claims)
+    shifts = market.executed_by_seller(contracts)
+    vg_modified, unit_modified = market.modified_schedules(s.da_quantity, unit_list, shifts)
+    rt_price = np.asarray(cfg.rt_price, dtype=float)
+    rt_output = unit_modified.copy()
+    for j, (uc, u) in enumerate(zip(cfg.units, unit_list)):
+        if uc.rt_mode != "modified_schedule":
+            rt_output[:, j] = provider.rt_dispatch(u, rt_price)
 
-        posted, wants = book.get(h, ([], []))
-        contracts = market.match_offers(
-            posted, wants, vg.DOWN, cfg.vg.id, id_start=next_contract_id
-        )
-        contracts += market.match_offers(
-            posted, wants, vg.UP, cfg.vg.id, id_start=next_contract_id + len(contracts)
-        )
-        next_contract_id += len(contracts)
-        market.validate_contracts(contracts, units, blocked)
+    scheduled = s.da_quantity + sum(u.da_schedule for u in unit_list)
+    shifted = vg_modified + unit_modified.sum(axis=1) - scheduled
+    hours = np.arange(cfg.horizon)
+    fail_where(np.abs(shifted) > 1e-9 * np.maximum(1.0, np.abs(scheduled)),
+               "hour {}: executions changed the scheduled total by {} MW", hours, shifted,
+               error=AssertionError)
 
-        realized = cfg.vg.realized_mw[h]
-        claim = market.claim_execution(contracts, schedule, claims[h])
-
-        rt_price = cfg.rt_price[h]
-        vg_modified = schedule + claim.executed_down - claim.executed_up
-        unit_modified: dict[str, float] = {}
-        unit_rt_output: dict[str, float] = {}
-        for uc in cfg.units:
-            u = units[uc.id]
-            modified = (
-                u.da_schedule
-                - claim.per_seller_down.get(uc.id, 0.0)
-                + claim.per_seller_up.get(uc.id, 0.0)
-            )
-            unit_modified[uc.id] = modified
-            if uc.rt_mode == "modified_schedule":
-                unit_rt_output[uc.id] = modified
-            else:
-                unit_rt_output[uc.id] = provider.rt_dispatch(u, rt_price)
-        unit_schedules = {uid: u.da_schedule for uid, u in units.items()}
-        scheduled = schedule + math.fsum(unit_schedules.values())
-        shifted = vg_modified + math.fsum(unit_modified.values()) - scheduled
-        if abs(shifted) > 1e-9 * max(1.0, abs(scheduled)):
-            raise AssertionError(
-                f"hour {h}: executions changed the scheduled total by {shifted} MW"
-            )
-
-        ledger = market.settle(
-            HourAccounts(
-                hour=h,
-                vg_id=cfg.vg.id,
-                da_price=da_price,
-                rt_price=rt_price,
-                penalty=pf,
-                vg_da_schedule=schedule,
-                vg_realized=realized,
-                contracts=contracts,
-                units=units,
-                unit_rt_output=unit_rt_output,
-            )
-        )
-        if not ledger.is_balanced():
-            raise AssertionError(f"hour {h}: ledger nets do not cancel")
-        # The pool pays each DA schedule at the DA price and clears each residual
-        # deviation, the producer's at its penalized DA price, units' at RT.
-        residual = realized - vg_modified
-        factor = 1.0 - pf.over if residual > 0.0 else 1.0 + pf.under
-        flows = [-da_price * scheduled, -factor * da_price * residual]
-        flows += [-rt_price * (unit_rt_output[uid] - unit_modified[uid]) for uid in unit_modified]
-        pool_net, owed = ledger.net_by_party().get(market.POOL, 0.0), math.fsum(flows)
-        if abs(pool_net - owed) > 1e-9 * max(1.0, math.fsum(map(abs, flows))):
-            raise AssertionError(f"hour {h}: pool net {pool_net} differs from {owed} owed")
-        day_ledger.extend(ledger)
-
-        hours.append(
-            HourOutcome(
-                hour=h,
-                vg_schedule=schedule,
-                vg_modified=vg_modified,
-                vg_realized=realized,
-                unit_schedules=unit_schedules,
-                unit_modified=unit_modified,
-                contracts=contracts,
-                ledger=ledger,
-            )
-        )
-
-    return DayResult(hours=hours, ledger=day_ledger)
+    ledger = market.settle(market.DayAccounts(
+        vg_id=cfg.vg.id, da_price=s.da_price, rt_price=rt_price, penalty=pf,
+        vg_schedule=s.da_quantity, vg_realized=realized, contracts=contracts, shifts=shifts,
+        units=units, unit_rt_output=rt_output,
+    ))
+    nets = ledger.hourly_nets(cfg.horizon)
+    gross = np.bincount(ledger.hour, ledger.amount, minlength=cfg.horizon)
+    residual = np.array([math.fsum(row) for row in nets.tolist()])
+    fail_where(np.abs(residual) > 1e-9 * gross, "hour {}: ledger nets do not cancel", hours,
+               error=AssertionError)
+    # The pool pays each DA schedule at the DA price and clears each residual
+    # deviation, the producer's at its penalized DA price, units' at RT.
+    deviation = realized - vg_modified
+    factor = np.where(deviation > 0.0, 1.0 - pf.over, 1.0 + pf.under)
+    flows = np.column_stack((
+        -s.da_price * scheduled,
+        -factor * s.da_price * deviation,
+        -rt_price[:, None] * (rt_output - unit_modified),
+    ))
+    owed = np.array([math.fsum(row) for row in flows.tolist()])
+    pool_net = nets[:, ledger.parties.index(market.POOL)]
+    fail_where(np.abs(pool_net - owed) > 1e-9 * np.maximum(1.0, np.abs(flows).sum(axis=1)),
+               "hour {}: pool net {} differs from {} owed", hours, pool_net, owed,
+               error=AssertionError)
+    return DayResult(cfg.vg.id, tuple(units), contracts, ledger, vg_modified, unit_modified)
 
 
-def contract_rows(result: DayResult) -> Iterator[dict]:
-    """Flat table of every contract signed during the day, one row at a time."""
-    for hour in result.hours:
-        for c in hour.contracts:
-            yield {
-                "id": c.id,
-                "hour": c.hour,
-                "buyer": c.buyer,
-                "seller": c.seller,
-                "direction": c.direction.value,
-                "quantity_mw": c.quantity,
-                "premium_price": c.premium_price,
-                "status": c.status.value,
-                "executed_mw": c.executed_mw,
-                "trimmed_mw": c.trimmed_mw,
-            }
+def contract_rows(result: DayResult) -> dict[str, np.ndarray]:
+    """Every contract signed during the day, as table columns, in id order."""
+    c = result.contracts
+    return {
+        "id": np.arange(len(c.hour)),
+        "hour": c.hour,
+        "buyer": np.full(len(c.hour), result.vg_id, dtype=object),
+        "seller": np.array(result.unit_ids, dtype=object)[c.seller],
+        "direction": np.where(c.up, vg.UP.value, vg.DOWN.value),
+        "quantity_mw": c.quantity,
+        "premium_price": c.price,
+        "status": np.array(market.STATUSES, dtype=object)[c.status],
+        "executed_mw": c.executed,
+        "trimmed_mw": c.trimmed,
+    }
 
 
-def ledger_rows(result: DayResult) -> Iterator[dict]:
-    """Every ledger entry of the day, one row at a time."""
-    for e in result.ledger.entries:
-        yield {
-            "hour": e.hour,
-            "payer": e.payer,
-            "payee": e.payee,
-            "amount": e.amount,
-            "tag": e.tag,
-        }
+def ledger_rows(result: DayResult) -> dict[str, np.ndarray]:
+    """Every ledger entry of the day, as table columns, in entry order."""
+    led = result.ledger
+    parties = np.array(led.parties, dtype=object)
+    return {
+        "hour": led.hour,
+        "payer": parties[led.payer],
+        "payee": parties[led.payee],
+        "amount": led.amount,
+        "tag": np.array(market.LEDGER_TAGS, dtype=object)[led.tag],
+    }
 
 
-def totals_rows(result: DayResult) -> Iterator[dict]:
-    """Each party's net cash over the day, one row at a time."""
-    for party, net in result.ledger.net_by_party().items():
-        yield {"party": party, "net_cash": net}
+def totals_rows(result: DayResult) -> dict[str, list]:
+    """Each party's net cash over the day, as table columns."""
+    nets = result.ledger.net_by_party()
+    return {"party": list(nets), "net_cash": list(nets.values())}

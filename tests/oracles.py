@@ -11,7 +11,8 @@ cannot change an oracle along with the code it judges.
 - ``scenario_to_dict`` and ``write_scenario`` turn a loaded config back
   into a scenario document, for round trips through the loader.
 - ``read_table`` reads back a CSV or JSON table written by
-  ``dataio.write_table``.
+  ``dataio.write_table``; ``table_rows`` turns a table of columns into row
+  dicts.
 - ``JointScenario``, ``revenue_unit`` and ``revenue_unit_with_brs`` price
   one draw with scalar arithmetic, the way ``provider`` did before its
   risk moments were taken over arrays of draws.
@@ -19,13 +20,25 @@ cannot change an oracle along with the code it judges.
   revenue at one realized output, the piecewise payoffs whose expectation
   ``vg.expected_revenue`` takes in closed form.
 - ``ledger_net`` is one party's net over a ledger, summed entry by entry,
-  for checking ``SettlementLedger.net_by_party``.
+  for checking ``SettlementLedger.net_by_party`` and ``hourly_nets``;
+  ``ledger_entries`` and ``hour_ledger`` read a columnar ledger entry by
+  entry and hour by hour.
+- The per-hour market is the hourly lifecycle that ``market`` ran before it
+  held the day as columns: one ``Offer``, ``BrsContract`` and
+  ``LedgerEntry`` object each, a status machine on every contract, and
+  ``match_offers``, ``validate_contracts``, ``claim_execution`` and
+  ``settle`` called hour by hour by ``per_hour_day``. Its sums add one term
+  at a time, as Python 3.11's ``sum`` of floats does.
 """
 from __future__ import annotations
 
 import csv
+import enum
+import functools
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -34,11 +47,16 @@ from scipy import special
 from scipy.optimize import brentq
 from scipy.stats import beta as _beta
 
-from brsim.dataio import ScenarioConfig
+import numpy as np
+
+from brsim import simulation, vg
+from brsim.dataio import POOL, ScenarioConfig
 from brsim.forecast import ForecastDistribution
-from brsim.market import SettlementLedger
-from brsim.provider import _MW_EPS, ContractInfeasibleError, DispatchableUnit, rt_dispatch
-from brsim.vg import BrsPosition, PenaltyFactors, VgSchedule
+from brsim.market import LEDGER_TAGS, SettlementLedger
+from brsim.provider import (
+    _MW_EPS, ContractInfeasibleError, DispatchableUnit, UnitKind, rt_dispatch,
+)
+from brsim.vg import DOWN, UP, BrsPosition, Direction, PenaltyFactors, VgSchedule
 
 # Normalized-scale tolerances for the quantile root find. The contract asks
 # for 1e-10 absolute; brentq converges fast enough that tightening is free,
@@ -283,12 +301,408 @@ def revenue_with_brs(
     return lam * actual
 
 
-def ledger_net(ledger: SettlementLedger, party: str) -> float:
-    """One party's net over the ledger, summed in entry order."""
+def table_rows(table: dict) -> list[dict]:
+    """A table of columns as row dicts of Python scalars."""
+    columns = [col.tolist() if hasattr(col, "tolist") else list(col) for col in table.values()]
+    return [dict(zip(table, row)) for row in zip(*columns)]
+
+
+def hour_ledger(ledger: SettlementLedger, hour: int) -> SettlementLedger:
+    """The entries of one hour, as a ledger of their own."""
+    at = ledger.hour == hour
+    return SettlementLedger(
+        ledger.parties, ledger.hour[at], ledger.payer[at], ledger.payee[at],
+        ledger.amount[at], ledger.tag[at],
+    )
+
+
+def ledger_entries(ledger: SettlementLedger) -> list[LedgerEntry]:
+    """A columnar ledger's entries as objects, in entry order."""
+    names = ledger.parties
+    return [
+        LedgerEntry(h, names[payer], names[payee], amount, LEDGER_TAGS[tag])
+        for h, payer, payee, amount, tag in zip(
+            ledger.hour.tolist(), ledger.payer.tolist(), ledger.payee.tolist(),
+            ledger.amount.tolist(), ledger.tag.tolist(),
+        )
+    ]
+
+
+def ledger_net(ledger, party: str, hour: int | None = None) -> float:
+    """One party's net over a columnar or per-entry ledger, or over its
+    entries in one hour, summed in entry order."""
+    entries = ledger.entries if isinstance(ledger, EntryLedger) else ledger_entries(ledger)
     total = 0.0
-    for e in ledger.entries:
+    for e in entries:
+        if hour is not None and e.hour != hour:
+            continue
         if e.payee == party:
             total += e.amount
         if e.payer == party:
             total -= e.amount
     return total
+
+
+# ---------------------------------------------------------------------------
+# the per-hour market
+# ---------------------------------------------------------------------------
+
+def _added(values) -> float:
+    """The sum of values added one at a time from 0.0."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+class PhaseError(RuntimeError):
+    """Operation attempted on a contract outside its lifecycle status."""
+
+
+class ContractStatus(str, enum.Enum):
+    SIGNED = "signed"
+    VALIDATED = "validated"
+    REJECTED = "rejected"
+    EXECUTED = "executed"
+    RELEASED = "released"
+
+
+_LEGAL_TRANSITIONS = {
+    ContractStatus.SIGNED: {ContractStatus.VALIDATED, ContractStatus.REJECTED},
+    ContractStatus.VALIDATED: {ContractStatus.EXECUTED, ContractStatus.RELEASED},
+    ContractStatus.REJECTED: set(),
+    ContractStatus.EXECUTED: set(),
+    ContractStatus.RELEASED: set(),
+}
+
+
+@dataclass(frozen=True, slots=True)
+class Offer:
+    """Standing sell offer for re-dispatch capacity in one hour."""
+
+    seller: str
+    hour: int
+    direction: Direction
+    price: float
+    quantity: float
+
+    def __post_init__(self) -> None:
+        if self.quantity <= 0.0:
+            raise ValueError(f"offer quantity must be positive, got {self.quantity}")
+        if self.price < 0.0:
+            raise ValueError(f"offer price must be >= 0, got {self.price}")
+        if self.hour < 0:
+            raise ValueError(f"hour must be >= 0, got {self.hour}")
+
+
+@dataclass(slots=True)
+class BrsContract:
+    """Signed cover for one hour. executed_mw is set when the claim lands;
+    trimmed_mw records quantity removed at validation."""
+
+    id: int
+    buyer: str
+    seller: str
+    hour: int
+    direction: Direction
+    quantity: float
+    premium_price: float
+    status: ContractStatus = ContractStatus.SIGNED
+    executed_mw: float = 0.0
+    trimmed_mw: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.quantity <= 0.0:
+            raise ValueError(f"contract quantity must be positive, got {self.quantity}")
+        if self.premium_price < 0.0:
+            raise ValueError(f"premium price must be >= 0, got {self.premium_price}")
+        if self.buyer == self.seller:
+            raise ValueError("buyer and seller must differ")
+
+    def transition(self, new_status: ContractStatus) -> None:
+        if new_status not in _LEGAL_TRANSITIONS[self.status]:
+            raise PhaseError(
+                f"contract {self.id}: illegal transition "
+                f"{self.status.value} -> {new_status.value}"
+            )
+        self.status = new_status
+
+
+@dataclass(frozen=True, slots=True)
+class LedgerEntry:
+    hour: int
+    payer: str
+    payee: str
+    amount: float
+    tag: str
+
+
+class EntryLedger:
+    """Append-only double-entry ledger of one object per entry."""
+
+    def __init__(self) -> None:
+        self.entries: list[LedgerEntry] = []
+
+    def add(self, hour: int, payer: str, payee: str, amount: float, tag: str) -> None:
+        if payer == payee:
+            raise ValueError(f"payer and payee must differ, both {payer!r}")
+        if tag not in LEDGER_TAGS:
+            raise ValueError(f"unknown ledger tag {tag!r}")
+        if amount < 0.0 or not math.isfinite(amount):
+            raise ValueError(
+                f"hour {hour}: {tag} from {payer!r} to {payee!r} must be finite "
+                f"and >= 0, got {amount}"
+            )
+        if amount == 0.0:
+            return
+        self.entries.append(LedgerEntry(hour, payer, payee, amount, tag))
+
+
+@dataclass(frozen=True)
+class ExecutionClaim:
+    """Outcome of claiming execution against (near-)RT output."""
+
+    executed_down: float
+    executed_up: float
+    per_seller_down: dict[str, float]
+    per_seller_up: dict[str, float]
+
+
+def match_offers(
+    offers: list[Offer],
+    desired: list[float],
+    direction: Direction,
+    buyer: str,
+    id_start: int = 0,
+) -> list[BrsContract]:
+    """Greedy price-priority match of one side of one hour's book against
+    the buyer's optimal total at each offer's price."""
+    book = sorted(
+        [(o, mw) for o, mw in zip(offers, desired, strict=True) if o.direction is direction],
+        key=lambda pair: pair[0].price,
+    )
+    contracts: list[BrsContract] = []
+    taken = 0.0
+    next_id = id_start
+    for price, level_iter in itertools.groupby(book, key=lambda pair: pair[0].price):
+        level, wants = zip(*level_iter)
+        room = wants[0] - taken
+        if room <= _MW_EPS:
+            break
+        level_qty = _added(o.quantity for o in level)
+        if level_qty <= room:
+            fills = [(o, o.quantity) for o in level]
+        else:
+            fills = [(o, room * o.quantity / level_qty) for o in level]
+        for o, mw in fills:
+            if mw <= _MW_EPS:
+                continue
+            contracts.append(
+                BrsContract(
+                    id=next_id,
+                    buyer=buyer,
+                    seller=o.seller,
+                    hour=o.hour,
+                    direction=direction,
+                    quantity=mw,
+                    premium_price=price,
+                )
+            )
+            next_id += 1
+            taken += mw
+        if level_qty > room:
+            break
+    return contracts
+
+
+def validate_contracts(
+    contracts: list[BrsContract],
+    units: dict[str, DispatchableUnit],
+    blocked: frozenset[str] = frozenset(),
+) -> None:
+    """Physical validation against seller headroom, oldest contracts first;
+    a blocked seller's contracts are rejected outright."""
+    used: dict[tuple[str, Direction], float] = {}
+    for c in sorted(contracts, key=lambda c: c.id):
+        if c.status is not ContractStatus.SIGNED:
+            raise PhaseError(f"contract {c.id} already {c.status.value}, cannot validate")
+        if c.seller not in units:
+            raise ValueError(f"contract {c.id}: unknown seller {c.seller!r}")
+        if c.seller in blocked:
+            c.transition(ContractStatus.REJECTED)
+            continue
+        u = units[c.seller]
+        if c.direction is UP:
+            headroom = u.p_max - u.da_schedule
+        else:
+            headroom = u.da_schedule - u.p_min
+        key = (c.seller, c.direction)
+        room = headroom - used.get(key, 0.0)
+        if room <= _MW_EPS:
+            c.transition(ContractStatus.REJECTED)
+            continue
+        if c.quantity > room:
+            c.trimmed_mw = c.quantity - room
+            c.quantity = room
+        used[key] = used.get(key, 0.0) + c.quantity
+        c.transition(ContractStatus.VALIDATED)
+
+
+def claim_execution(
+    contracts: list[BrsContract],
+    da_quantity: float,
+    claimed_output: float,
+) -> ExecutionClaim:
+    """Turn a near-RT output claim into per-contract executions, pro rata
+    on the deviation side up to its validated total."""
+    for c in contracts:
+        if c.status not in (ContractStatus.VALIDATED, ContractStatus.REJECTED):
+            raise PhaseError(f"contract {c.id} is {c.status.value}, cannot claim")
+    validated = [c for c in contracts if c.status is ContractStatus.VALIDATED]
+    deviation = claimed_output - da_quantity
+    per_seller: dict[Direction, dict[str, float]] = {DOWN: {}, UP: {}}
+    totals = {DOWN: 0.0, UP: 0.0}
+    for direction in (DOWN, UP):
+        side = [c for c in validated if c.direction is direction]
+        side_qty = _added(c.quantity for c in side)
+        want = max(deviation, 0.0) if direction is DOWN else max(-deviation, 0.0)
+        total = min(want, side_qty)
+        for c in side:
+            mw = total * (c.quantity / side_qty) if side_qty > 0.0 else 0.0
+            if mw > _MW_EPS:
+                c.executed_mw = mw
+                c.transition(ContractStatus.EXECUTED)
+                bucket = per_seller[direction]
+                bucket[c.seller] = bucket.get(c.seller, 0.0) + mw
+            else:
+                c.transition(ContractStatus.RELEASED)
+        totals[direction] = _added(per_seller[direction].values())
+    return ExecutionClaim(
+        executed_down=totals[DOWN],
+        executed_up=totals[UP],
+        per_seller_down=per_seller[DOWN],
+        per_seller_up=per_seller[UP],
+    )
+
+
+@dataclass(frozen=True)
+class HourAccounts:
+    """Everything settle needs for one hour, after claims are applied."""
+
+    hour: int
+    vg_id: str
+    da_price: float
+    rt_price: float
+    penalty: PenaltyFactors
+    vg_da_schedule: float
+    vg_realized: float
+    contracts: list[BrsContract]
+    units: dict[str, DispatchableUnit]
+    unit_rt_output: dict[str, float]
+
+
+def settle(acc: HourAccounts) -> EntryLedger:
+    """Cash out one hour into a zero-sum ledger."""
+    lam_d, lam_r = acc.da_price, acc.rt_price
+    ledger = EntryLedger()
+
+    executed_down: dict[str, float] = {}
+    executed_up: dict[str, float] = {}
+    for c in acc.contracts:
+        if c.status is ContractStatus.REJECTED:
+            continue
+        if c.status not in (ContractStatus.EXECUTED, ContractStatus.RELEASED):
+            raise PhaseError(f"contract {c.id} still {c.status.value} at settlement")
+        ledger.add(acc.hour, c.buyer, c.seller, c.premium_price * c.quantity, "premium")
+        if c.status is ContractStatus.EXECUTED:
+            side = executed_down if c.direction is DOWN else executed_up
+            side[c.seller] = side.get(c.seller, 0.0) + c.executed_mw
+
+    ledger.add(acc.hour, POOL, acc.vg_id, lam_d * acc.vg_da_schedule, "da_energy")
+    for uid, u in acc.units.items():
+        ledger.add(acc.hour, POOL, uid, lam_d * u.da_schedule, "da_energy")
+
+    vg_shift = 0.0
+    for uid, mw in executed_down.items():
+        ledger.add(acc.hour, uid, acc.vg_id, lam_d * mw, "brs_energy_shift")
+        vg_shift += mw
+    for uid, mw in executed_up.items():
+        ledger.add(acc.hour, acc.vg_id, uid, lam_d * mw, "brs_energy_shift")
+        vg_shift -= mw
+
+    vg_modified = acc.vg_da_schedule + vg_shift
+    residual = acc.vg_realized - vg_modified
+    if residual > 0.0:
+        ledger.add(
+            acc.hour, POOL, acc.vg_id, (1.0 - acc.penalty.over) * lam_d * residual,
+            "rt_imbalance",
+        )
+    elif residual < 0.0:
+        ledger.add(
+            acc.hour, acc.vg_id, POOL, (1.0 + acc.penalty.under) * lam_d * (-residual),
+            "rt_imbalance",
+        )
+
+    for uid, u in acc.units.items():
+        modified = u.da_schedule - executed_down.get(uid, 0.0) + executed_up.get(uid, 0.0)
+        if not u.p_min - _MW_EPS <= modified <= u.p_max + _MW_EPS:
+            raise AssertionError(f"unit {uid} pushed to {modified} MW despite validation")
+        if uid not in acc.unit_rt_output:
+            raise ValueError(f"missing RT output for unit {uid!r}")
+        value = lam_r * (acc.unit_rt_output[uid] - modified)
+        if value > 0.0:
+            ledger.add(acc.hour, POOL, uid, value, "rt_imbalance")
+        elif value < 0.0:
+            ledger.add(acc.hour, uid, POOL, -value, "rt_imbalance")
+
+    return ledger
+
+
+def per_hour_day(cfg: ScenarioConfig) -> tuple[list[BrsContract], list[LedgerEntry]]:
+    """Every contract and ledger entry of the day, run hour by hour through
+    the per-hour market, with the buyer's demand priced one offer at a time
+    from the hour's scalar inputs."""
+    pairs = cfg.zonal_rule.congested_boundaries if cfg.zonal_rule is not None else ()
+    boundaries = {frozenset(pair) for pair in pairs}
+    blocked = frozenset(u.id for u in cfg.units if frozenset((cfg.vg.zone, u.zone)) in boundaries)
+    noise = np.random.default_rng(cfg.seed).standard_normal(cfg.horizon)
+    claims = np.clip(
+        np.asarray(cfg.vg.realized_mw) + cfg.vg.claim_error_std_mw * noise, 0.0, cfg.vg.capacity_mw
+    ).tolist()
+    contracts: list[BrsContract] = []
+    entries: list[LedgerEntry] = []
+    for h in range(cfg.horizon):
+        s, pf, d = simulation.hour_context(cfg, h)
+        offers = [
+            Offer(oc.seller, h, Direction(oc.direction), oc.price, oc.quantity_mw)
+            for oc in cfg.offers
+            if oc.hour == h
+        ]
+        desired = [vg.optimal_quantity(s, pf, d, o.direction, o.price) for o in offers]
+        units = {
+            uc.id: DispatchableUnit(
+                UnitKind(uc.kind), uc.p_min_mw, uc.p_max_mw, uc.marginal_cost, uc.da_schedule_mw[h]
+            )
+            for uc in cfg.units
+        }
+        hour = match_offers(offers, desired, DOWN, cfg.vg.id, id_start=len(contracts))
+        hour += match_offers(offers, desired, UP, cfg.vg.id, id_start=len(contracts) + len(hour))
+        validate_contracts(hour, units, blocked)
+        claim = claim_execution(hour, s.da_quantity, claims[h])
+        rt_output = {}
+        for uc in cfg.units:
+            u = units[uc.id]
+            modified = (
+                u.da_schedule
+                - claim.per_seller_down.get(uc.id, 0.0)
+                + claim.per_seller_up.get(uc.id, 0.0)
+            )
+            merit = uc.rt_mode != "modified_schedule"
+            rt_output[uc.id] = rt_dispatch(u, cfg.rt_price[h]) if merit else modified
+        ledger = settle(
+            HourAccounts(
+                hour=h, vg_id=cfg.vg.id, da_price=s.da_price, rt_price=cfg.rt_price[h],
+                penalty=pf, vg_da_schedule=s.da_quantity, vg_realized=cfg.vg.realized_mw[h],
+                contracts=hour, units=units, unit_rt_output=rt_output,
+            )
+        )
+        contracts += hour
+        entries += ledger.entries
+    return contracts, entries

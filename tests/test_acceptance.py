@@ -16,7 +16,6 @@ from scipy import integrate, special
 import oracles
 from brsim import forecast, market, provider, simulation, vg
 from brsim.dataio import load_scenario, scenario_from_dict
-from brsim.market import ContractStatus, Offer
 from brsim.provider import DispatchableUnit, ScenarioModel, UnitKind
 from brsim.vg import DOWN, UP, BrsPosition, PenaltyFactors, VgSchedule
 
@@ -164,12 +163,13 @@ def test_criterion_04_worked_single_hour():
     start = time.perf_counter()
     cfg = load_scenario(SCENARIOS / "single_hour.json")
     res = simulation.simulate_day(cfg)
-    hour = res.hours[0]
-    assert hour.contracts[0].executed_mw == pytest.approx(20.0)
-    assert hour.vg_modified == 120.0
-    assert hour.unit_modified["g1"] == 180.0
-    assert hour.vg_modified + hour.unit_modified["g1"] == 300.0
-    assert hour.vg_schedule + hour.unit_schedules["g1"] == 300.0
+    assert res.contracts.executed[0] == pytest.approx(20.0)
+    vg_modified, unit_modified = float(res.vg_modified[0]), float(res.unit_modified[0, 0])
+    assert res.unit_ids == ("g1",)
+    assert vg_modified == 120.0
+    assert unit_modified == 180.0
+    assert vg_modified + unit_modified == 300.0
+    assert cfg.vg.da_schedule_mw[0] + cfg.units[0].da_schedule_mw[0] == 300.0
     assert res.ledger.is_balanced()
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.1f}s, budget 5s"
@@ -235,18 +235,32 @@ def test_criterion_05_settlement_equivalence_and_zero_sum():
     # 50 random one-day runs: each party's hourly net equals the closed-form
     # payoff (banded revenue minus premiums for the producer, shift payoff
     # plus premiums per unit) within 1e-9 relative, and every ledger's party
-    # nets, summed exactly, cancel to within 1e-9 of its gross flow.
+    # nets, summed exactly, cancel to within 1e-9 of its gross flow. The
+    # day's contracts and entries equal those of the per-hour market, bit
+    # for bit.
     start = time.perf_counter()
     rng = np.random.default_rng(505)
     for day_index in range(50):
         cfg = scenario_from_dict(_random_day_doc(rng, day_index))
         res = simulation.simulate_day(cfg)
         assert res.ledger.is_balanced()
-        for h, hour in enumerate(res.hours):
-            assert hour.ledger.is_balanced()
+        contracts, entries = oracles.per_hour_day(cfg)
+        assert entries == oracles.ledger_entries(res.ledger), f"day {day_index}: ledger"
+        assert [
+            (c.id, c.hour, c.seller, c.direction.value, c.quantity, c.premium_price,
+             c.status.value, c.executed_mw, c.trimmed_mw) for c in contracts
+        ] == [
+            (c["id"], c["hour"], c["seller"], c["direction"], c["quantity_mw"],
+             c["premium_price"], c["status"], c["executed_mw"], c["trimmed_mw"])
+            for c in oracles.table_rows(simulation.contract_rows(res))
+        ], f"day {day_index}: contracts"
+        for h in range(cfg.horizon):
+            hour_ledger = oracles.hour_ledger(res.ledger, h)
+            assert hour_ledger.is_balanced()
             s, pf, _ = simulation.hour_context(cfg, h)
             live = [
-                c for c in hour.contracts if c.status is not ContractStatus.REJECTED
+                c for c in contracts
+                if c.hour == h and c.status is not oracles.ContractStatus.REJECTED
             ]
             down = [c for c in live if c.direction is DOWN]
             up = [c for c in live if c.direction is UP]
@@ -258,13 +272,16 @@ def test_criterion_05_settlement_equivalence_and_zero_sum():
             )
             premiums = sum(c.premium_price * c.quantity for c in live)
             vg_expected = (
-                oracles.revenue_with_brs(s, pf, pos, hour.vg_realized) - premiums
+                oracles.revenue_with_brs(s, pf, pos, cfg.vg.realized_mw[h]) - premiums
             )
-            assert oracles.ledger_net(hour.ledger, "w") == pytest.approx(
+            assert oracles.ledger_net(hour_ledger, "w") == pytest.approx(
                 vg_expected, rel=1e-9, abs=1e-6
             ), f"day {day_index} hour {h}: producer net mismatch"
             for uc in cfg.units:
-                unit = list(simulation._unit_hours(uc))[h]
+                unit = DispatchableUnit(
+                    UnitKind(uc.kind), uc.p_min_mw, uc.p_max_mw, uc.marginal_cost,
+                    uc.da_schedule_mw[h],
+                )
                 executed = sum(c.executed_mw for c in live if c.seller == uc.id and c.direction is UP) - sum(
                     c.executed_mw for c in live if c.seller == uc.id and c.direction is DOWN
                 )
@@ -282,7 +299,7 @@ def test_criterion_05_settlement_equivalence_and_zero_sum():
                     )
                     + unit_premiums
                 )
-                assert oracles.ledger_net(hour.ledger, uc.id) == pytest.approx(
+                assert oracles.ledger_net(hour_ledger, uc.id) == pytest.approx(
                     unit_expected, rel=1e-9, abs=1e-6
                 ), f"day {day_index} hour {h}: unit {uc.id} net mismatch"
     elapsed = time.perf_counter() - start
@@ -469,10 +486,9 @@ def _oracle_net(d, s, pf, pos):
 def _matched_position(d, s, pf, direction, price, offered):
     """The position that matching buys from one price level of ``offered`` MW,
     posted as two offers."""
-    offers = [Offer(seller, 0, direction, price, share * offered)
-              for seller, share in (("g1", 0.4), ("g2", 0.6))]
-    desired = market.buyer_demand(offers, s, pf, d)
-    cover = sum(c.quantity for c in market.match_offers(offers, desired, direction, "vg"))
+    book = market.Book(hour=[0, 0], up=[direction is UP] * 2, seller=[0, 1],
+                       price=[price, price], quantity=[0.4 * offered, 0.6 * offered])
+    cover = sum(market.match_offers(book, market.buyer_demand(book, s, pf, d)).quantity.tolist())
     if direction is DOWN:
         return cover, BrsPosition(cover, 0.0, price, 0.0)
     return cover, BrsPosition(0.0, cover, 0.0, price)

@@ -14,7 +14,7 @@ import pytest
 from brsim import simulation, vg
 from brsim.cli import main
 from brsim.dataio import load_scenario
-from oracles import read_table
+from oracles import read_table, table_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -194,11 +194,13 @@ class TestSimulateDay:
         assert sum(r["net_cash"] for r in totals) == pytest.approx(0.0, abs=1e-9)
         ledger = read_table(out_dir / "ledger.json")
         cfg = load_scenario(SINGLE)
-        assert ledger == list(simulation.ledger_rows(simulation.simulate_day(cfg)))
+        assert ledger == table_rows(simulation.ledger_rows(simulation.simulate_day(cfg)))
 
-    # Tables written by the per-hour implementation that the day-batched
-    # buyer demand replaced.
-    @pytest.mark.parametrize("scenario", ["day24", "single_hour"])
+    # Tables written by the per-hour implementation that the columnar day
+    # replaced. zonal72 reaches what day24 does not: zonal rejections, split
+    # price levels, headroom trims, negative RT prices and an hour with no
+    # residual deviation.
+    @pytest.mark.parametrize("scenario", ["day24", "single_hour", "zonal72"])
     def test_matches_per_hour_implementation(self, capsys, tmp_path, scenario):
         path = str(SCENARIOS / f"{scenario}.json")
         code, _, _ = run_cli(capsys, "simulate-day", path, "--out-dir", str(tmp_path))

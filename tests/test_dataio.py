@@ -328,7 +328,7 @@ def _ledger_like(n):
 
 
 class TestStreamedTables:
-    B = dataio._JSON_BATCH_ROWS
+    B = dataio._BATCH_ROWS
     COLUMNS = ["hour", "payer", "payee", "amount", "tag"]
 
     @pytest.mark.parametrize("fmt", dataio.TABLE_FORMATS)

@@ -227,6 +227,21 @@ def test_quantile_far_in_the_lower_tail(a, b, q):
     assert forecast.quantile(d, np.array([0.5, q]))[1] == p
 
 
+def test_quantile_where_betaincinv_misses_its_level():
+    # At a = 29, b = 0.45 and q = 1e-290, betaincinv returns a finite point
+    # near 6e-12 whose CDF is 0. The quantile meets the level to relative
+    # accuracy instead, and agrees with the root-find oracle.
+    a, b, q = 29.0, 0.45, 1e-290
+    total = a + b
+    d = forecast.from_mean_variance(
+        10.0, a / total * 10.0, a * b / (total**2 * (total + 1.0)) * 100.0
+    )
+    p = forecast.quantile(d, q)
+    assert forecast.cdf(d, p) == pytest.approx(q, rel=1e-9)
+    assert p == pytest.approx(oracles.quantile(d, q), rel=1e-9)
+    assert forecast.quantile(d, np.array([0.5, q]))[1] == p
+
+
 @given(d=forecast_dists)
 @settings(max_examples=60, deadline=None)
 def test_full_partial_expectation_is_the_mean(d: ForecastDistribution):

@@ -1,4 +1,6 @@
-"""Hourly capacity market: matching, validation, claims, settlement."""
+"""Capacity market over a day: matching, validation, claims, settlement."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,18 +9,28 @@ from hypothesis import strategies as st
 
 from brsim import forecast, market, provider, vg
 from brsim.market import (
-    BrsContract,
-    ContractStatus,
-    HourAccounts,
-    Offer,
+    EXECUTED,
+    HEADROOM,
+    LEDGER_TAGS,
+    RELEASED,
+    REJECTED,
+    SIGNED,
+    VALIDATED,
+    ZONAL,
+    Book,
+    Contracts,
+    DayAccounts,
     PhaseError,
     SettlementLedger,
 )
 from brsim.provider import DispatchableUnit, UnitKind
 from brsim.vg import DOWN, UP, BrsPosition, PenaltyFactors, VgSchedule
-from oracles import JointScenario, ledger_net, revenue_unit_with_brs, revenue_with_brs
+from oracles import (
+    JointScenario, ledger_entries, ledger_net, revenue_unit_with_brs, revenue_with_brs,
+)
 
 PF = PenaltyFactors(over=0.3, under=0.3)
+SELLERS = ("g1", "g2")
 
 
 def beta22():
@@ -33,76 +45,101 @@ def g_unit(schedule=200.0, p_min=150.0, p_max=250.0, kind=UnitKind.BASE_LOAD, co
     return DispatchableUnit(kind, p_min, p_max, cost, schedule)
 
 
-def signed(contract_id, direction, quantity, seller="g1", price=1.0, buyer="vg"):
-    return BrsContract(
-        id=contract_id,
-        buyer=buyer,
-        seller=seller,
-        hour=0,
-        direction=direction,
-        quantity=quantity,
-        premium_price=price,
+def book(*offers):
+    """A book of (seller, hour, direction, price, quantity) offers."""
+    seller, hour, direction, price, quantity = zip(*offers) if offers else ((),) * 5
+    return Book(
+        hour=hour, up=[d is UP for d in direction], seller=[SELLERS.index(s) for s in seller],
+        price=price, quantity=quantity,
     )
+
+
+def matched(offers, s=None, d=None):
+    b = book(*offers)
+    return market.match_offers(b, market.buyer_demand(b, s or mid_schedule(), PF, d or beta22()))
+
+
+def contracts(*rows, status=SIGNED):
+    """Contracts in hour 0 from (direction, quantity[, seller[, price]])."""
+    rows = [(direction, quantity, *rest) + ("g1", 1.0)[len(rest):]
+            for direction, quantity, *rest in rows]
+    return Contracts(
+        hour=[0] * len(rows), up=[r[0] is UP for r in rows],
+        seller=[SELLERS.index(r[2]) for r in rows],
+        price=[r[3] for r in rows], quantity=[r[1] for r in rows],
+        status=[status] * len(rows),
+    )
+
+
+def by_seller(c):
+    return dict(zip((SELLERS[j] for j in c.seller.tolist()), c.quantity.tolist()))
 
 
 class TestOfferAndContractChecks:
     def test_offer_validation(self):
         with pytest.raises(ValueError):
-            Offer("g1", 0, DOWN, price=1.0, quantity=0.0)
+            book(("g1", 0, DOWN, 1.0, 0.0))
         with pytest.raises(ValueError):
-            Offer("g1", 0, DOWN, price=-1.0, quantity=5.0)
+            book(("g1", 0, DOWN, -1.0, 5.0))
         with pytest.raises(ValueError):
-            Offer("g1", -1, DOWN, price=1.0, quantity=5.0)
+            book(("g1", -1, DOWN, 1.0, 5.0))
 
     def test_contract_validation(self):
         with pytest.raises(ValueError):
-            signed(0, DOWN, quantity=-5.0)
+            contracts((DOWN, -5.0))
         with pytest.raises(ValueError):
-            BrsContract(0, "vg", "vg", 0, DOWN, 5.0, 1.0)
+            contracts((DOWN, 5.0, "g1", -1.0))
 
     def test_transitions_follow_lifecycle(self):
-        c = signed(0, DOWN, 10.0)
-        c.transition(ContractStatus.VALIDATED)
-        c.transition(ContractStatus.EXECUTED)
+        c = market.validate_contracts(contracts((DOWN, 10.0)), [g_unit()])
+        assert c.status.tolist() == [VALIDATED]
+        c = market.claim_execution(c, da_quantity=100.0, claimed_output=110.0)
+        assert c.status.tolist() == [EXECUTED]
         with pytest.raises(PhaseError):
-            c.transition(ContractStatus.RELEASED)
+            market.claim_execution(c, da_quantity=100.0, claimed_output=110.0)
 
     def test_illegal_jumps_rejected(self):
-        c = signed(0, DOWN, 10.0)
+        c = contracts((DOWN, 10.0))
         with pytest.raises(PhaseError):
-            c.transition(ContractStatus.EXECUTED)
-        c.transition(ContractStatus.REJECTED)
+            market.claim_execution(c, da_quantity=100.0, claimed_output=110.0)
+        rejected = market.validate_contracts(c, [g_unit()], frozenset({0}))
+        assert rejected.status.tolist() == [REJECTED]
         with pytest.raises(PhaseError):
-            c.transition(ContractStatus.VALIDATED)
+            market.validate_contracts(rejected, [g_unit()])
 
 
 class TestLedger:
     def test_entry_validation(self):
-        led = SettlementLedger()
+        parties = ("a", "b")
         with pytest.raises(ValueError):
-            led.add(0, "a", "a", 5.0, "premium")
+            SettlementLedger.of(parties, [("premium", 0, 0, 0, 5.0)])
         with pytest.raises(ValueError):
-            led.add(0, "a", "b", 5.0, "rebate")
+            SettlementLedger.of(parties, [("rebate", 0, 0, 1, 5.0)])
         with pytest.raises(ValueError):
-            led.add(0, "a", "b", -5.0, "premium")
+            SettlementLedger.of(parties, [("premium", 0, 0, 1, -5.0)])
         with pytest.raises(ValueError):
-            led.add(0, "a", "b", float("inf"), "premium")
+            SettlementLedger.of(parties, [("premium", 0, 0, 1, float("inf"))])
+
+    @pytest.mark.parametrize("tag", ["penalty", "rebate", "Premium", ""])
+    def test_unknown_tags_refused(self, tag):
+        # The four tags settlement writes, and no other.
+        assert LEDGER_TAGS == ("premium", "da_energy", "brs_energy_shift", "rt_imbalance")
+        with pytest.raises(ValueError, match=f"^unknown ledger tag {tag!r}$"):
+            SettlementLedger.of(("a", "b"), [("premium", 0, 0, 1, 5.0), (tag, 0, 0, 1, 5.0)])
 
     def test_bad_amount_names_its_flow(self):
-        led = SettlementLedger()
         msg = r"^hour 7: premium from 'a' to 'b' must be finite and >= 0, got inf$"
         with pytest.raises(ValueError, match=msg):
-            led.add(7, "a", "b", float("inf"), "premium")
+            SettlementLedger.of(("a", "b"), [("premium", 7, 0, 1, float("inf"))])
 
     def test_zero_amounts_are_dropped(self):
-        led = SettlementLedger()
-        led.add(0, "a", "b", 0.0, "premium")
-        assert led.entries == []
+        led = SettlementLedger.of(("a", "b"), [("premium", 0, 0, 1, [0.0, 2.0, -0.0])])
+        assert led.amount.tolist() == [2.0]
 
     def test_net_and_parties(self):
-        led = SettlementLedger()
-        led.add(0, "pool", "a", 100.0, "da_energy")
-        led.add(0, "a", "b", 30.0, "premium")
+        led = SettlementLedger.of(
+            ("pool", "a", "b"), [("da_energy", 0, 0, 1, 100.0), ("premium", 0, 1, 2, 30.0)]
+        )
         assert ledger_net(led, "a") == pytest.approx(70.0)
         assert ledger_net(led, "b") == pytest.approx(30.0)
         assert ledger_net(led, "pool") == pytest.approx(-100.0)
@@ -114,38 +151,56 @@ class TestLedger:
         }
 
     def test_awkward_amounts_balance(self):
-        led = SettlementLedger()
+        flows = []
         for i in range(200):
-            led.add(0, "a", "b", 0.1 * (i + 1) + 1e-7, "premium")
-            led.add(0, "b", "pool", 0.3333333333 * (i + 1), "rt_imbalance")
-        assert led.is_balanced()
+            flows.append(("premium", 0, 0, 1, 0.1 * (i + 1) + 1e-7))
+            flows.append(("rt_imbalance", 0, 1, 2, 0.3333333333 * (i + 1)))
+        assert SettlementLedger.of(("a", "b", "pool"), flows).is_balanced()
+
+    def test_entries_run_by_hour_then_group(self):
+        led = SettlementLedger.of(("pool", "a", "b"), [
+            ("premium", [0, 2], 1, 2, [1.0, 2.0]),
+            ("da_energy", [0, 1, 2], 0, 1, [3.0, 4.0, 5.0]),
+        ])
+        assert led.hour.tolist() == [0, 0, 1, 2, 2]
+        assert led.amount.tolist() == [1.0, 3.0, 4.0, 2.0, 5.0]
 
     @given(
         flows=st.lists(
             st.tuples(
                 st.permutations(["pool", "vg", "g1", "g2"]),
                 st.floats(1e-6, 1e6),
+                st.integers(0, 3),
             ),
             max_size=40,
         )
     )
     @settings(max_examples=100, deadline=None)
     def test_net_by_party_equals_each_net(self, flows):
-        led = SettlementLedger()
-        for (payer, payee, _, _), amount in flows:
-            led.add(0, payer, payee, amount, "premium")
+        # np.bincount adds its weights in input order, so the columnar nets
+        # equal the entry-by-entry sums bit for bit, over the day and within
+        # each hour.
+        parties = ("pool", "vg", "g1", "g2")
+        led = SettlementLedger.of(parties, [
+            ("premium", hour, parties.index(payer), parties.index(payee), amount)
+            for (payer, payee, _, _), amount, hour in flows
+        ])
         first_seen = []
-        for e in led.entries:
+        for e in ledger_entries(led):
             first_seen += [p for p in (e.payer, e.payee) if p not in first_seen]
         nets = led.net_by_party()
         assert list(nets) == first_seen
         for party in first_seen:
             assert nets[party] == ledger_net(led, party)
+        hourly = led.hourly_nets(4)
+        for hour in range(4):
+            for j, party in enumerate(parties):
+                assert hourly[hour, j] == ledger_net(led, party, hour=hour)
 
     def test_nets_that_do_not_cancel_are_unbalanced(self, monkeypatch):
-        led = SettlementLedger()
-        led.add(0, "pool", "a", 100.0, "da_energy")
-        led.add(0, "a", "b", 30.0, "premium")
+        led = SettlementLedger.of(
+            ("pool", "a", "b"), [("da_energy", 0, 0, 1, 100.0), ("premium", 0, 1, 2, 30.0)]
+        )
         assert led.is_balanced()
         nets = led.net_by_party()
         monkeypatch.setattr(
@@ -156,80 +211,62 @@ class TestLedger:
 
 class TestMatching:
     def test_single_offer_trimmed_to_optimum(self):
-        s, d = mid_schedule(), beta22()
-        offers = [Offer("g1", 0, DOWN, price=1.40625, quantity=40.0)]
-        desired = market.buyer_demand(offers, s, PF, d)
-        got = market.match_offers(offers, desired, DOWN, buyer="vg")
-        assert len(got) == 1
-        assert got[0].quantity == pytest.approx(25.0, abs=1e-6)
-        assert got[0].premium_price == 1.40625
-        assert got[0].status is ContractStatus.SIGNED
+        got = matched([("g1", 0, DOWN, 1.40625, 40.0)])
+        assert len(got.hour) == 1
+        assert got.quantity[0] == pytest.approx(25.0, abs=1e-6)
+        assert got.price[0] == 1.40625
+        assert got.status[0] == SIGNED
 
     def test_small_cheap_offer_taken_whole(self):
-        s, d = mid_schedule(), beta22()
-        offers = [Offer("g1", 0, DOWN, price=0.5, quantity=20.0)]
-        desired = market.buyer_demand(offers, s, PF, d)
-        got = market.match_offers(offers, desired, DOWN, buyer="vg")
-        assert len(got) == 1
-        assert got[0].quantity == pytest.approx(20.0)
+        got = matched([("g1", 0, DOWN, 0.5, 20.0)])
+        assert len(got.hour) == 1
+        assert got.quantity[0] == pytest.approx(20.0)
 
     def test_pro_rata_within_marginal_level(self):
-        s, d = mid_schedule(), beta22()
-        offers = [
-            Offer("g1", 0, DOWN, price=1.40625, quantity=15.0),
-            Offer("g2", 0, DOWN, price=1.40625, quantity=35.0),
-        ]
-        desired = market.buyer_demand(offers, s, PF, d)
-        got = market.match_offers(offers, desired, DOWN, buyer="vg")
-        assert len(got) == 2
-        fills = {c.seller: c.quantity for c in got}
+        got = matched([("g1", 0, DOWN, 1.40625, 15.0), ("g2", 0, DOWN, 1.40625, 35.0)])
+        assert len(got.hour) == 2
+        fills = by_seller(got)
         assert fills["g1"] == pytest.approx(25.0 * 15.0 / 50.0, abs=1e-6)
         assert fills["g2"] == pytest.approx(25.0 * 35.0 / 50.0, abs=1e-6)
 
     def test_cheaper_levels_fill_first(self):
         s, d = mid_schedule(), beta22()
         desired_at_2 = vg.optimal_quantity(s, PF, d, DOWN, 2.0)
-        offers = [
-            Offer("g2", 0, DOWN, price=2.0, quantity=50.0),
-            Offer("g1", 0, DOWN, price=0.5, quantity=5.0),
-        ]
-        desired = market.buyer_demand(offers, s, PF, d)
-        got = market.match_offers(offers, desired, DOWN, buyer="vg")
-        assert [c.seller for c in got] == ["g1", "g2"]
-        assert got[0].quantity == pytest.approx(5.0)
-        assert got[1].quantity == pytest.approx(desired_at_2 - 5.0, abs=1e-6)
+        got = matched([("g2", 0, DOWN, 2.0, 50.0), ("g1", 0, DOWN, 0.5, 5.0)])
+        assert [SELLERS[j] for j in got.seller] == ["g1", "g2"]
+        assert got.quantity[0] == pytest.approx(5.0)
+        assert got.quantity[1] == pytest.approx(desired_at_2 - 5.0, abs=1e-6)
 
     def test_expensive_levels_left_untouched(self):
-        s, d = mid_schedule(), beta22()
-        offers = [
-            Offer("g1", 0, DOWN, price=9.0, quantity=10.0),
-            Offer("g2", 0, DOWN, price=12.0, quantity=10.0),
-        ]
-        desired = market.buyer_demand(offers, s, PF, d)
-        assert market.match_offers(offers, desired, DOWN, buyer="vg") == []
+        got = matched([("g1", 0, DOWN, 9.0, 10.0), ("g2", 0, DOWN, 12.0, 10.0)])
+        assert len(got.hour) == 0
 
     def test_other_direction_ignored(self):
-        s, d = mid_schedule(), beta22()
-        offers = [Offer("g1", 0, UP, price=0.5, quantity=20.0)]
-        desired = market.buyer_demand(offers, s, PF, d)
-        assert market.match_offers(offers, desired, DOWN, buyer="vg") == []
+        # Upward offers neither take from nor add to the downward side.
+        down = [("g1", 0, DOWN, 1.40625, 40.0)]
+        alone = matched(down)
+        both = matched(down + [("g2", 0, UP, 0.5, 20.0)])
+        side = ~both.up
+        assert both.quantity[side].tolist() == alone.quantity.tolist()
+        assert [SELLERS[j] for j in both.seller[both.up]] == ["g2"]
 
-    def test_ids_start_where_asked(self):
-        s, d = mid_schedule(), beta22()
-        offers = [
-            Offer("g1", 0, DOWN, price=0.5, quantity=5.0),
-            Offer("g2", 0, DOWN, price=0.6, quantity=5.0),
-        ]
-        desired = market.buyer_demand(offers, s, PF, d)
-        got = market.match_offers(offers, desired, DOWN, buyer="vg", id_start=7)
-        assert [c.id for c in got] == [7, 8]
+    def test_ids_run_by_hour_side_and_price(self):
+        got = matched([
+            ("g1", 1, DOWN, 0.5, 5.0),
+            ("g2", 0, UP, 0.5, 5.0),
+            ("g2", 0, DOWN, 0.6, 5.0),
+            ("g1", 0, DOWN, 0.5, 5.0),
+        ], s=VgSchedule(da_quantity=np.array([50.0, 50.0]), da_price=np.array([30.0, 30.0])),
+           d=forecast.from_mean_variance(100.0, np.array([50.0, 50.0]), 500.0))
+        assert got.hour.tolist() == [0, 0, 0, 1]
+        assert got.up.tolist() == [False, False, True, False]
+        assert got.price.tolist() == [0.5, 0.6, 0.5, 0.5]
 
     def test_demand_must_cover_every_offer(self):
-        s, d = mid_schedule(), beta22()
-        offers = [Offer("g1", 0, DOWN, price=0.5, quantity=5.0)]
-        desired = market.buyer_demand(offers, s, PF, d)
-        with pytest.raises(ValueError, match="shorter"):
-            market.match_offers(offers + offers, desired, DOWN, buyer="vg")
+        b = book(("g1", 0, DOWN, 0.5, 5.0))
+        desired = market.buyer_demand(b, mid_schedule(), PF, beta22())
+        with pytest.raises(ValueError, match="covers 1 offers, the book holds 2"):
+            market.match_offers(book(*[("g1", 0, DOWN, 0.5, 5.0)] * 2), desired)
 
     def test_demand_reads_each_offer_hour(self):
         # Day-level inputs hold one element per hour; each offer is priced
@@ -237,172 +274,182 @@ class TestMatching:
         means, schedules, prices = [30.0, 50.0, 70.0], [40.0, 50.0, 60.0], [20.0, 30.0, 40.0]
         d = forecast.from_mean(100.0, np.array(means))
         s = VgSchedule(da_quantity=np.array(schedules), da_price=np.array(prices))
-        offers = [
-            Offer("g1", 2, DOWN, price=1.0, quantity=5.0),
-            Offer("g1", 0, UP, price=1.0, quantity=5.0),
-            Offer("g1", 1, DOWN, price=2.0, quantity=5.0),
-        ]
-        got = market.buyer_demand(offers, s, PF, d)
-        for o, mw in zip(offers, got):
-            s_h = VgSchedule(da_quantity=schedules[o.hour], da_price=prices[o.hour])
-            d_h = forecast.from_mean(100.0, means[o.hour])
-            assert mw == vg.optimal_quantity(s_h, PF, d_h, o.direction, o.price)
+        offers = [("g1", 2, DOWN, 1.0, 5.0), ("g1", 0, UP, 1.0, 5.0), ("g1", 1, DOWN, 2.0, 5.0)]
+        got = market.buyer_demand(book(*offers), s, PF, d)
+        for (_, hour, direction, price, _), mw in zip(offers, got.tolist()):
+            s_h = VgSchedule(da_quantity=schedules[hour], da_price=prices[hour])
+            d_h = forecast.from_mean(100.0, means[hour])
+            assert mw == vg.optimal_quantity(s_h, PF, d_h, direction, price)
 
 
 class TestValidation:
     def test_straddling_contract_is_trimmed(self):
         # Down headroom is schedule - p_min = 50 MW.
-        c = signed(0, DOWN, 60.0)
-        market.validate_contracts([c], {"g1": g_unit()})
-        assert c.status is ContractStatus.VALIDATED
-        assert c.quantity == pytest.approx(50.0)
-        assert c.trimmed_mw == pytest.approx(10.0)
+        c = market.validate_contracts(contracts((DOWN, 60.0)), [g_unit()])
+        assert c.status[0] == VALIDATED
+        assert c.quantity[0] == pytest.approx(50.0)
+        assert c.trimmed[0] == pytest.approx(10.0)
+        assert c.reason[0] == HEADROOM
 
     def test_oldest_first_newer_rejected(self):
-        c0 = signed(0, DOWN, 30.0)
-        c1 = signed(1, DOWN, 30.0)
-        c2 = signed(2, DOWN, 5.0)
-        market.validate_contracts([c2, c0, c1], {"g1": g_unit()})
-        assert c0.status is ContractStatus.VALIDATED and c0.quantity == 30.0
-        assert c1.status is ContractStatus.VALIDATED
-        assert c1.quantity == pytest.approx(20.0)
-        assert c1.trimmed_mw == pytest.approx(10.0)
-        assert c2.status is ContractStatus.REJECTED
+        c = market.validate_contracts(
+            contracts((DOWN, 30.0), (DOWN, 30.0), (DOWN, 5.0)), [g_unit()]
+        )
+        assert c.status[0] == VALIDATED and c.quantity[0] == 30.0
+        assert c.status[1] == VALIDATED
+        assert c.quantity[1] == pytest.approx(20.0)
+        assert c.trimmed[1] == pytest.approx(10.0)
+        assert c.status[2] == REJECTED
+        assert c.reason.tolist() == [market.NO_REASON, HEADROOM, HEADROOM]
 
     def test_sides_consume_separate_headroom(self):
-        c0 = signed(0, DOWN, 50.0)
-        c1 = signed(1, UP, 50.0)
-        market.validate_contracts([c0, c1], {"g1": g_unit()})
-        assert c0.status is ContractStatus.VALIDATED
-        assert c1.status is ContractStatus.VALIDATED
+        c = market.validate_contracts(contracts((DOWN, 50.0), (UP, 50.0)), [g_unit()])
+        assert c.status.tolist() == [VALIDATED, VALIDATED]
+
+    def test_hours_consume_separate_headroom(self):
+        # Each hour reads its own schedule: 50 MW of down headroom in hour
+        # 0, 10 MW in hour 1.
+        c = dataclasses.replace(contracts((DOWN, 30.0), (DOWN, 30.0)), hour=[0, 1])
+        c = market.validate_contracts(c, [g_unit(schedule=np.array([200.0, 160.0]))])
+        assert c.quantity.tolist() == [30.0, 10.0]
+        assert c.trimmed.tolist() == [0.0, 20.0]
 
     def test_unknown_seller(self):
-        c = signed(0, DOWN, 10.0, seller="ghost")
+        c = dataclasses.replace(contracts((DOWN, 10.0)), seller=[1])
         with pytest.raises(ValueError, match="unknown seller"):
-            market.validate_contracts([c], {"g1": g_unit()})
+            market.validate_contracts(c, [g_unit()])
 
     def test_revalidation_refused(self):
-        c = signed(0, DOWN, 10.0)
-        market.validate_contracts([c], {"g1": g_unit()})
+        c = market.validate_contracts(contracts((DOWN, 10.0)), [g_unit()])
         with pytest.raises(PhaseError):
-            market.validate_contracts([c], {"g1": g_unit()})
+            market.validate_contracts(c, [g_unit()])
 
     def test_zonal_rule_rejects_across_boundary(self):
-        c0 = signed(0, DOWN, 10.0, seller="g1")
-        c1 = signed(1, DOWN, 10.0, seller="g2")
-        market.validate_contracts([c0, c1], {"g1": g_unit(), "g2": g_unit()}, frozenset({"g1"}))
-        assert c0.status is ContractStatus.REJECTED
-        assert c0.trimmed_mw == 0.0
-        assert c1.status is ContractStatus.VALIDATED
+        c = market.validate_contracts(
+            contracts((DOWN, 10.0, "g1"), (DOWN, 10.0, "g2")), [g_unit(), g_unit()],
+            frozenset({0}),
+        )
+        assert c.status[0] == REJECTED
+        assert c.trimmed[0] == 0.0
+        assert c.reason[0] == ZONAL
+        assert c.status[1] == VALIDATED
 
     def test_unknown_seller_is_checked_before_the_block(self):
-        c = signed(0, DOWN, 10.0, seller="ghost")
+        c = dataclasses.replace(contracts((DOWN, 10.0)), seller=[1])
         with pytest.raises(ValueError, match="unknown seller"):
-            market.validate_contracts([c], {"g1": g_unit()}, frozenset({"ghost"}))
+            market.validate_contracts(c, [g_unit()], frozenset({1}))
+
+
+def validated(*rows):
+    return contracts(*rows, status=VALIDATED)
+
+
+def executed_mw(c, direction):
+    return sum(c.executed[c.up == (direction is UP)].tolist())
 
 
 class TestClaim:
-    def _validated(self, direction, quantities, sellers=None):
-        sellers = sellers or ["g1"] * len(quantities)
-        out = []
-        for i, (q, seller) in enumerate(zip(quantities, sellers)):
-            c = signed(i, direction, q, seller=seller)
-            c.transition(ContractStatus.VALIDATED)
-            out.append(c)
-        return out
-
     def test_over_generation_executes_down_side(self):
-        down = self._validated(DOWN, [20.0])
-        up = self._validated(UP, [15.0])
-        up[0].id = 99
-        claim = market.claim_execution(down + up, da_quantity=100.0, claimed_output=110.0)
-        assert claim.executed_down == pytest.approx(10.0)
-        assert claim.executed_up == 0.0
-        assert down[0].status is ContractStatus.EXECUTED
-        assert down[0].executed_mw == pytest.approx(10.0)
-        assert up[0].status is ContractStatus.RELEASED
-        assert up[0].executed_mw == 0.0
+        c = market.claim_execution(
+            validated((DOWN, 20.0), (UP, 15.0)), da_quantity=100.0, claimed_output=110.0
+        )
+        assert executed_mw(c, DOWN) == pytest.approx(10.0)
+        assert executed_mw(c, UP) == 0.0
+        assert c.status[0] == EXECUTED
+        assert c.executed[0] == pytest.approx(10.0)
+        assert c.status[1] == RELEASED
+        assert c.executed[1] == 0.0
 
     def test_execution_capped_by_contracted_total(self):
-        down = self._validated(DOWN, [20.0])
-        claim = market.claim_execution(down, da_quantity=100.0, claimed_output=130.0)
-        assert claim.executed_down == pytest.approx(20.0)
+        c = market.claim_execution(validated((DOWN, 20.0)), da_quantity=100.0, claimed_output=130.0)
+        assert executed_mw(c, DOWN) == pytest.approx(20.0)
 
     def test_pro_rata_across_sellers(self):
-        down = self._validated(DOWN, [30.0, 10.0], sellers=["g1", "g2"])
-        claim = market.claim_execution(down, da_quantity=100.0, claimed_output=120.0)
-        assert claim.per_seller_down["g1"] == pytest.approx(15.0)
-        assert claim.per_seller_down["g2"] == pytest.approx(5.0)
+        c = market.claim_execution(
+            validated((DOWN, 30.0, "g1"), (DOWN, 10.0, "g2")), da_quantity=100.0,
+            claimed_output=120.0,
+        )
+        shifts = market.executed_by_seller(c)
+        per_seller = dict(zip((SELLERS[j] for j in shifts.seller), shifts.mw.tolist()))
+        assert per_seller["g1"] == pytest.approx(15.0)
+        assert per_seller["g2"] == pytest.approx(5.0)
 
     def test_no_deviation_releases_everything(self):
-        down = self._validated(DOWN, [20.0])
-        claim = market.claim_execution(down, da_quantity=100.0, claimed_output=100.0)
-        assert claim.executed_down == 0.0
-        assert down[0].status is ContractStatus.RELEASED
+        c = market.claim_execution(validated((DOWN, 20.0)), da_quantity=100.0, claimed_output=100.0)
+        assert executed_mw(c, DOWN) == 0.0
+        assert c.status[0] == RELEASED
 
     def test_under_generation_executes_up_side(self):
-        up = self._validated(UP, [25.0])
-        claim = market.claim_execution(up, da_quantity=100.0, claimed_output=90.0)
-        assert claim.executed_up == pytest.approx(10.0)
-        assert up[0].status is ContractStatus.EXECUTED
+        c = market.claim_execution(validated((UP, 25.0)), da_quantity=100.0, claimed_output=90.0)
+        assert executed_mw(c, UP) == pytest.approx(10.0)
+        assert c.status[0] == EXECUTED
+
+    def test_each_hour_claims_its_own_deviation(self):
+        c = dataclasses.replace(validated((DOWN, 20.0), (DOWN, 20.0)), hour=[0, 1])
+        c = market.claim_execution(
+            c, da_quantity=np.array([100.0, 100.0]), claimed_output=np.array([105.0, 130.0])
+        )
+        assert c.executed.tolist() == [5.0, 20.0]
 
     def test_signed_contract_blocks_claim(self):
-        c = signed(0, DOWN, 10.0)
         with pytest.raises(PhaseError):
-            market.claim_execution([c], da_quantity=100.0, claimed_output=110.0)
+            market.claim_execution(contracts((DOWN, 10.0)), da_quantity=100.0, claimed_output=110.0)
 
-    @pytest.mark.parametrize("status", [ContractStatus.EXECUTED, ContractStatus.RELEASED])
+    @pytest.mark.parametrize("status", ["executed", "released"])
     def test_second_claim_refused(self, status):
         # A contract already claimed fails the claim before any other one
         # changes: the validated contract stays validated.
-        fresh = self._validated(DOWN, [10.0])[0]
-        claimed = self._validated(DOWN, [10.0])[0]
-        claimed.id = 1
-        claimed.transition(status)
-        with pytest.raises(PhaseError, match=f"contract 1 is {status.value}, cannot claim"):
-            market.claim_execution([fresh, claimed], da_quantity=100.0, claimed_output=110.0)
-        assert fresh.status is ContractStatus.VALIDATED and fresh.executed_mw == 0.0
+        c = validated((DOWN, 10.0), (DOWN, 10.0))
+        c = dataclasses.replace(c, status=[VALIDATED, market.STATUSES.index(status)])
+        with pytest.raises(PhaseError, match=f"contract 1 is {status}, cannot claim"):
+            market.claim_execution(c, da_quantity=100.0, claimed_output=110.0)
+        assert c.status[0] == VALIDATED and c.executed[0] == 0.0
 
     def test_rejected_contracts_ignored(self):
-        c = signed(0, DOWN, 10.0)
-        c.transition(ContractStatus.REJECTED)
-        claim = market.claim_execution([c], da_quantity=100.0, claimed_output=110.0)
-        assert claim.executed_down == 0.0
-        assert c.status is ContractStatus.REJECTED
+        c = contracts((DOWN, 10.0), status=REJECTED)
+        c = market.claim_execution(c, da_quantity=100.0, claimed_output=110.0)
+        assert executed_mw(c, DOWN) == 0.0
+        assert c.status[0] == REJECTED
 
 
-def worked_hour_accounts():
-    c = signed(0, DOWN, 20.0, seller="g1", price=0.5, buyer="wind1")
-    c.transition(ContractStatus.VALIDATED)
-    c.transition(ContractStatus.EXECUTED)
-    c.executed_mw = 20.0
-    unit = DispatchableUnit(UnitKind.BASE_LOAD, 100.0, 250.0, 15.0, 200.0)
-    return HourAccounts(
-        hour=0,
+def hour_accounts(c=None, *, vg_realized=120.0, rt_price=30.0, units=None, rt_output=(180.0,)):
+    """One hour's accounts for producer wind1 (schedule 100 MW at 30)."""
+    if c is None:
+        c = dataclasses.replace(
+            contracts((DOWN, 20.0, "g1", 0.5), status=EXECUTED), executed=[20.0]
+        )
+    if units is None:
+        units = {"g1": DispatchableUnit(UnitKind.BASE_LOAD, 100.0, 250.0, 15.0, 200.0)}
+    return DayAccounts(
         vg_id="wind1",
-        da_price=30.0,
-        rt_price=30.0,
+        da_price=np.array([30.0]),
+        rt_price=np.array([rt_price]),
         penalty=PF,
-        vg_da_schedule=100.0,
-        vg_realized=120.0,
-        contracts=[c],
-        units={"g1": unit},
-        unit_rt_output={"g1": 180.0},
+        vg_schedule=np.array([100.0]),
+        vg_realized=np.array([vg_realized]),
+        contracts=c,
+        shifts=market.executed_by_seller(c),
+        units=units,
+        unit_rt_output=np.array([rt_output]).reshape(1, -1),
     )
+
+
+def no_contracts():
+    return contracts()
 
 
 class TestSettle:
     def test_worked_hour_nets(self):
-        led = market.settle(worked_hour_accounts())
+        led = market.settle(hour_accounts())
         assert ledger_net(led, "wind1") == pytest.approx(3590.0)
         assert ledger_net(led, "g1") == pytest.approx(5410.0)
         assert ledger_net(led, market.POOL) == pytest.approx(-9000.0)
         assert led.is_balanced()
 
     def test_worked_hour_flows_by_tag(self):
-        led = market.settle(worked_hour_accounts())
+        led = market.settle(hour_accounts())
         by_tag = {}
-        for e in led.entries:
+        for e in ledger_entries(led):
             by_tag.setdefault(e.tag, []).append(e)
         assert [e.amount for e in by_tag["premium"]] == [pytest.approx(10.0)]
         assert sorted(e.amount for e in by_tag["da_energy"]) == [
@@ -415,83 +462,50 @@ class TestSettle:
         assert "rt_imbalance" not in by_tag
 
     def test_released_cover_still_earns_premium(self):
-        acc = worked_hour_accounts()
-        c = acc.contracts[0]
-        c.status = ContractStatus.RELEASED
-        c.executed_mw = 0.0
-        acc2 = HourAccounts(
-            hour=0, vg_id="wind1", da_price=30.0, rt_price=30.0, penalty=PF,
-            vg_da_schedule=100.0, vg_realized=100.0, contracts=[c],
-            units=acc.units, unit_rt_output={"g1": 200.0},
-        )
-        led = market.settle(acc2)
-        premiums = [e for e in led.entries if e.tag == "premium"]
+        c = contracts((DOWN, 20.0, "g1", 0.5), status=RELEASED)
+        led = market.settle(hour_accounts(c, vg_realized=100.0, rt_output=(200.0,)))
+        premiums = [e for e in ledger_entries(led) if e.tag == "premium"]
         assert len(premiums) == 1
         assert premiums[0].amount == pytest.approx(10.0)
 
     def test_rejected_cover_earns_nothing(self):
-        c = signed(0, DOWN, 20.0, seller="g1", price=0.5, buyer="wind1")
-        c.transition(ContractStatus.REJECTED)
-        acc = HourAccounts(
-            hour=0, vg_id="wind1", da_price=30.0, rt_price=30.0, penalty=PF,
-            vg_da_schedule=100.0, vg_realized=100.0, contracts=[c],
-            units={"g1": g_unit()}, unit_rt_output={"g1": 200.0},
-        )
-        led = market.settle(acc)
-        assert all(e.tag != "premium" for e in led.entries)
+        c = contracts((DOWN, 20.0, "g1", 0.5), status=REJECTED)
+        led = market.settle(hour_accounts(c, vg_realized=100.0, units={"g1": g_unit()},
+                                          rt_output=(200.0,)))
+        assert all(e.tag != "premium" for e in ledger_entries(led))
 
     def test_validated_contract_blocks_settlement(self):
-        c = signed(0, DOWN, 20.0, seller="g1", price=0.5, buyer="wind1")
-        c.transition(ContractStatus.VALIDATED)
-        acc = HourAccounts(
-            hour=0, vg_id="wind1", da_price=30.0, rt_price=30.0, penalty=PF,
-            vg_da_schedule=100.0, vg_realized=100.0, contracts=[c],
-            units={"g1": g_unit()}, unit_rt_output={"g1": 200.0},
-        )
+        c = contracts((DOWN, 20.0, "g1", 0.5), status=VALIDATED)
         with pytest.raises(PhaseError):
-            market.settle(acc)
+            market.settle(hour_accounts(c, vg_realized=100.0, units={"g1": g_unit()},
+                                        rt_output=(200.0,)))
 
     def test_residual_over_generation_credited_at_discount(self):
-        acc = HourAccounts(
-            hour=0, vg_id="wind1", da_price=30.0, rt_price=30.0, penalty=PF,
-            vg_da_schedule=100.0, vg_realized=110.0, contracts=[],
-            units={}, unit_rt_output={},
-        )
-        led = market.settle(acc)
-        imb = [e for e in led.entries if e.tag == "rt_imbalance"]
+        led = market.settle(hour_accounts(no_contracts(), vg_realized=110.0, units={},
+                                          rt_output=()))
+        imb = [e for e in ledger_entries(led) if e.tag == "rt_imbalance"]
         assert len(imb) == 1
         assert imb[0].payer == market.POOL
         assert imb[0].amount == pytest.approx(0.7 * 30.0 * 10.0)
 
     def test_residual_under_generation_charged_with_markup(self):
-        acc = HourAccounts(
-            hour=0, vg_id="wind1", da_price=30.0, rt_price=30.0, penalty=PF,
-            vg_da_schedule=100.0, vg_realized=90.0, contracts=[],
-            units={}, unit_rt_output={},
-        )
-        led = market.settle(acc)
-        imb = [e for e in led.entries if e.tag == "rt_imbalance"]
+        led = market.settle(hour_accounts(no_contracts(), vg_realized=90.0, units={},
+                                          rt_output=()))
+        imb = [e for e in ledger_entries(led) if e.tag == "rt_imbalance"]
         assert imb[0].payee == market.POOL
         assert imb[0].amount == pytest.approx(1.3 * 30.0 * 10.0)
 
     def test_negative_rt_price_flips_unit_flow(self):
-        acc = HourAccounts(
-            hour=0, vg_id="wind1", da_price=30.0, rt_price=-5.0, penalty=PF,
-            vg_da_schedule=100.0, vg_realized=100.0, contracts=[],
-            units={"g1": g_unit()}, unit_rt_output={"g1": 210.0},
-        )
-        led = market.settle(acc)
-        imb = [e for e in led.entries if e.tag == "rt_imbalance"]
+        led = market.settle(hour_accounts(no_contracts(), vg_realized=100.0, rt_price=-5.0,
+                                          units={"g1": g_unit()}, rt_output=(210.0,)))
+        imb = [e for e in ledger_entries(led) if e.tag == "rt_imbalance"]
         # Producing 10 MW extra at a negative price costs the unit money.
         assert imb[0].payer == "g1"
         assert imb[0].amount == pytest.approx(50.0)
 
     def test_missing_rt_output_is_an_error(self):
-        acc = HourAccounts(
-            hour=0, vg_id="wind1", da_price=30.0, rt_price=30.0, penalty=PF,
-            vg_da_schedule=100.0, vg_realized=100.0, contracts=[],
-            units={"g1": g_unit()}, unit_rt_output={},
-        )
+        acc = hour_accounts(no_contracts(), vg_realized=100.0, units={"g1": g_unit()},
+                            rt_output=())
         with pytest.raises(ValueError, match="missing RT output"):
             market.settle(acc)
 
@@ -516,12 +530,12 @@ def settlement_cases(draw):
     for _ in range(n_offers):
         direction = draw(st.sampled_from([DOWN, UP]))
         offers.append(
-            Offer(
+            (
                 "g1",
                 0,
                 direction,
-                price=draw(st.floats(min_value=0.0, max_value=6.0)),
-                quantity=draw(st.floats(min_value=1.0, max_value=40.0)),
+                draw(st.floats(min_value=0.0, max_value=6.0)),
+                draw(st.floats(min_value=1.0, max_value=40.0)),
             )
         )
     realized = draw(st.floats(min_value=0.0, max_value=1.0)) * capacity
@@ -540,39 +554,38 @@ def test_full_hour_settlement_equivalence(case):
     # banded revenue minus premiums for the producer, shift payoff plus
     # premiums for the unit, and nets that cancel.
     d, s, pf, unit, offers, lam_r, realized = case
-    desired = market.buyer_demand(offers, s, pf, d)
-    contracts = market.match_offers(offers, desired, DOWN, "w")
-    contracts += market.match_offers(offers, desired, UP, "w", id_start=len(contracts))
-    market.validate_contracts(contracts, {"g1": unit})
-    claim = market.claim_execution(contracts, s.da_quantity, realized)
+    b = book(*offers)
+    c = market.match_offers(b, market.buyer_demand(b, s, pf, d))
+    c = market.validate_contracts(c, [unit])
+    c = market.claim_execution(c, s.da_quantity, realized)
     rt_out = provider.rt_dispatch(unit, lam_r)
-    acc = HourAccounts(
-        hour=0,
+    acc = DayAccounts(
         vg_id="w",
-        da_price=s.da_price,
-        rt_price=lam_r,
+        da_price=np.array([s.da_price]),
+        rt_price=np.array([lam_r]),
         penalty=pf,
-        vg_da_schedule=s.da_quantity,
-        vg_realized=realized,
-        contracts=contracts,
+        vg_schedule=np.array([s.da_quantity]),
+        vg_realized=np.array([realized]),
+        contracts=c,
+        shifts=market.executed_by_seller(c),
         units={"g1": unit},
-        unit_rt_output={"g1": rt_out},
+        unit_rt_output=np.array([[rt_out]]),
     )
     led = market.settle(acc)
     assert led.is_balanced()
 
-    live = [c for c in contracts if c.status is not ContractStatus.REJECTED]
+    live = c.status != REJECTED
     pos = BrsPosition(
-        down_qty=sum(c.quantity for c in live if c.direction is DOWN),
-        up_qty=sum(c.quantity for c in live if c.direction is UP),
+        down_qty=sum(c.quantity[live & ~c.up].tolist()),
+        up_qty=sum(c.quantity[live & c.up].tolist()),
         down_price=0.0,
         up_price=0.0,
     )
-    premiums = sum(c.premium_price * c.quantity for c in live)
+    premiums = sum((c.price * c.quantity)[live].tolist())
     vg_expected = revenue_with_brs(s, pf, pos, realized) - premiums
     assert ledger_net(led, "w") == pytest.approx(vg_expected, rel=1e-9, abs=1e-6)
 
-    executed = claim.executed_up - claim.executed_down
+    executed = executed_mw(c, UP) - executed_mw(c, DOWN)
     sc = JointScenario(da_price=s.da_price, rt_price=lam_r, executed=executed)
     unit_expected = revenue_unit_with_brs(unit, sc, rt_output=rt_out) + premiums
     assert ledger_net(led, "g1") == pytest.approx(unit_expected, rel=1e-9, abs=1e-6)
