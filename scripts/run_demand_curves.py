@@ -7,7 +7,7 @@ in the output.
 import argparse
 from pathlib import Path
 
-from brsim import dataio, simulation, vg
+from brsim import dataio, simulation
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_SCENARIO = REPO / "scenarios" / "day24.json"
@@ -24,19 +24,18 @@ def main() -> None:
     args = ap.parse_args()
 
     cfg = dataio.load_scenario(args.scenario)
-    rows = simulation.demand_curve_rows(cfg, args.hour, args.alphas, args.points)
+    table = simulation.demand_curve_rows(cfg, args.hour, args.alphas, args.points)
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    dataio.write_table(rows, args.out, args.out.suffix.lstrip("."))
+    dataio.write_table(table, args.out, args.out.suffix.lstrip("."))
     schedule, price = cfg.vg.da_schedule_mw[args.hour], cfg.da_price[args.hour]
     print(f"hour {args.hour}: schedule {schedule:.1f} MW at {price:.2f} $/MWh")
     for alpha in args.alphas:
-        head = next(
-            r for r in rows
-            if r["direction"] == vg.DOWN.value and r["alpha"] == alpha
-        )
-        print(f"  alpha={alpha}: willingness to pay at q=0 is {head['marginal_value']:.3f} $/MW")
-    print(f"wrote {args.out} ({len(rows)} rows)")
+        # The down curves come first, so an alpha's first row is its down
+        # curve at q = 0.
+        head = table["marginal_value"][table["alpha"].index(alpha)]
+        print(f"  alpha={alpha}: willingness to pay at q=0 is {head:.3f} $/MW")
+    print(f"wrote {args.out} ({len(table['alpha'])} rows)")
 
 
 if __name__ == "__main__":

@@ -26,26 +26,27 @@ def main() -> None:
     args = ap.parse_args()
 
     cfg = dataio.load_scenario(args.scenario)
-    rows = simulation.profit_sweep(cfg, args.ratios, args.scales)
+    table = simulation.profit_sweep(cfg, args.ratios, args.scales)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    dataio.write_table(rows, args.out, args.out.suffix.lstrip("."))
+    dataio.write_table(table, args.out, args.out.suffix.lstrip("."))
 
     ideal = sum(
         cfg.da_price[h] * cfg.vg.forecast_mean_mw[h] for h in range(cfg.horizon)
     )
     print(f"DA value of the mean profile: {ideal:,.0f} $")
+    profit, ratio = table["expected_profit"], table["price_ratio"]
     for scale in sorted(args.scales):
-        col = [r for r in rows if r["variance_scale"] == scale]
-        first, last = col[0], col[-1]
+        at = [i for i, k in enumerate(table["variance_scale"]) if k == scale]
+        first, last = at[0], at[-1]
         # Once the ratio clears both penalty factors no cover is bought, so
         # the gross revenue is the no-cover revenue.
         print(
-            f"  scale {scale}: profit {first['expected_profit']:,.0f} $ at "
-            f"ratio {first['price_ratio']} falling to {last['expected_profit']:,.0f} $ "
-            f"at ratio {last['price_ratio']} "
-            f"(no-cover level {last['gross_expected_revenue']:,.0f} $)"
+            f"  scale {scale}: profit {profit[first]:,.0f} $ at "
+            f"ratio {ratio[first]} falling to {profit[last]:,.0f} $ "
+            f"at ratio {ratio[last]} "
+            f"(no-cover level {table['gross_expected_revenue'][last]:,.0f} $)"
         )
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({len(profit)} rows)")
 
 
 if __name__ == "__main__":

@@ -29,28 +29,27 @@ def main() -> None:
         f"{exact.incremental_variance:.1f} $^2 (expected delta {exact.expected_delta:+.1f})"
     )
 
-    rows = []
+    runs = []
     for rho in args.correlations:
         model = ScenarioModel(correlation=rho, execution_limit=RISK_HEADROOM)
         sampled = provider.generate_scenarios(model, args.samples, args.seed)
         cmp_ = provider.compare_kinds(base, marginal, sampled)
-        rows.append(
-            {
-                "correlation": rho,
-                "base_incremental": cmp_.base.incremental_variance,
-                "marginal_incremental": cmp_.marginal.incremental_variance,
-                "marginal_less_risky": cmp_.marginal_less_risky,
-            }
-        )
+        runs.append(cmp_)
         print(
             f"  rho={rho:.1f}: base {cmp_.base.incremental_variance:9.1f} $^2, "
             f"marginal {cmp_.marginal.incremental_variance:9.1f} $^2, "
             f"marginal less risky: {cmp_.marginal_less_risky}"
         )
 
+    table = {
+        "correlation": args.correlations,
+        "base_incremental": [c.base.incremental_variance for c in runs],
+        "marginal_incremental": [c.marginal.incremental_variance for c in runs],
+        "marginal_less_risky": [c.marginal_less_risky for c in runs],
+    }
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    dataio.write_table(rows, args.out, args.out.suffix.lstrip("."))
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    dataio.write_table(table, args.out, args.out.suffix.lstrip("."))
+    print(f"wrote {args.out} ({len(runs)} rows)")
 
 
 if __name__ == "__main__":

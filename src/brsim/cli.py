@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 from . import dataio, provider, simulation, vg
 from .dataio import ScenarioError
 from .market import PhaseError
-from .provider import RISK_HEADROOM, RISK_UNITS, ScenarioModel
+from .provider import RISK_HEADROOM, RISK_UNITS, RiskReport, ScenarioModel
 
 DEFAULT_PRICE_RATIOS = tuple(round(0.05 * i, 2) for i in range(11))  # 0 .. 0.5
 # The largest value a price, ratio or scale flag takes. It is the scenario
@@ -37,11 +37,11 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _emit(rows, args) -> None:
+def _emit(table, args) -> None:
     if args.out is None:
-        sys.stdout.write(dataio.format_table(rows, args.format))
+        sys.stdout.write(dataio.format_table(table, args.format))
         return
-    dataio.write_table(rows, args.out, args.format)
+    dataio.write_table(table, args.out, args.format)
     print(f"wrote {args.out}")
 
 
@@ -81,22 +81,20 @@ def cmd_optimal(args) -> None:
     pos = vg.optimal_position(s, pf, d, down_price, up_price)
     report = vg.oic_report(s, pf, pos, d)
     gross = vg.expected_revenue(s, pf, pos, d)
-    rows = [
-        {
-            "hour": hour,
-            "down_qty_mw": pos.down_qty,
-            "up_qty_mw": pos.up_qty,
-            "down_price": pos.down_price,
-            "up_price": pos.up_price,
-            "gross_expected_revenue": gross,
-            "net_expected_revenue": gross - report.premium_paid,
-            "premium_paid": report.premium_paid,
-            "expected_residual_penalty": report.expected_residual_penalty,
-            "total_oic": report.total_oic,
-            "consumer_surplus": report.consumer_surplus,
-        }
-    ]
-    _emit(rows, args)
+    row = {
+        "hour": hour,
+        "down_qty_mw": pos.down_qty,
+        "up_qty_mw": pos.up_qty,
+        "down_price": pos.down_price,
+        "up_price": pos.up_price,
+        "gross_expected_revenue": gross,
+        "net_expected_revenue": gross - report.premium_paid,
+        "premium_paid": report.premium_paid,
+        "expected_residual_penalty": report.expected_residual_penalty,
+        "total_oic": report.total_oic,
+        "consumer_surplus": report.consumer_surplus,
+    }
+    _emit({name: [value] for name, value in row.items()}, args)
 
 
 def cmd_profit_sweep(args) -> None:
@@ -141,8 +139,10 @@ def cmd_supply_risk(args) -> None:
         reports = {"base_load": cmp_.base, "marginal": cmp_.marginal}
     else:
         reports = {args.unit_kind: provider.risk_report(RISK_UNITS[args.unit_kind], scenarios)}
-    rows = [{"kind": kind, **asdict(report)} for kind, report in reports.items()]
-    _emit(rows, args)
+    table = {"kind": list(reports)}
+    for f in fields(RiskReport):
+        table[f.name] = [getattr(report, f.name) for report in reports.values()]
+    _emit(table, args)
     if args.unit_kind == "both":
         print(f"verdict: marginal_less_risky={str(cmp_.marginal_less_risky).lower()}")
 

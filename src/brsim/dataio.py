@@ -7,7 +7,6 @@ against the cross-field rules, and every error names its field path.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
@@ -18,7 +17,7 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 TABLE_FORMATS = ("csv", "json")
 # The settlement pool's party name in ledgers; no unit or producer may take it.
@@ -30,10 +29,6 @@ _SIG_DIGITS_FORMAT = f"{{:.{_CSV_SIG_DIGITS}g}}".format
 # Tables are formatted this many rows at a time, which bounds the rows and
 # the text held while a table is written.
 _BATCH_ROWS = 2048
-
-
-# A table: row dicts, or a mapping of column names to equally long columns.
-Table = Iterable[dict] | Mapping[str, Sequence]
 
 
 class ScenarioError(ValueError):
@@ -372,47 +367,25 @@ def _column_text(values: list, by_type: dict, cell: Callable[[Any], str]) -> lis
     return by_type[kind](values) if kind in by_type else list(map(cell, values))
 
 
-def _in_order(i: int, row: dict, cols: list[str]) -> dict:
-    if set(row) != set(cols):
-        raise ValueError(f"row {i} columns {sorted(row)} differ from {sorted(cols)}")
-    return {c: row[c] for c in cols}
-
-
-def _batches(table: Table, columns: Sequence[str] | None) -> tuple[list[str], Iterator[list]]:
+def _batches(table: Mapping[str, Sequence]) -> tuple[list[str], Iterator[list]]:
     """The column names, and the table ``_BATCH_ROWS`` rows at a time, one
-    list of cells per column. Row dicts are read as the batches are asked
-    for; a mapping of columns is sliced."""
-    if isinstance(table, Mapping):
-        cols = list(table if columns is None else columns)
-        data = [table[c] for c in cols]
-        n = len(data[0]) if data else 0
-        if any(len(col) != n for col in data):
-            raise ValueError(f"columns {cols} differ in length")
-        parts = ([col[lo:lo + _BATCH_ROWS] for col in data] for lo in range(0, n, _BATCH_ROWS))
-        return cols, ([p.tolist() if hasattr(p, "tolist") else list(p) for p in batch]
-                      for batch in parts)
-    rows = iter(table)
-    if columns is None:
-        first = next(rows, None)
-        if first is None:
-            raise ValueError("empty table needs an explicit column list")
-        cols = list(first)
-        rows = itertools.chain((first,), rows)
-    else:
-        cols = list(columns)
-    # Rows whose keys already come in column order are used as they are.
-    rows = (row if list(row) == cols else _in_order(i, row, cols) for i, row in enumerate(rows))
-    batches = iter(lambda: list(itertools.islice(rows, _BATCH_ROWS)), [])
-    return cols, ([list(cells) for cells in zip(*(row.values() for row in batch))]
-                  for batch in batches)
+    list of cells per column, each sliced from its column as it is asked
+    for."""
+    cols, data = list(table), list(table.values())
+    n = len(data[0]) if data else 0
+    if any(len(col) != n for col in data):
+        raise ValueError(f"columns {cols} differ in length")
+    parts = ([col[lo:lo + _BATCH_ROWS] for col in data] for lo in range(0, n, _BATCH_ROWS))
+    return cols, ([p.tolist() if hasattr(p, "tolist") else list(p) for p in batch]
+                  for batch in parts)
 
 
-def _table_chunks(table: Table, fmt: str, columns: Sequence[str] | None) -> Iterator[str]:
+def _table_chunks(table: Mapping[str, Sequence], fmt: str) -> Iterator[str]:
     """The text of a table, a batch of rows at a time, each column of a
     batch formatted by one call chosen by the type of its cells."""
     if fmt not in TABLE_FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {TABLE_FORMATS}")
-    cols, batches = _batches(table, columns)
+    cols, batches = _batches(table)
     if fmt == "csv":
         yield ",".join(cols) + "\n"
         for batch in batches:
@@ -433,30 +406,27 @@ def _table_chunks(table: Table, fmt: str, columns: Sequence[str] | None) -> Iter
     yield "]\n"
 
 
-def format_table(rows: Table, fmt: str, columns: Sequence[str] | None = None) -> str:
-    """Render a table as CSV or JSON text: homogeneous row dicts, or a
-    mapping of column names to equally long columns (lists or arrays).
+def format_table(table: Mapping[str, Sequence], fmt: str) -> str:
+    """Render a table, a mapping of column names to equally long columns
+    (lists or arrays) in column order, as CSV or JSON text.
 
     CSV numbers carry 6 significant digits; JSON keeps full precision.
-    ``columns`` orders the columns; it is only required when rows is empty
-    (CSV still gets a header). A non-finite number is written as ``inf``,
-    ``-inf`` or ``nan`` in CSV and raises ``ValueError`` in JSON, which has
-    no such values.
+    Zero-length columns give a CSV header and an empty JSON list. A
+    non-finite number is written as ``inf``, ``-inf`` or ``nan`` in CSV and
+    raises ``ValueError`` in JSON, which has no such values.
     """
-    return "".join(_table_chunks(rows, fmt, columns))
+    return "".join(_table_chunks(table, fmt))
 
 
-def write_table(
-    rows: Table, path: str | Path, fmt: str, columns: Sequence[str] | None = None
-) -> None:
-    """format_table to a file with LF endings, written as the rows arrive.
+def write_table(table: Mapping[str, Sequence], path: str | Path, fmt: str) -> None:
+    """format_table to a file with LF endings, written a batch at a time.
 
     A regular file, or a path where nothing exists yet, is written to a
     temporary file beside it that replaces it once complete, so a failed
     write leaves the target as it was. Other targets, such as a symlink, a
     pipe or ``/dev/stdout``, are written in place.
     """
-    chunks = _table_chunks(rows, fmt, columns)
+    chunks = _table_chunks(table, fmt)
     path = Path(path)
     try:
         mode = os.lstat(path).st_mode

@@ -359,12 +359,6 @@ class SettlementLedger:
         keys = np.column_stack((at + self.payer, at + self.payee)).ravel()
         return self._nets(keys, horizon * len(self.parties)).reshape(horizon, len(self.parties))
 
-    def is_balanced(self) -> bool:
-        """Whether the parties' nets, summed exactly, cancel to within 1e-9
-        of the gross flow."""
-        residual = math.fsum(self.net_by_party().values())
-        return abs(residual) <= 1e-9 * math.fsum(self.amount.tolist())
-
 
 @dataclass(frozen=True, eq=False)
 class DayAccounts:

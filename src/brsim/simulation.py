@@ -3,7 +3,6 @@ and settlement into one deterministic pipeline, every step over the whole
 horizon at once."""
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,35 +63,33 @@ def hour_context(
 
 def demand_curve_rows(
     cfg: ScenarioConfig, hour: int, alphas: list[float], points: int
-) -> list[dict]:
+) -> dict[str, list]:
     """Marginal value of cover against quantity at one hour, per direction
-    and per penalty factor (applied to both sides)."""
+    and per penalty factor (applied to both sides), as table columns: the
+    down curves, then the up curves, each in the order of ``alphas``."""
     s, _, d = hour_context(cfg, hour)
     # Axes (alpha, point): one curve per penalty factor.
     alpha = np.asarray(alphas, dtype=float)[:, None]
     pf = PenaltyFactors(over=alpha, under=alpha)
-    rows = []
-    for direction in (vg.DOWN, vg.UP):
-        curve = vg.demand_curve(s, pf, d, direction, points)
-        for a, pairs in zip(alphas, curve.points.tolist()):
-            rows.extend(
-                {
-                    "direction": direction.value,
-                    "alpha": a,
-                    "quantity_mw": q,
-                    "marginal_value": value,
-                }
-                for q, value in pairs
-            )
-    return rows
+    directions = (vg.DOWN, vg.UP)
+    curves = np.array([vg.demand_curve(s, pf, d, direction, points).points
+                       for direction in directions])
+    per_direction = len(alphas) * points
+    return {
+        "direction": [direction.value for direction in directions for _ in range(per_direction)],
+        "alpha": [a for a in alphas for _ in range(points)] * len(directions),
+        "quantity_mw": curves[..., 0].ravel().tolist(),
+        "marginal_value": curves[..., 1].ravel().tolist(),
+    }
 
 
 def profit_sweep(
     cfg: ScenarioConfig, ratios: list[float], scales: list[float]
-) -> list[dict]:
+) -> dict[str, np.ndarray]:
     """Expected profit summed over the horizon at the optimal cover, for each
     forecast-variance scale and premium ratio (premium = ratio x DA price on
-    both sides). Rows are sorted by (scale, ratio)."""
+    both sides), as table columns. Rows are sorted by (scale, ratio), equal
+    keys in grid order."""
     s, pf, d = _horizon_inputs(cfg)
     # Axes (scale, ratio, hour); the hour axis is summed away.
     d = forecast.scale_variance(d, np.asarray(scales, dtype=float)[:, None, None])
@@ -100,24 +97,15 @@ def profit_sweep(
     pos = vg.optimal_position(s, pf, d, price, price)
     gross = vg.expected_revenue(s, pf, pos, d)
     premium = vg.premium_cost(pos)
-    totals = zip(
-        itertools.product(scales, ratios),
-        (gross - premium).sum(axis=-1).ravel().tolist(),
-        gross.sum(axis=-1).ravel().tolist(),
-        premium.sum(axis=-1).ravel().tolist(),
-    )
-    rows = [
-        {
-            "variance_scale": scale,
-            "price_ratio": ratio,
-            "expected_profit": profit,
-            "gross_expected_revenue": gross_total,
-            "premium_paid": premium_total,
-        }
-        for (scale, ratio), profit, gross_total, premium_total in totals
-    ]
-    rows.sort(key=lambda r: (r["variance_scale"], r["price_ratio"]))
-    return rows
+    scale, ratio = np.repeat(scales, len(ratios)), np.tile(ratios, len(scales))
+    order = np.lexsort((ratio, scale))
+    return {
+        "variance_scale": scale[order],
+        "price_ratio": ratio[order],
+        "expected_profit": (gross - premium).sum(axis=-1).ravel()[order],
+        "gross_expected_revenue": gross.sum(axis=-1).ravel()[order],
+        "premium_paid": premium.sum(axis=-1).ravel()[order],
+    }
 
 
 def simulate_day(cfg: ScenarioConfig) -> DayResult:

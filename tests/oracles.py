@@ -21,6 +21,7 @@ cannot change an oracle along with the code it judges.
   ``vg.expected_revenue`` takes in closed form.
 - ``ledger_net`` is one party's net over a ledger, summed entry by entry,
   for checking ``SettlementLedger.net_by_party`` and ``hourly_nets``;
+  ``ledger_is_balanced`` checks that a ledger's nets cancel; and
   ``ledger_entries`` and ``hour_ledger`` read a columnar ledger entry by
   entry and hour by hour.
 - The per-hour market is the hourly lifecycle that ``market`` ran before it
@@ -305,6 +306,13 @@ def table_rows(table: dict) -> list[dict]:
     """A table of columns as row dicts of Python scalars."""
     columns = [col.tolist() if hasattr(col, "tolist") else list(col) for col in table.values()]
     return [dict(zip(table, row)) for row in zip(*columns)]
+
+
+def ledger_is_balanced(ledger: SettlementLedger) -> bool:
+    """Whether the parties' nets, summed exactly, cancel to within 1e-9 of
+    the gross flow."""
+    residual = math.fsum(ledger.net_by_party().values())
+    return abs(residual) <= 1e-9 * math.fsum(ledger.amount.tolist())
 
 
 def hour_ledger(ledger: SettlementLedger, hour: int) -> SettlementLedger:

@@ -83,6 +83,15 @@ class TestDemandCurve:
         assert target.exists()
         assert parse_csv(target.read_text())
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matches_golden(self, capsys, fmt):
+        code, out, _ = run_cli(
+            capsys, "demand-curve", DAY, "--hour", "12", "--alpha", "0.1,0.3",
+            "--alpha", "0.5", "--points", "41", "--format", fmt,
+        )
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / f"demand_curve_day24.{fmt}").read_bytes()
+
 
 class TestOptimal:
     def test_matches_library(self, capsys):
@@ -116,6 +125,20 @@ class TestOptimal:
         code, _, err = run_cli(capsys, "optimal", SINGLE, "--down-price", "-1")
         assert code == 2
         assert "usage error" in err
+
+    GOLDENS = {
+        "optimal_day24_hour7": [],
+        "optimal_day24_hour7_prices": ["--down-price", "1.5", "--up-price", "2"],
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_matches_golden(self, capsys, name, fmt):
+        code, out, _ = run_cli(
+            capsys, "optimal", DAY, "--hour", "7", *self.GOLDENS[name], "--format", fmt
+        )
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 class TestProfitSweep:
