@@ -27,8 +27,9 @@ POOL = "pool"
 _CSV_SIG_DIGITS = 6
 _SIG_DIGITS_FORMAT = f"{{:.{_CSV_SIG_DIGITS}g}}".format
 # Tables are formatted this many rows at a time, which bounds the rows and
-# the text held while a table is written.
-_BATCH_ROWS = 2048
+# the text held while a table is written: a batch's cell and row strings
+# take several times its text.
+_BATCH_ROWS = 512
 
 
 class ScenarioError(ValueError):
@@ -354,7 +355,7 @@ def _format_cell(value: Any) -> str:
 # The text of a column whose cells all have one of these exact types (so a
 # bool never takes the int path), made in one call; any other column is
 # written cell by cell.
-_CSV_TEXT = {str: list, int: lambda v: list(map(str, v)), float: _csv_floats, bool: _bools}
+_CSV_TEXT = {str: lambda v: v, int: lambda v: list(map(str, v)), float: _csv_floats, bool: _bools}
 _JSON_TEXT = {
     str: lambda v: list(map(encode_basestring_ascii, v)), int: lambda v: list(map(int.__repr__, v)),
     float: _json_floats, bool: _bools, type(None): lambda v: ["null"] * len(v),
@@ -376,8 +377,7 @@ def _batches(table: Mapping[str, Sequence]) -> tuple[list[str], Iterator[list]]:
     if any(len(col) != n for col in data):
         raise ValueError(f"columns {cols} differ in length")
     parts = ([col[lo:lo + _BATCH_ROWS] for col in data] for lo in range(0, n, _BATCH_ROWS))
-    return cols, ([p.tolist() if hasattr(p, "tolist") else list(p) for p in batch]
-                  for batch in parts)
+    return cols, ([p.tolist() if hasattr(p, "tolist") else p for p in batch] for batch in parts)
 
 
 def _table_chunks(table: Mapping[str, Sequence], fmt: str) -> Iterator[str]:
@@ -388,9 +388,10 @@ def _table_chunks(table: Mapping[str, Sequence], fmt: str) -> Iterator[str]:
     cols, batches = _batches(table)
     if fmt == "csv":
         yield ",".join(cols) + "\n"
+        row = ",".join(["%s"] * len(cols)) + "\n"
         for batch in batches:
             text = [_column_text(cells, _CSV_TEXT, _format_cell) for cells in batch]
-            yield "\n".join(map(",".join, zip(*text))) + "\n"
+            yield "".join(map(row.__mod__, zip(*text)))
         return
     # Each batch is the text json.dumps gives its rows, without the list's
     # brackets; joined by the separator json.dumps puts between items, the
@@ -401,7 +402,8 @@ def _table_chunks(table: Mapping[str, Sequence], fmt: str) -> Iterator[str]:
     separator = ""
     for batch in batches:
         text = [_column_text(cells, _JSON_TEXT, cell) for cells in batch]
-        yield separator + ", ".join(map(row.__mod__, zip(*text)))
+        yield separator
+        yield ", ".join(map(row.__mod__, zip(*text)))
         separator = ", "
     yield "]\n"
 

@@ -120,7 +120,8 @@ class TestExperiments:
         # from free cover to past both penalty factors, given out of order.
         scales = [1.0, 0.0, 15.0, 0.3]
         ratios = [0.5, 0.0, 0.07, 0.2, 0.07]
-        rows = oracles.table_rows(simulation.profit_sweep(day24, ratios, scales))
+        table = simulation.profit_sweep(day24, ratios, scales)
+        rows = oracles.table_rows(table)
         expected = []
         for scale in scales:
             for ratio in ratios:
@@ -138,12 +139,12 @@ class TestExperiments:
                 expected.append((scale, ratio, profit, gross_total, premium_total))
         expected.sort(key=lambda e: e[:2])
         assert len(rows) == len(expected) == 20
+        assert all(type(col) is np.ndarray and col.dtype == np.float64 for col in table.values())
         for r, (scale, ratio, profit, gross_total, premium_total) in zip(rows, expected):
             assert (r["variance_scale"], r["price_ratio"]) == (scale, ratio)
             assert r["expected_profit"] == pytest.approx(profit, rel=1e-12)
             assert r["gross_expected_revenue"] == pytest.approx(gross_total, rel=1e-12)
             assert r["premium_paid"] == pytest.approx(premium_total, rel=1e-12, abs=0.0)
-            assert all(type(v) is float for v in r.values())
 
     def test_demand_curve_rows_equal_marginal_utility(self, day24):
         rows = oracles.table_rows(simulation.demand_curve_rows(day24, 7, [0.0, 0.25, 1.0], 6))
