@@ -1,14 +1,18 @@
 """File formats: JSON scenario configs and result tables.
 
 The field names here are a compatibility surface; see docs/schemas.md. A
-scenario is checked against the packaged ``scenario.schema.json``, then
-against the cross-field rules, and every error names its field path.
+scenario is checked against the packaged ``scenario.schema.json``, each
+list a column at a time, then against the cross-field rules; an error
+names the path of the first bad value in document order. A loaded config
+holds the offers as columns, a tuple per offer field.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import operator
 import os
 import stat
 import sys
@@ -71,16 +75,6 @@ class UnitConfig:
     zone: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class OfferConfig:
-    seller: str
-    hour: int
-    direction: str
-    price: float
-    quantity_mw: float
-    zone: str | None = None
-
-
 @dataclass(frozen=True)
 class BrsPriceModel:
     """Premium prices either absolute ($/MW) or as a ratio of the DA price."""
@@ -107,9 +101,10 @@ class ScenarioConfig:
     penalty: PenaltyConfig
     da_price: tuple[float, ...]
     rt_price: tuple[float, ...]
+    # The offer book as columns, one per offer field, None where absent.
+    offers: Mapping[str, tuple]
     brs_price: BrsPriceModel = BrsPriceModel()
     units: tuple[UnitConfig, ...] = ()
-    offers: tuple[OfferConfig, ...] = ()
     zonal_rule: ZonalRuleConfig | None = None
     variance_scale_factors: tuple[float, ...] = (1.0,)
     seed: int = 0
@@ -129,20 +124,43 @@ _KEYWORDS = {
 }
 _ANYWHERE = {"type", "enum", "oneOf", "$schema", "$id", "title", "description"}
 _NAMES = {"object": "an object", "array": "a list", "integer": "an integer", "null": "null"}
+_TYPES = {"object": dict, "array": list, "number": (int, float), "integer": (int, float),
+          "string": str, "null": type(None)}
+_ABSENT = object()  # an object's field that is not there
 
 
 @dataclass(eq=False)
 class _Invalid(Exception):
-    """A broken rule at ``path``, the keys from the document root down."""
+    """A broken rule at ``path``, the keys from the checked value down."""
     reason: str
     path: list = field(default_factory=list)
 
 
-def _compile(node: dict) -> Callable[[Any], Any]:
-    """The check of one subschema. It returns a normalized copy of a value
-    (numbers as float, integers as int, arrays as tuples) or raises
-    _Invalid. It refuses what it cannot interpret, so the schema cannot
-    outgrow it unnoticed."""
+def _skipping(check: Callable[[list], list], xs: list, skip) -> list:
+    """``check`` of the values of ``xs`` that are not ``skip``, each in its
+    place; a skipped place reads None."""
+    if skip not in xs:
+        return check(xs)
+    values = iter(check([x for x in xs if x is not skip]))
+    return [None if x is skip else next(values) for x in xs]
+
+
+def _rows(table: Mapping[str, Sequence], n: int = 0) -> list[dict]:
+    """The rows of a table as dicts, without the fields that read None; a
+    table without columns has ``n`` rows."""
+    rows = zip(*table.values()) if table else [()] * n
+    return [{k: v for k, v in zip(table, row) if v is not None} for row in rows]
+
+
+def _compile(node: dict) -> Callable[..., list | dict]:
+    """The check of one subschema over a list of values, a lone value being
+    a list of one. It returns normalized copies (numbers as float, integers
+    as int, arrays as tuples, objects as dicts without the fields that read
+    None, or with ``columns=True`` as one table with None where a field is
+    absent), or raises _Invalid at the first bad value in document order.
+    Each rule runs over the whole list; only a list that fails is checked
+    again in halves. It refuses what it cannot interpret, so the schema
+    cannot outgrow it unnoticed."""
     types = [node["type"]] if isinstance(node.get("type"), str) else node.get("type", [])
     kind = next((t for t in types if t != "null"), None)
     branches = [_compile(branch) for branch in node.get("oneOf", ())]
@@ -153,6 +171,7 @@ def _compile(node: dict) -> Callable[[Any], Any]:
     if unsupported:
         raise ValueError(f"unsupported schema keyword(s) {sorted(unsupported)}")
     wanted = " or ".join(_NAMES.get(t, "a " + t) for t in types)
+    accepted = tuple(_TYPES[t] for t in types)
     enum = node.get("enum")
     lo, above, hi = (node.get(key, default) for key, default in _BOUNDS.items())
     items = _compile(node.get("items", {})) if kind == "array" else None
@@ -160,71 +179,117 @@ def _compile(node: dict) -> Callable[[Any], Any]:
     props = {key: _compile(sub) for key, sub in node.get("properties", {}).items()}
     required, closed = set(node.get("required", ())), node.get("additionalProperties") is False
 
-    def check(x):
-        if enum is not None and x not in enum:
-            raise _Invalid(f"expected one of {enum}, got {x!r}")
-        if branches:
-            passed, failed = [], []
-            for branch in branches:
-                try:
-                    passed.append(branch(x))
-                except _Invalid as exc:
-                    failed.append(exc)
-            if len(passed) == 1:
-                return passed[0]
-            if passed:
-                raise _Invalid(f"matches {len(passed)} alternatives, expected exactly one")
-            # The alternative that got furthest into the value explains best.
-            raise max(failed, key=lambda exc: len(exc.path))
-        if not types or x is None and "null" in types or kind == "string" and isinstance(x, str):
-            return x
-        if isinstance(x, (int, float)) and not isinstance(x, bool) and (
-                kind == "number" or kind == "integer" and x % 1 == 0):
-            big = abs(x) > sys.float_info.max  # float() of so large an int overflows
-            x = int(x) if kind == "integer" else math.inf if big else float(x)
-            if not -math.inf < x < math.inf:
-                raise _Invalid("expected a finite number")
-            if x < lo:
-                raise _Invalid(f"must be >= {lo}, got {x}")
-            if x <= above:
-                raise _Invalid(f"must be > {above}, got {x}")
-            if x > hi:
-                raise _Invalid(f"must be <= {hi}, got {x}")
-            return x
-        if kind == "array" and isinstance(x, list):
-            if not min_items <= len(x) <= max_items:
-                bound = f"at least {min_items}" if len(x) < min_items else f"at most {max_items}"
-                raise _Invalid(f"expected {bound} entries, got {len(x)}")
-            pairs = enumerate(x)
-        elif kind == "object" and isinstance(x, dict):
-            if closed and not x.keys() <= props.keys():
-                raise _Invalid(f"unknown field(s) {sorted(x.keys() - props.keys())}")
-            if not required <= x.keys():
-                raise _Invalid(f"missing required field(s) {sorted(required - x.keys())}")
-            pairs = x.items()
+    # On a list of one, each rule names the value's first broken rule.
+    def numbers(xs: list) -> list:
+        kinds = set(map(type, xs))
+        if kind == "integer":
+            if not kinds <= {int} and not all(x % 1 == 0 for x in xs):
+                raise _Invalid(f"expected {wanted}, got {type(xs[0]).__name__}")
+            out = xs if kinds <= {int} else list(map(int, xs))
         else:
-            raise _Invalid(f"expected {wanted}, got {type(x).__name__}")
-        out = {}
+            # float() of an int beyond the largest float overflows or rounds down.
+            big = sys.float_info.max
+            out = xs if kinds <= {float} else [math.inf if abs(x) > big else float(x) for x in xs]
+            if not all(map(math.isfinite, out)):
+                raise _Invalid("expected a finite number")
+        low, high = min(out, default=math.inf), max(out, default=-math.inf)
+        for broken, bound, x in ((low < lo, f">= {lo}", low), (low <= above, f"> {above}", low),
+                                 (high > hi, f"<= {hi}", high)):
+            if broken:
+                raise _Invalid(f"must be {bound}, got {x}")
+        return out
+
+    def arrays(xs: list) -> list:
+        sizes = list(map(len, xs))
+        if min(sizes, default=min_items) < min_items or max(sizes, default=0) > max_items:
+            bound = f"at least {min_items}" if sizes[0] < min_items else f"at most {max_items}"
+            raise _Invalid(f"expected {bound} entries, got {sizes[0]}")
+        # The items of all the arrays are checked as one list.
+        values = items(list(itertools.chain.from_iterable(xs)), columns=True)
+        spans = list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
+        if isinstance(values, dict):
+            return [{k: tuple(col[a:b]) for k, col in values.items()} for a, b in spans]
+        return [tuple(values[a:b]) for a, b in spans]
+
+    def table(xs: list) -> dict[str, list]:
+        keys = set().union(*xs)
+        if closed and not keys <= props.keys():
+            raise _Invalid(f"unknown field(s) {sorted(keys - props.keys())}")
+        absent = itertools.repeat(_ABSENT)
         try:
-            for key, value in pairs:
-                out[key] = items(value) if items else props[key](value) if key in props else value
+            cols = {k: list(map(operator.itemgetter(k), xs)) if k in required
+                    else list(map(dict.get, xs, itertools.repeat(k), absent))
+                    for k in [*props, *sorted(keys - props.keys())]}
+        except KeyError:
+            raise _Invalid(f"missing required field(s) {sorted(required - xs[0].keys())}") from None
+        # Each field is checked as one list, a lone object's in its key order.
+        for k in {**(xs[0] if xs else {}), **cols}:
+            field_check = props.get(k, lambda xs: xs)
+            try:
+                cols[k] = (field_check(cols[k]) if k in required
+                           else _skipping(field_check, cols[k], _ABSENT))
+            except _Invalid as exc:
+                exc.path[0] = k
+                raise
+        return cols
+
+    def one_of(x):
+        passed, failed = [], []
+        for branch in branches:
+            try:
+                passed += branch([x])
+            except _Invalid as exc:
+                del exc.path[0]
+                failed.append(exc)
+        if len(passed) == 1:
+            return passed[0]
+        if passed:
+            raise _Invalid(f"matches {len(passed)} alternatives, expected exactly one")
+        # The alternative that got furthest into the value explains best.
+        raise max(failed, key=lambda exc: len(exc.path))
+
+    by_kind = {"number": numbers, "integer": numbers, "array": arrays,
+               "object": lambda xs: _rows(table(xs), len(xs))}.get(kind, lambda xs: xs)
+
+    def checked(xs: list, columns: bool) -> list | dict:
+        if enum is not None and not all(map(enum.__contains__, xs)):
+            raise _Invalid(f"expected one of {enum}, got {xs[0]!r}")
+        if branches:
+            return list(map(one_of, xs))
+        if types and not all(t is not bool and issubclass(t, accepted) for t in set(map(type, xs))):
+            raise _Invalid(f"expected {wanted}, got {type(xs[0]).__name__}")
+        if "null" in types:
+            return _skipping(by_kind, xs, None)
+        return table(xs) if columns and kind == "object" else by_kind(xs)
+
+    def check(xs: list, columns: bool = False) -> list | dict:
+        try:
+            return checked(xs, columns)
         except _Invalid as exc:
-            exc.path.insert(0, key)
+            if len(xs) == 1:
+                exc.path.insert(0, 0)
+                raise
+        # The first bad value lies in the first half that fails.
+        half = len(xs) // 2
+        check(xs[:half], columns)
+        try:
+            check(xs[half:], columns)
+        except _Invalid as exc:
+            exc.path[0] += half
             raise
-        return tuple(out.values()) if items else out
 
     return check
 
 
 @cache
-def _scenario_schema() -> Callable[[Any], Any]:
+def _scenario_schema() -> Callable[[list], list]:
     text = (resources.files(__package__) / "scenario.schema.json").read_text(encoding="utf-8")
     return _compile(json.loads(text))
 
 
 def _check_rules(doc: dict) -> None:
     """The cross-field rules of docs/schemas.md, on a schema-checked copy."""
-    horizon, vg, units = doc["horizon"], doc["vg"], doc.get("units", ())
+    horizon, vg, units = doc["horizon"], doc["vg"], doc["units"]
     hourly = [(["da_price"], doc["da_price"]), (["rt_price"], doc.get("rt_price"))]
     for key in ("forecast_mean_mw", "da_schedule_mw", "realized_mw"):
         hourly.append((["vg", key], vg.get(key)))
@@ -262,17 +327,15 @@ def _check_rules(doc: dict) -> None:
         if uid in (POOL, vg_id):
             owner = "the settlement pool" if uid == POOL else "the producer"
             raise _Invalid(f"id {uid!r} is taken by {owner}", ["units", i, "id"])
-    zones = {unit["id"]: unit.get("zone") for unit in units}
-    for i, offer in enumerate(doc.get("offers", ())):
-        if offer["hour"] >= horizon:
-            path = ["offers", i, "hour"]
-            raise _Invalid(f"hour {offer['hour']} outside horizon {horizon}", path)
-        if offer["seller"] not in zones:
-            raise _Invalid(f"unknown unit id {offer['seller']!r}", ["offers", i, "seller"])
-        zone, seller_zone = offer.get("zone"), zones[offer["seller"]]
-        if zone is not None and zone != seller_zone:
+    zones, offers = {unit["id"]: unit.get("zone") for unit in units}, doc["offers"]
+    for i, (hour, seller, zone) in enumerate(zip(offers["hour"], offers["seller"], offers["zone"])):
+        if hour >= horizon:
+            raise _Invalid(f"hour {hour} outside horizon {horizon}", ["offers", i, "hour"])
+        if seller not in zones:
+            raise _Invalid(f"unknown unit id {seller!r}", ["offers", i, "seller"])
+        if zone is not None and zone != zones[seller]:
             path = ["offers", i, "zone"]
-            raise _Invalid(f"zone {zone!r} differs from the seller's zone {seller_zone!r}", path)
+            raise _Invalid(f"zone {zone!r} differs from the seller's zone {zones[seller]!r}", path)
     for i, (a, b) in enumerate((doc.get("zonal_rule") or {}).get("congested_boundaries", ())):
         if a == b:
             path = ["zonal_rule", "congested_boundaries", i]
@@ -282,25 +345,27 @@ def _check_rules(doc: dict) -> None:
 def scenario_from_dict(data: Any, source: str = "scenario") -> ScenarioConfig:
     """The config of a parsed scenario document, or a ScenarioError naming
     the field path below ``source``."""
+    if isinstance(data, dict):  # a document without offers has an empty book
+        data = {**data, "offers": data.get("offers", [])}
     try:
-        doc = _scenario_schema()(data)
+        [doc] = _scenario_schema()([data])
+        doc["units"] = _rows(doc.get("units", {}))
         _check_rules(doc)
     except _Invalid as exc:
         where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in exc.path)
-        raise ScenarioError(f"{source}{where}: {exc.reason}") from None
+        # A schema path starts at the document's index in its list of one.
+        raise ScenarioError(f"{source}{where.removeprefix('[0]')}: {exc.reason}") from None
     # The checked copy becomes the config; only derived defaults are filled in.
     doc["vg"].setdefault("da_schedule_mw", doc["vg"]["forecast_mean_mw"])
     doc.setdefault("rt_price", doc["da_price"])
-    for unit in doc.get("units", ()):
+    for unit in doc["units"]:
         if not isinstance(unit["da_schedule_mw"], tuple):
             unit["da_schedule_mw"] = (unit["da_schedule_mw"],) * doc["horizon"]
     for key, cls in (("vg", VgParams), ("penalty", PenaltyConfig),
                      ("brs_price", BrsPriceModel), ("zonal_rule", ZonalRuleConfig)):
         if doc.get(key) is not None:
             doc[key] = cls(**doc[key])
-    for key, cls in (("units", UnitConfig), ("offers", OfferConfig)):
-        if key in doc:
-            doc[key] = tuple(cls(**entry) for entry in doc[key])
+    doc["units"] = tuple(UnitConfig(**unit) for unit in doc["units"])
     return ScenarioConfig(**doc)
 
 

@@ -145,19 +145,22 @@ def buyer_demand(
     """The buyer's optimal total cover on each offer's side at the offer's
     price, per offer: the MW that matching takes up to at that price.
 
-    One ``vg.optimal_quantity`` evaluation per side, over its offers in
-    posting order. The fields of ``s`` and ``d`` are scalars, or arrays over
-    the horizon read at each offer's hour; ``pf`` holds for every offer.
+    One ``vg.optimal_quantity`` evaluation per side, over its price levels
+    (offers equal in hour and price), each level's value given to all its
+    offers. The fields of ``s`` and ``d`` are scalars, or arrays over the
+    horizon read at each offer's hour; ``pf`` holds for every offer.
     """
     desired = np.zeros(len(book.hour))
     for direction in (DOWN, UP):
-        at = np.flatnonzero(book.up == (direction is UP))
-        if not len(at):
+        order, levels = _groups(np.flatnonzero(book.up == (direction is UP)), book.hour, book.price)
+        if not len(order):
             continue
-        hours = book.hour[at]
+        first = order[levels]
+        hours = book.hour[first]
         side_s = VgSchedule(_at_hours(s.da_quantity, hours), _at_hours(s.da_price, hours))
         side_d = ForecastDistribution(**{k: _at_hours(v, hours) for k, v in vars(d).items()})
-        desired[at] = vg_econ.optimal_quantity(side_s, pf, side_d, direction, book.price[at])
+        level = vg_econ.optimal_quantity(side_s, pf, side_d, direction, book.price[first])
+        desired[order] = np.repeat(level, np.diff(np.append(levels, len(order))))
     return desired
 
 

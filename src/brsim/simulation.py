@@ -136,9 +136,10 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
              for uc in cfg.units}
     unit_list = list(units.values())
     seller = {uid: j for j, uid in enumerate(units)}
-    offers = [(oc.hour, oc.direction == "up", seller[oc.seller], oc.price, oc.quantity_mw)
-              for oc in cfg.offers]
-    book = market.Book(*(zip(*offers) if offers else ((),) * 5))  # hour, up, seller, price, MW
+    offers = cfg.offers
+    book = market.Book(offers["hour"], list(map(vg.UP.value.__eq__, offers["direction"])),
+                       [seller[uid] for uid in offers["seller"]], offers["price"],
+                       offers["quantity_mw"])
     s, pf, d = _horizon_inputs(cfg)
 
     contracts = market.match_offers(book, market.buyer_demand(book, s, pf, d))

@@ -30,6 +30,10 @@ cannot change an oracle along with the code it judges.
   ``match_offers``, ``validate_contracts``, ``claim_execution`` and
   ``settle`` called hour by hour by ``per_hour_day``. Its sums add one term
   at a time, as Python 3.11's ``sum`` of floats does.
+- ``compile_schema`` is the scenario schema interpreter that ``dataio``
+  ran one value at a time before it checked each list a column at a time,
+  and ``check_rules`` the cross-field rules it read from row dicts;
+  ``check_scenario`` runs both on a document, as the loader did.
 """
 from __future__ import annotations
 
@@ -40,9 +44,11 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from scipy import special
 from scipy.optimize import brentq
@@ -51,7 +57,7 @@ from scipy.stats import beta as _beta
 import numpy as np
 
 from brsim import simulation, vg
-from brsim.dataio import POOL, ScenarioConfig
+from brsim.dataio import POOL, ScenarioConfig, ScenarioError, VgParams
 from brsim.forecast import ForecastDistribution
 from brsim.market import LEDGER_TAGS, SettlementLedger
 from brsim.provider import (
@@ -164,19 +170,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             for u in cfg.units
         ],
         "offers": [
-            {
-                k: v
-                for k, v in {
-                    "seller": o.seller,
-                    "hour": o.hour,
-                    "direction": o.direction,
-                    "price": o.price,
-                    "quantity_mw": o.quantity_mw,
-                    "zone": o.zone,
-                }.items()
-                if v is not None
-            }
-            for o in cfg.offers
+            {k: v for k, v in o.items() if v is not None} for o in table_rows(cfg.offers)
         ],
     }
     if cfg.zonal_rule is not None:
@@ -676,12 +670,13 @@ def per_hour_day(cfg: ScenarioConfig) -> tuple[list[BrsContract], list[LedgerEnt
     ).tolist()
     contracts: list[BrsContract] = []
     entries: list[LedgerEntry] = []
+    book = table_rows(cfg.offers)
     for h in range(cfg.horizon):
         s, pf, d = simulation.hour_context(cfg, h)
         offers = [
-            Offer(oc.seller, h, Direction(oc.direction), oc.price, oc.quantity_mw)
-            for oc in cfg.offers
-            if oc.hour == h
+            Offer(oc["seller"], h, Direction(oc["direction"]), oc["price"], oc["quantity_mw"])
+            for oc in book
+            if oc["hour"] == h
         ]
         desired = [vg.optimal_quantity(s, pf, d, o.direction, o.price) for o in offers]
         units = {
@@ -714,3 +709,180 @@ def per_hour_day(cfg: ScenarioConfig) -> tuple[list[BrsContract], list[LedgerEnt
         contracts += hour
         entries += ledger.entries
     return contracts, entries
+
+
+# ---------------------------------------------------------------------------
+# the scenario loader, one value at a time
+# ---------------------------------------------------------------------------
+
+_BOUNDS = {"minimum": -math.inf, "exclusiveMinimum": -math.inf, "maximum": math.inf}
+# The keywords each type interprets. "type", "enum", "oneOf" and the
+# annotations may appear anywhere; the interpreter refuses any other keyword.
+_KEYWORDS = {
+    "object": {"properties", "required", "additionalProperties"},
+    "array": {"items", "minItems", "maxItems"},
+    "number": set(_BOUNDS), "integer": set(_BOUNDS), "string": set(), "null": set(),
+}
+_ANYWHERE = {"type", "enum", "oneOf", "$schema", "$id", "title", "description"}
+_NAMES = {"object": "an object", "array": "a list", "integer": "an integer", "null": "null"}
+
+
+@dataclass(eq=False)
+class Invalid(Exception):
+    """A broken rule at ``path``, the keys from the document root down."""
+    reason: str
+    path: list = field(default_factory=list)
+
+
+def compile_schema(node: dict) -> Callable[[Any], Any]:
+    """The check of one subschema. It returns a normalized copy of a value
+    (numbers as float, integers as int, arrays as tuples) or raises
+    Invalid. It refuses what it cannot interpret, so the schema cannot
+    outgrow it unnoticed."""
+    types = [node["type"]] if isinstance(node.get("type"), str) else node.get("type", [])
+    kind = next((t for t in types if t != "null"), None)
+    branches = [compile_schema(branch) for branch in node.get("oneOf", ())]
+    # At most one type besides null, and none beside oneOf.
+    if not set(types) <= _KEYWORDS.keys() or len(set(types) - {"null"}) > 1 or branches and types:
+        raise ValueError(f"unsupported schema type {types}")
+    unsupported = node.keys() - _ANYWHERE.union(*(_KEYWORDS[t] for t in types))
+    if unsupported:
+        raise ValueError(f"unsupported schema keyword(s) {sorted(unsupported)}")
+    wanted = " or ".join(_NAMES.get(t, "a " + t) for t in types)
+    enum = node.get("enum")
+    lo, above, hi = (node.get(key, default) for key, default in _BOUNDS.items())
+    items = compile_schema(node.get("items", {})) if kind == "array" else None
+    min_items, max_items = node.get("minItems", 0), node.get("maxItems", math.inf)
+    props = {key: compile_schema(sub) for key, sub in node.get("properties", {}).items()}
+    required, closed = set(node.get("required", ())), node.get("additionalProperties") is False
+
+    def check(x):
+        if enum is not None and x not in enum:
+            raise Invalid(f"expected one of {enum}, got {x!r}")
+        if branches:
+            passed, failed = [], []
+            for branch in branches:
+                try:
+                    passed.append(branch(x))
+                except Invalid as exc:
+                    failed.append(exc)
+            if len(passed) == 1:
+                return passed[0]
+            if passed:
+                raise Invalid(f"matches {len(passed)} alternatives, expected exactly one")
+            # The alternative that got furthest into the value explains best.
+            raise max(failed, key=lambda exc: len(exc.path))
+        if not types or x is None and "null" in types or kind == "string" and isinstance(x, str):
+            return x
+        if isinstance(x, (int, float)) and not isinstance(x, bool) and (
+                kind == "number" or kind == "integer" and x % 1 == 0):
+            big = abs(x) > sys.float_info.max  # float() of so large an int overflows
+            x = int(x) if kind == "integer" else math.inf if big else float(x)
+            if not -math.inf < x < math.inf:
+                raise Invalid("expected a finite number")
+            if x < lo:
+                raise Invalid(f"must be >= {lo}, got {x}")
+            if x <= above:
+                raise Invalid(f"must be > {above}, got {x}")
+            if x > hi:
+                raise Invalid(f"must be <= {hi}, got {x}")
+            return x
+        if kind == "array" and isinstance(x, list):
+            if not min_items <= len(x) <= max_items:
+                bound = f"at least {min_items}" if len(x) < min_items else f"at most {max_items}"
+                raise Invalid(f"expected {bound} entries, got {len(x)}")
+            pairs = enumerate(x)
+        elif kind == "object" and isinstance(x, dict):
+            if closed and not x.keys() <= props.keys():
+                raise Invalid(f"unknown field(s) {sorted(x.keys() - props.keys())}")
+            if not required <= x.keys():
+                raise Invalid(f"missing required field(s) {sorted(required - x.keys())}")
+            pairs = x.items()
+        else:
+            raise Invalid(f"expected {wanted}, got {type(x).__name__}")
+        out = {}
+        try:
+            for key, value in pairs:
+                out[key] = items(value) if items else props[key](value) if key in props else value
+        except Invalid as exc:
+            exc.path.insert(0, key)
+            raise
+        return tuple(out.values()) if items else out
+
+    return check
+
+
+def check_rules(doc: dict) -> None:
+    """The cross-field rules of docs/schemas.md, on a schema-checked copy."""
+    horizon, vg, units = doc["horizon"], doc["vg"], doc.get("units", ())
+    hourly = [(["da_price"], doc["da_price"]), (["rt_price"], doc.get("rt_price"))]
+    for key in ("forecast_mean_mw", "da_schedule_mw", "realized_mw"):
+        hourly.append((["vg", key], vg.get(key)))
+    hourly += [(["units", i, "da_schedule_mw"], u["da_schedule_mw"]) for i, u in enumerate(units)]
+    for path, values in hourly:
+        if isinstance(values, tuple) and len(values) != horizon:
+            raise Invalid(f"expected {horizon} entries, got {len(values)}", path)
+    cap = vg["capacity_mw"]
+    for i, mw in enumerate(vg["forecast_mean_mw"]):
+        if not 0.0 < mw < cap:
+            path = ["vg", "forecast_mean_mw", i]
+            raise Invalid(f"mean must lie strictly inside (0, {cap})", path)
+    for key, what in (("da_schedule_mw", "schedule"), ("realized_mw", "realized output")):
+        for i, mw in enumerate(vg.get(key, ())):
+            if mw > cap:
+                raise Invalid(f"{what} {mw} exceeds capacity {cap}", ["vg", key, i])
+    for i, unit in enumerate(units):
+        lo, hi, schedule = unit["p_min_mw"], unit["p_max_mw"], unit["da_schedule_mw"]
+        if hi < lo:
+            raise Invalid(f"p_max_mw {hi} below p_min_mw {lo}", ["units", i, "p_max_mw"])
+        for j, mw in enumerate(schedule if isinstance(schedule, tuple) else (schedule,)):
+            if not lo <= mw <= hi:
+                path = ["units", i, "da_schedule_mw", j]
+                raise Invalid(f"schedule {mw} outside [{lo}, {hi}]", path)
+    ids = [unit["id"] for unit in units]
+    if len(set(ids)) != len(ids):
+        duplicates = sorted({i for i in ids if ids.count(i) > 1})
+        raise Invalid(f"duplicate unit ids {duplicates}", ["units"])
+    # Ledgers name parties by id, so the producer, each unit and the pool
+    # need distinct ones.
+    vg_id = vg.get("id", VgParams.id)
+    if vg_id == POOL:
+        raise Invalid(f"id {POOL!r} is reserved for the settlement pool", ["vg", "id"])
+    for i, uid in enumerate(ids):
+        if uid in (POOL, vg_id):
+            owner = "the settlement pool" if uid == POOL else "the producer"
+            raise Invalid(f"id {uid!r} is taken by {owner}", ["units", i, "id"])
+    zones = {unit["id"]: unit.get("zone") for unit in units}
+    for i, offer in enumerate(doc.get("offers", ())):
+        if offer["hour"] >= horizon:
+            path = ["offers", i, "hour"]
+            raise Invalid(f"hour {offer['hour']} outside horizon {horizon}", path)
+        if offer["seller"] not in zones:
+            raise Invalid(f"unknown unit id {offer['seller']!r}", ["offers", i, "seller"])
+        zone, seller_zone = offer.get("zone"), zones[offer["seller"]]
+        if zone is not None and zone != seller_zone:
+            path = ["offers", i, "zone"]
+            raise Invalid(f"zone {zone!r} differs from the seller's zone {seller_zone!r}", path)
+    for i, (a, b) in enumerate((doc.get("zonal_rule") or {}).get("congested_boundaries", ())):
+        if a == b:
+            path = ["zonal_rule", "congested_boundaries", i]
+            raise Invalid(f"boundary must join two distinct zones, got {a!r} twice", path)
+
+
+@functools.cache
+def _scenario_check():
+    text = (resources.files("brsim") / "scenario.schema.json").read_text(encoding="utf-8")
+    return compile_schema(json.loads(text))
+
+
+def check_scenario(data: Any, source: str = "scenario") -> dict:
+    """The checked copy of a scenario document that the loader made before
+    it checked a column at a time (objects as dicts, arrays as tuples), or
+    the ScenarioError it raised."""
+    try:
+        doc = _scenario_check()(data)
+        check_rules(doc)
+    except Invalid as exc:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in exc.path)
+        raise ScenarioError(f"{source}{where}: {exc.reason}") from None
+    return doc

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+import sys
 import threading
 import tracemalloc
 from importlib import resources
@@ -21,6 +22,7 @@ from brsim.dataio import (
     scenario_from_dict,
     write_table,
 )
+import oracles
 from oracles import read_table, scenario_to_dict, table_rows, write_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,7 +63,7 @@ class TestScenarioParsing:
         assert cfg.units[0].rt_mode == "modified_schedule"
         cfg24 = load_scenario(SCENARIOS / "day24.json")
         assert cfg24.horizon == 24
-        assert len(cfg24.offers) == 96
+        assert {len(col) for col in cfg24.offers.values()} == {96}
 
     def test_defaults_fill_in(self):
         cfg = scenario_from_dict(minimal_doc())
@@ -72,6 +74,19 @@ class TestScenarioParsing:
         assert cfg.variance_scale_factors == (1.0,)
         assert cfg.brs_price.mode == "ratio"
         assert cfg.units[0].da_schedule_mw == (100.0, 100.0)
+
+    def test_offers_load_as_columns(self):
+        doc = minimal_doc()
+        doc["units"][0]["zone"] = "north"
+        doc["offers"].append(dict(doc["offers"][0], hour=1.0, direction="up", zone="north"))
+        cfg = scenario_from_dict(doc)
+        assert cfg.offers == {
+            "seller": ("g1", "g1"), "hour": (0, 1), "direction": ("down", "up"),
+            "price": (0.5, 0.5), "quantity_mw": (10.0, 10.0), "zone": (None, "north"),
+        }
+        assert type(cfg.offers["hour"][1]) is int
+        del doc["offers"]
+        assert scenario_from_dict(doc).offers == dict.fromkeys(cfg.offers, ())
 
     def test_unknown_key_rejected(self):
         doc = minimal_doc()
@@ -221,9 +236,9 @@ class TestSchemaInterpreter:
         check = dataio._compile(
             {"oneOf": [{"type": "number"}, {"type": "number", "minimum": 0}]}
         )
-        assert check(-1) == -1.0
+        assert check([-1]) == [-1.0]
         with pytest.raises(dataio._Invalid, match="matches 2 alternatives"):
-            check(1)
+            check([1])
 
     def test_one_of_reports_the_closest_alternative(self):
         doc = minimal_doc()
@@ -240,6 +255,137 @@ class TestSchemaInterpreter:
         with open(ROOT / "pyproject.toml", "rb") as fh:
             package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
         assert "scenario.schema.json" in package_data["brsim"]
+
+
+def many_offers(n=8):
+    doc = minimal_doc()
+    doc["offers"] = [{"seller": "g1", "hour": i % 2, "direction": ("down", "up")[i % 2],
+                      "price": 0.5, "quantity_mw": 10.0} for i in range(n)]
+    return doc
+
+
+def _first_error_cases():
+    doc = many_offers()
+    doc["offers"][7]["price"] = -1.0
+    doc["offers"][3]["quantity_mw"] = 0.0
+    yield "lowest item first", doc, "offers[3].quantity_mw: must be > 0, got 0.0"
+    doc = many_offers()
+    doc["offers"][5]["bogus"] = 1
+    doc["offers"][2]["hour"] = -1
+    yield "bound before later unknown key", doc, "offers[2].hour: must be >= 0, got -1"
+    # Two bad fields in one item: its own key order decides, not the schema's.
+    bad = {"price": 0.5, "quantity_mw": -2.0, "hour": 0, "direction": "sideways"}
+    for first in ("quantity_mw", "direction"):
+        doc = many_offers()
+        doc["offers"][4] = {"seller": "g1", first: bad[first], **bad}
+        reason = {"quantity_mw": "must be > 0, got -2.0",
+                  "direction": "expected one of ['down', 'up'], got 'sideways'"}[first]
+        yield f"key order, {first} first", doc, f"offers[4].{first}: {reason}"
+    # A bad hourly value at an index below a bad offer's: the document's key
+    # order decides.
+    doc = many_offers()
+    doc["da_price"][1] = -5.0
+    doc["offers"][5]["price"] = -1.0
+    yield "hourly series first", doc, "da_price[1]: must be > 0, got -5.0"
+    yield "offers first", {"offers": doc.pop("offers"), **doc}, \
+        "offers[5].price: must be >= 0, got -1.0"
+    doc = many_offers()
+    doc["offers"][6].update(hour=5, seller="ghost2")
+    doc["offers"][2]["seller"] = "ghost"
+    yield "cross-field rules", doc, "offers[2].seller: unknown unit id 'ghost'"
+    doc = many_offers()
+    doc["offers"][1].update(zone="south", seller="ghost")
+    yield "seller before zone", doc, "offers[1].seller: unknown unit id 'ghost'"
+
+
+class TestFirstErrorInDocumentOrder:
+    @pytest.mark.parametrize("doc, message", [case[1:] for case in _first_error_cases()],
+                             ids=[case[0] for case in _first_error_cases()])
+    def test_message(self, doc, message):
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value) == f"scenario.{message}"
+
+
+def _long_doc(repeats=10):
+    """day24 repeated: 240 hours and 960 offers."""
+    doc = json.loads((SCENARIOS / "day24.json").read_text(encoding="utf-8"))
+    horizon = doc["horizon"]
+    for block in (doc, doc["vg"], *doc["units"]):
+        for key, value in block.items():
+            if isinstance(value, list) and len(value) == horizon:
+                block[key] = value * repeats
+    doc["offers"] = [dict(offer, hour=offer["hour"] + horizon * r)
+                     for r in range(repeats) for offer in doc["offers"]]
+    doc["horizon"] = horizon * repeats
+    return doc
+
+
+BASE_DOCS = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(SCENARIOS.glob("*.json"))]
+BASE_DOCS.append(_long_doc())
+PROBES = [
+    None, True, False, 0, 1, -1, 2, 5, 0.5, 1.0, -0.0, 100.0, 1e6, 1e6 + 1, -1e6 - 1, 10**400,
+    int(sys.float_info.max) + 1, float("nan"), float("inf"), "1", "down", "up", "g1", "north",
+    [], [1.0], [0.5, 2.0], ["a", "a"], {}, {"seller": "g1"},
+]
+
+
+@st.composite
+def mutated_docs(draw):
+    """A shipped or long scenario with up to four changes, each at a random
+    place: a value set to a probe, a field or item deleted, or an unknown
+    field or extra item added. Containers on a change's path are copied."""
+    doc = draw(st.sampled_from(BASE_DOCS))
+    for _ in range(draw(st.integers(0, 4))):
+        doc = _mutate(doc, draw)
+    return doc
+
+
+def _mutate(node, draw):
+    node = dict(node) if isinstance(node, dict) else list(node)
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    key = draw(st.sampled_from(keys)) if keys else None
+    if key is not None and isinstance(node[key], (dict, list)) and draw(st.integers(0, 3)):
+        node[key] = _mutate(node[key], draw)
+        return node
+    op = draw(st.sampled_from(["set"] * 6 + ["delete", "add"] if keys else ["add"]))
+    if op == "set":
+        node[key] = draw(st.sampled_from(PROBES))
+    elif op == "delete":
+        del node[key]
+    elif isinstance(node, dict):
+        node["bogus"] = draw(st.sampled_from(PROBES))
+    else:
+        node.append(draw(st.sampled_from(PROBES + node[:1])))
+    return node
+
+
+def _json_text(doc: dict) -> str:
+    """A checked document with its arrays of objects as rows and without
+    the fields that read None, as JSON text: 1 and 1.0 differ."""
+    doc = {k: v for k, v in doc.items() if v is not None}
+    for key in ("units", "offers"):
+        if isinstance(doc.get(key), dict):
+            doc[key] = [{k: v for k, v in row.items() if v is not None}
+                        for row in table_rows(doc[key])]
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestAgainstReferenceInterpreter:
+    @given(doc=mutated_docs())
+    @settings(max_examples=200, deadline=None)
+    def test_same_values_or_same_error(self, doc):
+        try:
+            expected = _json_text(oracles.check_scenario(doc))
+        except ScenarioError as exc:
+            expected = str(exc)
+        try:
+            scenario_from_dict(doc)
+            [checked] = dataio._scenario_schema()([doc])
+            got = _json_text(checked)
+        except ScenarioError as exc:
+            got = str(exc)
+        assert got == expected
 
 
 class TestTables:

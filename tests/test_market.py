@@ -282,6 +282,30 @@ class TestMatching:
             d_h = forecast.from_mean(100.0, means[hour])
             assert mw == vg.optimal_quantity(s_h, PF, d_h, direction, price)
 
+    def test_demand_prices_each_level_once(self, monkeypatch):
+        # Offers equal in hour, side and price share one evaluation; the
+        # level's value is every one of its offers' value.
+        priced, evaluate = [], vg.optimal_quantity
+
+        def optimal_quantity(s, pf, d, direction, price):
+            priced.append(np.size(price))
+            return evaluate(s, pf, d, direction, price)
+
+        monkeypatch.setattr(market.vg_econ, "optimal_quantity", optimal_quantity)
+        s = VgSchedule(da_quantity=np.array([50.0, 50.0]), da_price=np.array([30.0, 30.0]))
+        d = forecast.from_mean_variance(100.0, np.array([50.0, 60.0]), 500.0)
+        offers = [
+            ("g1", 0, DOWN, 0.5, 5.0), ("g2", 0, DOWN, 0.5, 3.0), ("g1", 1, DOWN, 0.5, 5.0),
+            ("g2", 0, UP, 0.5, 5.0), ("g1", 0, DOWN, 0.6, 5.0), ("g1", 0, UP, 0.5, 2.0),
+        ]
+        got = market.buyer_demand(book(*offers), s, PF, d).tolist()
+        levels = {(hour, direction, price) for _, hour, direction, price, _ in offers}
+        assert sum(priced) == len(levels) == 4
+        for (_, hour, direction, price, _), mw in zip(offers, got):
+            s_h = VgSchedule(da_quantity=50.0, da_price=30.0)
+            d_h = forecast.from_mean_variance(100.0, [50.0, 60.0][hour], 500.0)
+            assert mw == evaluate(s_h, PF, d_h, direction, price)
+
 
 class TestValidation:
     def test_straddling_contract_is_trimmed(self):

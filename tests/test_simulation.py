@@ -279,9 +279,10 @@ class TestDayBatchedDemand:
         for h in range(cfg.horizon):
             s, pf, d = simulation.hour_context(cfg, h)
             offers = [
-                oracles.Offer(oc.seller, h, vg.Direction(oc.direction), oc.price, oc.quantity_mw)
-                for oc in cfg.offers
-                if oc.hour == h
+                oracles.Offer(oc["seller"], h, vg.Direction(oc["direction"]), oc["price"],
+                              oc["quantity_mw"])
+                for oc in oracles.table_rows(cfg.offers)
+                if oc["hour"] == h
             ]
             desired = [vg.optimal_quantity(s, pf, d, o.direction, o.price) for o in offers]
             book = market.Book(
