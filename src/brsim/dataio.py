@@ -252,8 +252,13 @@ def _compile(node: dict) -> Callable[..., list | dict]:
                "object": lambda xs: _rows(table(xs), len(xs))}.get(kind, lambda xs: xs)
 
     def checked(xs: list, columns: bool) -> list | dict:
-        if enum is not None and not all(map(enum.__contains__, xs)):
-            raise _Invalid(f"expected one of {enum}, got {xs[0]!r}")
+        if enum is not None:
+            try:
+                distinct = set(xs)  # each value tested once
+            except TypeError:  # a list or an object cannot be hashed
+                distinct = xs
+            if not all(map(enum.__contains__, distinct)):
+                raise _Invalid(f"expected one of {enum}, got {xs[0]!r}")
         if branches:
             return list(map(one_of, xs))
         if types and not all(t is not bool and issubclass(t, accepted) for t in set(map(type, xs))):

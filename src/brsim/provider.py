@@ -45,16 +45,15 @@ class DispatchableUnit:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_min <= self.p_max:
             raise ValueError(f"need 0 <= p_min <= p_max, got [{self.p_min}, {self.p_max}]")
-        fail_where(
-            np.logical_not((self.p_min <= self.da_schedule) & (self.da_schedule <= self.p_max)),
-            "da_schedule {} outside [{}, {}]", self.da_schedule, self.p_min, self.p_max,
-        )
+        inside = (self.p_min <= self.da_schedule) & (self.da_schedule <= self.p_max)
+        fail_where(np.logical_not(inside), "da_schedule {} outside [{}, {}]",
+                   self.da_schedule, self.p_min, self.p_max)
         if not math.isfinite(self.marginal_cost):
             raise ValueError("marginal_cost must be finite")
 
 
-# Draws per chunk of temporaries in risk_report (about 4 MB for a chunk) and
-# in generate_scenarios.
+# Draws per chunk in risk_report's one walk (its temporaries peak at about
+# 3.5 MB for a chunk) and in generate_scenarios.
 _RISK_CHUNK = 65_536
 
 
@@ -163,14 +162,9 @@ class ScenarioModel:
 # The marginal unit's cost sits above the mean RT price so its dispatch flips
 # on scarcity; headroom is symmetric 50 MW and the generator clips shifts to it.
 RISK_UNITS = {
-    "base_load": DispatchableUnit(
-        kind=UnitKind.BASE_LOAD, p_min=150.0, p_max=250.0,
-        marginal_cost=15.0, da_schedule=200.0,
-    ),
-    "marginal": DispatchableUnit(
-        kind=UnitKind.MARGINAL, p_min=150.0, p_max=250.0,
-        marginal_cost=35.0, da_schedule=200.0,
-    ),
+    kind.value: DispatchableUnit(kind=kind, p_min=150.0, p_max=250.0, marginal_cost=cost,
+                                 da_schedule=200.0)
+    for kind, cost in ((UnitKind.BASE_LOAD, 15.0), (UnitKind.MARGINAL, 35.0))
 }
 RISK_HEADROOM = 50.0
 
@@ -211,33 +205,39 @@ def risk_report(u: DispatchableUnit, scenarios: ScenarioSet) -> RiskReport:
 
     Unweighted sets are treated as samples (variance with n-1). A weighted
     set is an exhaustive enumeration of a discrete joint law; moments are
-    then exact under the weights. Two walks over chunks, for the means and
-    then the squared deviations, add their chunk sums with math.fsum; one
-    chunk gives exactly np.mean, np.var(ddof=1) or the weighted dot products.
+    then exact under the weights. One walk over chunks: the delta's chunk
+    sums are added with math.fsum, and each revenue's chunk mean and squared
+    deviations about it are merged pairwise (Chan, Golub & LeVeque 1983). A
+    weighted chunk weighs its share of the set's weight, so one chunk gives
+    exactly np.mean, np.var(ddof=1) or the weighted dot products.
     """
     n = len(scenarios)
     if n < 2:
         raise ValueError(f"need at least 2 scenarios, got {n}")
     w = scenarios.weights
     # A sample divides by n, and by n - 1 for the variance; weights sum to 1.
-    mean_div, var_div = (n, n - 1) if w is None else (1.0, 1.0)
+    mean_div, var_div, total = (n, n - 1, None) if w is None else (1.0, 1.0, float(w.sum()))
 
     def chunk_sum(x: np.ndarray, sl: slice) -> float:
         return float(x.sum()) if w is None else float(w[sl] @ x)
 
-    sums = ([], [], [])
+    deltas, seen, moments = [], 0.0, ([0.0, 0.0], [0.0, 0.0])  # each revenue's (mean, M2)
     for sl, rev0, rev1 in _revenue_chunks(u, scenarios):
-        for x, parts in zip((rev0, rev1, rev1 - rev0), sums):
-            parts.append(chunk_sum(x, sl))
-    mean0, mean1, mean_delta = (math.fsum(parts) / mean_div for parts in sums)
-    squares = ([], [])
-    for sl, rev0, rev1 in _revenue_chunks(u, scenarios):
-        for x, mean, parts in zip((rev0, rev1), (mean0, mean1), squares):
+        deltas.append(chunk_sum(rev1 - rev0, sl))
+        k = len(rev0) if w is None else float(w[sl].sum()) / total
+        if not k:
+            continue  # a chunk of zero weights moves no moment
+        share = k / (seen + k)
+        for x, mm in zip((rev0, rev1), moments):
+            mean = chunk_sum(x, sl) / k
             x -= mean
             x *= x
-            parts.append(chunk_sum(x, sl))
-    var0, var1 = (math.fsum(parts) / var_div for parts in squares)
-    return RiskReport(mean_delta, var0, var1, var1 - var0)
+            d = mean - mm[0]
+            mm[0] += d * share
+            mm[1] += chunk_sum(x, sl) + d * d * seen * share
+        seen += k
+    var0, var1 = (m2 / var_div for _, m2 in moments)
+    return RiskReport(math.fsum(deltas) / mean_div, var0, var1, var1 - var0)
 
 
 def compare_kinds(
@@ -247,13 +247,8 @@ def compare_kinds(
     cover adds less cash-flow variance to the marginal unit."""
     if base.kind is not UnitKind.BASE_LOAD or marginal.kind is not UnitKind.MARGINAL:
         raise ValueError("compare_kinds expects (base_load, marginal) units in that order")
-    rb = risk_report(base, scenarios)
-    rm = risk_report(marginal, scenarios)
-    return KindComparison(
-        base=rb,
-        marginal=rm,
-        marginal_less_risky=rm.incremental_variance < rb.incremental_variance,
-    )
+    rb, rm = risk_report(base, scenarios), risk_report(marginal, scenarios)
+    return KindComparison(rb, rm, rm.incremental_variance < rb.incremental_variance)
 
 
 def generate_scenarios(model: ScenarioModel, n: int, seed: int) -> ScenarioSet:

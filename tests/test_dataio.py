@@ -296,6 +296,17 @@ def _first_error_cases():
     doc = many_offers()
     doc["offers"][1].update(zone="south", seller="ghost")
     yield "seller before zone", doc, "offers[1].seller: unknown unit id 'ghost'"
+    # The enum rule tests a column's distinct values at once; a value that
+    # cannot be hashed, or one bad value among thousands, is still named.
+    doc = many_offers()
+    doc["offers"][6]["direction"] = {"up": 1}
+    doc["offers"][5]["direction"] = ["up"]
+    yield "unhashable enum value", doc, \
+        "offers[5].direction: expected one of ['down', 'up'], got ['up']"
+    doc = many_offers(5000)
+    doc["offers"][4321]["direction"] = "sideways"
+    yield "enum value deep in a long column", doc, \
+        "offers[4321].direction: expected one of ['down', 'up'], got 'sideways'"
 
 
 class TestFirstErrorInDocumentOrder:

@@ -285,10 +285,9 @@ def chunk_test_sets(n):
     return scs, ScenarioSet(scs.da, scs.rt, scs.executed, weights=w)
 
 
-def whole_set_report(u, scs):
-    """risk_report's moments as taken over the whole set at once, before it
-    walked the set in chunks."""
-    da, rt, w = scs.da, scs.rt, scs.weights
+def whole_set_revenues(u, scs):
+    """Each draw's revenue without and with cover, over the whole set at once."""
+    da, rt = scs.da, scs.rt
     shifted = u.da_schedule + scs.executed
     if u.kind is UnitKind.BASE_LOAD:
         out = np.full_like(rt, u.da_schedule)
@@ -297,6 +296,14 @@ def whole_set_report(u, scs):
                        np.where(rt < u.marginal_cost, u.p_min, u.da_schedule))
     rev0 = da * u.da_schedule + (out - u.da_schedule) * rt
     rev1 = da * shifted + (out - shifted) * rt
+    return rev0, rev1
+
+
+def whole_set_report(u, scs):
+    """risk_report's moments as taken over the whole set at once, before it
+    walked the set in chunks."""
+    w = scs.weights
+    rev0, rev1 = whole_set_revenues(u, scs)
     delta = rev1 - rev0
     if w is None:
         return (float(np.mean(delta)), float(np.var(rev0, ddof=1)),
@@ -342,7 +349,14 @@ class TestChunkedMoments:
 
     @pytest.mark.parametrize("n", [2, C - 1, C])
     def test_one_chunk_is_bit_for_bit_the_whole_set(self, n):
-        for scs in chunk_test_sets(n):
+        sample, weighted = chunk_test_sets(n)
+        # Weights whose float sum is not 1.0: a chunk mean taken as
+        # w @ x / w.sum() would then miss the whole set's w @ x.
+        w = weighted.weights.copy()
+        w[-1] += 1e-13
+        assert float(w.sum()) != 1.0
+        off_one = ScenarioSet(sample.da, sample.rt, sample.executed, weights=w)
+        for scs in (sample, weighted, off_one):
             for u in UNITS:
                 rep = provider.risk_report(u, scs)
                 mean, var0, var1 = whole_set_report(u, scs)
@@ -361,6 +375,40 @@ class TestChunkedMoments:
         executed = np.concatenate([np.full(C, 32.0), np.ones(C), [-32.0]])
         rep = provider.risk_report(UNITS[0], ScenarioSet(da, rt, executed))
         assert rep.expected_delta == 4.0 / (2 * C + 1)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_large_offset_small_spread_across_chunks(self, weighted):
+        # Prices near 1e5 with a spread of 0.01: revenues near 2.5e7 whose
+        # variance is about 1e-14 of their squared mean, which a one-pass
+        # sum of squares less n * mean**2 loses.
+        n = 2 * C + 1
+        z = np.random.default_rng(11).standard_normal((3, n))
+        da = 1e5 + 0.01 * z[0]
+        rt = da + 0.01 * z[1]
+        executed = 10.0 + 0.01 * z[2]
+        w = None
+        if weighted:
+            w = np.random.default_rng(12).random(n)
+            w /= w.sum()
+        scs = ScenarioSet(da, rt, executed, weights=w)
+        self.assert_variances_match_oracle(scs)
+
+    def test_chunks_of_zero_weight_move_no_moment(self):
+        # The first and last of three chunks weigh nothing.
+        scs = provider.generate_scenarios(RISK_MODEL, 2 * C + 1, seed=13)
+        w = np.random.default_rng(13).random(2 * C + 1)
+        w[:C] = w[2 * C:] = 0.0
+        w /= w.sum()
+        self.assert_variances_match_oracle(ScenarioSet(scs.da, scs.rt, scs.executed, weights=w))
+
+    @staticmethod
+    def assert_variances_match_oracle(scs):
+        w = None if scs.weights is None else scs.weights.tolist()
+        for u in UNITS:
+            rev0, rev1 = (rev.tolist() for rev in whole_set_revenues(u, scs))
+            rep = provider.risk_report(u, scs)
+            assert rep.variance_without == pytest.approx(fsum_moments(rev0, w)[1], rel=1e-9)
+            assert rep.variance_with == pytest.approx(fsum_moments(rev1, w)[1], rel=1e-9)
 
     @pytest.mark.parametrize("u", UNITS, ids=lambda u: u.kind.value)
     def test_infeasible_draw_is_named_by_its_index_in_the_set(self, u):
