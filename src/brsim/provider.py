@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import fail_where, unwrap
+from ._arrays import any_true, fail_where, unwrap
 
 
 class UnitKind(str, enum.Enum):
@@ -171,17 +171,21 @@ RISK_HEADROOM = 50.0
 
 def rt_dispatch(u: DispatchableUnit, rt_price):
     """Merit-order RT output: full range against the RT price for marginal
-    units, the DA schedule regardless of price for base load. A tie between
-    RT price and marginal cost holds the schedule.
+    units, the DA schedule regardless of price for base load. A price
+    neither above nor below the marginal cost (a tie, NaN) holds the schedule.
 
     Elementwise over the RT prices and the schedule, selecting values
     without arithmetic; a scalar call returns a Python float."""
     rt = np.asarray(rt_price)
+    shape = np.broadcast_shapes(rt.shape, np.shape(u.da_schedule))
     if u.kind is UnitKind.BASE_LOAD:
-        shape = np.broadcast_shapes(rt.shape, np.shape(u.da_schedule))
         return unwrap(np.broadcast_to(u.da_schedule, shape))
-    cost = u.marginal_cost
-    return unwrap(np.where(rt > cost, u.p_max, np.where(rt < cost, u.p_min, u.da_schedule)))
+    above = rt > u.marginal_cost
+    out = np.where(above, u.p_max, u.p_min)
+    held = np.logical_not(above | (rt < u.marginal_cost))
+    if any_true(held) or out.shape != shape:
+        out = np.where(held, u.da_schedule, out)
+    return unwrap(out)
 
 
 def _revenue_chunks(u: DispatchableUnit, scenarios: ScenarioSet):

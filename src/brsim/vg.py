@@ -14,7 +14,7 @@ apply elementwise; a scalar call returns Python scalars.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -126,6 +126,26 @@ def premium_cost(pos: BrsPosition) -> float:
     return pos.down_price * pos.down_qty + pos.up_price * pos.up_qty
 
 
+def _terms_below(d: ForecastDistribution, schedule, sides):
+    """(CDF, partial expectation from 0) at each (edge, cover) side's edge."""
+    def terms(d, edge):
+        return forecast.cdf(d, edge), forecast.partial_expectation(d, 0.0, edge)
+
+    dist = [getattr(d, f.name) for f in fields(d)]
+    shape = np.broadcast(*dist, *(edge for edge, _ in sides)).shape
+    covered = [np.broadcast_to(np.not_equal(qty, 0.0), shape) for _, qty in sides]
+    if not shape or all(map(np.all, covered)):
+        return [terms(d, edge) for edge, _ in sides]
+    at_schedule = terms(d, schedule)
+    out = []
+    for (edge, _), mask in zip(sides, covered):
+        part = ForecastDistribution(*(np.broadcast_to(v, shape)[mask] for v in dist))
+        out.append([np.array(np.broadcast_to(t, shape)) for t in at_schedule])
+        for spread, value in zip(out[-1], terms(part, np.broadcast_to(edge, shape)[mask])):
+            spread[mask] = value
+    return out
+
+
 def expected_revenue(
     s: VgSchedule, pf: PenaltyFactors, pos: BrsPosition, d: ForecastDistribution
 ):
@@ -137,15 +157,15 @@ def expected_revenue(
     Gross of premiums. Splits the support at the covered band's edges and
     reduces each piece to CDF / partial-expectation terms; the partial
     expectations of the three pieces come from the two below the edges.
+    An array call evaluates them only at edges with cover: an uncovered
+    edge is the schedule, evaluated once per forecast element and spread.
     """
     _check_position_fits(pos, s, d)
     lam = s.da_price
     lo = np.maximum(s.da_quantity - pos.up_qty, 0.0)
     hi = np.minimum(s.da_quantity + pos.down_qty, d.capacity)
-    f_lo = forecast.cdf(d, lo)
-    f_hi = forecast.cdf(d, hi)
-    pe_below = forecast.partial_expectation(d, 0.0, lo)
-    pe_below_hi = forecast.partial_expectation(d, 0.0, hi)
+    sides = ((lo, pos.up_qty), (hi, pos.down_qty))
+    (f_lo, pe_below), (f_hi, pe_below_hi) = _terms_below(d, s.da_quantity, sides)
     pe_mid = pe_below_hi - pe_below
     pe_above = d.mean - pe_below_hi
     below = (1.0 + pf.under) * pe_below - pf.under * lo * f_lo

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from brsim import simulation, vg
+from brsim import provider, simulation, vg
 from brsim.cli import main
 from brsim.dataio import load_scenario
 from oracles import read_table, table_rows
@@ -300,6 +300,16 @@ class TestSupplyRisk:
         assert code == 2
         assert "usage error" in err
 
+    def test_negative_seed_is_checked_before_any_draw(self, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew scenarios")
+
+        monkeypatch.setattr(provider, "generate_scenarios", no_draws)
+        code, out, err = run_cli(capsys, "supply-risk", "--seed", "-1")
+        assert code == 2
+        assert err == "usage error: --seed must be >= 0, got -1\n"
+        assert out == ""
+
     # Tables written before risk_report walked the set in chunks; 300,000
     # draws span five chunks.
     @pytest.mark.parametrize("name, flags", [
@@ -401,6 +411,7 @@ BAD_FLAGS = [
     ("--points", ["demand-curve", DAY], ["0", "1", "-3"]),
     ("--alpha", ["demand-curve", DAY], ["nan", "1.5"]),
     ("--correlation", ["supply-risk", "--samples", "100"], ["nan", "2.0"]),
+    ("--seed", ["supply-risk", "--samples", "100"], ["-1", "-12345678901234567890"]),
 ]
 
 

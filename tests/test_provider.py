@@ -71,6 +71,32 @@ class TestRtDispatch:
         u = marginal_unit()
         assert provider.rt_dispatch(u, 35.0) == 200.0
 
+    # Above, below and at the cost, NaN, both infinities, negative prices.
+    PRICES = [40.0, 20.0, 35.0, math.nan, math.inf, -math.inf, -50.0, 0.0, -0.0, 1e-300]
+
+    @staticmethod
+    def nested(u, rt):
+        cost = u.marginal_cost
+        return np.where(rt > cost, u.p_max, np.where(rt < cost, u.p_min, u.da_schedule))
+
+    @pytest.mark.parametrize("schedule", [200.0, np.linspace(150.0, 250.0, 10)])
+    def test_selects_what_the_nested_form_selects(self, schedule):
+        # Bit for bit, against the two nested np.where it replaced.
+        for cost in (35.0, 0.0, -50.0):
+            u = marginal_unit(schedule, cost)
+            for rt in (np.array(self.PRICES), np.array(self.PRICES)[::-1], np.full(10, cost),
+                       np.array([[cost], [math.nan], [99.0]]), np.array(99.0)):
+                got, want = provider.rt_dispatch(u, rt), self.nested(u, rt)
+                assert np.shape(got) == want.shape
+                assert np.asarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("price", PRICES)
+    def test_scalar_call_returns_float(self, price):
+        u = marginal_unit()
+        got = provider.rt_dispatch(u, price)
+        assert type(got) is float
+        assert got == self.nested(u, np.array(price)).item()
+
 
 class TestRevenues:
     def test_base_load_flat(self):

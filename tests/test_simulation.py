@@ -146,6 +146,33 @@ class TestExperiments:
             assert r["gross_expected_revenue"] == pytest.approx(gross_total, rel=1e-12)
             assert r["premium_paid"] == pytest.approx(premium_total, rel=1e-12, abs=0.0)
 
+    def test_profit_sweep_evaluates_covered_edges_only(self, day24, monkeypatch):
+        # An uncovered side's band edge is the schedule: its terms are
+        # evaluated once per forecast element, not once per premium ratio.
+        # Each term is one betainc for the CDF and two for the partial
+        # expectation.
+        sizes, calls, betainc = [], [], forecast.special.betainc
+        expected_revenue = vg.expected_revenue
+
+        def counted(a, b, x):
+            sizes.append(np.broadcast(a, b, x).size)
+            return betainc(a, b, x)
+
+        def recorded(s, pf, pos, d):
+            calls.append((s, pos, d))
+            return expected_revenue(s, pf, pos, d)
+
+        monkeypatch.setattr(forecast.special, "betainc", counted)
+        monkeypatch.setattr(simulation.vg, "expected_revenue", recorded)
+        simulation.profit_sweep(day24, [0.5, 0.0, 0.07, 0.2], [1.0, 0.0, 15.0, 0.3])
+        [(s, pos, d)] = calls
+        cells = np.broadcast(d.shape_a, pos.up_qty).size
+        schedule = np.broadcast(d.shape_a, s.da_quantity).size
+        up, down = np.count_nonzero(pos.up_qty), np.count_nonzero(pos.down_qty)
+        assert schedule == 4 * 24 and cells == 4 * schedule
+        assert 0 < up < cells and 0 < down < cells
+        assert sizes == [schedule] * 3 + [up] * 3 + [down] * 3
+
     def test_demand_curve_rows_equal_marginal_utility(self, day24):
         rows = oracles.table_rows(simulation.demand_curve_rows(day24, 7, [0.0, 0.25, 1.0], 6))
         s, _, d = simulation.hour_context(day24, 7)

@@ -416,6 +416,72 @@ class TestBroadcast:
         assert type(vg.marginal_utility(mid_schedule, PF, beta22, UP, 3.0)) is float
 
 
+# A side's cover as a share of its headroom. "over" is the headroom plus
+# 1e-10, inside the position checks' 1e-9 tolerance.
+COVER_SHARES = st.sampled_from([0.0, 0.0, 1.0, "over"]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A sweep-shaped call: hours, variance scales, and the cover of each
+    (scale, cell, hour) of the grid as shares of headroom."""
+    hours = draw(st.integers(1, 3))
+    per_hour = lambda values: draw(st.lists(values, min_size=hours, max_size=hours))
+    # Means within 0.1 % of either end of the support: large scales give
+    # Beta shapes below 1 there. Scale 0 clamps to the variance floor, and
+    # 15 or more, with the larger coefficients, to the ceiling.
+    case = {
+        "capacity": draw(st.floats(20.0, 400.0)),
+        "coefficient": draw(st.floats(0.01, 0.2)),
+        "mean": per_hour(st.sampled_from([1e-3, 0.02, 0.98, 0.999]) | st.floats(0.01, 0.99)),
+        "schedule": per_hour(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        "da_price": per_hour(st.floats(5.0, 150.0)),
+        "scales": draw(st.lists(st.sampled_from([0.0, 15.0, 40.0]) | st.floats(0.0, 20.0),
+                                min_size=1, max_size=3)),
+        "over": draw(st.floats(0.0, 1.0)),
+        "under": draw(st.floats(0.0, 1.5)),
+    }
+    cells = len(case["scales"]) * draw(st.integers(1, 3)) * hours
+    for side in ("down", "up"):
+        case[side] = draw(st.lists(COVER_SHARES, min_size=cells, max_size=cells))
+    return case
+
+
+def _cover(share, headroom):
+    return headroom + 1e-10 if share == "over" else share * headroom
+
+
+@given(case=sweep_inputs())
+@example(case={
+    "capacity": 100.0, "coefficient": 0.2, "mean": [1e-3, 0.5, 0.999],
+    "schedule": [0.0, 0.4, 1.0], "da_price": [20.0, 30.0, 45.0],
+    "scales": [0.0, 1.0, 15.0, 40.0], "over": 0.3, "under": 0.5,
+    "down": [0.0, 0.5, 1.0, "over"] * 6, "up": [0.0, "over", 0.0, 0.25, 1.0, 0.0] * 4,
+})
+@settings(max_examples=60, deadline=None)
+def test_broadcast_expected_revenue_equals_scalar_calls(case):
+    # Covered and uncovered sides mixed over one call, as in the sweep,
+    # give every cell the scalar call's value.
+    cap, k = case["capacity"], case["coefficient"]
+    mean, schedule = (np.array(case[key]) * cap for key in ("mean", "schedule"))
+    scales = np.array(case["scales"])
+    grid = (len(scales), len(case["down"]) // (len(scales) * len(mean)), len(mean))
+    down, up = np.empty(grid), np.empty(grid)
+    for n, (i, j, h) in enumerate(np.ndindex(grid)):
+        down[i, j, h] = _cover(case["down"][n], cap - schedule[h])
+        up[i, j, h] = _cover(case["up"][n], schedule[h])
+    pf = PenaltyFactors(case["over"], case["under"])
+    s = VgSchedule(schedule, np.array(case["da_price"]))
+    d = forecast.scale_variance(forecast.from_mean(cap, mean, k), scales[:, None, None])
+    gross = vg.expected_revenue(s, pf, BrsPosition(down, up, 0.0, 0.0), d)
+    assert gross.shape == grid
+    for i, j, h in np.ndindex(grid):
+        s1 = VgSchedule(float(schedule[h]), case["da_price"][h])
+        d1 = forecast.scale_variance(forecast.from_mean(cap, float(mean[h]), k), float(scales[i]))
+        pos = BrsPosition(float(down[i, j, h]), float(up[i, j, h]), 0.0, 0.0)
+        assert gross[i, j, h] == vg.expected_revenue(s1, pf, pos, d1)
+
+
 def _s(q=50.0, price=30.0):
     return VgSchedule(da_quantity=q, da_price=price)
 
