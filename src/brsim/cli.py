@@ -126,9 +126,10 @@ def cmd_simulate_day(args) -> None:
 def cmd_supply_risk(args) -> None:
     if not -1.0 <= args.correlation <= 1.0:
         raise UsageError(f"--correlation must be in [-1, 1], got {args.correlation}")
-    for flag, value, least in (("--samples", args.samples, 2), ("--seed", args.seed, 0)):
-        if value < least:
-            raise UsageError(f"{flag} must be >= {least}, got {value}")
+    if args.samples < 2:
+        raise UsageError(f"--samples must be >= 2, got {args.samples}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     model = ScenarioModel(correlation=args.correlation, execution_limit=RISK_HEADROOM)
     if args.exhaustive:
         scenarios = provider.exhaustive_scenarios(model)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import any_true, fail_where, unwrap
+from ._arrays import fail_where, unwrap
 
 
 class UnitKind(str, enum.Enum):
@@ -177,15 +177,12 @@ def rt_dispatch(u: DispatchableUnit, rt_price):
     Elementwise over the RT prices and the schedule, selecting values
     without arithmetic; a scalar call returns a Python float."""
     rt = np.asarray(rt_price)
-    shape = np.broadcast_shapes(rt.shape, np.shape(u.da_schedule))
     if u.kind is UnitKind.BASE_LOAD:
+        shape = np.broadcast_shapes(rt.shape, np.shape(u.da_schedule))
         return unwrap(np.broadcast_to(u.da_schedule, shape))
     above = rt > u.marginal_cost
-    out = np.where(above, u.p_max, u.p_min)
     held = np.logical_not(above | (rt < u.marginal_cost))
-    if any_true(held) or out.shape != shape:
-        out = np.where(held, u.da_schedule, out)
-    return unwrap(out)
+    return unwrap(np.where(held, u.da_schedule, np.where(above, u.p_max, u.p_min)))
 
 
 def _revenue_chunks(u: DispatchableUnit, scenarios: ScenarioSet):

@@ -133,12 +133,12 @@ def _terms_below(d: ForecastDistribution, schedule, sides):
 
     dist = [getattr(d, f.name) for f in fields(d)]
     shape = np.broadcast(*dist, *(edge for edge, _ in sides)).shape
-    covered = [np.broadcast_to(np.not_equal(qty, 0.0), shape) for _, qty in sides]
-    if not shape or all(map(np.all, covered)):
+    if not shape:
         return [terms(d, edge) for edge, _ in sides]
     at_schedule = terms(d, schedule)
     out = []
-    for (edge, _), mask in zip(sides, covered):
+    for edge, qty in sides:
+        mask = np.broadcast_to(np.not_equal(qty, 0.0), shape)
         part = ForecastDistribution(*(np.broadcast_to(v, shape)[mask] for v in dist))
         out.append([np.array(np.broadcast_to(t, shape)) for t in at_schedule])
         for spread, value in zip(out[-1], terms(part, np.broadcast_to(edge, shape)[mask])):

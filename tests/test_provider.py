@@ -1,5 +1,7 @@
 """Dispatchable units: RT dispatch, shift payoffs, incremental risk moments."""
 
+import dataclasses
+import itertools
 import math
 import statistics
 import tracemalloc
@@ -81,11 +83,14 @@ class TestRtDispatch:
 
     @pytest.mark.parametrize("schedule", [200.0, np.linspace(150.0, 250.0, 10)])
     def test_selects_what_the_nested_form_selects(self, schedule):
-        # Bit for bit, against the two nested np.where it replaced.
-        for cost in (35.0, 0.0, -50.0):
-            u = marginal_unit(schedule, cost)
+        # Bit for bit, against the two nested np.where it replaced. An integer
+        # range with a float schedule selects floats, ties or no ties.
+        ranges = ((150.0, 250.0), (150, 250))
+        for cost, (p_min, p_max) in itertools.product((35.0, 0.0, -50.0), ranges):
+            u = dataclasses.replace(marginal_unit(schedule, cost), p_min=p_min, p_max=p_max)
             for rt in (np.array(self.PRICES), np.array(self.PRICES)[::-1], np.full(10, cost),
-                       np.array([[cost], [math.nan], [99.0]]), np.array(99.0)):
+                       np.array([[cost], [math.nan], [99.0]]), np.array(99.0),
+                       np.resize([99.0, -99.0], 10)):
                 got, want = provider.rt_dispatch(u, rt), self.nested(u, rt)
                 assert np.shape(got) == want.shape
                 assert np.asarray(got).tobytes() == want.tobytes()
