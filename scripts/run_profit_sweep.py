@@ -1,53 +1,36 @@
 """Expected daily profit at the optimal cover, over premium ratios and
-forecast-variance scales.
+forecast-variance scales: ``brsim profit-sweep`` on day24.json for scales
+0.5, 1, 1.5 and 2, into out/profit_sweep.csv; its flags override.
 
 Reproduces the two limits worth checking by hand: at ratio 0 every scale
 collapses onto the DA value of the mean (cover is free, the hedge is
 perfect), and once the ratio clears both penalty factors the position is
 zero and each scale sits at its own no-cover revenue.
 """
-import argparse
-from pathlib import Path
 
-from brsim import dataio, simulation
-from brsim.cli import DEFAULT_PRICE_RATIOS
-
-REPO = Path(__file__).resolve().parent.parent
-DEFAULT_SCENARIO = REPO / "scenarios" / "day24.json"
-DEFAULT_SCALES = (0.5, 1.0, 1.5, 2.0)
+from _run import run_command
+from brsim import dataio
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--scenario", type=Path, default=DEFAULT_SCENARIO)
-    ap.add_argument("--ratios", type=float, nargs="+", default=list(DEFAULT_PRICE_RATIOS))
-    ap.add_argument("--scales", type=float, nargs="+", default=list(DEFAULT_SCALES))
-    ap.add_argument("--out", type=Path, default=Path("out/profit_sweep.csv"))
-    args = ap.parse_args()
-
+def main() -> int:
+    args, code, rows = run_command("profit-sweep", "--out out/profit_sweep.csv",
+                                   "--variance-scales", "0.5,1,1.5,2")
+    if code:
+        return code
     cfg = dataio.load_scenario(args.scenario)
-    table = simulation.profit_sweep(cfg, args.ratios, args.scales)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    dataio.write_table(table, args.out, args.out.suffix.lstrip("."))
-
-    ideal = sum(
-        cfg.da_price[h] * cfg.vg.forecast_mean_mw[h] for h in range(cfg.horizon)
-    )
+    ideal = sum(cfg.da_price[h] * cfg.vg.forecast_mean_mw[h] for h in range(cfg.horizon))
     print(f"DA value of the mean profile: {ideal:,.0f} $")
-    profit, ratio = table["expected_profit"], table["price_ratio"]
-    for scale in sorted(args.scales):
-        at = [i for i, k in enumerate(table["variance_scale"]) if k == scale]
-        first, last = at[0], at[-1]
-        # Once the ratio clears both penalty factors no cover is bought, so
-        # the gross revenue is the no-cover revenue.
-        print(
-            f"  scale {scale}: profit {profit[first]:,.0f} $ at "
-            f"ratio {ratio[first]} falling to {profit[last]:,.0f} $ "
-            f"at ratio {ratio[last]} "
-            f"(no-cover level {table['gross_expected_revenue'][last]:,.0f} $)"
-        )
-    print(f"wrote {args.out} ({len(profit)} rows)")
+    # Every cell is a number, and the rows are sorted by (scale, ratio).
+    rows = [{name: float(cell) for name, cell in row.items()} for row in rows]
+    first = {row["variance_scale"]: row for row in reversed(rows)}
+    for scale, last in {row["variance_scale"]: row for row in rows}.items():
+        # Past both penalty factors no cover is bought: gross is the no-cover revenue.
+        print(f"  scale {scale}: profit {first[scale]['expected_profit']:,.0f} $ at ratio "
+              f"{first[scale]['price_ratio']} falling to {last['expected_profit']:,.0f} $ at ratio "
+              f"{last['price_ratio']} (no-cover level {last['gross_expected_revenue']:,.0f} $)")
+    print(f"wrote {args.out} ({len(rows)} rows)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

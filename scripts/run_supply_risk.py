@@ -1,5 +1,7 @@
 """Incremental cash-flow variance from selling re-dispatch cover, swept over
-the price/shortage correlation.
+the price/shortage correlation: ``brsim supply-risk`` per correlation, and
+exhaustive as a check. Every other flag goes to each run; ``--format`` also
+sets this table's format.
 
 At zero correlation the two unit kinds are indistinguishable (the covariance
 term in the variance delta vanishes). As the correlation grows the marginal
@@ -7,50 +9,45 @@ unit, whose RT dispatch already tracks the price, absorbs part of the shift
 payoff and its increment drops below the base-load unit's.
 """
 import argparse
+import contextlib
+import io
+import json
 from pathlib import Path
 
-from brsim import dataio, provider
-from brsim.provider import RISK_HEADROOM, RISK_UNITS, ScenarioModel
+from brsim import cli, dataio
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--correlations", type=float, nargs="+",
-                    default=[0.0, 0.2, 0.4, 0.6, 0.8])
-    ap.add_argument("--samples", type=int, default=100_000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--correlation", action="append", help="default 0,0.2,0.4,0.6,0.8")
     ap.add_argument("--out", type=Path, default=Path("out/supply_risk.csv"))
-    args = ap.parse_args()
-
-    base, marginal = RISK_UNITS["base_load"], RISK_UNITS["marginal"]
-    exact = provider.risk_report(base, provider.exhaustive_scenarios(ScenarioModel()))
-    print(
-        "exhaustive four-outcome check: incremental variance "
-        f"{exact.incremental_variance:.1f} $^2 (expected delta {exact.expected_delta:+.1f})"
-    )
-
-    runs = []
-    for rho in args.correlations:
-        model = ScenarioModel(correlation=rho, execution_limit=RISK_HEADROOM)
-        sampled = provider.generate_scenarios(model, args.samples, args.seed)
-        cmp_ = provider.compare_kinds(base, marginal, sampled)
-        runs.append(cmp_)
-        print(
-            f"  rho={rho:.1f}: base {cmp_.base.incremental_variance:9.1f} $^2, "
-            f"marginal {cmp_.marginal.incremental_variance:9.1f} $^2, "
-            f"marginal less risky: {cmp_.marginal_less_risky}"
-        )
-
-    table = {
-        "correlation": args.correlations,
-        "base_incremental": [c.base.incremental_variance for c in runs],
-        "marginal_incremental": [c.marginal.incremental_variance for c in runs],
-        "marginal_less_risky": [c.marginal_less_risky for c in runs],
-    }
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    dataio.write_table(table, args.out, args.out.suffix.lstrip("."))
-    print(f"wrote {args.out} ({len(runs)} rows)")
+    own, rest = ap.parse_known_args()
+    rhos = ",".join(own.correlation or ["0,0.2,0.4,0.6,0.8"]).split(",")
+    fmt = cli.build_parser().parse_args(["supply-risk", *rest]).format
+    reports = []
+    for flags in [["--exhaustive", "--unit-kind", "base_load"],
+                  *(["--correlation", rho, "--unit-kind", "both"] for rho in rhos)]:
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            code = cli.main(["supply-risk", *rest, *flags, "--format", "json"])
+        if code:
+            return code
+        # The table at full precision, then the verdict line.
+        reports.append({row["kind"]: row for row in json.JSONDecoder().raw_decode(text.getvalue())[0]})
+    print("exhaustive four-outcome check: incremental variance {incremental_variance:.1f} $^2 "
+          "(expected delta {expected_delta:+.1f})".format(**reports[0]["base_load"]))
+    base = [report["base_load"]["incremental_variance"] for report in reports[1:]]
+    marginal = [report["marginal"]["incremental_variance"] for report in reports[1:]]
+    table = {"correlation": [float(rho) for rho in rhos], "base_incremental": base,
+             "marginal_incremental": marginal,
+             "marginal_less_risky": [m < b for b, m in zip(base, marginal)]}  # compare_kinds' rule
+    for row in zip(*table.values()):
+        print("  rho={:.1f}: base {:9.1f} $^2, marginal {:9.1f} $^2, "
+              "marginal less risky: {}".format(*row))
+    own.out.parent.mkdir(parents=True, exist_ok=True)
+    dataio.write_table(table, own.out, fmt)
+    print(f"wrote {own.out} ({len(rhos)} rows)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

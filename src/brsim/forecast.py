@@ -128,21 +128,16 @@ def quantile(d: ForecastDistribution, q):
     return unwrap(x * d.capacity)
 
 
-def partial_expectation(d: ForecastDistribution, lo, hi):
-    """integral of p * f(p) dp over [lo, hi] MW.
+def partial_expectation(d: ForecastDistribution, p):
+    """integral of x * f(x) dx over [0, p] MW.
 
     Uses the reduction x*Beta(a,b)(x) = mean_n * Beta(a+1,b)(x), so the value
-    is a difference of incomplete-Beta terms rather than a quadrature.
+    is an incomplete-Beta term rather than a quadrature.
     """
     fail_where(
-        np.logical_not((0.0 <= lo) & (lo <= hi) & (hi <= d.capacity)),
-        "interval [{}, {}] not within [0, {}]", lo, hi, d.capacity,
+        np.logical_not((0.0 <= p) & (p <= d.capacity)), "p {} not within [0, {}]", p, d.capacity
     )
-    a, b = d.shape_a, d.shape_b
-    tail = special.betainc(a + 1.0, b, hi / d.capacity) - special.betainc(
-        a + 1.0, b, lo / d.capacity
-    )
-    return unwrap(d.mean * tail)
+    return unwrap(d.mean * special.betainc(d.shape_a + 1.0, d.shape_b, p / d.capacity))
 
 
 def scale_variance(d: ForecastDistribution, factor) -> ForecastDistribution:

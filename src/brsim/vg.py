@@ -129,7 +129,7 @@ def premium_cost(pos: BrsPosition) -> float:
 def _terms_below(d: ForecastDistribution, schedule, sides):
     """(CDF, partial expectation from 0) at each (edge, cover) side's edge."""
     def terms(d, edge):
-        return forecast.cdf(d, edge), forecast.partial_expectation(d, 0.0, edge)
+        return forecast.cdf(d, edge), forecast.partial_expectation(d, edge)
 
     dist = [getattr(d, f.name) for f in fields(d)]
     shape = np.broadcast(*dist, *(edge for edge, _ in sides)).shape

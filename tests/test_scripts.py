@@ -1,4 +1,5 @@
-"""Experiment scripts: each runs end to end against the library API."""
+"""Experiment scripts: each runs end to end through ``brsim.cli.main``, so
+the CLI's flag names, checks and exit codes apply to it."""
 
 import csv
 import math
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+DAY24 = str(ROOT / "scenarios" / "day24.json")
 
 
 def run_script(name, tmp_path, *args):
@@ -30,7 +33,7 @@ def test_run_supply_risk(tmp_path):
     correlations = ["0.0", "0.4", "0.8"]
     proc = run_script(
         "run_supply_risk.py", tmp_path,
-        "--samples", "2000", "--correlations", *correlations, "--out", str(out),
+        "--samples", "2000", "--correlation", ",".join(correlations), "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     exhaustive = proc.stdout.splitlines()[0]
@@ -43,17 +46,30 @@ def test_run_supply_risk(tmp_path):
         assert math.isfinite(float(r["marginal_incremental"]))
 
 
+def test_supply_risk_tie_is_not_less_risky(tmp_path):
+    # The exhaustive enumeration gives both kinds the same incremental
+    # variance; compare_kinds' rule is a strict "<", as the CLI's verdict.
+    out = tmp_path / "supply_risk.csv"
+    proc = run_script(
+        "run_supply_risk.py", tmp_path, "--exhaustive", "--correlation", "0", "--out", str(out)
+    )
+    assert proc.returncode == 0, proc.stderr
+    [row] = read_csv(out)
+    assert row["base_incremental"] == row["marginal_incremental"]
+    assert row["marginal_less_risky"] == "false"
+
+
 # (script, arguments, expected columns, expected row count)
 TABLE_SCRIPTS = [
     (
         "run_demand_curves.py",
-        ["--alphas", "0.1", "0.5", "--points", "4"],
+        [DAY24, "--alpha", "0.1,0.5", "--points", "4"],
         {"direction", "alpha", "quantity_mw", "marginal_value"},
         2 * 2 * 4,
     ),
     (
         "run_profit_sweep.py",
-        ["--ratios", "0", "0.2", "0.5", "--scales", "0.5", "2.0"],
+        [DAY24, "--price-ratios", "0,0.2,0.5", "--variance-scales", "0.5,2.0"],
         {"variance_scale", "price_ratio", "expected_profit",
          "gross_expected_revenue", "premium_paid"},
         2 * 3,
@@ -72,3 +88,50 @@ def test_table_script(tmp_path, script, args, columns, n_rows):
     assert len(rows) == n_rows
     assert set(rows[0]) == columns
     assert proc.stdout.splitlines()[-1] == f"wrote {out} ({n_rows} rows)"
+
+
+# (script, default table under out/, golden table): a default run prints
+# what the golden ``<script>.stdout`` holds and writes the golden table.
+DEFAULT_RUNS = [
+    ("run_demand_curves.py", "demand_curves.csv", "demand_curve_day24.csv"),
+    ("run_profit_sweep.py", "profit_sweep.csv", "run_profit_sweep.csv"),
+    ("run_supply_risk.py", "supply_risk.csv", "run_supply_risk.csv"),
+]
+
+
+@pytest.mark.parametrize("script, table, golden", DEFAULT_RUNS, ids=[r[0] for r in DEFAULT_RUNS])
+def test_default_run_matches_golden(tmp_path, script, table, golden):
+    proc = run_script(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{script[:-3]}.stdout").read_text()
+    assert (tmp_path / "out" / table).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+# (script, arguments, exit code, the start of the stderr line that reports
+# it): the CLI's checks, with the flag or path they name.
+BAD_INPUTS = [
+    ("run_demand_curves.py", ["--hour", "99"], 2, "usage error: --hour 99 "),
+    ("run_demand_curves.py", ["--points", "1"], 2, "usage error: --points "),
+    ("run_profit_sweep.py", ["--price-ratios", "-1"], 2, "usage error: --price-ratios "),
+    ("run_profit_sweep.py", ["--price-ratios", "inf"], 2, "usage error: --price-ratios "),
+    ("run_supply_risk.py", ["--samples", "1"], 2, "usage error: --samples "),
+    ("run_supply_risk.py", ["--correlation", "2"], 2, "usage error: --correlation "),
+    ("run_demand_curves.py", ["nope.json"], 1, "error: "),
+    # A table the script cannot read back for its summary.
+    ("run_profit_sweep.py", ["--out", "/dev/stdout"], 2, "usage error: --out /dev/stdout "),
+]
+
+
+@pytest.mark.parametrize(
+    "script, args, code, message", BAD_INPUTS,
+    ids=[f"{s}-{'_'.join(a)}" for s, a, _, _ in BAD_INPUTS],
+)
+def test_bad_input_exits_with_message(tmp_path, script, args, code, message):
+    proc = run_script(script, tmp_path, *args)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith(message)]
+    assert lines, proc.stderr
+    if code == 1:
+        assert "nope.json" in lines[0]
+    assert proc.stdout == ""

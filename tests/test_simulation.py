@@ -149,7 +149,7 @@ class TestExperiments:
     def test_profit_sweep_evaluates_covered_edges_only(self, day24, monkeypatch):
         # An uncovered side's band edge is the schedule: its terms are
         # evaluated once per forecast element, not once per premium ratio.
-        # Each term is one betainc for the CDF and two for the partial
+        # Each term is one betainc for the CDF and one for the partial
         # expectation.
         sizes, calls, betainc = [], [], forecast.special.betainc
         expected_revenue = vg.expected_revenue
@@ -171,7 +171,7 @@ class TestExperiments:
         up, down = np.count_nonzero(pos.up_qty), np.count_nonzero(pos.down_qty)
         assert schedule == 4 * 24 and cells == 4 * schedule
         assert 0 < up < cells and 0 < down < cells
-        assert sizes == [schedule] * 3 + [up] * 3 + [down] * 3
+        assert sizes == [schedule] * 2 + [up] * 2 + [down] * 2
 
     def test_demand_curve_rows_equal_marginal_utility(self, day24):
         rows = oracles.table_rows(simulation.demand_curve_rows(day24, 7, [0.0, 0.25, 1.0], 6))
