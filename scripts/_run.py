@@ -31,3 +31,12 @@ def run_command(command: str, defaults: str, flag: str, value: str):
         return args, code, []
     with open(args.out, newline="") as fh:  # CSV cells are read as text
         return args, code, json.load(fh) if args.format == "json" else list(csv.DictReader(fh))
+
+
+def exit_code(main) -> int:
+    """``main()``, with an OSError reported as ``cli.main`` reports it: exit 1."""
+    try:
+        return main()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

@@ -4,7 +4,7 @@
 larger factors dominate pointwise, which is the first thing to eyeball.
 """
 
-from _run import run_command
+from _run import exit_code, run_command
 from brsim import dataio
 
 
@@ -25,4 +25,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_code(main))

@@ -8,7 +8,7 @@ perfect), and once the ratio clears both penalty factors the position is
 zero and each scale sits at its own no-cover revenue.
 """
 
-from _run import run_command
+from _run import exit_code, run_command
 from brsim import dataio
 
 
@@ -33,4 +33,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_code(main))

@@ -14,6 +14,7 @@ import io
 import json
 from pathlib import Path
 
+from _run import exit_code
 from brsim import cli, dataio
 
 
@@ -24,30 +25,31 @@ def main() -> int:
     own, rest = ap.parse_known_args()
     rhos = ",".join(own.correlation or ["0,0.2,0.4,0.6,0.8"]).split(",")
     fmt = cli.build_parser().parse_args(["supply-risk", *rest]).format
-    reports = []
+    reports, verdicts = [], []
     for flags in [["--exhaustive", "--unit-kind", "base_load"],
                   *(["--correlation", rho, "--unit-kind", "both"] for rho in rhos)]:
         with contextlib.redirect_stdout(io.StringIO()) as text:
             code = cli.main(["supply-risk", *rest, *flags, "--format", "json"])
         if code:
             return code
-        # The table at full precision, then the verdict line.
-        reports.append({row["kind"]: row for row in json.JSONDecoder().raw_decode(text.getvalue())[0]})
+        # The table at full precision, then the verdict line of a run on both kinds.
+        rows, end = json.JSONDecoder().raw_decode(text.getvalue())
+        reports.append({row["kind"]: row for row in rows})
+        verdicts.append(text.getvalue()[end:].strip() == "verdict: marginal_less_risky=true")
+    table = {"correlation": [float(rho) for rho in rhos],
+             "base_incremental": [r["base_load"]["incremental_variance"] for r in reports[1:]],
+             "marginal_incremental": [r["marginal"]["incremental_variance"] for r in reports[1:]],
+             "marginal_less_risky": verdicts[1:]}
+    own.out.parent.mkdir(parents=True, exist_ok=True)
+    dataio.write_table(table, own.out, fmt)
     print("exhaustive four-outcome check: incremental variance {incremental_variance:.1f} $^2 "
           "(expected delta {expected_delta:+.1f})".format(**reports[0]["base_load"]))
-    base = [report["base_load"]["incremental_variance"] for report in reports[1:]]
-    marginal = [report["marginal"]["incremental_variance"] for report in reports[1:]]
-    table = {"correlation": [float(rho) for rho in rhos], "base_incremental": base,
-             "marginal_incremental": marginal,
-             "marginal_less_risky": [m < b for b, m in zip(base, marginal)]}  # compare_kinds' rule
     for row in zip(*table.values()):
         print("  rho={:.1f}: base {:9.1f} $^2, marginal {:9.1f} $^2, "
               "marginal less risky: {}".format(*row))
-    own.out.parent.mkdir(parents=True, exist_ok=True)
-    dataio.write_table(table, own.out, fmt)
     print(f"wrote {own.out} ({len(rhos)} rows)")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_code(main))

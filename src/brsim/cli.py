@@ -12,8 +12,6 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import dataio, provider, simulation, vg
-from .dataio import ScenarioError
-from .market import PhaseError
 from .provider import RISK_HEADROOM, RISK_UNITS, RiskReport, ScenarioModel
 
 DEFAULT_PRICE_RATIOS = tuple(round(0.05 * i, 2) for i in range(11))  # 0 .. 0.5
@@ -79,21 +77,9 @@ def cmd_optimal(args) -> None:
     down_price = args.down_price if args.down_price is not None else model_down
     up_price = args.up_price if args.up_price is not None else model_up
     pos = vg.optimal_position(s, pf, d, down_price, up_price)
-    report = vg.oic_report(s, pf, pos, d)
-    gross = vg.expected_revenue(s, pf, pos, d)
-    row = {
-        "hour": hour,
-        "down_qty_mw": pos.down_qty,
-        "up_qty_mw": pos.up_qty,
-        "down_price": pos.down_price,
-        "up_price": pos.up_price,
-        "gross_expected_revenue": gross,
-        "net_expected_revenue": gross - report.premium_paid,
-        "premium_paid": report.premium_paid,
-        "expected_residual_penalty": report.expected_residual_penalty,
-        "total_oic": report.total_oic,
-        "consumer_surplus": report.consumer_surplus,
-    }
+    row = {"hour": hour, "down_qty_mw": pos.down_qty, "up_qty_mw": pos.up_qty,
+           "down_price": pos.down_price, "up_price": pos.up_price,
+           **vars(vg.oic_report(s, pf, pos, d))}
     _emit({name: [value] for name, value in row.items()}, args)
 
 
@@ -126,27 +112,25 @@ def cmd_simulate_day(args) -> None:
 def cmd_supply_risk(args) -> None:
     if not -1.0 <= args.correlation <= 1.0:
         raise UsageError(f"--correlation must be in [-1, 1], got {args.correlation}")
-    if args.samples < 2:
-        raise UsageError(f"--samples must be >= 2, got {args.samples}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     model = ScenarioModel(correlation=args.correlation, execution_limit=RISK_HEADROOM)
     if args.exhaustive:
         scenarios = provider.exhaustive_scenarios(model)
     else:
+        if args.samples < 2:
+            raise UsageError(f"--samples must be >= 2, got {args.samples}")
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         scenarios = provider.generate_scenarios(model, args.samples, args.seed)
-    if args.unit_kind == "both":
-        base, marginal = RISK_UNITS["base_load"], RISK_UNITS["marginal"]
-        cmp_ = provider.compare_kinds(base, marginal, scenarios)
-        reports = {"base_load": cmp_.base, "marginal": cmp_.marginal}
-    else:
-        reports = {args.unit_kind: provider.risk_report(RISK_UNITS[args.unit_kind], scenarios)}
-    table = {"kind": list(reports)}
+    kinds = list(RISK_UNITS) if args.unit_kind == "both" else [args.unit_kind]
+    reports = {kind: provider.risk_report(RISK_UNITS[kind], scenarios) for kind in kinds}
+    table = {"kind": kinds}
     for f in fields(RiskReport):
         table[f.name] = [getattr(report, f.name) for report in reports.values()]
     _emit(table, args)
     if args.unit_kind == "both":
-        print(f"verdict: marginal_less_risky={str(cmp_.marginal_less_risky).lower()}")
+        # Selling cover adds less cash-flow variance to the marginal unit.
+        less = reports["marginal"].incremental_variance < reports["base_load"].incremental_variance
+        print(f"verdict: marginal_less_risky={str(less).lower()}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, PhaseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -124,13 +124,6 @@ class RiskReport:
 
 
 @dataclass(frozen=True)
-class KindComparison:
-    base: RiskReport
-    marginal: RiskReport
-    marginal_less_risky: bool
-
-
-@dataclass(frozen=True)
 class ScenarioModel:
     """Joint generator for (da_price, rt_price, executed).
 
@@ -239,17 +232,6 @@ def risk_report(u: DispatchableUnit, scenarios: ScenarioSet) -> RiskReport:
         seen += k
     var0, var1 = (m2 / var_div for _, m2 in moments)
     return RiskReport(math.fsum(deltas) / mean_div, var0, var1, var1 - var0)
-
-
-def compare_kinds(
-    base: DispatchableUnit, marginal: DispatchableUnit, scenarios: ScenarioSet
-) -> KindComparison:
-    """Same scenario set applied to both unit kinds; reports whether selling
-    cover adds less cash-flow variance to the marginal unit."""
-    if base.kind is not UnitKind.BASE_LOAD or marginal.kind is not UnitKind.MARGINAL:
-        raise ValueError("compare_kinds expects (base_load, marginal) units in that order")
-    rb, rm = risk_report(base, scenarios), risk_report(marginal, scenarios)
-    return KindComparison(rb, rm, rm.incremental_variance < rb.incremental_variance)
 
 
 def generate_scenarios(model: ScenarioModel, n: int, seed: int) -> ScenarioSet:

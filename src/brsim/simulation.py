@@ -72,8 +72,7 @@ def demand_curve_rows(
     alpha = np.asarray(alphas, dtype=float)[:, None]
     pf = PenaltyFactors(over=alpha, under=alpha)
     directions = (vg.DOWN, vg.UP)
-    curves = np.array([vg.demand_curve(s, pf, d, direction, points).points
-                       for direction in directions])
+    curves = np.array([vg.demand_curve(s, pf, d, direction, points) for direction in directions])
     per_direction = len(alphas) * points
     return {
         "direction": [direction.value for direction in directions for _ in range(per_direction)],

@@ -87,16 +87,11 @@ ZERO_POSITION = BrsPosition(0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
-class DemandCurve:
-    direction: Direction
-    # (quantity MW, marginal value $/MW) pairs: shape (..., n_points, 2).
-    points: np.ndarray
-
-
-@dataclass(frozen=True)
 class OicReport:
     """Opportunity/imbalance cost breakdown for one hour."""
 
+    gross_expected_revenue: float
+    net_expected_revenue: float
     premium_paid: float
     expected_residual_penalty: float
     total_oic: float
@@ -133,8 +128,6 @@ def _terms_below(d: ForecastDistribution, schedule, sides):
 
     dist = [getattr(d, f.name) for f in fields(d)]
     shape = np.broadcast(*dist, *(edge for edge, _ in sides)).shape
-    if not shape:
-        return [terms(d, edge) for edge, _ in sides]
     at_schedule = terms(d, schedule)
     out = []
     for edge, qty in sides:
@@ -157,8 +150,8 @@ def expected_revenue(
     Gross of premiums. Splits the support at the covered band's edges and
     reduces each piece to CDF / partial-expectation terms; the partial
     expectations of the three pieces come from the two below the edges.
-    An array call evaluates them only at edges with cover: an uncovered
-    edge is the schedule, evaluated once per forecast element and spread.
+    They are evaluated only at edges with cover: an uncovered edge is the
+    schedule, evaluated once per forecast element and spread.
     """
     _check_position_fits(pos, s, d)
     lam = s.da_price
@@ -242,12 +235,13 @@ def demand_curve(
     d: ForecastDistribution,
     direction: Direction,
     n_points: int,
-) -> DemandCurve:
-    """Marginal value sampled on an even quantity grid over [0, headroom].
+) -> np.ndarray:
+    """Marginal value sampled on an even quantity grid over [0, headroom], as
+    (quantity MW, marginal value $/MW) pairs of shape (..., n_points, 2).
 
-    The grid is the last axis of the evaluation (``points[..., i, :]`` is
-    the i-th point); array inputs broadcast against it, so give them a
-    trailing length-1 axis.
+    The grid is the second-to-last axis (``points[..., i, :]`` is the i-th
+    point); array inputs broadcast against it, so give them a trailing
+    length-1 axis.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
@@ -256,7 +250,7 @@ def demand_curve(
     step = headroom / (n_points - 1)
     q = np.minimum(np.arange(n_points) * step, headroom)
     value = marginal_utility(s, pf, d, direction, q)
-    return DemandCurve(direction=direction, points=np.stack(np.broadcast_arrays(q, value), -1))
+    return np.stack(np.broadcast_arrays(q, value), -1)
 
 
 def oic_report(
@@ -269,10 +263,13 @@ def oic_report(
     """
     ideal = s.da_price * d.mean
     premium = premium_cost(pos)
-    residual = ideal - expected_revenue(s, pf, pos, d)
+    gross = expected_revenue(s, pf, pos, d)
+    residual = ideal - gross
     total = premium + residual
     baseline = ideal - expected_revenue(s, pf, ZERO_POSITION, d)
     return OicReport(
+        gross_expected_revenue=gross,
+        net_expected_revenue=gross - premium,
         premium_paid=premium,
         expected_residual_penalty=residual,
         total_oic=total,

@@ -317,7 +317,7 @@ def test_criterion_06_demand_curves_grow_with_penalty():
         for alpha in (0.1, 0.3, 0.5):
             pf = PenaltyFactors(over=alpha, under=alpha)
             curve = vg.demand_curve(s, pf, d, direction, 41)
-            values = [v for _, v in curve.points]
+            values = [v for _, v in curve]
             if prev is not None:
                 assert all(
                     hi >= lo - 1e-12 for hi, lo in zip(values, prev)
@@ -417,8 +417,8 @@ def test_criterion_09_enumeration_exact_and_ordering_stable():
     )
     for seed in range(20):
         sampled = provider.generate_scenarios(corr_model, 20_000, seed=seed)
-        cmp_ = provider.compare_kinds(base, marginal, sampled)
-        assert cmp_.marginal.incremental_variance < cmp_.base.incremental_variance, (
+        rb, rm = provider.risk_report(base, sampled), provider.risk_report(marginal, sampled)
+        assert rm.incremental_variance < rb.incremental_variance, (
             f"seed {seed}: ordering failed"
         )
     elapsed = time.perf_counter() - start

@@ -111,6 +111,20 @@ class TestOptimal:
             row["premium_paid"] + row["expected_residual_penalty"]
         )
 
+    def test_evaluates_expected_revenue_twice(self, capsys, monkeypatch):
+        # Once at the position and once at no cover, both inside oic_report.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return expected_revenue(*args)
+
+        expected_revenue = vg.expected_revenue
+        monkeypatch.setattr(vg, "expected_revenue", counted)
+        code, _, _ = run_cli(capsys, "optimal", DAY, "--hour", "7")
+        assert code == 0
+        assert len(calls) == 2
+
     def test_price_overrides(self, capsys):
         code, out, _ = run_cli(
             capsys, "optimal", SINGLE, "--format", "json",
@@ -299,6 +313,16 @@ class TestSupplyRisk:
         code, _, err = run_cli(capsys, "supply-risk", "--samples", "1")
         assert code == 2
         assert "usage error" in err
+
+    def test_exhaustive_ignores_sampling_flags(self, capsys, tmp_path):
+        path = tmp_path / "risk.csv"
+        code, _, err = run_cli(capsys, "supply-risk", "--exhaustive", "--samples", "1",
+                               "--seed", "-1", "--out", str(path))
+        assert (code, err) == (0, "")
+        assert path.read_bytes() == (GOLDEN / "supply_risk_exhaustive.csv").read_bytes()
+        code, _, err = run_cli(capsys, "supply-risk", "--samples", "1")
+        assert code == 2
+        assert err == "usage error: --samples must be >= 2, got 1\n"
 
     def test_negative_seed_is_checked_before_any_draw(self, capsys, monkeypatch):
         def no_draws(*args):

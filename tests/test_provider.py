@@ -294,10 +294,11 @@ class TestEnumeratedLaw:
     def test_enumeration_indifferent_without_correlation(self):
         model = ScenarioModel(da_price_mean=30.0, gap_std=5.0, execution_std=10.0)
         scs = provider.exhaustive_scenarios(model)
-        cmp_ = provider.compare_kinds(base_unit(), marginal_unit(), scs)
-        assert cmp_.base.incremental_variance == 2500.0
-        assert cmp_.marginal.incremental_variance == 2500.0
-        assert not cmp_.marginal_less_risky
+        base = provider.risk_report(base_unit(), scs)
+        marginal = provider.risk_report(marginal_unit(), scs)
+        assert base.incremental_variance == 2500.0
+        assert marginal.incremental_variance == 2500.0
+        assert not marginal.incremental_variance < base.incremental_variance
 
 
 C = provider._RISK_CHUNK
@@ -474,7 +475,7 @@ def test_risk_memory_stays_near_the_scenario_set():
     set_bytes = 3 * 8 * n
     model = ScenarioModel(correlation=0.4, execution_limit=provider.RISK_HEADROOM)
     scs, generation = traced_peak(lambda: provider.generate_scenarios(model, n, seed=7))
-    _, reports = traced_peak(lambda: provider.compare_kinds(*UNITS, scs))
+    _, reports = traced_peak(lambda: [provider.risk_report(u, scs) for u in UNITS])
     assert generation <= 1.5 * set_bytes
     assert reports < set_bytes
 
@@ -536,11 +537,6 @@ class TestScenarioGeneration:
 
 
 class TestKindComparison:
-    def test_order_is_enforced(self):
-        scs = provider.generate_scenarios(ScenarioModel(), 10, seed=1)
-        with pytest.raises(ValueError):
-            provider.compare_kinds(marginal_unit(), base_unit(), scs)
-
     def test_shortage_correlation_favors_marginal(self):
         # When upward execution coincides with high RT prices, the shift
         # payoff hedges the marginal unit's own RT exposure.
@@ -552,9 +548,9 @@ class TestKindComparison:
             execution_limit=45.0,
         )
         scs = provider.generate_scenarios(model, 20_000, seed=17)
-        cmp_ = provider.compare_kinds(base_unit(), marginal_unit(), scs)
-        assert cmp_.marginal_less_risky
-        assert cmp_.marginal.incremental_variance < cmp_.base.incremental_variance
+        base = provider.risk_report(base_unit(), scs)
+        marginal = provider.risk_report(marginal_unit(), scs)
+        assert marginal.incremental_variance < base.incremental_variance
 
 
 def draw_unit(draw):

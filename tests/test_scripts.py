@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from brsim import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 DAY24 = str(ROOT / "scenarios" / "day24.json")
@@ -46,9 +48,25 @@ def test_run_supply_risk(tmp_path):
         assert math.isfinite(float(r["marginal_incremental"]))
 
 
+def test_verdicts_are_the_cli_verdicts(tmp_path, capsys):
+    out = tmp_path / "supply_risk.csv"
+    flags = ["--samples", "2000", "--seed", "5"]
+    correlations = ["-0.8", "0", "0.8"]
+    proc = run_script("run_supply_risk.py", tmp_path, *flags,
+                      f"--correlation={','.join(correlations)}", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    verdicts = []
+    for rho in correlations:
+        assert cli.main(["supply-risk", "--unit-kind", "both", *flags, "--correlation", rho]) == 0
+        verdicts.append(capsys.readouterr().out.splitlines()[-1])
+    assert [f"verdict: marginal_less_risky={row['marginal_less_risky']}"
+            for row in read_csv(out)] == verdicts
+    assert {v.split("=")[1] for v in verdicts} == {"true", "false"}
+
+
 def test_supply_risk_tie_is_not_less_risky(tmp_path):
     # The exhaustive enumeration gives both kinds the same incremental
-    # variance; compare_kinds' rule is a strict "<", as the CLI's verdict.
+    # variance; the CLI's verdict is a strict "<".
     out = tmp_path / "supply_risk.csv"
     proc = run_script(
         "run_supply_risk.py", tmp_path, "--exhaustive", "--correlation", "0", "--out", str(out)
@@ -108,7 +126,9 @@ def test_default_run_matches_golden(tmp_path, script, table, golden):
 
 
 # (script, arguments, exit code, the start of the stderr line that reports
-# it): the CLI's checks, with the flag or path they name.
+# it): the CLI's checks, with the flag or path they name, and the scripts'
+# own file errors, reported as the CLI reports them. ``afile`` is a regular
+# file, so no directory can be made under it.
 BAD_INPUTS = [
     ("run_demand_curves.py", ["--hour", "99"], 2, "usage error: --hour 99 "),
     ("run_demand_curves.py", ["--points", "1"], 2, "usage error: --points "),
@@ -116,7 +136,14 @@ BAD_INPUTS = [
     ("run_profit_sweep.py", ["--price-ratios", "inf"], 2, "usage error: --price-ratios "),
     ("run_supply_risk.py", ["--samples", "1"], 2, "usage error: --samples "),
     ("run_supply_risk.py", ["--correlation", "2"], 2, "usage error: --correlation "),
-    ("run_demand_curves.py", ["nope.json"], 1, "error: "),
+    ("run_demand_curves.py", ["nope.json"], 1,
+     "error: [Errno 2] No such file or directory: 'nope.json'"),
+    ("run_demand_curves.py", ["--out", "afile/x.csv"], 1, "error: [Errno 17] File exists: 'afile'"),
+    ("run_profit_sweep.py", ["--out", "afile/x.csv"], 1, "error: [Errno 17] File exists: 'afile'"),
+    ("run_supply_risk.py", ["--samples", "2000", "--out", "afile/x.csv"], 1,
+     "error: [Errno 17] File exists: 'afile'"),
+    ("run_supply_risk.py", ["--samples", "2000", "--out", "."], 1,
+     "error: [Errno 21] Is a directory: '.'"),
     # A table the script cannot read back for its summary.
     ("run_profit_sweep.py", ["--out", "/dev/stdout"], 2, "usage error: --out /dev/stdout "),
 ]
@@ -127,11 +154,9 @@ BAD_INPUTS = [
     ids=[f"{s}-{'_'.join(a)}" for s, a, _, _ in BAD_INPUTS],
 )
 def test_bad_input_exits_with_message(tmp_path, script, args, code, message):
+    (tmp_path / "afile").write_text("")
     proc = run_script(script, tmp_path, *args)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-    lines = [line for line in proc.stderr.splitlines() if line.startswith(message)]
-    assert lines, proc.stderr
-    if code == 1:
-        assert "nope.json" in lines[0]
+    assert any(line.startswith(message) for line in proc.stderr.splitlines()), proc.stderr
     assert proc.stdout == ""

@@ -112,7 +112,7 @@ class TestExperiments:
             assert block == [
                 {"direction": direction.value, "alpha": alpha,
                  "quantity_mw": q, "marginal_value": value}
-                for q, value in curve.points
+                for q, value in curve
             ]
 
     def test_profit_sweep_equals_scalar_loop(self, day24):

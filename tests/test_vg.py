@@ -223,8 +223,8 @@ class TestOptimalCover:
 class TestDemandCurve:
     def test_endpoints_and_monotonicity(self, beta22, mid_schedule):
         curve = vg.demand_curve(mid_schedule, PF, beta22, DOWN, 11)
-        qs = [q for q, _ in curve.points]
-        vals = [v for _, v in curve.points]
+        qs = [q for q, _ in curve]
+        vals = [v for _, v in curve]
         assert qs[0] == 0.0
         assert qs[-1] == pytest.approx(50.0)
         assert vals[0] == pytest.approx(4.5, abs=1e-12)
@@ -263,6 +263,14 @@ class TestOicReport:
         assert report.total_oic == pytest.approx(
             report.premium_paid + report.expected_residual_penalty
         )
+
+    def test_carries_gross_and_net_revenue(self, beta22, mid_schedule):
+        pos = vg.optimal_position(mid_schedule, PF, beta22, 1.0, 1.0)
+        report = vg.oic_report(mid_schedule, PF, pos, beta22)
+        gross = vg.expected_revenue(mid_schedule, PF, pos, beta22)
+        assert report.premium_paid > 0.0
+        assert report.gross_expected_revenue == gross
+        assert report.net_expected_revenue == gross - report.premium_paid
 
 
 def vg_cases(draw):
@@ -404,10 +412,10 @@ class TestBroadcast:
     def test_demand_curve_over_penalty_factors(self, beta22, mid_schedule):
         alpha = np.array([0.1, 0.3, 0.5])[:, None]
         curve = vg.demand_curve(mid_schedule, PenaltyFactors(alpha, alpha), beta22, UP, 5)
-        assert curve.points.shape == (3, 5, 2)
-        for a, pairs in zip(alpha.ravel().tolist(), curve.points):
+        assert curve.shape == (3, 5, 2)
+        for a, pairs in zip(alpha.ravel().tolist(), curve):
             one = vg.demand_curve(mid_schedule, PenaltyFactors(a, a), beta22, UP, 5)
-            assert pairs.tolist() == one.points.tolist()
+            assert pairs.tolist() == one.tolist()
 
     def test_scalar_call_returns_python_scalars(self, beta22, mid_schedule):
         pos = vg.optimal_position(mid_schedule, PF, beta22, 1.0, 9.5)
