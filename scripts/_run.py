@@ -24,7 +24,6 @@ def run_command(command: str, defaults: str, flag: str, value: str):
     if args.out.exists() and not args.out.is_file():  # a pipe or device: no reading back
         print(f"usage error: --out {args.out} is not a regular file", file=sys.stderr)
         return args, 2, []
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     with contextlib.redirect_stdout(io.StringIO()):  # its "wrote" line
         code = cli.main(argv)
     if code:

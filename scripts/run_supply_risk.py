@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 from _run import exit_code
@@ -22,7 +23,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--correlation", action="append", help="default 0,0.2,0.4,0.6,0.8")
     ap.add_argument("--out", type=Path, default=Path("out/supply_risk.csv"))
-    own, rest = ap.parse_known_args()
+    argv = sys.argv[1:]
+    # argparse reads a list that starts with a minus sign ("-0.8,0") as a
+    # flag; joined to its flag, it is a value.
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--correlation":
+            argv[i:i + 2] = [f"--correlation={argv[i + 1]}"]
+    own, rest = ap.parse_known_args(argv)
     rhos = ",".join(own.correlation or ["0,0.2,0.4,0.6,0.8"]).split(",")
     fmt = cli.build_parser().parse_args(["supply-risk", *rest]).format
     reports, verdicts = [], []
@@ -40,7 +47,6 @@ def main() -> int:
              "base_incremental": [r["base_load"]["incremental_variance"] for r in reports[1:]],
              "marginal_incremental": [r["marginal"]["incremental_variance"] for r in reports[1:]],
              "marginal_less_risky": verdicts[1:]}
-    own.out.parent.mkdir(parents=True, exist_ok=True)
     dataio.write_table(table, own.out, fmt)
     print("exhaustive four-outcome check: incremental variance {incremental_variance:.1f} $^2 "
           "(expected delta {expected_delta:+.1f})".format(**reports[0]["base_load"]))

@@ -38,3 +38,9 @@ def unwrap(x):
     if isinstance(x, np.bool_):
         return bool(x)
     return x
+
+
+def take(mask, *values) -> list[np.ndarray]:
+    """Each value broadcast to mask's shape and taken where it is true, in C
+    order."""
+    return [np.broadcast_to(v, mask.shape)[mask] for v in values]

@@ -97,14 +97,12 @@ def cmd_profit_sweep(args) -> None:
 def cmd_simulate_day(args) -> None:
     cfg = dataio.load_scenario(args.scenario)
     result = simulation.simulate_day(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tables = {"contracts": simulation.contract_rows, "ledger": simulation.ledger_rows,
               "totals": simulation.totals_rows}
     for name, table in tables.items():
         columns = table(result)
         for fmt in ("csv", "json"):
-            path = out_dir / f"{name}.{fmt}"
+            path = args.out_dir / f"{name}.{fmt}"
             dataio.write_table(columns, path, fmt)
             print(f"wrote {path}")
 

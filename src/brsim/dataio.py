@@ -493,13 +493,15 @@ def format_table(table: Mapping[str, Sequence], fmt: str) -> str:
 def write_table(table: Mapping[str, Sequence], path: str | Path, fmt: str) -> None:
     """format_table to a file with LF endings, written a batch at a time.
 
-    A regular file, or a path where nothing exists yet, is written to a
-    temporary file beside it that replaces it once complete, so a failed
-    write leaves the target as it was. Other targets, such as a symlink, a
-    pipe or ``/dev/stdout``, are written in place.
+    Missing parent directories are created. A regular file, or a path where
+    nothing exists yet, is written to a temporary file beside it that
+    replaces it once complete, so a failed write leaves the target as it
+    was. Other targets, such as a symlink, a pipe or ``/dev/stdout``, are
+    written in place.
     """
     chunks = _table_chunks(table, fmt)
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._arrays import any_true, fail_where, unwrap
+from ._arrays import any_true, fail_where, take, unwrap
 
 # Feasible band for the normalized variance, relative to the hard Beta bound
 # mu*(1-mu). Requests outside the band are pulled to the nearer edge and the
@@ -119,12 +119,15 @@ def quantile(d: ForecastDistribution, q):
     # some shapes) or a point whose CDF misses q (0 at q = 1e-290, a = 29,
     # b = 0.45). There the CDF is x**a / (a * B(a, b)) to within a relative
     # O(x): invert that, and keep it where it meets q more closely.
-    tail = (0.0 < q) & (q < _TAIL_LEVEL)
-    if any_true(lost | tail):
-        log_q = np.log(np.where(lost | tail, q, 1.0))
-        lead = np.exp((log_q + np.log(a) + special.betaln(a, b)) / a)
-        closer = np.abs(special.betainc(a, b, lead) - q) < np.abs(special.betainc(a, b, x) - q)
-        x = np.where(lost | tail & closer, lead, x)
+    # Only those elements are taken: elsewhere the exponent can overflow
+    # (at the variance ceiling's shapes) for a value that is then dropped.
+    redo = lost | (0.0 < q) & (q < _TAIL_LEVEL)
+    if any_true(redo):
+        a, b, q, near, lost = take(redo, a, b, q, x, lost)
+        lead = np.exp((np.log(q) + np.log(a) + special.betaln(a, b)) / a)
+        closer = np.abs(special.betainc(a, b, lead) - q) < np.abs(special.betainc(a, b, near) - q)
+        x = np.array(x)
+        x[redo] = np.where(lost | closer, lead, near)
     return unwrap(x * d.capacity)
 
 

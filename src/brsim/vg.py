@@ -19,8 +19,19 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import forecast
-from ._arrays import fail_where, unwrap
+from ._arrays import fail_where, take, unwrap
 from .forecast import ForecastDistribution
+
+# How far (in probability) a fractile's level must lie beyond the CDF at the
+# schedule, on the zero-cover side, before optimal_quantity skips its
+# inverse. betaincinv meets its level to about 1e-15 at levels of 1e-12 and
+# above, and forecast.quantile's tail fallback to 1e-9 below, so a skipped
+# cell's inverse would land on the schedule's zero-cover side.
+_SKIP_GUARD = 1e-6
+# Below the smallest normal float betaincinv returns 0 or that float, not
+# the quantile, so a cell is skipped only where the schedule's point on
+# [0, 1] is at least twice it.
+_SKIP_FLOOR = 2.0 * np.finfo(float).tiny
 
 
 class Direction(str, enum.Enum):
@@ -121,21 +132,31 @@ def premium_cost(pos: BrsPosition) -> float:
     return pos.down_price * pos.down_qty + pos.up_price * pos.up_qty
 
 
+def _take(mask, d: ForecastDistribution, *arrays):
+    """mask broadcast against d's fields and the arrays; then, where it is
+    true, d as a ForecastDistribution of 1-d fields and each array."""
+    dist = [getattr(d, f.name) for f in fields(d)]
+    mask = np.broadcast_to(mask, np.broadcast(mask, *dist, *arrays).shape)
+    return mask, ForecastDistribution(*take(mask, *dist)), *take(mask, *arrays)
+
+
+def _spread(mask, fill, value):
+    """A copy of fill broadcast to mask's shape, with value where mask is true."""
+    out = np.array(np.broadcast_to(fill, mask.shape), dtype=float)
+    out[mask] = value
+    return out
+
+
 def _terms_below(d: ForecastDistribution, schedule, sides):
     """(CDF, partial expectation from 0) at each (edge, cover) side's edge."""
     def terms(d, edge):
         return forecast.cdf(d, edge), forecast.partial_expectation(d, edge)
 
-    dist = [getattr(d, f.name) for f in fields(d)]
-    shape = np.broadcast(*dist, *(edge for edge, _ in sides)).shape
     at_schedule = terms(d, schedule)
     out = []
     for edge, qty in sides:
-        mask = np.broadcast_to(np.not_equal(qty, 0.0), shape)
-        part = ForecastDistribution(*(np.broadcast_to(v, shape)[mask] for v in dist))
-        out.append([np.array(np.broadcast_to(t, shape)) for t in at_schedule])
-        for spread, value in zip(out[-1], terms(part, np.broadcast_to(edge, shape)[mask])):
-            spread[mask] = value
+        mask, *part = _take(np.not_equal(qty, 0.0), d, edge)
+        out.append([_spread(mask, t, v) for t, v in zip(at_schedule, terms(*part))])
     return out
 
 
@@ -193,23 +214,42 @@ def optimal_quantity(
     direction: Direction,
     price,
 ):
-    """Critical-fractile optimum for one side at a flat premium price."""
+    """Critical-fractile optimum for one side at a flat premium price.
+
+    The cover is positive exactly where the fractile's level lies on the
+    cover side of the CDF at the schedule, F(S): above it for DOWN, below it
+    for UP. F(S) is evaluated on the forecast and schedule alone, never per
+    price. The inverse CDF is taken only on cells that buy and whose level
+    is not beyond F(S) on the other side by more than _SKIP_GUARD, or whose
+    schedule lies below _SKIP_FLOOR of capacity; every other cell gets 0.0.
+    """
     _check_schedule_fits(s, d)
     fail_where(price < 0.0, "premium price must be >= 0, got {}", price)
     factor = pf.over if direction is DOWN else pf.under
     # The first MW of cover is worth lam * factor; at or above that price
-    # nothing is bought. Those cells get fractile 0, which is a valid
-    # quantile level and keeps the division safe, and are zeroed below.
+    # nothing is bought. Those cells get fractile 0, which keeps the
+    # division safe, and take no inverse.
     first_mw = s.da_price * factor
     buys = np.logical_not((factor <= 0.0) | (price >= first_mw))
     fractile = np.where(buys, price, 0.0) / np.where(buys, first_mw, 1.0)
+    at_schedule = forecast.cdf(d, s.da_quantity)
+    # Comparisons are false for nan, so a nan level is never skipped and
+    # quantile still rejects it.
     if direction is DOWN:
-        depth = forecast.quantile(d, 1.0 - fractile) - s.da_quantity
-        headroom = d.capacity - s.da_quantity
+        level = 1.0 - fractile
+        skip = level < at_schedule - _SKIP_GUARD
     else:
-        depth = s.da_quantity - forecast.quantile(d, fractile)
-        headroom = s.da_quantity
-    return unwrap(np.where(buys, np.maximum(np.minimum(depth, headroom), 0.0), 0.0))
+        level = fractile
+        skip = level > at_schedule + _SKIP_GUARD
+    skip = skip & (s.da_quantity / d.capacity >= _SKIP_FLOOR)
+    need, part, level, schedule = _take(buys & np.logical_not(skip), d, level, s.da_quantity)
+    if direction is DOWN:
+        depth = forecast.quantile(part, level) - schedule
+        headroom = part.capacity - schedule
+    else:
+        depth = schedule - forecast.quantile(part, level)
+        headroom = schedule
+    return unwrap(_spread(need, 0.0, np.maximum(np.minimum(depth, headroom), 0.0)))
 
 
 def optimal_position(

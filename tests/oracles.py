@@ -8,6 +8,9 @@ cannot change an oracle along with the code it judges.
   used before it switched to ``scipy.special.betaincinv``.
 - ``pdf`` is the forecast density from ``scipy.stats``, for the quadrature
   oracles.
+- ``optimal_quantity`` is ``vg.optimal_quantity`` as it was before it
+  skipped the inverse CDF on cells whose cover is 0: the inverse at every
+  cell's level, then the clip.
 - ``scenario_to_dict`` and ``write_scenario`` turn a loaded config back
   into a scenario document, for round trips through the loader.
 - ``read_table`` reads back a CSV or JSON table written by
@@ -56,7 +59,8 @@ from scipy.stats import beta as _beta
 
 import numpy as np
 
-from brsim import simulation, vg
+from brsim import forecast, simulation, vg
+from brsim._arrays import unwrap
 from brsim.dataio import POOL, ScenarioConfig, ScenarioError, VgParams
 from brsim.forecast import ForecastDistribution
 from brsim.market import LEDGER_TAGS, SettlementLedger
@@ -123,6 +127,23 @@ def quantile(d: ForecastDistribution, q: float) -> float:
             break
         x, resid = step, step_resid
     return x * d.capacity
+
+
+def optimal_quantity(s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution,
+                     direction: Direction, price):
+    """Critical-fractile optimum for one side, broadcasting like the library,
+    with ``forecast.quantile`` taken on every cell."""
+    factor = pf.over if direction is DOWN else pf.under
+    first_mw = s.da_price * factor
+    buys = np.logical_not((factor <= 0.0) | (price >= first_mw))
+    fractile = np.where(buys, price, 0.0) / np.where(buys, first_mw, 1.0)
+    if direction is DOWN:
+        depth = forecast.quantile(d, 1.0 - fractile) - s.da_quantity
+        headroom = d.capacity - s.da_quantity
+    else:
+        depth = s.da_quantity - forecast.quantile(d, fractile)
+        headroom = s.da_quantity
+    return unwrap(np.where(buys, np.maximum(np.minimum(depth, headroom), 0.0), 0.0))
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:

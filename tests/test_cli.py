@@ -125,6 +125,13 @@ class TestOptimal:
         assert code == 0
         assert len(calls) == 2
 
+    def test_out_file_in_new_directory(self, capsys, tmp_path):
+        target = tmp_path / "new" / "dir" / "x.csv"
+        code, out, _ = run_cli(capsys, "optimal", DAY, "--hour", "7", "--out", str(target))
+        assert code == 0
+        assert out == f"wrote {target}\n"
+        assert target.read_bytes() == (GOLDEN / "optimal_day24_hour7.csv").read_bytes()
+
     def test_price_overrides(self, capsys):
         code, out, _ = run_cli(
             capsys, "optimal", SINGLE, "--format", "json",
@@ -190,6 +197,14 @@ class TestProfitSweep:
             "--price-ratios", "0,0.013,0.05,0.1,0.2,0.33,0.5",
         ],
     }
+
+    def test_wide_grid_keeps_its_bits(self, capsys):
+        # The full-precision JSON of the wide grid, byte for byte.
+        code, out, _ = run_cli(
+            capsys, "profit-sweep", DAY, "--format", "json", *self.GRIDS["profit_sweep_day24_wide"]
+        )
+        assert code == 0
+        assert out == (GOLDEN / "profit_sweep_day24_wide_bits.json").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("name", GRIDS)
     def test_matches_scalar_implementation(self, capsys, name):

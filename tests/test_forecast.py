@@ -243,6 +243,18 @@ def test_quantile_where_betaincinv_misses_its_level():
     assert forecast.quantile(d, np.array([0.5, q]))[1] == p
 
 
+def test_quantile_tail_leaves_other_elements_alone():
+    # At the variance ceiling's shapes (a = b = 5e-4) the tail's leading-term
+    # inverse overflows at levels outside the tail; it is taken only on the
+    # tail element, so no RuntimeWarning (an error under pytest) is raised.
+    d = forecast.from_mean(100.0, np.array([50.0, 50.0]), 0.05, 1000.0)
+    assert d.shape_a.tolist() == d.shape_b.tolist() == pytest.approx([5e-4, 5e-4], rel=0.01)
+    got = forecast.quantile(d, np.array([1e-14, 0.3]))
+    assert got.tolist() == [0.0, 2.2250738585072008e-306]
+    one = forecast.from_mean(100.0, 50.0, 0.05, 1000.0)
+    assert got.tolist() == [forecast.quantile(one, 1e-14), forecast.quantile(one, 0.3)]
+
+
 @given(d=forecast_dists)
 @settings(max_examples=60, deadline=None)
 def test_full_partial_expectation_is_the_mean(d: ForecastDistribution):

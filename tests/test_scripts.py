@@ -49,19 +49,23 @@ def test_run_supply_risk(tmp_path):
 
 
 def test_verdicts_are_the_cli_verdicts(tmp_path, capsys):
-    out = tmp_path / "supply_risk.csv"
     flags = ["--samples", "2000", "--seed", "5"]
     correlations = ["-0.8", "0", "0.8"]
-    proc = run_script("run_supply_risk.py", tmp_path, *flags,
-                      f"--correlation={','.join(correlations)}", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
     verdicts = []
     for rho in correlations:
         assert cli.main(["supply-risk", "--unit-kind", "both", *flags, "--correlation", rho]) == 0
         verdicts.append(capsys.readouterr().out.splitlines()[-1])
-    assert [f"verdict: marginal_less_risky={row['marginal_less_risky']}"
-            for row in read_csv(out)] == verdicts
     assert {v.split("=")[1] for v in verdicts} == {"true", "false"}
+    # The list joined to its flag by "=", or as its own argument though it
+    # starts with a minus sign.
+    listed = ",".join(correlations)
+    for name, correlation in [("equals", [f"--correlation={listed}"]),
+                              ("space", ["--correlation", listed])]:
+        out = tmp_path / f"{name}.csv"
+        proc = run_script("run_supply_risk.py", tmp_path, *flags, *correlation, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert [f"verdict: marginal_less_risky={row['marginal_less_risky']}"
+                for row in read_csv(out)] == verdicts, name
 
 
 def test_supply_risk_tie_is_not_less_risky(tmp_path):
@@ -160,3 +164,5 @@ def test_bad_input_exits_with_message(tmp_path, script, args, code, message):
     assert "Traceback" not in proc.stderr
     assert any(line.startswith(message) for line in proc.stderr.splitlines()), proc.stderr
     assert proc.stdout == ""
+    # A failed run leaves no default out/ directory behind.
+    assert not (tmp_path / "out").exists()

@@ -147,10 +147,11 @@ class TestExperiments:
             assert r["premium_paid"] == pytest.approx(premium_total, rel=1e-12, abs=0.0)
 
     def test_profit_sweep_evaluates_covered_edges_only(self, day24, monkeypatch):
-        # An uncovered side's band edge is the schedule: its terms are
-        # evaluated once per forecast element, not once per premium ratio.
-        # Each term is one betainc for the CDF and one for the partial
-        # expectation.
+        # optimal_quantity takes the CDF at the schedule once per side, on
+        # the forecast's shape. Then an uncovered side's band edge is the
+        # schedule: its terms are evaluated once per forecast element, not
+        # once per premium ratio. Each term is one betainc for the CDF and
+        # one for the partial expectation.
         sizes, calls, betainc = [], [], forecast.special.betainc
         expected_revenue = vg.expected_revenue
 
@@ -171,7 +172,35 @@ class TestExperiments:
         up, down = np.count_nonzero(pos.up_qty), np.count_nonzero(pos.down_qty)
         assert schedule == 4 * 24 and cells == 4 * schedule
         assert 0 < up < cells and 0 < down < cells
-        assert sizes == [schedule] * 2 + [up] * 2 + [down] * 2
+        assert sizes == [schedule] * 2 + [schedule] * 2 + [up] * 2 + [down] * 2
+
+    def test_profit_sweep_inverts_covered_cells_only(self, day24, monkeypatch):
+        # A cell that buys nothing, or whose level lies beyond the CDF at the
+        # schedule on the zero-cover side by more than the guard, takes no
+        # betaincinv. Up cover at ratio 0.2 has fractile 0.2 / 0.4 = 0.5,
+        # and at hours 7 and 17 the schedule is the forecast mean, where
+        # F(S) is 0.5 to an ulp: those 8 cells lie inside the guard and take
+        # the inverse, and 4 of them get 0.
+        sizes, calls = [], []
+        betaincinv, expected_revenue = forecast.special.betaincinv, vg.expected_revenue
+
+        def counted(a, b, q):
+            sizes.append(np.broadcast(a, b, q).size)
+            return betaincinv(a, b, q)
+
+        def recorded(s, pf, pos, d):
+            calls.append(pos)
+            return expected_revenue(s, pf, pos, d)
+
+        monkeypatch.setattr(forecast.special, "betaincinv", counted)
+        monkeypatch.setattr(simulation.vg, "expected_revenue", recorded)
+        simulation.profit_sweep(day24, [0.5, 0.0, 0.07, 0.2], [1.0, 0.0, 15.0, 0.3])
+        [pos] = calls
+        down, up = np.count_nonzero(pos.down_qty), np.count_nonzero(pos.up_qty)
+        assert pos.up_qty.shape == (4, 4, 24)
+        assert 0 < down < pos.down_qty.size and 0 < up < pos.up_qty.size
+        assert np.count_nonzero(pos.up_qty[:, 3, [7, 17]] == 0) == 4
+        assert sizes == [down, up + 4]
 
     def test_demand_curve_rows_equal_marginal_utility(self, day24):
         rows = oracles.table_rows(simulation.demand_curve_rows(day24, 7, [0.0, 0.25, 1.0], 6))

@@ -361,6 +361,99 @@ def test_optimal_quantity_within_headroom(case, price):
     assert 0.0 <= up <= s.da_quantity + 1e-9
 
 
+def _same(got, want) -> bool:
+    """Equal, and equal in the sign of zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    return bool(np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@st.composite
+def skip_cells(draw):
+    """A few forecasts and schedules, one penalty factor and direction, and
+    for each forecast prices whose fractile levels sit at, or 1e-16 to 1e-1
+    either side of, the CDF at its schedule, F(S); plus the first MW's value,
+    one ulp below it, free cover and a random price."""
+    direction = draw(st.sampled_from([DOWN, UP]))
+    factor = draw(st.floats(0.01, 1.0))
+    pf = PenaltyFactors(over=factor, under=factor)
+    capacity = draw(st.sampled_from([1.0, 100.0, 750.0]))
+    n = draw(st.integers(1, 3))
+    means = [capacity * draw(st.floats(0.01, 0.99)) for _ in range(n)]
+    # Variance relative to the Beta bound mean * (capacity - mean): 0 pulls
+    # to the floor, 2 to the ceiling, and above 0.5 the shapes are sub-1.
+    rel = [draw(st.sampled_from([0.0, 2.0]) | st.floats(1e-7, 1.0)) for _ in range(n)]
+    # At 0 and at capacity F(S) is 0.0 and 1.0; near them, with a narrow
+    # forecast, it rounds there. Below the smallest normal float betaincinv
+    # cannot place a point.
+    ends = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-3, 1.0 - 1e-3, 1.0]
+    schedule = [draw(st.sampled_from(ends) | st.floats(0.0, 1.0)) * capacity for _ in range(n)]
+    da_price = [draw(st.floats(1.0, 100.0)) for _ in range(n)]
+    offsets = [0.0] + [sign * 10.0 ** draw(st.floats(-16.0, -1.0))
+                       for sign in (1.0, -1.0) for _ in range(2)]
+    random_price = draw(st.floats(0.0, 1.2))
+    means, rel, schedule, da_price = map(np.array, (means, rel, schedule, da_price))
+    variances = rel * means * (capacity - means)
+    d = forecast.from_mean_variance(capacity, means, variances)
+    s = VgSchedule(schedule, da_price)
+    at_schedule = forecast.cdf(d, s.da_quantity)
+    first_mw = s.da_price * factor
+    levels = np.clip(at_schedule + np.array(offsets)[:, None], 0.0, 1.0)
+    fractile = 1.0 - levels if direction is DOWN else levels
+    prices = np.vstack([
+        fractile * first_mw, first_mw, np.nextafter(first_mw, 0.0),
+        np.zeros(n), random_price * first_mw,
+    ])
+    return s, pf, d, direction, prices, variances
+
+
+@given(cells=skip_cells())
+@settings(max_examples=150, deadline=None)
+def test_optimal_quantity_equals_inverse_everywhere(cells):
+    # Skipping the inverse where the level lies beyond F(S) on the zero-cover
+    # side changes no value, nor the sign of a zero.
+    s, pf, d, direction, prices, variances = cells
+    got = vg.optimal_quantity(s, pf, d, direction, prices)
+    want = oracles.optimal_quantity(s, pf, d, direction, prices)
+    assert got.shape == prices.shape
+    assert _same(got, want)
+    for (j, i), price in np.ndenumerate(prices):
+        s1 = VgSchedule(float(s.da_quantity[i]), float(s.da_price[i]))
+        d1 = forecast.from_mean_variance(d.capacity, float(d.mean[i]), float(variances[i]))
+        one = vg.optimal_quantity(s1, pf, d1, direction, float(price))
+        assert type(one) is float
+        assert _same(one, want[j, i])
+        assert _same(one, oracles.optimal_quantity(s1, pf, d1, direction, float(price)))
+
+
+@pytest.mark.parametrize("direction", [DOWN, UP])
+def test_optimal_quantity_equals_inverse_everywhere_on_a_grid(direction):
+    # 300 forecasts from the variance floor to the ceiling, each at its mean
+    # or at a random schedule, against 200 prices over the whole range and
+    # 33 whose levels lie at F(S) and 1e-16 to 1e-1 either side of it:
+    # 69,900 cells per side. The first ten put the schedule at the ends of
+    # the support, and below, at and just above the smallest normal float
+    # (relative to capacity) on a sub-1 forecast.
+    rng = np.random.default_rng(20)
+    mean = rng.uniform(1.0, 99.0, 300)
+    rel = np.concatenate([[0.0, 0.0] + [2.0] * 8, 10.0 ** rng.uniform(-7.0, 0.0, 290)])
+    d = forecast.from_mean_variance(100.0, mean, rel * mean * (100.0 - mean))
+    schedule = np.where(rng.random(300) < 0.2, mean, rng.uniform(0.0, 100.0, 300))
+    tiny = np.finfo(float).tiny * 100.0
+    schedule[:10] = [0.0, 100.0, 0.0, 100.0, 5e-324, 1e-310, tiny / 2, tiny, 1.5 * tiny, 2 * tiny]
+    s = VgSchedule(schedule, rng.uniform(10.0, 60.0, 300))
+    pf = PenaltyFactors(over=0.4, under=0.7)
+    first_mw = s.da_price * (pf.over if direction is DOWN else pf.under)
+    offsets = 10.0 ** -np.arange(1.0, 17.0)
+    levels = forecast.cdf(d, s.da_quantity) + np.concatenate([[0.0], offsets, -offsets])[:, None]
+    fractile = np.clip(1.0 - levels if direction is DOWN else levels, 0.0, 1.0)
+    price = np.vstack([np.broadcast_to(np.linspace(0.0, 1.1, 200)[:, None], (200, 300)), fractile])
+    price = price * first_mw
+    got = vg.optimal_quantity(s, pf, d, direction, price)
+    assert got.shape == (233, 300)
+    assert 0 < np.count_nonzero(got) < got.size
+    assert _same(got, oracles.optimal_quantity(s, pf, d, direction, price))
+
+
 class TestBroadcast:
     """Array calls equal the scalar calls, element by element."""
 
@@ -547,6 +640,11 @@ BAD_ELEMENTS = {
     "nan premium price": (
         lambda: vg.optimal_quantity(_s(), PF, _d(), UP, math.nan),
         lambda: vg.optimal_quantity(_s(), PF, _d(), UP, np.array([1.0, math.nan])),
+    ),
+    # A nan level is never skipped, on either side.
+    "nan premium price, down": (
+        lambda: vg.optimal_quantity(_s(), PF, _d(), DOWN, math.nan),
+        lambda: vg.optimal_quantity(_s(), PF, _d(), DOWN, np.array([1.0, math.nan])),
     ),
 }
 
