@@ -5,11 +5,12 @@ and each step runs every hour at once (DA clearing happens elsewhere):
 ``buyer_demand`` prices the book, ``match_offers`` fills it,
 ``validate_contracts`` applies the zonal rule and seller headroom,
 ``claim_execution`` executes the producer's near-RT claims,
-``executed_by_seller`` and ``modified_schedules`` move the schedules, and
-``settle`` writes a zero-sum ledger against the settlement pool. A step
-given contracts in the wrong status raises PhaseError. The rules are
-stated per hour; where one adds MW or cash a term at a time, the columns
-add in that order too (``_in_order``), so every value keeps its bits.
+``executed_by_seller`` sums the executions and moves the schedules, once
+for the day, and ``settle`` writes a zero-sum ledger against the
+settlement pool on them. A step given contracts in the wrong status raises
+PhaseError. The rules are stated per hour; where one adds MW or cash a
+term at a time, the columns add in that order too (``_in_order``), so
+every value keeps its bits.
 """
 from __future__ import annotations
 
@@ -266,42 +267,44 @@ def claim_execution(contracts: Contracts, da_quantity, claimed_output) -> Contra
 class Shifts:
     """Executed MW per hour, side and seller, one row each: by hour, the
     downward side first, then in the order of each seller's first executed
-    contract. Each row adds up its contracts' MW in id order."""
+    contract. Each row adds up its contracts' MW in id order. With them come
+    the schedules they leave: the producer's per hour (``vg_modified``), and
+    each unit's, one column per unit (``unit_modified``)."""
 
     hour: np.ndarray
     up: np.ndarray
     seller: np.ndarray
     mw: np.ndarray
+    vg_modified: np.ndarray
+    unit_modified: np.ndarray
 
 
-def executed_by_seller(contracts: Contracts) -> Shifts:
+def executed_by_seller(
+    contracts: Contracts, vg_schedule: np.ndarray, units: Sequence[DispatchableUnit]
+) -> Shifts:
+    """The executed contracts summed into shifts, with the producer's DA
+    ``vg_schedule`` (one value per hour) and the units' DA schedules moved
+    by them. Executed downward cover raises the producer's schedule by the
+    MW its seller's falls, upward cover the reverse; the producer's shift
+    adds the sellers' MW in shift order (bincount adds in input order)."""
     c = contracts
     order, starts = _groups(np.flatnonzero(c.status == EXECUTED), c.hour, c.up, c.seller)
     mw = _sums(starts, c.executed[order])[1][starts]
     first = order[starts]
     rows = np.lexsort((first, c.up[first], c.hour[first]))
-    first = first[rows]
-    return Shifts(hour=c.hour[first], up=c.up[first], seller=c.seller[first], mw=mw[rows])
+    first, mw = first[rows], mw[rows]
+    hour, up, seller = c.hour[first], c.up[first], c.seller[first]
+    horizon = len(vg_schedule)
+    vg_shift = np.bincount(hour, np.where(up, -mw, mw), minlength=horizon)
+    moved = np.zeros((2, horizon, len(units)))
+    moved[up.astype(int), hour, seller] = mw
+    return Shifts(hour, up, seller, mw, vg_schedule + vg_shift,
+                  _schedules(units, horizon) - moved[0] + moved[1])
 
 
 def _schedules(units: Sequence[DispatchableUnit], horizon: int) -> np.ndarray:
     """The units' DA schedules, one row per hour and one column per unit."""
     return np.array([np.broadcast_to(u.da_schedule, horizon) for u in units]).reshape(-1, horizon).T
-
-
-def modified_schedules(
-    vg_schedule: np.ndarray, units: Sequence[DispatchableUnit], shifts: Shifts
-) -> tuple[np.ndarray, np.ndarray]:
-    """The producer's schedule per hour, and each unit's (one column per
-    unit), after executions. Executed downward cover moves MW from the
-    producer to its seller, upward cover back; the producer's shift adds
-    the sellers' MW in shift order (bincount adds in input order)."""
-    horizon = len(vg_schedule)
-    signed = np.where(shifts.up, -shifts.mw, shifts.mw)
-    vg_shift = np.bincount(shifts.hour, signed, minlength=horizon)
-    moved = np.zeros((2, horizon, len(units)))
-    moved[shifts.up.astype(int), shifts.hour, shifts.seller] = shifts.mw
-    return vg_schedule + vg_shift, _schedules(units, horizon) - moved[0] + moved[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,61 +366,52 @@ class SettlementLedger:
         return self._nets(keys, horizon * len(self.parties)).reshape(horizon, len(self.parties))
 
 
-@dataclass(frozen=True, eq=False)
-class DayAccounts:
-    """Everything settle needs for the day, after claims: the hourly inputs
-    hold one value per hour, ``unit_rt_output`` one column per unit too."""
-
-    vg_id: str
-    da_price: np.ndarray
-    rt_price: np.ndarray
-    penalty: PenaltyFactors
-    vg_schedule: np.ndarray
-    vg_realized: np.ndarray
-    contracts: Contracts
-    shifts: Shifts
-    units: dict[str, DispatchableUnit]
-    unit_rt_output: np.ndarray
-
-
-def settle(acc: DayAccounts) -> SettlementLedger:
+def settle(
+    *, vg_id: str, da_price: np.ndarray, rt_price: np.ndarray, penalty: PenaltyFactors,
+    vg_schedule: np.ndarray, vg_realized: np.ndarray, contracts: Contracts, shifts: Shifts,
+    units: dict[str, DispatchableUnit], unit_rt_output: np.ndarray,
+) -> SettlementLedger:
     """Cash out the day into a zero-sum ledger.
 
-    Premiums are owed on the full validated quantity (released cover is still
-    paid for). DA energy is settled on original schedules, and a transfer at
-    the DA price moves the executed MW, so both sides settle on modified
-    schedules. Residual deviations clear against the pool: the producer's at
-    the penalized DA price, units' at the RT price. Each hour's entries run
-    in that order: premiums by contract id, DA energy (the producer first),
-    transfers in shift order, then imbalances (the producer first).
+    The hourly inputs hold one value per hour, ``unit_rt_output`` one column
+    per unit too, and ``shifts`` (``executed_by_seller``) the day's moved
+    schedules. Premiums are owed on the full validated quantity (released
+    cover is still paid for). DA energy is settled on original schedules,
+    and a transfer at the DA price moves the executed MW, so both sides
+    settle on modified schedules. Residual deviations clear against the
+    pool: the producer's at the penalized DA price, units' at the RT price.
+    Each hour's entries run in that order: premiums by contract id, DA
+    energy (the producer first), transfers in shift order, then imbalances
+    (the producer first).
     """
-    c = acc.contracts
+    c, s = contracts, shifts
     _require(c, (EXECUTED, RELEASED, REJECTED), "settle")
-    ids, units = tuple(acc.units), tuple(acc.units.values())
-    horizon, lam_d, lam_r = len(acc.da_price), acc.da_price, acc.rt_price
-    if np.shape(acc.unit_rt_output) != (horizon, len(units)):
-        raise ValueError(f"missing RT output: need shape {(horizon, len(units))}, "
-                         f"got {np.shape(acc.unit_rt_output)}")
-    vg_modified, unit_modified = modified_schedules(acc.vg_schedule, units, acc.shifts)
+    ids, units = tuple(units), tuple(units.values())
+    horizon, lam_d, lam_r = len(da_price), da_price, rt_price
+    for what, value, shape in (("missing RT output", unit_rt_output, (horizon, len(units))),
+                               ("shifts of another day", s.vg_modified, (horizon,)),
+                               ("shifts of another day", s.unit_modified, (horizon, len(units)))):
+        if np.shape(value) != shape:
+            raise ValueError(f"{what}: need shape {shape}, got {np.shape(value)}")
     lo = np.array([u.p_min for u in units]) - _MW_EPS
     hi = np.array([u.p_max for u in units]) + _MW_EPS
     hours = np.arange(horizon)
-    fail_where(~((lo <= unit_modified) & (unit_modified <= hi)),
+    fail_where(~((lo <= s.unit_modified) & (s.unit_modified <= hi)),
                "hour {}: unit {} pushed to {} MW despite validation",
-               hours[:, None], np.array(ids, dtype=object), unit_modified, error=AssertionError)
+               hours[:, None], np.array(ids, dtype=object), s.unit_modified, error=AssertionError)
     unit_hours = np.repeat(hours, len(units))
     unit_party = np.tile(_UNITS + np.arange(len(units)), horizon)
-    live, s = np.flatnonzero(c.status != REJECTED), acc.shifts
-    residual = acc.vg_realized - vg_modified
+    live = np.flatnonzero(c.status != REJECTED)
+    residual = vg_realized - s.vg_modified
     over = residual > 0.0
-    vg_owed = np.where(over, (1.0 - acc.penalty.over) * lam_d * residual,
-                       (1.0 + acc.penalty.under) * lam_d * -residual)
+    vg_owed = np.where(over, (1.0 - penalty.over) * lam_d * residual,
+                       (1.0 + penalty.under) * lam_d * -residual)
     # The pool pays a positive value and is paid a negative one, so a
     # negative RT price flips who owes whom for the same deviation.
-    value = (lam_r[:, None] * (acc.unit_rt_output - unit_modified)).ravel()
-    return SettlementLedger.of((POOL, acc.vg_id, *ids), [
+    value = (lam_r[:, None] * (unit_rt_output - s.unit_modified)).ravel()
+    return SettlementLedger.of((POOL, vg_id, *ids), [
         ("premium", c.hour[live], _VG, _UNITS + c.seller[live], c.price[live] * c.quantity[live]),
-        ("da_energy", hours, _POOL, _VG, lam_d * acc.vg_schedule),
+        ("da_energy", hours, _POOL, _VG, lam_d * vg_schedule),
         ("da_energy", unit_hours, _POOL, unit_party,
          (lam_d[:, None] * _schedules(units, horizon)).ravel()),
         ("brs_energy_shift", s.hour, *_either(s.up, _VG, _UNITS + s.seller), lam_d[s.hour] * s.mw),

@@ -57,14 +57,6 @@ class DispatchableUnit:
 _RISK_CHUNK = 65_536
 
 
-def _first_bad(bad: np.ndarray, values: np.ndarray, what: str, error=ValueError,
-               start: int = 0) -> None:
-    """Raise for the first flagged draw; ``start`` is the index of values[0]."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise error(f"scenario {start + i}: {what}, got {values[i]}")
-
-
 def _shareable(value) -> bool:
     """A read-only float64 array over memory that no array can write to."""
     if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
@@ -102,11 +94,16 @@ class ScenarioSet:
                 raise ValueError(f"{name} has {len(arr)} entries, da has {len(self.da)}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        _first_bad(~(self.da > 0.0), self.da, "da price must be positive")
-        _first_bad(~np.isfinite(self.rt), self.rt, "rt price must be finite")
-        _first_bad(~np.isfinite(self.executed), self.executed, "executed must be finite")
+        draw = range(len(self.da))
+        fail_where(~(self.da > 0.0), "scenario {}: da price must be positive, got {}",
+                   draw, self.da)
+        fail_where(~np.isfinite(self.rt), "scenario {}: rt price must be finite, got {}",
+                   draw, self.rt)
+        fail_where(~np.isfinite(self.executed), "scenario {}: executed must be finite, got {}",
+                   draw, self.executed)
         if self.weights is not None:
-            _first_bad(~(self.weights >= 0.0), self.weights, "weight must be nonnegative")
+            fail_where(~(self.weights >= 0.0), "scenario {}: weight must be nonnegative, got {}",
+                       draw, self.weights)
             total = float(self.weights.sum())
             if not math.isclose(total, 1.0, rel_tol=1e-12):
                 raise ValueError(f"weights must sum to 1, got {total!r}")
@@ -186,8 +183,9 @@ def _revenue_chunks(u: DispatchableUnit, scenarios: ScenarioSet):
         da, rt = scenarios.da[sl], scenarios.rt[sl]
         shifted = u.da_schedule + scenarios.executed[sl]
         outside = (shifted < u.p_min - _MW_EPS) | (shifted > u.p_max + _MW_EPS)
-        _first_bad(outside, shifted, f"shifted schedule outside [{u.p_min}, {u.p_max}]",
-                   ContractInfeasibleError, lo)
+        fail_where(outside, "scenario {}: shifted schedule outside [{}, {}], got {}",
+                   range(lo, lo + len(shifted)), u.p_min, u.p_max, shifted,
+                   error=ContractInfeasibleError)
         out = rt_dispatch(u, rt)
         rev0 = da * u.da_schedule + (out - u.da_schedule) * rt
         rev1 = da * shifted + (out - shifted) * rt

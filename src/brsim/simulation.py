@@ -144,8 +144,8 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     contracts = market.match_offers(book, market.buyer_demand(book, s, pf, d))
     contracts = market.validate_contracts(contracts, unit_list, blocked)
     contracts = market.claim_execution(contracts, s.da_quantity, claims)
-    shifts = market.executed_by_seller(contracts)
-    vg_modified, unit_modified = market.modified_schedules(s.da_quantity, unit_list, shifts)
+    shifts = market.executed_by_seller(contracts, s.da_quantity, unit_list)
+    vg_modified, unit_modified = shifts.vg_modified, shifts.unit_modified
     rt_price = np.asarray(cfg.rt_price, dtype=float)
     rt_output = unit_modified.copy()
     for j, (uc, u) in enumerate(zip(cfg.units, unit_list)):
@@ -159,11 +159,11 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
                "hour {}: executions changed the scheduled total by {} MW", hours, shifted,
                error=AssertionError)
 
-    ledger = market.settle(market.DayAccounts(
+    ledger = market.settle(
         vg_id=cfg.vg.id, da_price=s.da_price, rt_price=rt_price, penalty=pf,
         vg_schedule=s.da_quantity, vg_realized=realized, contracts=contracts, shifts=shifts,
         units=units, unit_rt_output=rt_output,
-    ))
+    )
     nets = ledger.hourly_nets(cfg.horizon)
     gross = np.bincount(ledger.hour, ledger.amount, minlength=cfg.horizon)
     residual = np.array([math.fsum(row) for row in nets.tolist()])

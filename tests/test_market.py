@@ -19,7 +19,6 @@ from brsim.market import (
     ZONAL,
     Book,
     Contracts,
-    DayAccounts,
     PhaseError,
     SettlementLedger,
 )
@@ -307,6 +306,59 @@ class TestMatching:
             assert mw == evaluate(s_h, PF, d_h, direction, price)
 
 
+def match_cases(draw):
+    capacity = draw(st.floats(min_value=50.0, max_value=300.0))
+    d = forecast.from_mean(capacity, draw(st.floats(min_value=0.2, max_value=0.8)) * capacity)
+    s = VgSchedule(da_quantity=draw(st.floats(min_value=0.2, max_value=0.8)) * capacity,
+                   da_price=draw(st.floats(min_value=10.0, max_value=60.0)))
+    pf = PenaltyFactors(over=draw(st.floats(min_value=0.05, max_value=1.0)),
+                        under=draw(st.floats(min_value=0.05, max_value=1.5)))
+    direction = draw(st.sampled_from([DOWN, UP]))
+    # Prices as shares of the first MW's value, from a short list so that
+    # offers share levels; at 1.1 nothing is worth buying.
+    first_mw = s.da_price * (pf.over if direction is DOWN else pf.under)
+    offers = draw(st.lists(st.tuples(
+        st.sampled_from(SELLERS), st.sampled_from([0.05, 0.2, 0.4, 0.7, 1.1]),
+        st.floats(min_value=0.5, max_value=0.4 * capacity),
+    ), min_size=1, max_size=5))
+    return s, pf, d, direction, [(g, 0, direction, share * first_mw, q) for g, share, q in offers]
+
+
+@given(case=st.composite(match_cases)())
+@settings(max_examples=100, deadline=None)
+def test_match_maximises_net_expected_revenue(case):
+    # Over every total the stack can be filled to, cheapest level first and
+    # within the buyer's headroom, no grid point earns more, expected revenue
+    # minus premiums, than the match. Pro rata is one of several optimal
+    # splits within a level, so only the level totals are compared.
+    s, pf, d, direction, offers = case
+    b = book(*offers)
+    c = market.match_offers(b, market.buyer_demand(b, s, pf, d))
+    prices, at = np.unique([o[3] for o in offers], return_inverse=True)
+    level_qty = np.bincount(at, [o[4] for o in offers])
+    matched = np.bincount(np.searchsorted(prices, c.price), c.quantity, minlength=len(prices))
+
+    def fills(total):
+        before = np.cumsum(level_qty) - level_qty
+        return np.clip(np.asarray(total)[..., None] - before, 0.0, level_qty)
+
+    def net(total):
+        cover = (total, 0.0) if direction is DOWN else (0.0, total)
+        gross = vg.expected_revenue(s, pf, BrsPosition(*cover, 0.0, 0.0), d)
+        return gross - fills(total) @ prices
+
+    headroom = d.capacity - s.da_quantity if direction is DOWN else s.da_quantity
+    grid = np.linspace(0.0, min(level_qty.sum(), headroom), 2001)
+    objective = net(grid)
+    total = matched.sum()
+    assert matched == pytest.approx(fills(total), abs=1e-6)
+    tol = 1e-9 * s.da_price * d.capacity
+    assert net(total) >= objective.max() - tol
+    best = grid[objective >= objective.max() - tol]
+    step = grid[1] - grid[0]
+    assert best.min() - step - 1e-9 <= total <= best.max() + step + 1e-9
+
+
 class TestValidation:
     def test_straddling_contract_is_trimmed(self):
         # Down headroom is schedule - p_min = 50 MW.
@@ -394,7 +446,7 @@ class TestClaim:
             validated((DOWN, 30.0, "g1"), (DOWN, 10.0, "g2")), da_quantity=100.0,
             claimed_output=120.0,
         )
-        shifts = market.executed_by_seller(c)
+        shifts = market.executed_by_seller(c, np.array([100.0]), [g_unit(), g_unit()])
         per_seller = dict(zip((SELLERS[j] for j in shifts.seller), shifts.mw.tolist()))
         assert per_seller["g1"] == pytest.approx(15.0)
         assert per_seller["g2"] == pytest.approx(5.0)
@@ -438,14 +490,14 @@ class TestClaim:
 
 
 def hour_accounts(c=None, *, vg_realized=120.0, rt_price=30.0, units=None, rt_output=(180.0,)):
-    """One hour's accounts for producer wind1 (schedule 100 MW at 30)."""
+    """One hour's settle arguments for producer wind1 (schedule 100 MW at 30)."""
     if c is None:
         c = dataclasses.replace(
             contracts((DOWN, 20.0, "g1", 0.5), status=EXECUTED), executed=[20.0]
         )
     if units is None:
         units = {"g1": DispatchableUnit(UnitKind.BASE_LOAD, 100.0, 250.0, 15.0, 200.0)}
-    return DayAccounts(
+    return dict(
         vg_id="wind1",
         da_price=np.array([30.0]),
         rt_price=np.array([rt_price]),
@@ -453,7 +505,7 @@ def hour_accounts(c=None, *, vg_realized=120.0, rt_price=30.0, units=None, rt_ou
         vg_schedule=np.array([100.0]),
         vg_realized=np.array([vg_realized]),
         contracts=c,
-        shifts=market.executed_by_seller(c),
+        shifts=market.executed_by_seller(c, np.array([100.0]), list(units.values())),
         units=units,
         unit_rt_output=np.array([rt_output]).reshape(1, -1),
     )
@@ -465,14 +517,14 @@ def no_contracts():
 
 class TestSettle:
     def test_worked_hour_nets(self):
-        led = market.settle(hour_accounts())
+        led = market.settle(**hour_accounts())
         assert ledger_net(led, "wind1") == pytest.approx(3590.0)
         assert ledger_net(led, "g1") == pytest.approx(5410.0)
         assert ledger_net(led, market.POOL) == pytest.approx(-9000.0)
         assert ledger_is_balanced(led)
 
     def test_worked_hour_flows_by_tag(self):
-        led = market.settle(hour_accounts())
+        led = market.settle(**hour_accounts())
         by_tag = {}
         for e in ledger_entries(led):
             by_tag.setdefault(e.tag, []).append(e)
@@ -488,41 +540,41 @@ class TestSettle:
 
     def test_released_cover_still_earns_premium(self):
         c = contracts((DOWN, 20.0, "g1", 0.5), status=RELEASED)
-        led = market.settle(hour_accounts(c, vg_realized=100.0, rt_output=(200.0,)))
+        led = market.settle(**hour_accounts(c, vg_realized=100.0, rt_output=(200.0,)))
         premiums = [e for e in ledger_entries(led) if e.tag == "premium"]
         assert len(premiums) == 1
         assert premiums[0].amount == pytest.approx(10.0)
 
     def test_rejected_cover_earns_nothing(self):
         c = contracts((DOWN, 20.0, "g1", 0.5), status=REJECTED)
-        led = market.settle(hour_accounts(c, vg_realized=100.0, units={"g1": g_unit()},
-                                          rt_output=(200.0,)))
+        led = market.settle(**hour_accounts(c, vg_realized=100.0, units={"g1": g_unit()},
+                                            rt_output=(200.0,)))
         assert all(e.tag != "premium" for e in ledger_entries(led))
 
     def test_validated_contract_blocks_settlement(self):
         c = contracts((DOWN, 20.0, "g1", 0.5), status=VALIDATED)
         with pytest.raises(PhaseError):
-            market.settle(hour_accounts(c, vg_realized=100.0, units={"g1": g_unit()},
-                                        rt_output=(200.0,)))
+            market.settle(**hour_accounts(c, vg_realized=100.0, units={"g1": g_unit()},
+                                          rt_output=(200.0,)))
 
     def test_residual_over_generation_credited_at_discount(self):
-        led = market.settle(hour_accounts(no_contracts(), vg_realized=110.0, units={},
-                                          rt_output=()))
+        led = market.settle(**hour_accounts(no_contracts(), vg_realized=110.0, units={},
+                                            rt_output=()))
         imb = [e for e in ledger_entries(led) if e.tag == "rt_imbalance"]
         assert len(imb) == 1
         assert imb[0].payer == market.POOL
         assert imb[0].amount == pytest.approx(0.7 * 30.0 * 10.0)
 
     def test_residual_under_generation_charged_with_markup(self):
-        led = market.settle(hour_accounts(no_contracts(), vg_realized=90.0, units={},
-                                          rt_output=()))
+        led = market.settle(**hour_accounts(no_contracts(), vg_realized=90.0, units={},
+                                            rt_output=()))
         imb = [e for e in ledger_entries(led) if e.tag == "rt_imbalance"]
         assert imb[0].payee == market.POOL
         assert imb[0].amount == pytest.approx(1.3 * 30.0 * 10.0)
 
     def test_negative_rt_price_flips_unit_flow(self):
-        led = market.settle(hour_accounts(no_contracts(), vg_realized=100.0, rt_price=-5.0,
-                                          units={"g1": g_unit()}, rt_output=(210.0,)))
+        led = market.settle(**hour_accounts(no_contracts(), vg_realized=100.0, rt_price=-5.0,
+                                            units={"g1": g_unit()}, rt_output=(210.0,)))
         imb = [e for e in ledger_entries(led) if e.tag == "rt_imbalance"]
         # Producing 10 MW extra at a negative price costs the unit money.
         assert imb[0].payer == "g1"
@@ -532,7 +584,25 @@ class TestSettle:
         acc = hour_accounts(no_contracts(), vg_realized=100.0, units={"g1": g_unit()},
                             rt_output=())
         with pytest.raises(ValueError, match="missing RT output"):
-            market.settle(acc)
+            market.settle(**acc)
+
+    def test_unit_pushed_out_of_range_is_an_assertion(self):
+        # Unvalidated cover takes g1 from 200 MW to 50, below its p_min.
+        c = dataclasses.replace(
+            contracts((DOWN, 150.0, "g1", 0.5), status=EXECUTED), executed=[150.0]
+        )
+        with pytest.raises(AssertionError, match=r"^hour 0: unit g1 pushed to 50\.0 MW despite"):
+            market.settle(**hour_accounts(c))
+
+    @pytest.mark.parametrize("schedule, units, shape", [
+        ([100.0, 100.0], [g_unit()], r"\(1,\), got \(2,\)"),
+        ([100.0], [g_unit(), g_unit()], r"\(1, 1\), got \(1, 2\)"),
+    ])
+    def test_shifts_of_another_day_are_refused(self, schedule, units, shape):
+        acc = hour_accounts(units={"g1": g_unit()})
+        acc["shifts"] = market.executed_by_seller(acc["contracts"], np.array(schedule), units)
+        with pytest.raises(ValueError, match=f"shifts of another day: need shape {shape}"):
+            market.settle(**acc)
 
 
 def settlement_cases(draw):
@@ -584,7 +654,7 @@ def test_full_hour_settlement_equivalence(case):
     c = market.validate_contracts(c, [unit])
     c = market.claim_execution(c, s.da_quantity, realized)
     rt_out = provider.rt_dispatch(unit, lam_r)
-    acc = DayAccounts(
+    led = market.settle(
         vg_id="w",
         da_price=np.array([s.da_price]),
         rt_price=np.array([lam_r]),
@@ -592,11 +662,10 @@ def test_full_hour_settlement_equivalence(case):
         vg_schedule=np.array([s.da_quantity]),
         vg_realized=np.array([realized]),
         contracts=c,
-        shifts=market.executed_by_seller(c),
+        shifts=market.executed_by_seller(c, np.array([s.da_quantity]), [unit]),
         units={"g1": unit},
         unit_rt_output=np.array([[rt_out]]),
     )
-    led = market.settle(acc)
     assert ledger_is_balanced(led)
 
     live = c.status != REJECTED

@@ -490,17 +490,17 @@ class TestHourChecks:
     def test_unconserved_execution_raises(self, single_hour, monkeypatch):
         # The producer's schedule moves by the executed total while no unit
         # gives up the MW, so the hour's scheduled total is not conserved.
-        real = market.modified_schedules
+        real = market.executed_by_seller
 
-        def lossy(vg_schedule, units, shifts):
+        def lossy(contracts, vg_schedule, units):
+            shifts = real(contracts, vg_schedule, units)
             down = ~shifts.up
             assert down.any()
-            vg_modified, _ = real(vg_schedule, units, shifts)
-            kept = market.Shifts(shifts.hour[~down], shifts.up[~down], shifts.seller[~down],
-                                 shifts.mw[~down])
-            return vg_modified, real(vg_schedule, units, kept)[1]
+            kept = shifts.unit_modified.copy()
+            kept[shifts.hour[down], shifts.seller[down]] += shifts.mw[down]
+            return dataclasses.replace(shifts, unit_modified=kept)
 
-        monkeypatch.setattr(market, "modified_schedules", lossy)
+        monkeypatch.setattr(market, "executed_by_seller", lossy)
         with pytest.raises(AssertionError, match=r"hour 0: executions changed"):
             simulation.simulate_day(single_hour)
 
@@ -522,23 +522,24 @@ class TestHourChecks:
         # payee, so the ledger balances, but the pool's net is wrong.
         real = market.settle
 
-        def on_realized(acc):
-            return real(dataclasses.replace(acc, vg_schedule=acc.vg_realized))
+        def on_realized(**accounts):
+            return real(**{**accounts, "vg_schedule": accounts["vg_realized"]})
 
         monkeypatch.setattr(market, "settle", on_realized)
-        owed = r"hour 0: pool net -8820\.0 differs from -9000\.0 owed"
+        owed = r"hour 0: pool net -9600\.0 differs from -9000\.0 owed"
         with pytest.raises(AssertionError, match=owed):
             simulation.simulate_day(single_hour)
 
     def test_unit_outside_its_range_raises(self, single_hour, monkeypatch):
         # The MW are conserved, but a unit is pushed past p_max.
-        real = market.modified_schedules
+        real = market.executed_by_seller
 
-        def pushed(vg_schedule, units, shifts):
-            vg_modified, unit_modified = real(vg_schedule, units, shifts)
-            return vg_modified - 1000.0, unit_modified + 1000.0
+        def pushed(contracts, vg_schedule, units):
+            shifts = real(contracts, vg_schedule, units)
+            return dataclasses.replace(shifts, vg_modified=shifts.vg_modified - 1000.0,
+                                       unit_modified=shifts.unit_modified + 1000.0)
 
-        monkeypatch.setattr(market, "modified_schedules", pushed)
+        monkeypatch.setattr(market, "executed_by_seller", pushed)
         with pytest.raises(AssertionError, match=r"^hour 0: unit g1 pushed to 1180\.0 MW"):
             simulation.simulate_day(single_hour)
 
@@ -563,12 +564,13 @@ class TestMarketCalls:
             return wrapper
 
         names = ("buyer_demand", "match_offers", "validate_contracts", "claim_execution",
-                 "executed_by_seller", "modified_schedules", "settle")
+                 "executed_by_seller", "settle")
         for name in names:
             monkeypatch.setattr(market, name, counting(name, getattr(market, name)))
         simulation.simulate_day(day24)
-        # The day runs once; settle moves the schedules itself as well.
-        assert calls == {name: 2 if name == "modified_schedules" else 1 for name in names}
+        # The day runs each step once; settle reads the schedules that
+        # executed_by_seller moved.
+        assert calls == dict.fromkeys(names, 1)
 
 
 class TestZonalRuleEndToEnd:
