@@ -55,24 +55,24 @@ def _check_hour(cfg: dataio.ScenarioConfig, hour: int) -> int:
 
 
 def cmd_demand_curve(args) -> None:
-    cfg = dataio.load_scenario(args.scenario)
-    hour = _check_hour(cfg, args.hour)
-    alphas = args.alpha or [cfg.penalty.over]
-    for a in alphas:
+    for a in args.alpha or ():
         if not 0.0 <= a <= 1.0:
             raise UsageError(f"--alpha values must be in [0, 1], got {a}")
     if args.points < 2:
         raise UsageError(f"--points must be >= 2, got {args.points}")
+    cfg = dataio.load_scenario(args.scenario)
+    hour = _check_hour(cfg, args.hour)
+    alphas = args.alpha or [cfg.penalty.over]
     _emit(simulation.demand_curve_rows(cfg, hour, alphas, args.points), args)
 
 
 def cmd_optimal(args) -> None:
-    cfg = dataio.load_scenario(args.scenario)
-    hour = _check_hour(cfg, args.hour)
-    s, pf, d = simulation.hour_context(cfg, hour)
     for flag, price in (("--down-price", args.down_price), ("--up-price", args.up_price)):
         if price is not None:
             _check_nonnegative(flag, price)
+    cfg = dataio.load_scenario(args.scenario)
+    hour = _check_hour(cfg, args.hour)
+    s, pf, d = simulation.hour_context(cfg, hour)
     model_down, model_up = cfg.brs_price.prices_at(s.da_price)
     down_price = args.down_price if args.down_price is not None else model_down
     up_price = args.up_price if args.up_price is not None else model_up
@@ -84,13 +84,13 @@ def cmd_optimal(args) -> None:
 
 
 def cmd_profit_sweep(args) -> None:
+    for r in args.price_ratios or ():
+        _check_nonnegative("--price-ratios", r)
+    for k in args.variance_scales or ():
+        _check_nonnegative("--variance-scales", k)
     cfg = dataio.load_scenario(args.scenario)
     ratios = args.price_ratios or list(DEFAULT_PRICE_RATIOS)
     scales = args.variance_scales or list(cfg.variance_scale_factors)
-    for r in ratios:
-        _check_nonnegative("--price-ratios", r)
-    for k in scales:
-        _check_nonnegative("--variance-scales", k)
     _emit(simulation.profit_sweep(cfg, ratios, scales), args)
 
 

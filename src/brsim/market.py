@@ -2,7 +2,7 @@
 
 The day is held as columns, one row per offer, contract or ledger entry,
 and each step runs every hour at once (DA clearing happens elsewhere):
-``buyer_demand`` prices the book, ``match_offers`` fills it,
+``match_offers`` prices the book's levels and fills them,
 ``validate_contracts`` applies the zonal rule and seller headroom,
 ``claim_execution`` executes the producer's near-RT claims,
 ``executed_by_seller`` sums the executions and moves the schedules, once
@@ -140,54 +140,39 @@ def _require(c: Contracts, allowed: tuple[int, ...], step: str) -> None:
                np.arange(len(names)), names, error=PhaseError)
 
 
-def buyer_demand(
+def match_offers(
     book: Book, s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution
-) -> np.ndarray:
-    """The buyer's optimal total cover on each offer's side at the offer's
-    price, per offer: the MW that matching takes up to at that price.
-
-    One ``vg.optimal_quantity`` evaluation per side, over its price levels
-    (offers equal in hour and price), each level's value given to all its
-    offers. The fields of ``s`` and ``d`` are scalars, or arrays over the
-    horizon read at each offer's hour; ``pf`` holds for every offer.
-    """
-    desired = np.zeros(len(book.hour))
-    for direction in (DOWN, UP):
-        order, levels = _groups(np.flatnonzero(book.up == (direction is UP)), book.hour, book.price)
-        if not len(order):
-            continue
-        first = order[levels]
-        hours = book.hour[first]
-        side_s = VgSchedule(_at_hours(s.da_quantity, hours), _at_hours(s.da_price, hours))
-        side_d = ForecastDistribution(**{k: _at_hours(v, hours) for k, v in vars(d).items()})
-        level = vg_econ.optimal_quantity(side_s, pf, side_d, direction, book.price[first])
-        desired[order] = np.repeat(level, np.diff(np.append(levels, len(order))))
-    return desired
-
-
-def match_offers(book: Book, desired) -> Contracts:
+) -> Contracts:
     """Greedy price-priority match of every hour's book, both sides, against
-    the buyer's marginal-value curve, ``desired`` (``buyer_demand``).
+    the buyer's marginal-value curve.
 
     Per hour and side, price levels are walked ascending; each is taken up
-    to the buyer's optimal total at its price (beyond it the marginal value
-    is below the price). A level with no room ends the walk, as does one
-    that only partially fits, allocated pro rata by offer quantity. A fill
-    at or below _MW_EPS signs nothing. Contract ids run by hour, the
-    downward side first, by price, then in posting order.
+    to the buyer's optimal total cover at its price (beyond it the marginal
+    value is below the price), one ``vg.optimal_quantity`` evaluation per
+    side over its levels. The fields of ``s`` and ``d`` are scalars, or
+    arrays over the horizon read at each level's hour; ``pf`` holds for
+    every level. A level with no room ends the walk, as does one that only
+    partially fits, allocated pro rata by offer quantity. A fill at or
+    below _MW_EPS signs nothing. Contract ids run by hour, the downward
+    side first, by price, then in posting order.
     """
-    desired = np.asarray(desired, dtype=float)
-    if desired.shape != book.price.shape:
-        raise ValueError(f"demand covers {len(desired)} offers, the book holds {len(book.price)}")
     # A stable sort keeps posting order within a price level.
     order, levels = _groups(np.arange(len(book.hour)), book.hour, book.up, book.price)
     hour, up, price, qty = book.hour[order], book.up[order], book.price[order], book.quantity[order]
     level = np.repeat(np.arange(len(levels)), np.diff(np.append(levels, len(order))))
     level_qty = _sums(levels, qty)[1][levels]
+    # The buyer's optimal total cover at each level's price.
+    demand = np.empty(len(levels))
+    for direction in (DOWN, UP):
+        side = up[levels] == (direction is UP)
+        hours = hour[levels][side]
+        at_s = VgSchedule(_at_hours(s.da_quantity, hours), _at_hours(s.da_price, hours))
+        at_d = ForecastDistribution(**{k: _at_hours(v, hours) for k, v in vars(d).items()})
+        demand[side] = vg_econ.optimal_quantity(at_s, pf, at_d, direction, price[levels][side])
     # The MW taken before each offer if every level before it filled whole.
     sides = _runs(hour, up)
     taken = _sums(sides, np.where(qty > _MW_EPS, qty, 0.0))[0][levels]
-    room = desired[order][levels] - taken
+    room = demand - taken
     stops = (room <= _MW_EPS) | (level_qty > room)
     # A level is reached if no earlier level of its side stopped the walk.
     reached = _sums(np.searchsorted(levels, sides), stops.astype(float))[0] == 0.0

@@ -117,7 +117,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     what the pool owes raises AssertionError.
     """
     if cfg.vg.realized_mw is None:
-        raise ValueError("scenario declares no realized output; cannot simulate")
+        raise ValueError("vg.realized_mw: scenario declares no realized output; cannot simulate")
 
     # The loader makes each boundary join two distinct zones, so a unit with
     # no zone, or in the producer's own zone, never matches one.
@@ -141,7 +141,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
                        offers["quantity_mw"])
     s, pf, d = _horizon_inputs(cfg)
 
-    contracts = market.match_offers(book, market.buyer_demand(book, s, pf, d))
+    contracts = market.match_offers(book, s, pf, d)
     contracts = market.validate_contracts(contracts, unit_list, blocked)
     contracts = market.claim_execution(contracts, s.da_quantity, claims)
     shifts = market.executed_by_seller(contracts, s.da_quantity, unit_list)

@@ -488,7 +488,7 @@ def _matched_position(d, s, pf, direction, price, offered):
     posted as two offers."""
     book = market.Book(hour=[0, 0], up=[direction is UP] * 2, seller=[0, 1],
                        price=[price, price], quantity=[0.4 * offered, 0.6 * offered])
-    cover = sum(market.match_offers(book, market.buyer_demand(book, s, pf, d)).quantity.tolist())
+    cover = sum(market.match_offers(book, s, pf, d).quantity.tolist())
     if direction is DOWN:
         return cover, BrsPosition(cover, 0.0, price, 0.0)
     return cover, BrsPosition(0.0, cover, 0.0, price)

@@ -372,6 +372,15 @@ def write_doc(tmp_path, name, edit):
 
 
 class TestBadScenario:
+    def test_missing_realized_output_names_its_path(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "unrealized.json", lambda doc: doc["vg"].pop("realized_mw"))
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(capsys, "simulate-day", path, "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: vg.realized_mw: ")
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_deeply_nested_document(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
@@ -454,6 +463,19 @@ def test_bad_flag_value_is_usage_error(capsys, flag, command, value):
     code, out, err = run_cli(capsys, *command, f"{flag}={value}")
     assert code == 2
     assert err.startswith("usage error: ") and flag in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, command, value",
+    [(flag, command[0], values[0]) for flag, command, values in BAD_FLAGS if DAY in command],
+    ids=[flag for flag, command, _ in BAD_FLAGS if DAY in command],
+)
+def test_bad_flag_value_is_reported_before_the_scenario_is_read(capsys, tmp_path, flag, command,
+                                                                value):
+    code, out, err = run_cli(capsys, command, str(tmp_path / "missing.json"), f"{flag}={value}")
+    assert code == 2
+    assert err.startswith(f"usage error: {flag}")
     assert out == ""
 
 

@@ -56,7 +56,7 @@ def book(*offers):
 
 def matched(offers, s=None, d=None):
     b = book(*offers)
-    return market.match_offers(b, market.buyer_demand(b, s or mid_schedule(), PF, d or beta22()))
+    return market.match_offers(b, s or mid_schedule(), PF, d or beta22())
 
 
 def contracts(*rows, status=SIGNED):
@@ -262,28 +262,30 @@ class TestMatching:
         assert got.up.tolist() == [False, False, True, False]
         assert got.price.tolist() == [0.5, 0.6, 0.5, 0.5]
 
-    def test_demand_must_cover_every_offer(self):
-        b = book(("g1", 0, DOWN, 0.5, 5.0))
-        desired = market.buyer_demand(b, mid_schedule(), PF, beta22())
-        with pytest.raises(ValueError, match="covers 1 offers, the book holds 2"):
-            market.match_offers(book(*[("g1", 0, DOWN, 0.5, 5.0)] * 2), desired)
-
     def test_demand_reads_each_offer_hour(self):
-        # Day-level inputs hold one element per hour; each offer is priced
-        # against its own hour's schedule and forecast.
+        # Day-level inputs hold one element per hour; each level is priced
+        # against its own hour's schedule and forecast. One offer per level,
+        # larger than any optimum, fills exactly that optimum: the fill
+        # room * qty / level_qty is room when qty is the level's quantity.
         means, schedules, prices = [30.0, 50.0, 70.0], [40.0, 50.0, 60.0], [20.0, 30.0, 40.0]
         d = forecast.from_mean(100.0, np.array(means))
         s = VgSchedule(da_quantity=np.array(schedules), da_price=np.array(prices))
-        offers = [("g1", 2, DOWN, 1.0, 5.0), ("g1", 0, UP, 1.0, 5.0), ("g1", 1, DOWN, 2.0, 5.0)]
-        got = market.buyer_demand(book(*offers), s, PF, d)
-        for (_, hour, direction, price, _), mw in zip(offers, got.tolist()):
-            s_h = VgSchedule(da_quantity=schedules[hour], da_price=prices[hour])
-            d_h = forecast.from_mean(100.0, means[hour])
-            assert mw == vg.optimal_quantity(s_h, PF, d_h, direction, price)
+        offers = [("g1", 2, DOWN, 1.0, 64.0), ("g1", 0, UP, 1.0, 64.0), ("g1", 1, DOWN, 2.0, 64.0)]
+        got = matched(offers, s=s, d=d)
+        expected = [
+            (hour, price, vg.optimal_quantity(
+                VgSchedule(da_quantity=schedules[hour], da_price=prices[hour]), PF,
+                forecast.from_mean(100.0, means[hour]), direction, price))
+            for _, hour, direction, price, _ in sorted(offers, key=lambda o: o[1])
+        ]
+        assert all(mw > 0.0 for *_, mw in expected)
+        assert list(zip(got.hour.tolist(), got.price.tolist(), got.quantity.tolist())) == expected
 
     def test_demand_prices_each_level_once(self, monkeypatch):
-        # Offers equal in hour, side and price share one evaluation; the
-        # level's value is every one of its offers' value.
+        # Offers equal in hour, side and price share one evaluation, and one
+        # call prices all of a side's levels. Each level is alone on its
+        # hour and side and split in power-of-two halves, so its fills add
+        # up to the buyer's optimum at its price exactly.
         priced, evaluate = [], vg.optimal_quantity
 
         def optimal_quantity(s, pf, d, direction, price):
@@ -294,16 +296,24 @@ class TestMatching:
         s = VgSchedule(da_quantity=np.array([50.0, 50.0]), da_price=np.array([30.0, 30.0]))
         d = forecast.from_mean_variance(100.0, np.array([50.0, 60.0]), 500.0)
         offers = [
-            ("g1", 0, DOWN, 0.5, 5.0), ("g2", 0, DOWN, 0.5, 3.0), ("g1", 1, DOWN, 0.5, 5.0),
-            ("g2", 0, UP, 0.5, 5.0), ("g1", 0, DOWN, 0.6, 5.0), ("g1", 0, UP, 0.5, 2.0),
+            ("g1", 0, DOWN, 0.5, 32.0), ("g2", 0, DOWN, 0.5, 32.0), ("g1", 1, DOWN, 0.5, 64.0),
+            ("g2", 0, UP, 0.5, 32.0), ("g1", 1, UP, 0.6, 64.0), ("g1", 0, UP, 0.5, 32.0),
         ]
-        got = market.buyer_demand(book(*offers), s, PF, d).tolist()
-        levels = {(hour, direction, price) for _, hour, direction, price, _ in offers}
-        assert sum(priced) == len(levels) == 4
-        for (_, hour, direction, price, _), mw in zip(offers, got):
-            s_h = VgSchedule(da_quantity=50.0, da_price=30.0)
-            d_h = forecast.from_mean_variance(100.0, [50.0, 60.0][hour], 500.0)
-            assert mw == evaluate(s_h, PF, d_h, direction, price)
+        got = matched(offers, s=s, d=d)
+        assert priced == [2, 2]
+        filled = {}
+        for hour, up, price, mw in zip(got.hour.tolist(), got.up.tolist(), got.price.tolist(),
+                                       got.quantity.tolist()):
+            key = (hour, UP if up else DOWN, price)
+            filled[key] = filled.get(key, 0.0) + mw
+        expected = {
+            (hour, direction, price): evaluate(
+                VgSchedule(da_quantity=50.0, da_price=30.0), PF,
+                forecast.from_mean_variance(100.0, [50.0, 60.0][hour], 500.0), direction, price)
+            for _, hour, direction, price, _ in offers
+        }
+        assert len(expected) == 4
+        assert filled == expected
 
 
 def match_cases(draw):
@@ -333,7 +343,7 @@ def test_match_maximises_net_expected_revenue(case):
     # splits within a level, so only the level totals are compared.
     s, pf, d, direction, offers = case
     b = book(*offers)
-    c = market.match_offers(b, market.buyer_demand(b, s, pf, d))
+    c = market.match_offers(b, s, pf, d)
     prices, at = np.unique([o[3] for o in offers], return_inverse=True)
     level_qty = np.bincount(at, [o[4] for o in offers])
     matched = np.bincount(np.searchsorted(prices, c.price), c.quantity, minlength=len(prices))
@@ -650,7 +660,7 @@ def test_full_hour_settlement_equivalence(case):
     # premiums for the unit, and nets that cancel.
     d, s, pf, unit, offers, lam_r, realized = case
     b = book(*offers)
-    c = market.match_offers(b, market.buyer_demand(b, s, pf, d))
+    c = market.match_offers(b, s, pf, d)
     c = market.validate_contracts(c, [unit])
     c = market.claim_execution(c, s.da_quantity, realized)
     rt_out = provider.rt_dispatch(unit, lam_r)

@@ -251,6 +251,26 @@ class TestDayRun:
         ]
         assert g2_imbalance
 
+    def test_empty_book_signs_nothing(self):
+        doc = json.loads((SCENARIOS / "day24.json").read_text(encoding="utf-8"))
+        res = simulation.simulate_day(scenario_from_dict({**doc, "offers": []}))
+        assert day_contracts(res) == []
+        assert {e.tag for e in oracles.ledger_entries(res.ledger)} == {"da_energy", "rt_imbalance"}
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_one_sided_book_matches_as_its_side_of_the_full_book(self, day24, direction):
+        # Sides never share a level, a headroom or a claim, so a book of one
+        # side's offers signs and executes exactly that side's contracts.
+        doc = json.loads((SCENARIOS / "day24.json").read_text(encoding="utf-8"))
+        offers = [o for o in doc["offers"] if o["direction"] == direction]
+        alone = simulation.simulate_day(scenario_from_dict({**doc, "offers": offers}))
+
+        def rows(res):
+            return [{k: v for k, v in c.items() if k != "id"} for c in day_contracts(res)]
+
+        side = [c for c in rows(simulation.simulate_day(day24)) if c["direction"] == direction]
+        assert side and rows(alone) == side
+
     def test_claim_noise_is_seeded(self, single_hour):
         # Seeds 4 and 5 draw different negative errors, so the claimed
         # deviation lands below the 20 MW cap at different depths.
@@ -330,7 +350,6 @@ class TestDayBatchedDemand:
         # Reference: each hour on its own through the per-hour market, with
         # the buyer's optimum priced one offer at a time from that hour's
         # scalar inputs.
-        sellers = [u.id for u in cfg.units]
         expected = []
         for h in range(cfg.horizon):
             s, pf, d = simulation.hour_context(cfg, h)
@@ -341,12 +360,6 @@ class TestDayBatchedDemand:
                 if oc["hour"] == h
             ]
             desired = [vg.optimal_quantity(s, pf, d, o.direction, o.price) for o in offers]
-            book = market.Book(
-                hour=[h] * len(offers), up=[o.direction is vg.UP for o in offers],
-                seller=[sellers.index(o.seller) for o in offers],
-                price=[o.price for o in offers], quantity=[o.quantity for o in offers],
-            )
-            assert market.buyer_demand(book, s, pf, d).tolist() == desired
             for direction in (vg.DOWN, vg.UP):
                 contracts = oracles.match_offers(
                     offers, desired, direction, cfg.vg.id, id_start=len(expected)
@@ -563,8 +576,8 @@ class TestMarketCalls:
                 return fn(*args, **kwargs)
             return wrapper
 
-        names = ("buyer_demand", "match_offers", "validate_contracts", "claim_execution",
-                 "executed_by_seller", "settle")
+        names = ("match_offers", "validate_contracts", "claim_execution", "executed_by_seller",
+                 "settle")
         for name in names:
             monkeypatch.setattr(market, name, counting(name, getattr(market, name)))
         simulation.simulate_day(day24)
