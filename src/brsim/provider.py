@@ -70,46 +70,41 @@ def _shareable(value) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioSet:
-    """Joint draws as parallel read-only arrays: draw i is (da[i], rt[i],
-    executed[i]). ``weights`` marks an exhaustive enumeration of a discrete
-    law; without it the set is a sample. Equality is identity; compare the
-    arrays with np.array_equal. A read-only float64 input whose ``.base``
-    chain is read-only down to the array owning the memory is kept as it is;
-    any other, a read-only view of a writeable array too, is copied."""
+    """Joint draws at one DA price: draw i is (da, rt[i], executed[i]), with
+    ``rt`` and ``executed`` parallel read-only arrays. An ``exhaustive`` set
+    lists the equally likely outcomes of a discrete law; otherwise the set is
+    a sample. Equality is identity; compare the arrays with np.array_equal. A
+    read-only float64 input whose ``.base`` chain is read-only down to the
+    array owning the memory is kept as it is; any other, a read-only view of
+    a writeable array too, is copied."""
 
-    da: np.ndarray
+    da: float
     rt: np.ndarray
     executed: np.ndarray
-    weights: np.ndarray | None = None
+    exhaustive: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("da", "rt", "executed", "weights"):
+        da = float(self.da)
+        if not 0.0 < da < math.inf:
+            raise ValueError(f"da price must be positive and finite, got {da}")
+        object.__setattr__(self, "da", da)
+        for name in ("rt", "executed"):
             value = getattr(self, name)
-            if value is None:
-                continue
             arr = value if _shareable(value) else np.array(value, dtype=np.float64)
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
-            if len(arr) != len(self.da):
-                raise ValueError(f"{name} has {len(arr)} entries, da has {len(self.da)}")
+            if len(arr) != len(self.rt):
+                raise ValueError(f"{name} has {len(arr)} entries, rt has {len(self.rt)}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        draw = range(len(self.da))
-        fail_where(~(self.da > 0.0), "scenario {}: da price must be positive, got {}",
-                   draw, self.da)
+        draw = range(len(self.rt))
         fail_where(~np.isfinite(self.rt), "scenario {}: rt price must be finite, got {}",
                    draw, self.rt)
         fail_where(~np.isfinite(self.executed), "scenario {}: executed must be finite, got {}",
                    draw, self.executed)
-        if self.weights is not None:
-            fail_where(~(self.weights >= 0.0), "scenario {}: weight must be nonnegative, got {}",
-                       draw, self.weights)
-            total = float(self.weights.sum())
-            if not math.isclose(total, 1.0, rel_tol=1e-12):
-                raise ValueError(f"weights must sum to 1, got {total!r}")
 
     def __len__(self) -> int:
-        return len(self.da)
+        return len(self.rt)
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ class RiskReport:
 
 @dataclass(frozen=True)
 class ScenarioModel:
-    """Joint generator for (da_price, rt_price, executed).
+    """Joint generator for (rt_price, executed) at a flat DA price.
 
     The price gap da-rt and the executed shift are zero-mean; ``correlation``
     couples the RT price with the shift (shortage hours: high RT price and
@@ -131,21 +126,21 @@ class ScenarioModel:
     """
 
     da_price_mean: float = 30.0
-    da_price_std: float = 0.0
     gap_std: float = 5.0
     execution_std: float = 10.0
     correlation: float = 0.0
     execution_limit: float | None = None
 
     def __post_init__(self) -> None:
-        if self.da_price_mean <= 0 or self.da_price_std < 0:
-            raise ValueError("da price parameters out of range")
-        if self.gap_std < 0 or self.execution_std < 0:
-            raise ValueError("spreads must be >= 0")
+        for name, op in (("da_price_mean", ">"), ("gap_std", ">="), ("execution_std", ">="),
+                         ("execution_limit", ">")):
+            value = getattr(self, name)
+            if name == "execution_limit" and value is None:
+                continue
+            if not (math.isfinite(value) and (value > 0.0 if op == ">" else value >= 0.0)):
+                raise ValueError(f"{name} must be finite and {op} 0, got {value}")
         if not -1.0 <= self.correlation <= 1.0:
             raise ValueError(f"correlation must be in [-1, 1], got {self.correlation}")
-        if self.execution_limit is not None and self.execution_limit <= 0:
-            raise ValueError("execution_limit must be positive when set")
 
 
 # Built-in units for the supply-risk experiment, which reads no scenario file.
@@ -176,11 +171,12 @@ def rt_dispatch(u: DispatchableUnit, rt_price):
 
 
 def _revenue_chunks(u: DispatchableUnit, scenarios: ScenarioSet):
-    """(slice, revenue without cover, revenue with cover) for each chunk of
-    at most _RISK_CHUNK draws, in order."""
+    """(revenue without cover, revenue with cover) for each chunk of at most
+    _RISK_CHUNK draws, in order."""
+    da = scenarios.da
     for lo in range(0, len(scenarios), _RISK_CHUNK):
         sl = slice(lo, lo + _RISK_CHUNK)
-        da, rt = scenarios.da[sl], scenarios.rt[sl]
+        rt = scenarios.rt[sl]
         shifted = u.da_schedule + scenarios.executed[sl]
         outside = (shifted < u.p_min - _MW_EPS) | (shifted > u.p_max + _MW_EPS)
         fail_where(outside, "scenario {}: shifted schedule outside [{}, {}], got {}",
@@ -189,60 +185,49 @@ def _revenue_chunks(u: DispatchableUnit, scenarios: ScenarioSet):
         out = rt_dispatch(u, rt)
         rev0 = da * u.da_schedule + (out - u.da_schedule) * rt
         rev1 = da * shifted + (out - shifted) * rt
-        yield sl, rev0, rev1
+        yield rev0, rev1
 
 
 def risk_report(u: DispatchableUnit, scenarios: ScenarioSet) -> RiskReport:
     """Moments of the incremental cash flow over a scenario set.
 
-    Unweighted sets are treated as samples (variance with n-1). A weighted
-    set is an exhaustive enumeration of a discrete joint law; moments are
-    then exact under the weights. One walk over chunks: the delta's chunk
-    sums are added with math.fsum, and each revenue's chunk mean and squared
-    deviations about it are merged pairwise (Chan, Golub & LeVeque 1983). A
-    weighted chunk weighs its share of the set's weight, so one chunk gives
-    exactly np.mean, np.var(ddof=1) or the weighted dot products.
+    A sample's variances divide by n - 1. An exhaustive set lists equally
+    likely outcomes, so its moments are exact and its variances divide by n.
+    One walk over chunks: the delta's chunk sums are added with math.fsum,
+    and each revenue's chunk mean and squared deviations about it are merged
+    pairwise (Chan, Golub & LeVeque 1983), so one chunk gives exactly np.mean
+    and np.var.
     """
     n = len(scenarios)
     if n < 2:
         raise ValueError(f"need at least 2 scenarios, got {n}")
-    w = scenarios.weights
-    # A sample divides by n, and by n - 1 for the variance; weights sum to 1.
-    mean_div, var_div, total = (n, n - 1, None) if w is None else (1.0, 1.0, float(w.sum()))
-
-    def chunk_sum(x: np.ndarray, sl: slice) -> float:
-        return float(x.sum()) if w is None else float(w[sl] @ x)
-
     deltas, seen, moments = [], 0.0, ([0.0, 0.0], [0.0, 0.0])  # each revenue's (mean, M2)
-    for sl, rev0, rev1 in _revenue_chunks(u, scenarios):
-        deltas.append(chunk_sum(rev1 - rev0, sl))
-        k = len(rev0) if w is None else float(w[sl].sum()) / total
-        if not k:
-            continue  # a chunk of zero weights moves no moment
+    for rev0, rev1 in _revenue_chunks(u, scenarios):
+        deltas.append(float((rev1 - rev0).sum()))
+        k = len(rev0)
         share = k / (seen + k)
         for x, mm in zip((rev0, rev1), moments):
-            mean = chunk_sum(x, sl) / k
+            mean = float(x.sum()) / k
             x -= mean
             x *= x
             d = mean - mm[0]
             mm[0] += d * share
-            mm[1] += chunk_sum(x, sl) + d * d * seen * share
+            mm[1] += float(x.sum()) + d * d * seen * share
         seen += k
-    var0, var1 = (m2 / var_div for _, m2 in moments)
-    return RiskReport(math.fsum(deltas) / mean_div, var0, var1, var1 - var0)
+    var0, var1 = (m2 / (n if scenarios.exhaustive else n - 1) for _, m2 in moments)
+    return RiskReport(math.fsum(deltas) / n, var0, var1, var1 - var0)
 
 
 def generate_scenarios(model: ScenarioModel, n: int, seed: int) -> ScenarioSet:
     """Seeded joint draws. The shift is built from the same normal factor as
-    the price gap so corr(rt_price, executed) equals model.correlation when
-    the DA price is flat."""
+    the price gap so corr(rt_price, executed) equals model.correlation."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    z = np.random.default_rng(seed).standard_normal((3, n))
-    z1, z2, z3 = z
-    # In place, rounded as shift = std_e*(rho*(-z1) + sqrt(1-rho^2)*z2),
-    # da = mean + std*z3 and rt = da - gap*z1; z1*(-rho) is the only
-    # temporary, one chunk at a time. The set keeps the read-only buffer.
+    z = np.random.default_rng(seed).standard_normal((2, n))
+    z1, z2 = z
+    # In place, rounded as shift = std_e*(rho*(-z1) + sqrt(1-rho^2)*z2) and
+    # rt = da - gap*z1; z1*(-rho) is the only temporary, one chunk at a time.
+    # The set keeps the read-only buffer.
     rho = model.correlation
     z2 *= math.sqrt(1.0 - rho * rho)
     for lo in range(0, n, _RISK_CHUNK):
@@ -250,21 +235,17 @@ def generate_scenarios(model: ScenarioModel, n: int, seed: int) -> ScenarioSet:
     z2 *= model.execution_std
     if model.execution_limit is not None:
         np.clip(z2, -model.execution_limit, model.execution_limit, out=z2)
-    z3 *= model.da_price_std
-    z3 += model.da_price_mean
     z1 *= model.gap_std
-    np.subtract(z3, z1, out=z1)
+    np.subtract(model.da_price_mean, z1, out=z1)
     z.flags.writeable = False
-    rt, shift, da = z
-    return ScenarioSet(da, rt, shift)
+    rt, shift = z
+    return ScenarioSet(model.da_price_mean, rt, shift)
 
 
 def exhaustive_scenarios(model: ScenarioModel) -> ScenarioSet:
     """Two-point enumeration of the joint law: gap in {-gap_std, +gap_std},
-    shift in {-execution_std, +execution_std}, equiprobable, DA price at its
-    mean."""
+    shift in {-execution_std, +execution_std}, four equally likely outcomes,
+    DA price at its mean."""
     da, g, s = model.da_price_mean, model.gap_std, model.execution_std
-    return ScenarioSet(
-        da=[da] * 4, rt=[da + g, da + g, da - g, da - g], executed=[-s, s, -s, s],
-        weights=[0.25] * 4,
-    )
+    return ScenarioSet(da, rt=[da + g, da + g, da - g, da - g], executed=[-s, s, -s, s],
+                       exhaustive=True)

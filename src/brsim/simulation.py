@@ -11,22 +11,21 @@ import numpy as np
 from . import forecast, market, provider, vg
 from ._arrays import fail_where
 from .dataio import ScenarioConfig
-from .market import Contracts, SettlementLedger
+from .market import Contracts, SettlementLedger, Shifts
 from .provider import DispatchableUnit, UnitKind
 from .vg import PenaltyFactors, VgSchedule
 
 
 @dataclass(frozen=True, eq=False)
 class DayResult:
-    """A day's market as columns: contracts, ledger entries, and each hour's
-    schedules after executions, the producer's and each unit's (a column)."""
+    """A day's market as columns: contracts, ledger entries, and the executed
+    shifts with the schedules they leave, the producer's and each unit's."""
 
     vg_id: str
     unit_ids: tuple[str, ...]
     contracts: Contracts
     ledger: SettlementLedger
-    vg_modified: np.ndarray
-    unit_modified: np.ndarray
+    shifts: Shifts
 
 
 def _producer_inputs(cfg: ScenarioConfig, mean, schedule, price):
@@ -183,7 +182,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     fail_where(np.abs(pool_net - owed) > 1e-9 * np.maximum(1.0, np.abs(flows).sum(axis=1)),
                "hour {}: pool net {} differs from {} owed", hours, pool_net, owed,
                error=AssertionError)
-    return DayResult(cfg.vg.id, tuple(units), contracts, ledger, vg_modified, unit_modified)
+    return DayResult(cfg.vg.id, tuple(units), contracts, ledger, shifts)
 
 
 def contract_rows(result: DayResult) -> dict[str, np.ndarray]:

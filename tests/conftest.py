@@ -11,7 +11,7 @@ CRITERIA = {
     6: "demand curves shift outward as the over-generation penalty grows",
     7: "profit sweep is monotone in price ratio with correct endpoints",
     8: "sampled schedule-shift payoff mean is consistent with the closed form",
-    9: "weighted enumeration variance is exact and the risk ordering holds",
+    9: "enumerated variance is exact and the risk ordering holds",
     10: "quantile inversion, density normalization, and mean preservation",
     11: "cover cost falls with offered capacity and rises with forecast variance",
 }

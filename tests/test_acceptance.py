@@ -164,7 +164,8 @@ def test_criterion_04_worked_single_hour():
     cfg = load_scenario(SCENARIOS / "single_hour.json")
     res = simulation.simulate_day(cfg)
     assert res.contracts.executed[0] == pytest.approx(20.0)
-    vg_modified, unit_modified = float(res.vg_modified[0]), float(res.unit_modified[0, 0])
+    vg_modified = float(res.shifts.vg_modified[0])
+    unit_modified = float(res.shifts.unit_modified[0, 0])
     assert res.unit_ids == ("g1",)
     assert vg_modified == 120.0
     assert unit_modified == 180.0
@@ -402,10 +403,11 @@ def test_criterion_09_enumeration_exact_and_ordering_stable():
     base = DispatchableUnit(UnitKind.BASE_LOAD, 150.0, 250.0, 15.0, 200.0)
     marginal = DispatchableUnit(UnitKind.MARGINAL, 150.0, 250.0, 35.0, 200.0)
     rep = provider.risk_report(base, scenarios)
-    weights = scenarios.weights
+    # Four equally likely outcomes, each of weight 1/4.
+    assert scenarios.exhaustive and len(scenarios) == 4
     deltas = (scenarios.da - scenarios.rt) * scenarios.executed
-    mean = sum(w * x for w, x in zip(weights, deltas))
-    exact = sum(w * (x - mean) ** 2 for w, x in zip(weights, deltas))
+    mean = sum(0.25 * x for x in deltas)
+    exact = sum(0.25 * (x - mean) ** 2 for x in deltas)
     assert rep.incremental_variance == exact == 2500.0
 
     corr_model = ScenarioModel(

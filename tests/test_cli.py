@@ -340,19 +340,20 @@ class TestSupplyRisk:
         assert err == "usage error: --seed must be >= 0, got -1\n"
         assert out == ""
 
-    # Tables written before risk_report walked the set in chunks; 300,000
-    # draws span five chunks.
+    # CSV tables written before risk_report walked the set in chunks; 300,000
+    # draws span five chunks. The JSON tables keep every bit of the moments.
     @pytest.mark.parametrize("name, flags", [
         ("samples300000_seed7", ["--samples", "300000", "--seed", "7", "--correlation", "0.4"]),
         ("exhaustive", ["--exhaustive"]),
     ])
     def test_matches_golden(self, capsys, tmp_path, name, flags):
-        path = tmp_path / "risk.csv"
-        code, out, _ = run_cli(capsys, "supply-risk", "--unit-kind", "both", *flags,
-                               "--out", str(path))
-        assert code == 0
-        assert out.startswith(f"wrote {path}\nverdict: ")
-        assert path.read_bytes() == (GOLDEN / f"supply_risk_{name}.csv").read_bytes()
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"risk.{fmt}"
+            code, out, _ = run_cli(capsys, "supply-risk", "--unit-kind", "both", *flags,
+                                   "--format", fmt, "--out", str(path))
+            assert code == 0
+            assert out.startswith(f"wrote {path}\nverdict: ")
+            assert path.read_bytes() == (GOLDEN / f"supply_risk_{name}.{fmt}").read_bytes()
 
     def test_seed_changes_sampled_rows(self, capsys):
         _, out_a, _ = run_cli(capsys, "supply-risk", "--samples", "500", "--seed", "1")

@@ -177,7 +177,7 @@ class TestLedger:
     )
     @settings(max_examples=100, deadline=None)
     def test_net_by_party_equals_each_net(self, flows):
-        # np.bincount adds its weights in input order, so the columnar nets
+        # np.bincount adds the amounts in input order, so the columnar nets
         # equal the entry-by-entry sums bit for bit, over the day and within
         # each hour.
         parties = ("pool", "vg", "g1", "g2")

@@ -133,108 +133,96 @@ class TestRevenues:
         assert got == pytest.approx(6000.0 + 20.0 * 25.0)
 
 
-def scenario_set(rows, weights=None):
-    """A ScenarioSet from (da, rt, executed) rows."""
+def scenario_set(rows, exhaustive=False):
+    """A ScenarioSet from (da, rt, executed) rows at one DA price."""
     da, rt, ex = zip(*rows)
-    return ScenarioSet(da=da, rt=rt, executed=ex, weights=weights)
+    assert len(set(da)) == 1
+    return ScenarioSet(da=da[0], rt=rt, executed=ex, exhaustive=exhaustive)
 
 
 class TestScenarioSet:
     def test_fields_are_read_only_float_arrays(self):
-        scs = scenario_set([(30, 25, 0), (30, 35, 1)], weights=[0.5, 0.5])
+        scs = scenario_set([(30, 25, 0), (30, 35, 1)], exhaustive=True)
         assert len(scs) == 2
-        for arr in (scs.da, scs.rt, scs.executed, scs.weights):
+        assert type(scs.da) is float and scs.da == 30.0 and scs.exhaustive
+        for arr in (scs.rt, scs.executed):
             assert arr.dtype == np.float64 and arr.shape == (2,)
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
     def test_does_not_alias_its_inputs(self):
-        da = np.array([30.0, 31.0])
-        scs = ScenarioSet(da=da, rt=[25.0, 35.0], executed=[0.0, 1.0])
-        da[0] = -1.0
-        assert da.flags.writeable
-        assert scs.da[0] == 30.0
+        rt = np.array([25.0, 35.0])
+        scs = ScenarioSet(da=30.0, rt=rt, executed=[0.0, 1.0])
+        rt[0] = -1.0
+        assert rt.flags.writeable
+        assert scs.rt[0] == 25.0
 
     def test_keeps_read_only_arrays_and_copies_the_rest(self):
-        owned = np.array([30.0, 31.0])
+        owned = np.array([25.0, 35.0])
         owned.flags.writeable = False
-        single = np.array([25.0, 35.0], dtype=np.float32)
+        single = np.array([0.0, 1.0], dtype=np.float32)
         single.flags.writeable = False
-        scs = ScenarioSet(da=owned, rt=single, executed=[0.0, 1.0])
-        assert scs.da is owned
-        assert scs.rt.dtype == np.float64 and not np.shares_memory(scs.rt, single)
+        scs = ScenarioSet(da=30.0, rt=owned, executed=single)
+        assert scs.rt is owned
+        assert scs.executed.dtype == np.float64 and not np.shares_memory(scs.executed, single)
 
     def test_copies_a_read_only_view_of_a_writeable_array(self):
         base = np.array([30.0, 31.0, 32.0])
         view = base[:]
         view.flags.writeable = False
-        scs = ScenarioSet(da=view, rt=view, executed=np.zeros(3))
+        scs = ScenarioSet(da=30.0, rt=view, executed=view)
         base[0] = -1.0
-        assert scs.da[0] == 30.0 and scs.rt[0] == 30.0
-        assert not np.shares_memory(scs.da, base)
+        assert scs.rt[0] == 30.0 and scs.executed[0] == 30.0
+        assert not np.shares_memory(scs.rt, base)
 
     def test_copies_a_read_only_array_over_foreign_memory(self):
-        memory = bytearray(np.array([30.0, 31.0]).tobytes())
-        da = np.frombuffer(memory)
-        da.flags.writeable = False
-        scs = ScenarioSet(da=da, rt=[25.0, 35.0], executed=[0.0, 1.0])
+        memory = bytearray(np.array([25.0, 35.0]).tobytes())
+        rt = np.frombuffer(memory)
+        rt.flags.writeable = False
+        scs = ScenarioSet(da=30.0, rt=rt, executed=[0.0, 1.0])
         memory[:8] = np.array([-1.0]).tobytes()
-        assert scs.da[0] == 30.0
+        assert scs.rt[0] == 25.0
 
     def test_generated_set_shares_one_read_only_buffer(self):
         scs = provider.generate_scenarios(ScenarioModel(), 100, seed=1)
-        buffer = scs.da.base
-        assert buffer.shape == (3, 100) and not buffer.flags.writeable
-        for arr in (scs.da, scs.rt, scs.executed):
+        buffer = scs.rt.base
+        assert buffer.shape == (2, 100) and not buffer.flags.writeable
+        for arr in (scs.rt, scs.executed):
             assert arr.base is buffer
             with pytest.raises(ValueError):
                 arr.flags.writeable = True
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive_da(self, bad):
-        with pytest.raises(ValueError, match="scenario 2: da price"):
-            scenario_set([(30.0, 25.0, 0.0), (30.0, 25.0, 0.0), (bad, 25.0, 0.0)])
+        with pytest.raises(ValueError, match=f"^da price must be positive and finite, got {bad}$"):
+            ScenarioSet(da=bad, rt=[25.0] * 3, executed=[0.0] * 3)
 
     @pytest.mark.parametrize("field", ["rt", "executed"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_rt_and_executed(self, field, bad):
-        values = {"da": [30.0] * 3, "rt": [25.0] * 3, "executed": [0.0] * 3}
+        values = {"da": 30.0, "rt": [25.0] * 3, "executed": [0.0] * 3}
         values[field][1] = bad
         with pytest.raises(ValueError, match=f"scenario 1: {field}"):
             ScenarioSet(**values)
 
     def test_names_the_first_bad_index(self):
         with pytest.raises(ValueError, match="scenario 1: rt"):
-            ScenarioSet(da=[30.0] * 4, rt=[1.0, np.nan, 2.0, np.inf], executed=[0.0] * 4)
+            ScenarioSet(da=30.0, rt=[1.0, np.nan, 2.0, np.inf], executed=[0.0] * 4)
 
-    @pytest.mark.parametrize("field", ["rt", "executed", "weights"])
+    @pytest.mark.parametrize("field", ["rt", "executed"])
     def test_rejects_mismatched_lengths(self, field):
-        values = {"da": [30.0] * 3, "rt": [25.0] * 3, "executed": [0.0] * 3,
-                  "weights": [1 / 3] * 3}
+        values = {"rt": [25.0] * 3, "executed": [0.0] * 3}
         values[field] = values[field][:2]
-        with pytest.raises(ValueError, match=f"{field} has 2 entries, da has 3"):
-            ScenarioSet(**values)
+        rt, executed = map(len, (values["rt"], values["executed"]))
+        with pytest.raises(ValueError, match=f"executed has {executed} entries, rt has {rt}"):
+            ScenarioSet(da=30.0, **values)
 
     def test_rejects_non_vector_fields(self):
         with pytest.raises(ValueError, match="1-d"):
-            ScenarioSet(da=[[30.0, 30.0]], rt=[[25.0, 25.0]], executed=[[0.0, 0.0]])
+            ScenarioSet(da=30.0, rt=[[25.0, 25.0]], executed=[[0.0, 0.0]])
         with pytest.raises(ValueError, match="1-d"):
             ScenarioSet(da=30.0, rt=25.0, executed=0.0)
-
-    def test_weight_validation(self):
-        rows = [(30.0, 25.0, 0.0), (30.0, 35.0, 0.0)]
-        with pytest.raises(ValueError, match="weights has 1 entries"):
-            scenario_set(rows, weights=[0.5])
-        with pytest.raises(ValueError, match="sum to 1"):
-            scenario_set(rows, weights=[0.7, 0.7])
-        with pytest.raises(ValueError, match="scenario 1: weight"):
-            scenario_set(rows, weights=[1.5, -0.5])
-        with pytest.raises(ValueError, match="scenario 0: weight"):
-            scenario_set(rows, weights=[float("nan"), 1.0])
-        with pytest.raises(ValueError, match="sum to 1"):
-            scenario_set(rows, weights=[0.5, 0.5 + 1e-11])
-        scenario_set(rows, weights=[0.5, 0.5 + 1e-13])
 
 
 class TestRiskReport:
@@ -261,12 +249,12 @@ class TestRiskReport:
         assert rep.incremental_variance == pytest.approx(var)
 
     def test_weighted_moments_are_exact(self):
-        w = [0.5, 0.25, 0.25]
-        scs = scenario_set(
-            [(30.0, 25.0, 10.0), (30.0, 35.0, 10.0), (30.0, 25.0, -10.0)], weights=w
-        )
+        # Outcomes of probability 1/2, 1/4 and 1/4: the first is listed twice.
+        w = [0.25] * 4
+        scs = scenario_set([(30.0, 25.0, 10.0), (30.0, 25.0, 10.0), (30.0, 35.0, 10.0),
+                            (30.0, 25.0, -10.0)], exhaustive=True)
         rep = provider.risk_report(base_unit(), scs)
-        deltas = [50.0, -50.0, -50.0]
+        deltas = [50.0, 50.0, -50.0, -50.0]
         mean = sum(p * x for p, x in zip(w, deltas))
         var = sum(p * (x - mean) ** 2 for p, x in zip(w, deltas))
         assert rep.expected_delta == pytest.approx(mean)
@@ -278,8 +266,8 @@ class TestEnumeratedLaw:
         model = ScenarioModel(da_price_mean=30.0, gap_std=5.0, execution_std=10.0)
         scs = provider.exhaustive_scenarios(model)
         assert len(scs) == 4
-        assert np.array_equal(scs.weights, [0.25] * 4)
-        assert np.array_equal(scs.da, [30.0] * 4)
+        assert scs.exhaustive
+        assert scs.da == 30.0
         # Every (gap, shift) sign pair appears once.
         pairs = sorted(zip(scs.da - scs.rt, scs.executed))
         assert pairs == [(-5.0, -10.0), (-5.0, 10.0), (5.0, -10.0), (5.0, 10.0)]
@@ -303,18 +291,16 @@ class TestEnumeratedLaw:
 
 C = provider._RISK_CHUNK
 RISK_MODEL = ScenarioModel(
-    da_price_mean=30.0, da_price_std=2.0, gap_std=5.0, execution_std=10.0,
-    correlation=0.4, execution_limit=provider.RISK_HEADROOM,
+    da_price_mean=30.0, gap_std=5.0, execution_std=10.0, correlation=0.4,
+    execution_limit=provider.RISK_HEADROOM,
 )
 UNITS = [provider.RISK_UNITS["base_load"], provider.RISK_UNITS["marginal"]]
 
 
 def chunk_test_sets(n):
-    """A generated set of n draws, and the same draws with random weights."""
+    """A generated set of n draws, and the same draws as an exhaustive set."""
     scs = provider.generate_scenarios(RISK_MODEL, n, seed=n)
-    w = np.random.default_rng(n).random(n)
-    w /= w.sum()
-    return scs, ScenarioSet(scs.da, scs.rt, scs.executed, weights=w)
+    return scs, ScenarioSet(scs.da, scs.rt, scs.executed, exhaustive=True)
 
 
 def whole_set_revenues(u, scs):
@@ -334,23 +320,18 @@ def whole_set_revenues(u, scs):
 def whole_set_report(u, scs):
     """risk_report's moments as taken over the whole set at once, before it
     walked the set in chunks."""
-    w = scs.weights
     rev0, rev1 = whole_set_revenues(u, scs)
-    delta = rev1 - rev0
-    if w is None:
-        return (float(np.mean(delta)), float(np.var(rev0, ddof=1)),
-                float(np.var(rev1, ddof=1)))
-    return (float(w @ delta), float(w @ (rev0 - w @ rev0) ** 2),
-            float(w @ (rev1 - w @ rev1) ** 2))
+    ddof = 0 if scs.exhaustive else 1
+    return (float(np.mean(rev1 - rev0)), float(np.var(rev0, ddof=ddof)),
+            float(np.var(rev1, ddof=ddof)))
 
 
-def fsum_moments(xs, w=None):
-    """Mean and variance by exact summation: sample moments without weights."""
-    if w is None:
-        mean = math.fsum(xs) / len(xs)
-        return mean, math.fsum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
-    mean = math.fsum(p * x for p, x in zip(w, xs))
-    return mean, math.fsum(p * (x - mean) ** 2 for p, x in zip(w, xs))
+def fsum_moments(xs, exhaustive=False):
+    """Mean and variance by exact summation: the variance divides by n for
+    an exhaustive set and by n - 1 for a sample."""
+    n = len(xs)
+    mean = math.fsum(xs) / n
+    return mean, math.fsum((x - mean) ** 2 for x in xs) / (n if exhaustive else n - 1)
 
 
 class TestChunkedMoments:
@@ -359,9 +340,8 @@ class TestChunkedMoments:
     def test_matches_scalar_oracle_across_chunk_boundaries(self, n):
         # Same oracle and tolerances as test_risk_report_matches_scalar_oracle.
         sets = chunk_test_sets(n)
-        draws = [JointScenario(*row) for row in zip(sets[0].da.tolist(),
-                                                     sets[0].rt.tolist(),
-                                                     sets[0].executed.tolist())]
+        draws = [JointScenario(sets[0].da, *row) for row in zip(sets[0].rt.tolist(),
+                                                                 sets[0].executed.tolist())]
         for u in UNITS:
             rev0 = [revenue_unit(u, sc) for sc in draws]
             rev1 = [revenue_unit_with_brs(u, sc) for sc in draws]
@@ -369,9 +349,9 @@ class TestChunkedMoments:
             scale = max(1.0, *map(abs, rev0), *map(abs, rev1))
             tol = 1e-12 * scale**2
             for scs in sets:
-                w = None if scs.weights is None else scs.weights.tolist()
-                mean = fsum_moments(delta, w)[0]
-                var0, var1 = fsum_moments(rev0, w)[1], fsum_moments(rev1, w)[1]
+                mean = fsum_moments(delta, scs.exhaustive)[0]
+                var0 = fsum_moments(rev0, scs.exhaustive)[1]
+                var1 = fsum_moments(rev1, scs.exhaustive)[1]
                 rep = provider.risk_report(u, scs)
                 assert rep.expected_delta == pytest.approx(mean, rel=1e-9, abs=1e-12 * scale)
                 assert rep.variance_without == pytest.approx(var0, rel=1e-9, abs=tol)
@@ -381,14 +361,7 @@ class TestChunkedMoments:
 
     @pytest.mark.parametrize("n", [2, C - 1, C])
     def test_one_chunk_is_bit_for_bit_the_whole_set(self, n):
-        sample, weighted = chunk_test_sets(n)
-        # Weights whose float sum is not 1.0: a chunk mean taken as
-        # w @ x / w.sum() would then miss the whole set's w @ x.
-        w = weighted.weights.copy()
-        w[-1] += 1e-13
-        assert float(w.sum()) != 1.0
-        off_one = ScenarioSet(sample.da, sample.rt, sample.executed, weights=w)
-        for scs in (sample, weighted, off_one):
+        for scs in chunk_test_sets(n):
             for u in UNITS:
                 rep = provider.risk_report(u, scs)
                 mean, var0, var1 = whole_set_report(u, scs)
@@ -401,46 +374,29 @@ class TestChunkedMoments:
         # Base-load deltas (da - rt) * shift of 2^40 fill the first chunk,
         # 2^-14 the second, and one draw of -2^56 the third. The chunk sums
         # 2^56, 4 and -2^56 cancel to 4, which a plain float sum rounds away.
-        da = np.full(2 * C + 1, 30.0)
         rt = np.concatenate([np.full(C, 30.0 - 2.0**35), np.full(C, 30.0 - 2.0**-14),
                              [30.0 - 2.0**51]])
         executed = np.concatenate([np.full(C, 32.0), np.ones(C), [-32.0]])
-        rep = provider.risk_report(UNITS[0], ScenarioSet(da, rt, executed))
+        rep = provider.risk_report(UNITS[0], ScenarioSet(30.0, rt, executed))
         assert rep.expected_delta == 4.0 / (2 * C + 1)
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_large_offset_small_spread_across_chunks(self, weighted):
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_large_offset_small_spread_across_chunks(self, exhaustive):
         # Prices near 1e5 with a spread of 0.01: revenues near 2.5e7 whose
         # variance is about 1e-14 of their squared mean, which a one-pass
         # sum of squares less n * mean**2 loses.
         n = 2 * C + 1
-        z = np.random.default_rng(11).standard_normal((3, n))
-        da = 1e5 + 0.01 * z[0]
-        rt = da + 0.01 * z[1]
-        executed = 10.0 + 0.01 * z[2]
-        w = None
-        if weighted:
-            w = np.random.default_rng(12).random(n)
-            w /= w.sum()
-        scs = ScenarioSet(da, rt, executed, weights=w)
-        self.assert_variances_match_oracle(scs)
-
-    def test_chunks_of_zero_weight_move_no_moment(self):
-        # The first and last of three chunks weigh nothing.
-        scs = provider.generate_scenarios(RISK_MODEL, 2 * C + 1, seed=13)
-        w = np.random.default_rng(13).random(2 * C + 1)
-        w[:C] = w[2 * C:] = 0.0
-        w /= w.sum()
-        self.assert_variances_match_oracle(ScenarioSet(scs.da, scs.rt, scs.executed, weights=w))
-
-    @staticmethod
-    def assert_variances_match_oracle(scs):
-        w = None if scs.weights is None else scs.weights.tolist()
+        z = np.random.default_rng(11).standard_normal((2, n))
+        rt = 1e5 + 0.01 * z[0]
+        executed = 10.0 + 0.01 * z[1]
+        scs = ScenarioSet(1e5, rt, executed, exhaustive=exhaustive)
         for u in UNITS:
             rev0, rev1 = (rev.tolist() for rev in whole_set_revenues(u, scs))
             rep = provider.risk_report(u, scs)
-            assert rep.variance_without == pytest.approx(fsum_moments(rev0, w)[1], rel=1e-9)
-            assert rep.variance_with == pytest.approx(fsum_moments(rev1, w)[1], rel=1e-9)
+            assert rep.variance_without == pytest.approx(fsum_moments(rev0, exhaustive)[1],
+                                                         rel=1e-9)
+            assert rep.variance_with == pytest.approx(fsum_moments(rev1, exhaustive)[1],
+                                                      rel=1e-9)
 
     @pytest.mark.parametrize("u", UNITS, ids=lambda u: u.kind.value)
     def test_infeasible_draw_is_named_by_its_index_in_the_set(self, u):
@@ -469,10 +425,10 @@ def traced_peak(fn):
 
 
 def test_risk_memory_stays_near_the_scenario_set():
-    # The set is three float64 arrays. Generation fills them in place of the
+    # The set is two float64 arrays. Generation fills them in place of the
     # normals, and the reports hold one chunk of temporaries at a time.
     n = 400_000
-    set_bytes = 3 * 8 * n
+    set_bytes = 2 * 8 * n
     model = ScenarioModel(correlation=0.4, execution_limit=provider.RISK_HEADROOM)
     scs, generation = traced_peak(lambda: provider.generate_scenarios(model, n, seed=7))
     _, reports = traced_peak(lambda: [provider.risk_report(u, scs) for u in UNITS])
@@ -481,8 +437,8 @@ def test_risk_memory_stays_near_the_scenario_set():
 
 
 def same_draws(a, b):
-    return all(np.array_equal(x, y) for x, y in
-               ((a.da, b.da), (a.rt, b.rt), (a.executed, b.executed)))
+    return a.da == b.da and all(np.array_equal(x, y) for x, y in
+                                ((a.rt, b.rt), (a.executed, b.executed)))
 
 
 class TestScenarioGeneration:
@@ -491,7 +447,7 @@ class TestScenarioGeneration:
         a = provider.generate_scenarios(model, 50, seed=3)
         b = provider.generate_scenarios(model, 50, seed=3)
         c = provider.generate_scenarios(model, 50, seed=4)
-        assert a.weights is None
+        assert not a.exhaustive
         assert same_draws(a, b)
         assert not np.array_equal(a.rt, c.rt)
         assert not np.array_equal(a.executed, c.executed)
@@ -499,13 +455,14 @@ class TestScenarioGeneration:
     @pytest.mark.parametrize("limit", [None, 12.0])
     def test_matches_recomputation_from_the_normals(self, limit):
         model = ScenarioModel(
-            da_price_mean=40.0, da_price_std=3.0, gap_std=6.0, execution_std=9.0,
-            correlation=-0.35, execution_limit=limit,
+            da_price_mean=40.0, gap_std=6.0, execution_std=9.0, correlation=-0.35,
+            execution_limit=limit,
         )
         n, seed = 1000, 23
-        z = np.random.default_rng(seed).standard_normal((3, n))
-        da = 40.0 + 3.0 * z[2]
-        rt = da - 6.0 * z[0]
+        # The first 2n normals of a (3, n) draw, the layout that once drew a
+        # DA price too: the draws did not move when it went.
+        z = np.random.default_rng(seed).standard_normal((3, n))[:2]
+        rt = 40.0 - 6.0 * z[0]
         rho = -0.35
         ex = 9.0 * (rho * -z[0] + math.sqrt(1.0 - rho**2) * z[1])
         if limit is not None:
@@ -513,7 +470,7 @@ class TestScenarioGeneration:
             ex = np.minimum(np.maximum(ex, -limit), limit)
         scs = provider.generate_scenarios(model, n, seed)
         assert len(scs) == n
-        assert same_draws(scs, ScenarioSet(da, rt, ex))
+        assert same_draws(scs, ScenarioSet(40.0, rt, ex))
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -531,9 +488,16 @@ class TestScenarioGeneration:
         assert np.abs(scs.executed).max() <= 25.0
 
     def test_nonpositive_da_price_rejected(self):
-        model = ScenarioModel(da_price_mean=1.0, da_price_std=2.0)
-        with pytest.raises(ValueError):
-            provider.generate_scenarios(model, 500, seed=0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^da_price_mean must be finite and > 0, got {bad}$"):
+                ScenarioModel(da_price_mean=bad)
+
+    @pytest.mark.parametrize("field, op", [("da_price_mean", ">"), ("gap_std", ">="),
+                                           ("execution_std", ">="), ("execution_limit", ">")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_names_a_non_finite_field(self, field, op, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and {op} 0, got {bad}$"):
+            ScenarioModel(**{field: bad})
 
 
 class TestKindComparison:
@@ -563,10 +527,12 @@ def draw_unit(draw):
     return DispatchableUnit(kind, p_min, p_max, cost, sched)
 
 
-def draw_scenario(draw, u):
-    """A draw whose shift keeps u in range; the RT price may equal u's
-    marginal cost, where dispatch holds the schedule."""
-    da = draw(st.floats(min_value=1.0, max_value=100.0))
+DA_PRICES = st.floats(min_value=1.0, max_value=100.0)
+
+
+def draw_scenario(draw, u, da):
+    """A draw at DA price da whose shift keeps u in range; the RT price may
+    equal u's marginal cost, where dispatch holds the schedule."""
     rt = draw(st.just(u.marginal_cost) | st.floats(min_value=-20.0, max_value=120.0))
     lo = u.p_min - u.da_schedule
     hi = u.p_max - u.da_schedule
@@ -577,7 +543,7 @@ def draw_scenario(draw, u):
 
 def feasible_cases(draw):
     u = draw_unit(draw)
-    return u, draw_scenario(draw, u)
+    return u, draw_scenario(draw, u, draw(DA_PRICES))
 
 
 feasible_case = st.composite(feasible_cases)()
@@ -616,34 +582,30 @@ def test_zero_shift_means_zero_incremental_risk(seed, n):
 
 
 def feasible_sets(draw):
+    """A unit and feasible draws at one DA price: a sample, or the equally
+    likely outcomes of a discrete law, each draw listed as often as its count."""
     u = draw_unit(draw)
-    draws = [draw_scenario(draw, u) for _ in range(draw(st.integers(2, 8)))]
+    da = draw(DA_PRICES)
+    draws = [draw_scenario(draw, u, da) for _ in range(draw(st.integers(2, 8)))]
     counts = draw(st.none() | st.lists(st.integers(0, 10), min_size=len(draws),
-                                       max_size=len(draws)).filter(any))
-    weights = None if counts is None else [k / sum(counts) for k in counts]
-    return u, draws, weights
+                                       max_size=len(draws)).filter(lambda c: sum(c) >= 2))
+    if counts is None:
+        return u, draws, False
+    return u, [sc for sc, k in zip(draws, counts) for _ in range(k)], True
 
 
 @given(case=st.composite(feasible_sets)())
 @settings(max_examples=80, deadline=None)
 def test_risk_report_matches_scalar_oracle(case):
     # Per-draw revenues from the scalar functions, moments by exact
-    # summation: sample moments without weights, exact ones with them.
-    u, draws, weights = case
+    # summation: sample moments, or exact ones for an exhaustive set.
+    u, draws, exhaustive = case
     rev0 = [revenue_unit(u, sc) for sc in draws]
     rev1 = [revenue_unit_with_brs(u, sc) for sc in draws]
     delta = [b - a for a, b in zip(rev0, rev1)]
-    if weights is None:
-        mean = statistics.fmean(delta)
-        var0, var1 = statistics.variance(rev0), statistics.variance(rev1)
-    else:
-        def wmean(xs):
-            return math.fsum(w * x for w, x in zip(weights, xs))
-
-        mean = wmean(delta)
-        var0 = wmean([(x - wmean(rev0)) ** 2 for x in rev0])
-        var1 = wmean([(x - wmean(rev1)) ** 2 for x in rev1])
-    scs = scenario_set([(sc.da_price, sc.rt_price, sc.executed) for sc in draws], weights)
+    variance = statistics.pvariance if exhaustive else statistics.variance
+    mean, var0, var1 = statistics.fmean(delta), variance(rev0), variance(rev1)
+    scs = scenario_set([(sc.da_price, sc.rt_price, sc.executed) for sc in draws], exhaustive)
     rep = provider.risk_report(u, scs)
     scale = max(1.0, *map(abs, rev0), *map(abs, rev1))
     assert rep.expected_delta == pytest.approx(mean, rel=1e-9, abs=1e-12 * scale)

@@ -38,11 +38,12 @@ def day24():
 class TestSingleHour:
     def test_known_outcome(self, single_hour):
         res = simulation.simulate_day(single_hour)
-        assert res.vg_modified.shape == (1,) and res.unit_modified.shape == (1, 1)
+        vg_modified, unit_modified = res.shifts.vg_modified, res.shifts.unit_modified
+        assert vg_modified.shape == (1,) and unit_modified.shape == (1, 1)
         assert res.unit_ids == ("g1",)
-        assert res.vg_modified[0] == pytest.approx(120.0)
-        assert res.unit_modified[0, 0] == pytest.approx(180.0)
-        assert res.vg_modified[0] + res.unit_modified[0, 0] == pytest.approx(300.0)
+        assert vg_modified[0] == pytest.approx(120.0)
+        assert unit_modified[0, 0] == pytest.approx(180.0)
+        assert vg_modified[0] + unit_modified[0, 0] == pytest.approx(300.0)
         contracts = day_contracts(res)
         assert len(contracts) == 1
         assert contracts[0]["status"] == "executed"
