@@ -48,10 +48,13 @@ def _check_nonnegative(flag: str, value: float) -> None:
         raise UsageError(f"{flag} must be in [0, {_FLAG_MAX:g}], got {value}")
 
 
-def _check_hour(cfg: dataio.ScenarioConfig, hour: int) -> int:
-    if not 0 <= hour < cfg.horizon:
-        raise UsageError(f"--hour {hour} outside scenario horizon {cfg.horizon}")
-    return hour
+def _hour_context(cfg: dataio.ScenarioConfig, hour: int):
+    """``simulation.hour_context``, with an hour outside the horizon a usage
+    error."""
+    try:
+        return simulation.hour_context(cfg, hour)
+    except IndexError as exc:
+        raise UsageError(f"--{exc}") from None
 
 
 def cmd_demand_curve(args) -> None:
@@ -61,9 +64,9 @@ def cmd_demand_curve(args) -> None:
     if args.points < 2:
         raise UsageError(f"--points must be >= 2, got {args.points}")
     cfg = dataio.load_scenario(args.scenario)
-    hour = _check_hour(cfg, args.hour)
+    s, _, d = _hour_context(cfg, args.hour)
     alphas = args.alpha or [cfg.penalty.over]
-    _emit(simulation.demand_curve_rows(cfg, hour, alphas, args.points), args)
+    _emit(simulation.demand_curve_rows(s, d, alphas, args.points), args)
 
 
 def cmd_optimal(args) -> None:
@@ -71,13 +74,12 @@ def cmd_optimal(args) -> None:
         if price is not None:
             _check_nonnegative(flag, price)
     cfg = dataio.load_scenario(args.scenario)
-    hour = _check_hour(cfg, args.hour)
-    s, pf, d = simulation.hour_context(cfg, hour)
+    s, pf, d = _hour_context(cfg, args.hour)
     model_down, model_up = cfg.brs_price.prices_at(s.da_price)
     down_price = args.down_price if args.down_price is not None else model_down
     up_price = args.up_price if args.up_price is not None else model_up
     pos = vg.optimal_position(s, pf, d, down_price, up_price)
-    row = {"hour": hour, "down_qty_mw": pos.down_qty, "up_qty_mw": pos.up_qty,
+    row = {"hour": args.hour, "down_qty_mw": pos.down_qty, "up_qty_mw": pos.up_qty,
            "down_price": pos.down_price, "up_price": pos.up_price,
            **vars(vg.oic_report(s, pf, pos, d))}
     _emit({name: [value] for name, value in row.items()}, args)
@@ -108,9 +110,10 @@ def cmd_simulate_day(args) -> None:
 
 
 def cmd_supply_risk(args) -> None:
-    if not -1.0 <= args.correlation <= 1.0:
-        raise UsageError(f"--correlation must be in [-1, 1], got {args.correlation}")
-    model = ScenarioModel(correlation=args.correlation, execution_limit=RISK_HEADROOM)
+    try:
+        model = ScenarioModel(correlation=args.correlation, execution_limit=RISK_HEADROOM)
+    except ValueError as exc:  # the correlation is the one argument a user sets
+        raise UsageError(f"--{exc}") from None
     if args.exhaustive:
         scenarios = provider.exhaustive_scenarios(model)
     else:

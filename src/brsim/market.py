@@ -148,8 +148,8 @@ def match_offers(
 
     Per hour and side, price levels are walked ascending; each is taken up
     to the buyer's optimal total cover at its price (beyond it the marginal
-    value is below the price), one ``vg.optimal_quantity`` evaluation per
-    side over its levels. The fields of ``s`` and ``d`` are scalars, or
+    value is below the price), one ``vg.optimal_quantity`` evaluation over
+    every level of both sides. The fields of ``s`` and ``d`` are scalars, or
     arrays over the horizon read at each level's hour; ``pf`` holds for
     every level. A level with no room ends the walk, as does one that only
     partially fits, allocated pro rata by offer quantity. A fill at or
@@ -162,13 +162,10 @@ def match_offers(
     level = np.repeat(np.arange(len(levels)), np.diff(np.append(levels, len(order))))
     level_qty = _sums(levels, qty)[1][levels]
     # The buyer's optimal total cover at each level's price.
-    demand = np.empty(len(levels))
-    for direction in (DOWN, UP):
-        side = up[levels] == (direction is UP)
-        hours = hour[levels][side]
-        at_s = VgSchedule(_at_hours(s.da_quantity, hours), _at_hours(s.da_price, hours))
-        at_d = ForecastDistribution(**{k: _at_hours(v, hours) for k, v in vars(d).items()})
-        demand[side] = vg_econ.optimal_quantity(at_s, pf, at_d, direction, price[levels][side])
+    hours = hour[levels]
+    at_s = VgSchedule(_at_hours(s.da_quantity, hours), _at_hours(s.da_price, hours))
+    at_d = ForecastDistribution(**{k: _at_hours(v, hours) for k, v in vars(d).items()})
+    demand = vg_econ.optimal_quantity(at_s, pf, at_d, np.where(up[levels], UP, DOWN), price[levels])
     # The MW taken before each offer if every level before it filled whole.
     sides = _runs(hour, up)
     taken = _sums(sides, np.where(qty > _MW_EPS, qty, 0.0))[0][levels]

@@ -33,8 +33,9 @@ class ContractInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class DispatchableUnit:
-    """A unit's operating range, cost and DA schedule: a scalar for one hour,
-    or an array with one value per hour of a day."""
+    """A unit's kind (a ``UnitKind`` or its value), operating range, cost and
+    DA schedule: a scalar for one hour, or an array with one value per hour
+    of a day."""
 
     kind: UnitKind
     p_min: float
@@ -43,6 +44,7 @@ class DispatchableUnit:
     da_schedule: float | np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", UnitKind(self.kind))
         if not 0.0 <= self.p_min <= self.p_max:
             raise ValueError(f"need 0 <= p_min <= p_max, got [{self.p_min}, {self.p_max}]")
         inside = (self.p_min <= self.da_schedule) & (self.da_schedule <= self.p_max)
@@ -162,7 +164,7 @@ def rt_dispatch(u: DispatchableUnit, rt_price):
     Elementwise over the RT prices and the schedule, selecting values
     without arithmetic; a scalar call returns a Python float."""
     rt = np.asarray(rt_price)
-    if u.kind is UnitKind.BASE_LOAD:
+    if u.kind == UnitKind.BASE_LOAD:
         shape = np.broadcast_shapes(rt.shape, np.shape(u.da_schedule))
         return unwrap(np.broadcast_to(u.da_schedule, shape))
     above = rt > u.marginal_cost

@@ -12,7 +12,7 @@ from . import forecast, market, provider, vg
 from ._arrays import fail_where
 from .dataio import ScenarioConfig
 from .market import Contracts, SettlementLedger, Shifts
-from .provider import DispatchableUnit, UnitKind
+from .provider import DispatchableUnit
 from .vg import PenaltyFactors, VgSchedule
 
 
@@ -52,29 +52,28 @@ def _horizon_inputs(cfg: ScenarioConfig):
 def hour_context(
     cfg: ScenarioConfig, hour: int
 ) -> tuple[VgSchedule, PenaltyFactors, "forecast.ForecastDistribution"]:
-    """Producer-side inputs (schedule, penalties, forecast) for one hour."""
+    """Producer-side inputs (schedule, penalties, forecast) for one hour. An
+    hour outside the horizon raises IndexError."""
     if not 0 <= hour < cfg.horizon:
-        raise ValueError(f"hour {hour} outside horizon {cfg.horizon}")
+        raise IndexError(f"hour {hour} outside horizon {cfg.horizon}")
     return _producer_inputs(
         cfg, cfg.vg.forecast_mean_mw[hour], cfg.vg.da_schedule_mw[hour], cfg.da_price[hour]
     )
 
 
 def demand_curve_rows(
-    cfg: ScenarioConfig, hour: int, alphas: list[float], points: int
+    s: VgSchedule, d: "forecast.ForecastDistribution", alphas: list[float], points: int
 ) -> dict[str, list]:
-    """Marginal value of cover against quantity at one hour, per direction
-    and per penalty factor (applied to both sides), as table columns: the
-    down curves, then the up curves, each in the order of ``alphas``."""
-    s, _, d = hour_context(cfg, hour)
-    # Axes (alpha, point): one curve per penalty factor.
+    """Marginal value of cover against quantity at one hour (its schedule
+    and forecast, as from ``hour_context``), per direction and per penalty
+    factor (applied to both sides), as table columns: the down curves, then
+    the up curves, each in the order of ``alphas``."""
+    # Axes (direction, alpha, point): one curve per direction and factor.
+    directions = np.array([vg.DOWN, vg.UP])[:, None, None]
     alpha = np.asarray(alphas, dtype=float)[:, None]
-    pf = PenaltyFactors(over=alpha, under=alpha)
-    directions = (vg.DOWN, vg.UP)
-    curves = np.array([vg.demand_curve(s, pf, d, direction, points) for direction in directions])
-    per_direction = len(alphas) * points
+    curves = vg.demand_curve(s, PenaltyFactors(over=alpha, under=alpha), d, directions, points)
     return {
-        "direction": [direction.value for direction in directions for _ in range(per_direction)],
+        "direction": np.repeat(directions, len(alphas) * points).tolist(),
         "alpha": [a for a in alphas for _ in range(points)] * len(directions),
         "quantity_mw": curves[..., 0].ravel().tolist(),
         "marginal_value": curves[..., 1].ravel().tolist(),
@@ -129,7 +128,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     noise = np.random.default_rng(cfg.seed).standard_normal(cfg.horizon)
     realized = np.asarray(cfg.vg.realized_mw, dtype=float)
     claims = np.clip(realized + cfg.vg.claim_error_std_mw * noise, 0.0, cfg.vg.capacity_mw)
-    units = {uc.id: DispatchableUnit(UnitKind(uc.kind), uc.p_min_mw, uc.p_max_mw, uc.marginal_cost,
+    units = {uc.id: DispatchableUnit(uc.kind, uc.p_min_mw, uc.p_max_mw, uc.marginal_cost,
                                      np.asarray(uc.da_schedule_mw, dtype=float))
              for uc in cfg.units}
     unit_list = list(units.values())

@@ -7,14 +7,15 @@ counterparty backs its schedule down); upward BRS covers under-generation
 (the counterparty ramps up).
 
 The expected-revenue, marginal-value and optimum functions broadcast: any
-field of the schedule, penalties, position or forecast, and any price or
-depth, may be an array, and the result takes the broadcast shape. Checks
-apply elementwise; a scalar call returns Python scalars.
+field of the schedule, penalties, position or forecast, any price or depth,
+and the direction (a ``Direction``, its value, or an array of them) may be
+an array, and the result takes the broadcast shape; one rule serves both
+sides. Checks apply elementwise; a scalar call returns Python scalars.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -39,6 +40,8 @@ class Direction(str, enum.Enum):
 
     DOWN_COVERS_OVER = "down"
     UP_COVERS_UNDER = "up"
+
+    __str__ = str.__str__  # the value, also in numpy string arrays
 
 
 DOWN = Direction.DOWN_COVERS_OVER
@@ -147,17 +150,33 @@ def _spread(mask, fill, value):
     return out
 
 
-def _terms_below(d: ForecastDistribution, schedule, sides):
-    """(CDF, partial expectation from 0) at each (edge, cover) side's edge."""
-    def terms(d, edge):
-        return forecast.cdf(d, edge), forecast.partial_expectation(d, edge)
+def _is_up(direction):
+    """Whether each element of ``direction`` is UP; anything but DOWN or UP
+    is refused."""
+    side = np.asarray(direction)
+    up = side == UP
+    fail_where(np.logical_not(up | (side == DOWN)),
+               "direction must be 'down' or 'up', got {!r}", side)
+    return up
 
-    at_schedule = terms(d, schedule)
-    out = []
-    for edge, qty in sides:
-        mask, *part = _take(np.not_equal(qty, 0.0), d, edge)
-        out.append([_spread(mask, t, v) for t, v in zip(at_schedule, terms(*part))])
-    return out
+
+def _sides(*inputs):
+    """[DOWN, UP] on a new leading axis, ahead of every axis of the inputs:
+    numbers, arrays, or dataclasses of them."""
+    ndim = max(np.ndim(x) for obj in inputs
+               for x in (vars(obj).values() if is_dataclass(obj) else [obj]))
+    return np.array([DOWN, UP]).reshape(-1, *[1] * ndim)
+
+
+def _terms_below(d: ForecastDistribution, schedule, edge, cover):
+    """(CDF, partial expectation from 0) at each band edge. Only edges with
+    cover are evaluated; elsewhere the edge is the schedule, evaluated once
+    per forecast element and spread."""
+    def terms(d, p):
+        return forecast.cdf(d, p), forecast.partial_expectation(d, p)
+
+    mask, *part = _take(np.not_equal(cover, 0.0), d, edge)
+    return [_spread(mask, t, v) for t, v in zip(terms(d, schedule), terms(*part))]
 
 
 def expected_revenue(
@@ -170,16 +189,17 @@ def expected_revenue(
 
     Gross of premiums. Splits the support at the covered band's edges and
     reduces each piece to CDF / partial-expectation terms; the partial
-    expectations of the three pieces come from the two below the edges.
-    They are evaluated only at edges with cover: an uncovered edge is the
-    schedule, evaluated once per forecast element and spread.
+    expectations of the three pieces come from the two below the edges,
+    both edges in one evaluation.
     """
     _check_position_fits(pos, s, d)
     lam = s.da_price
     lo = np.maximum(s.da_quantity - pos.up_qty, 0.0)
     hi = np.minimum(s.da_quantity + pos.down_qty, d.capacity)
-    sides = ((lo, pos.up_qty), (hi, pos.down_qty))
-    (f_lo, pe_below), (f_hi, pe_below_hi) = _terms_below(d, s.da_quantity, sides)
+    up = _sides(s, pos, d) == UP
+    (f_hi, f_lo), (pe_below_hi, pe_below) = _terms_below(
+        d, s.da_quantity, np.where(up, lo, hi), np.where(up, pos.up_qty, pos.down_qty)
+    )
     pe_mid = pe_below_hi - pe_below
     pe_above = d.mean - pe_below_hi
     below = (1.0 + pf.under) * pe_below - pf.under * lo * f_lo
@@ -188,33 +208,26 @@ def expected_revenue(
 
 
 def marginal_utility(
-    s: VgSchedule,
-    pf: PenaltyFactors,
-    d: ForecastDistribution,
-    direction: Direction,
-    r,
+    s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution, direction: Direction, r
 ):
     """Marginal value ($/MW) of the next MW of cover at depth r: over-generation
     cover for DOWN, under-generation cover for UP."""
     _check_schedule_fits(s, d)
-    headroom = d.capacity - s.da_quantity if direction is DOWN else s.da_quantity
+    up = _is_up(direction)
+    headroom = np.where(up, s.da_quantity, d.capacity - s.da_quantity)
     fail_where(
         np.logical_not((0.0 <= r) & (r <= headroom + 1e-9)),
         "r={} outside [0, {}]", r, headroom,
     )
-    if direction is DOWN:
-        return unwrap(s.da_price * pf.over * (1.0 - forecast.cdf(d, s.da_quantity + r)))
-    return unwrap(s.da_price * pf.under * forecast.cdf(d, s.da_quantity - r))
+    below = forecast.cdf(d, np.where(up, s.da_quantity - r, s.da_quantity + r))
+    factor = np.where(up, pf.under, pf.over)
+    return unwrap(s.da_price * factor * np.where(up, below, 1.0 - below))
 
 
 def optimal_quantity(
-    s: VgSchedule,
-    pf: PenaltyFactors,
-    d: ForecastDistribution,
-    direction: Direction,
-    price,
+    s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution, direction: Direction, price
 ):
-    """Critical-fractile optimum for one side at a flat premium price.
+    """Critical-fractile optimum at a flat premium price.
 
     The cover is positive exactly where the fractile's level lies on the
     cover side of the CDF at the schedule, F(S): above it for DOWN, below it
@@ -225,7 +238,8 @@ def optimal_quantity(
     """
     _check_schedule_fits(s, d)
     fail_where(price < 0.0, "premium price must be >= 0, got {}", price)
-    factor = pf.over if direction is DOWN else pf.under
+    up = _is_up(direction)
+    factor = np.where(up, pf.under, pf.over)
     # The first MW of cover is worth lam * factor; at or above that price
     # nothing is bought. Those cells get fractile 0, which keeps the
     # division safe, and take no inverse.
@@ -235,46 +249,28 @@ def optimal_quantity(
     at_schedule = forecast.cdf(d, s.da_quantity)
     # Comparisons are false for nan, so a nan level is never skipped and
     # quantile still rejects it.
-    if direction is DOWN:
-        level = 1.0 - fractile
-        skip = level < at_schedule - _SKIP_GUARD
-    else:
-        level = fractile
-        skip = level > at_schedule + _SKIP_GUARD
+    level = np.where(up, fractile, 1.0 - fractile)
+    skip = np.where(up, level > at_schedule + _SKIP_GUARD, level < at_schedule - _SKIP_GUARD)
     skip = skip & (s.da_quantity / d.capacity >= _SKIP_FLOOR)
-    need, part, level, schedule = _take(buys & np.logical_not(skip), d, level, s.da_quantity)
-    if direction is DOWN:
-        depth = forecast.quantile(part, level) - schedule
-        headroom = part.capacity - schedule
-    else:
-        depth = schedule - forecast.quantile(part, level)
-        headroom = schedule
+    need, part, level, schedule, up = _take(buys & np.logical_not(skip), d, level, s.da_quantity, up)
+    point = forecast.quantile(part, level)
+    depth = np.where(up, schedule - point, point - schedule)
+    headroom = np.where(up, schedule, part.capacity - schedule)
     return unwrap(_spread(need, 0.0, np.maximum(np.minimum(depth, headroom), 0.0)))
 
 
 def optimal_position(
-    s: VgSchedule,
-    pf: PenaltyFactors,
-    d: ForecastDistribution,
-    down_price,
-    up_price,
+    s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution, down_price, up_price
 ) -> BrsPosition:
-    """Profit-maximizing cover at flat premium prices, one side at a time
-    (the objective is separable)."""
-    return BrsPosition(
-        down_qty=optimal_quantity(s, pf, d, DOWN, down_price),
-        up_qty=optimal_quantity(s, pf, d, UP, up_price),
-        down_price=down_price,
-        up_price=up_price,
-    )
+    """Profit-maximizing cover at flat premium prices, each side on its own
+    (the objective is separable), both in one evaluation."""
+    side = _sides(s, pf, d, down_price, up_price)
+    down_qty, up_qty = optimal_quantity(s, pf, d, side, np.where(side == UP, up_price, down_price))
+    return BrsPosition(unwrap(down_qty), unwrap(up_qty), down_price, up_price)
 
 
 def demand_curve(
-    s: VgSchedule,
-    pf: PenaltyFactors,
-    d: ForecastDistribution,
-    direction: Direction,
-    n_points: int,
+    s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution, direction: Direction, n_points: int
 ) -> np.ndarray:
     """Marginal value sampled on an even quantity grid over [0, headroom], as
     (quantity MW, marginal value $/MW) pairs of shape (..., n_points, 2).
@@ -286,7 +282,7 @@ def demand_curve(
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     _check_schedule_fits(s, d)
-    headroom = d.capacity - s.da_quantity if direction is DOWN else s.da_quantity
+    headroom = np.where(_is_up(direction), s.da_quantity, d.capacity - s.da_quantity)
     step = headroom / (n_points - 1)
     q = np.minimum(np.arange(n_points) * step, headroom)
     value = marginal_utility(s, pf, d, direction, q)

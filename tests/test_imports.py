@@ -1,5 +1,6 @@
-"""What ``import brsim`` costs: the heavy scipy subpackages stay out; and
-no module imports a name that it never uses."""
+"""What ``import brsim`` costs: the heavy scipy subpackages stay out; no
+module imports a name that it never uses; and no library or script code
+tests a direction or unit kind by identity."""
 
 import ast
 import json
@@ -58,3 +59,54 @@ def test_no_unused_imports():
     )
     assert paths
     assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+# The string enums' members. A value string equals its member but is not it,
+# so an identity test against one silently takes the other branch.
+MEMBERS = {"DOWN", "UP"}
+ENUMS = {"Direction", "UnitKind"}
+
+
+def _is_member(node: ast.expr) -> bool:
+    """``DOWN``, ``UP``, ``x.DOWN``, ``x.UP``, or ``[x.]Direction.*`` or
+    ``[x.]UnitKind.*``."""
+    if isinstance(node, ast.Name):
+        return node.id in MEMBERS
+    if not isinstance(node, ast.Attribute):
+        return False
+    owner = node.value
+    owner = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+    return node.attr in MEMBERS or owner in ENUMS
+
+
+def _identity_tests(source: str) -> list[str]:
+    """Each ``is`` or ``is not`` comparison in ``source`` against an enum
+    member, as ``line: comparison``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if any(isinstance(op, (ast.Is, ast.IsNot)) and (_is_member(a) or _is_member(b))
+               for op, a, b in zip(node.ops, operands, operands[1:])):
+            hits.append(f"{node.lineno}: {ast.unparse(node)}")
+    return hits
+
+
+def test_no_identity_tests_against_enum_members():
+    paths = sorted(
+        path for folder in ("src/brsim", "scripts") for path in (ROOT / folder).rglob("*.py")
+    )
+    assert paths
+    assert [f"{path.relative_to(ROOT)}:{hit}" for path in paths
+            for hit in _identity_tests(path.read_text(encoding="utf-8"))] == []
+
+
+def test_identity_check_reads_every_spelling():
+    source = ("a is DOWN\nUP is not a\na is vg.UP\na is Direction.UP_COVERS_UNDER\n"
+              "a is provider.UnitKind.MARGINAL\na == DOWN\na is None\na is b.kind\n"
+              "a.direction is vg.Direction.DOWN_COVERS_OVER\n")
+    assert _identity_tests(source) == [
+        "1: a is DOWN", "2: UP is not a", "3: a is vg.UP", "4: a is Direction.UP_COVERS_UNDER",
+        "5: a is provider.UnitKind.MARGINAL", "9: a.direction is vg.Direction.DOWN_COVERS_OVER",
+    ]

@@ -283,7 +283,7 @@ class TestMatching:
 
     def test_demand_prices_each_level_once(self, monkeypatch):
         # Offers equal in hour, side and price share one evaluation, and one
-        # call prices all of a side's levels. Each level is alone on its
+        # call prices every level of both sides. Each level is alone on its
         # hour and side and split in power-of-two halves, so its fills add
         # up to the buyer's optimum at its price exactly.
         priced, evaluate = [], vg.optimal_quantity
@@ -300,7 +300,7 @@ class TestMatching:
             ("g2", 0, UP, 0.5, 32.0), ("g1", 1, UP, 0.6, 64.0), ("g1", 0, UP, 0.5, 32.0),
         ]
         got = matched(offers, s=s, d=d)
-        assert priced == [2, 2]
+        assert priced == [4]
         filled = {}
         for hour, up, price, mw in zip(got.hour.tolist(), got.up.tolist(), got.price.tolist(),
                                        got.quantity.tolist()):

@@ -51,6 +51,16 @@ class TestUnitValidation:
         with pytest.raises(ValueError):
             DispatchableUnit(UnitKind.BASE_LOAD, 50.0, 100.0, 10.0, 120.0)
 
+    def test_kind_is_coerced(self):
+        # A kind given as its value dispatches as that kind; another is refused.
+        u = DispatchableUnit("base_load", 150.0, 250.0, 15.0, 200.0)
+        assert u.kind is UnitKind.BASE_LOAD
+        assert provider.rt_dispatch(u, 40.0) == 200.0
+        assert provider.rt_dispatch(DispatchableUnit("marginal", 150.0, 250.0, 15.0, 200.0),
+                                    40.0) == 250.0
+        with pytest.raises(ValueError, match="nuclear"):
+            DispatchableUnit("nuclear", 150.0, 250.0, 15.0, 200.0)
+
     def test_scenario_checks(self):
         with pytest.raises(ValueError):
             JointScenario(da_price=0.0, rt_price=20.0, executed=0.0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from brsim import forecast, market, provider, simulation, vg
+from brsim import cli, forecast, market, provider, simulation, vg
 from brsim.dataio import load_scenario, scenario_from_dict
 from brsim.market import SettlementLedger
 from brsim.provider import _MW_EPS
@@ -77,9 +77,9 @@ class TestHourContext:
         assert d.mean == pytest.approx(day24.vg.forecast_mean_mw[5])
 
     def test_hour_out_of_range(self, day24):
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError, match="^hour 24 outside horizon 24$"):
             simulation.hour_context(day24, 24)
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError, match="^hour -1 outside horizon 24$"):
             simulation.hour_context(day24, -1)
 
 
@@ -101,8 +101,8 @@ class TestExperiments:
                 assert r["premium_paid"] > 0.0
 
     def test_demand_curve_rows(self, day24):
-        rows = oracles.table_rows(simulation.demand_curve_rows(day24, 10, [0.1, 0.5], 3))
         s, _, d = simulation.hour_context(day24, 10)
+        rows = oracles.table_rows(simulation.demand_curve_rows(s, d, [0.1, 0.5], 3))
         blocks = [rows[i:i + 3] for i in range(0, len(rows), 3)]
         assert len(blocks) == 4
         for block, (direction, alpha) in zip(
@@ -148,11 +148,12 @@ class TestExperiments:
             assert r["premium_paid"] == pytest.approx(premium_total, rel=1e-12, abs=0.0)
 
     def test_profit_sweep_evaluates_covered_edges_only(self, day24, monkeypatch):
-        # optimal_quantity takes the CDF at the schedule once per side, on
-        # the forecast's shape. Then an uncovered side's band edge is the
-        # schedule: its terms are evaluated once per forecast element, not
-        # once per premium ratio. Each term is one betainc for the CDF and
-        # one for the partial expectation.
+        # optimal_position takes the CDF at the schedule once for both
+        # sides, on the forecast's shape. Then an uncovered side's band edge
+        # is the schedule: its terms are evaluated once per forecast
+        # element, not once per premium ratio, and both sides' covered edges
+        # in one call. Each term is one betainc for the CDF and one for the
+        # partial expectation.
         sizes, calls, betainc = [], [], forecast.special.betainc
         expected_revenue = vg.expected_revenue
 
@@ -173,7 +174,7 @@ class TestExperiments:
         up, down = np.count_nonzero(pos.up_qty), np.count_nonzero(pos.down_qty)
         assert schedule == 4 * 24 and cells == 4 * schedule
         assert 0 < up < cells and 0 < down < cells
-        assert sizes == [schedule] * 2 + [schedule] * 2 + [up] * 2 + [down] * 2
+        assert sizes == [schedule] * 3 + [down + up] * 2
 
     def test_profit_sweep_inverts_covered_cells_only(self, day24, monkeypatch):
         # A cell that buys nothing, or whose level lies beyond the CDF at the
@@ -181,7 +182,7 @@ class TestExperiments:
         # betaincinv. Up cover at ratio 0.2 has fractile 0.2 / 0.4 = 0.5,
         # and at hours 7 and 17 the schedule is the forecast mean, where
         # F(S) is 0.5 to an ulp: those 8 cells lie inside the guard and take
-        # the inverse, and 4 of them get 0.
+        # the inverse, and 4 of them get 0. Both sides invert in one call.
         sizes, calls = [], []
         betaincinv, expected_revenue = forecast.special.betaincinv, vg.expected_revenue
 
@@ -201,11 +202,11 @@ class TestExperiments:
         assert pos.up_qty.shape == (4, 4, 24)
         assert 0 < down < pos.down_qty.size and 0 < up < pos.up_qty.size
         assert np.count_nonzero(pos.up_qty[:, 3, [7, 17]] == 0) == 4
-        assert sizes == [down, up + 4]
+        assert sizes == [down + up + 4]
 
     def test_demand_curve_rows_equal_marginal_utility(self, day24):
-        rows = oracles.table_rows(simulation.demand_curve_rows(day24, 7, [0.0, 0.25, 1.0], 6))
         s, _, d = simulation.hour_context(day24, 7)
+        rows = oracles.table_rows(simulation.demand_curve_rows(s, d, [0.0, 0.25, 1.0], 6))
         assert len(rows) == 2 * 3 * 6
         for r in rows:
             pf = vg.PenaltyFactors(over=r["alpha"], under=r["alpha"])
@@ -215,9 +216,14 @@ class TestExperiments:
             )
             assert type(r["quantity_mw"]) is float and type(r["marginal_value"]) is float
 
-    def test_demand_curve_hour_out_of_range(self, day24):
-        with pytest.raises(ValueError):
-            simulation.demand_curve_rows(day24, 24, [0.3], 3)
+    def test_demand_curve_hour_out_of_range(self, day24, capsys):
+        # The hour has one rule: the CLI reports hour_context's own error,
+        # with its flag, as a usage error.
+        with pytest.raises(IndexError) as error:
+            simulation.hour_context(day24, 24)
+        for command in ("demand-curve", "optimal"):
+            assert cli.main([command, str(SCENARIOS / "day24.json"), "--hour", "24"]) == 2
+            assert capsys.readouterr().err == f"usage error: --{error.value}\n"
 
 
 class TestDayRun:

@@ -40,6 +40,44 @@ class TestDirection:
         assert DOWN.value == "down"
         assert UP.value == "up"
 
+    def test_numpy_reads_the_values(self):
+        assert np.array([DOWN, UP]).tolist() == ["down", "up"]
+        assert np.where(np.array([False, True]), UP, DOWN).tolist() == ["down", "up"]
+
+    def test_values_and_arrays_give_the_members_bits(self, mid_schedule, beta22):
+        # Each side of one array call, or a value string, reads exactly as
+        # a call with the member. An array of directions of shape (2, 1)
+        # puts the sides ahead of the depths, prices or grid.
+        def bits(x):
+            return np.shape(x), np.asarray(x).tobytes()
+
+        pf = PenaltyFactors(over=0.3, under=0.4)
+        calls = {
+            "marginal_utility": lambda direction: vg.marginal_utility(
+                mid_schedule, pf, beta22, direction, np.array([0.0, 7.5, 30.0])),
+            "optimal_quantity": lambda direction: vg.optimal_quantity(
+                mid_schedule, pf, beta22, direction, np.array([0.0, 1.5, 4.0, 20.0])),
+            "demand_curve": lambda direction: vg.demand_curve(
+                mid_schedule, pf, beta22, direction, 5),
+        }
+        for name, call in calls.items():
+            down, up = call(DOWN), call(UP)
+            assert bits(down) != bits(up), name
+            for direction, want in ((DOWN, down), (UP, up)):
+                assert bits(call(direction.value)) == bits(want), name
+            assert bits(call(np.array([[DOWN], [UP]]))) == bits([down, up]), name
+            assert bits(call(np.array([["up"], ["down"]]))) == bits([up, down]), name
+
+    @pytest.mark.parametrize("direction", ["sideways", "Down", 1, None, np.array(["up", "x"])])
+    def test_other_directions_are_refused(self, mid_schedule, beta22, direction):
+        for call in (
+            lambda: vg.marginal_utility(mid_schedule, PF, beta22, direction, 1.0),
+            lambda: vg.optimal_quantity(mid_schedule, PF, beta22, direction, 1.0),
+            lambda: vg.demand_curve(mid_schedule, PF, beta22, direction, 3),
+        ):
+            with pytest.raises(ValueError, match="^direction must be 'down' or 'up', got "):
+                call()
+
 
 class TestValidation:
     def test_penalty_factor_ranges(self):
