@@ -19,6 +19,9 @@ DEFAULT_PRICE_RATIOS = tuple(round(0.05 * i, 2) for i in range(11))  # 0 .. 0.5
 # schema's bound on prices and factors, which keeps every cash flow and
 # variance finite (see docs/schemas.md).
 _FLAG_MAX = 1e6
+# The most draws supply-risk takes: its one whole row of normals is 8 bytes
+# a draw, 800 MB here.
+_SAMPLES_MAX = 10**8
 
 
 class UsageError(ValueError):
@@ -115,15 +118,15 @@ def cmd_supply_risk(args) -> None:
     except ValueError as exc:  # the correlation is the one argument a user sets
         raise UsageError(f"--{exc}") from None
     if args.exhaustive:
-        scenarios = provider.exhaustive_scenarios(model)
+        draws = [provider.exhaustive_scenarios(model)]
     else:
-        if args.samples < 2:
-            raise UsageError(f"--samples must be >= 2, got {args.samples}")
+        if not 2 <= args.samples <= _SAMPLES_MAX:
+            raise UsageError(f"--samples must be in [2, {_SAMPLES_MAX}], got {args.samples}")
         if args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
-        scenarios = provider.generate_scenarios(model, args.samples, args.seed)
+        draws = provider.generate_scenarios(model, args.samples, args.seed)
     kinds = list(RISK_UNITS) if args.unit_kind == "both" else [args.unit_kind]
-    reports = {kind: provider.risk_report(RISK_UNITS[kind], scenarios) for kind in kinds}
+    reports = dict(zip(kinds, provider.risk_report([RISK_UNITS[k] for k in kinds], draws)))
     table = {"kind": kinds}
     for f in fields(RiskReport):
         table[f.name] = [getattr(report, f.name) for report in reports.values()]

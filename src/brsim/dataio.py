@@ -458,10 +458,9 @@ def _table_chunks(table: Mapping[str, Sequence], fmt: str) -> Iterator[str]:
     cols, batches = _batches(table)
     if fmt == "csv":
         yield ",".join(cols) + "\n"
-        row = ",".join(["%s"] * len(cols)) + "\n"
         for batch in batches:
             text = [_column_text(cells, _CSV_TEXT, _format_cell) for cells in batch]
-            yield "".join(map(row.__mod__, zip(*text)))
+            yield "\n".join(map(",".join, zip(*text))) + "\n"
         return
     # Each batch is the text json.dumps gives its rows, without the list's
     # brackets; joined by the separator json.dumps puts between items, the

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,76 +173,92 @@ def rt_dispatch(u: DispatchableUnit, rt_price):
     return unwrap(np.where(held, u.da_schedule, np.where(above, u.p_max, u.p_min)))
 
 
-def _revenue_chunks(u: DispatchableUnit, scenarios: ScenarioSet):
-    """(revenue without cover, revenue with cover) for each chunk of at most
-    _RISK_CHUNK draws, in order."""
-    da = scenarios.da
-    for lo in range(0, len(scenarios), _RISK_CHUNK):
-        sl = slice(lo, lo + _RISK_CHUNK)
-        rt = scenarios.rt[sl]
-        shifted = u.da_schedule + scenarios.executed[sl]
-        outside = (shifted < u.p_min - _MW_EPS) | (shifted > u.p_max + _MW_EPS)
-        fail_where(outside, "scenario {}: shifted schedule outside [{}, {}], got {}",
-                   range(lo, lo + len(shifted)), u.p_min, u.p_max, shifted,
-                   error=ContractInfeasibleError)
-        out = rt_dispatch(u, rt)
-        rev0 = da * u.da_schedule + (out - u.da_schedule) * rt
-        rev1 = da * shifted + (out - shifted) * rt
-        yield rev0, rev1
+def _revenues(u: DispatchableUnit, da: float, rt, executed, first: int):
+    """(revenue without cover, revenue with cover) for draws numbered from
+    ``first``, at DA price da."""
+    shifted = u.da_schedule + executed
+    outside = (shifted < u.p_min - _MW_EPS) | (shifted > u.p_max + _MW_EPS)
+    fail_where(outside, "scenario {}: shifted schedule outside [{}, {}], got {}",
+               range(first, first + len(shifted)), u.p_min, u.p_max, shifted,
+               error=ContractInfeasibleError)
+    out = rt_dispatch(u, rt)
+    rev0 = da * u.da_schedule + (out - u.da_schedule) * rt
+    rev1 = da * shifted + (out - shifted) * rt
+    return rev0, rev1
 
 
-def risk_report(u: DispatchableUnit, scenarios: ScenarioSet) -> RiskReport:
-    """Moments of the incremental cash flow over a scenario set.
+def risk_report(units: Sequence[DispatchableUnit],
+                draws: Iterable[ScenarioSet]) -> list[RiskReport]:
+    """Moments of each unit's incremental cash flow over the draws, an
+    iterable of scenario sets read as one set in order, in one walk.
 
     A sample's variances divide by n - 1. An exhaustive set lists equally
-    likely outcomes, so its moments are exact and its variances divide by n.
-    One walk over chunks: the delta's chunk sums are added with math.fsum,
-    and each revenue's chunk mean and squared deviations about it are merged
-    pairwise (Chan, Golub & LeVeque 1983), so one chunk gives exactly np.mean
-    and np.var.
+    likely outcomes, so its moments are exact and its variances divide by n;
+    the sets must agree on which they are. Each set is walked in chunks of
+    at most _RISK_CHUNK draws: the delta's chunk sums are added with
+    math.fsum, and each revenue's chunk mean and squared deviations about it
+    are merged pairwise (Chan, Golub & LeVeque 1983), so one chunk gives
+    exactly np.mean and np.var. A draw is named by its index in the walk.
     """
-    n = len(scenarios)
-    if n < 2:
-        raise ValueError(f"need at least 2 scenarios, got {n}")
-    deltas, seen, moments = [], 0.0, ([0.0, 0.0], [0.0, 0.0])  # each revenue's (mean, M2)
-    for rev0, rev1 in _revenue_chunks(u, scenarios):
-        deltas.append(float((rev1 - rev0).sum()))
-        k = len(rev0)
-        share = k / (seen + k)
-        for x, mm in zip((rev0, rev1), moments):
-            mean = float(x.sum()) / k
-            x -= mean
-            x *= x
-            d = mean - mm[0]
-            mm[0] += d * share
-            mm[1] += float(x.sum()) + d * d * seen * share
-        seen += k
-    var0, var1 = (m2 / (n if scenarios.exhaustive else n - 1) for _, m2 in moments)
-    return RiskReport(math.fsum(deltas) / n, var0, var1, var1 - var0)
+    # Per unit: its delta's chunk sums, and each revenue's [mean, M2].
+    stats = [([], [0.0, 0.0], [0.0, 0.0]) for _ in units]
+    seen, exhaustive = 0, None
+    for scenarios in draws:
+        if exhaustive not in (None, scenarios.exhaustive):
+            raise ValueError("scenario sets disagree on exhaustive")
+        exhaustive = scenarios.exhaustive
+        for lo in range(0, len(scenarios), _RISK_CHUNK):
+            rt = scenarios.rt[lo:lo + _RISK_CHUNK]
+            executed = scenarios.executed[lo:lo + _RISK_CHUNK]
+            k = len(rt)
+            share = k / (seen + k)
+            for u, (deltas, *moments) in zip(units, stats):
+                rev0, rev1 = _revenues(u, scenarios.da, rt, executed, seen)
+                deltas.append(float((rev1 - rev0).sum()))
+                for x, mm in zip((rev0, rev1), moments):
+                    mean = float(x.sum()) / k
+                    x -= mean
+                    x *= x
+                    d = mean - mm[0]
+                    mm[0] += d * share
+                    mm[1] += float(x.sum()) + d * d * seen * share
+            seen += k
+    if seen < 2:
+        raise ValueError(f"need at least 2 scenarios, got {seen}")
+    div = seen if exhaustive else seen - 1
+    return [RiskReport(math.fsum(deltas) / seen, m0 / div, m1 / div, m1 / div - m0 / div)
+            for deltas, (_, m0), (_, m1) in stats]
 
 
-def generate_scenarios(model: ScenarioModel, n: int, seed: int) -> ScenarioSet:
-    """Seeded joint draws. The shift is built from the same normal factor as
-    the price gap so corr(rt_price, executed) equals model.correlation."""
+def generate_scenarios(model: ScenarioModel, n: int, seed: int) -> Iterator[ScenarioSet]:
+    """Seeded joint draws, as read-only sets of at most _RISK_CHUNK draws in
+    order. The shift is built from the same normal factor as the price gap
+    so corr(rt_price, executed) equals model.correlation."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    z = np.random.default_rng(seed).standard_normal((2, n))
-    z1, z2 = z
-    # In place, rounded as shift = std_e*(rho*(-z1) + sqrt(1-rho^2)*z2) and
-    # rt = da - gap*z1; z1*(-rho) is the only temporary, one chunk at a time.
-    # The set keeps the read-only buffer.
+    return _scenario_chunks(model, n, np.random.default_rng(seed))
+
+
+def _scenario_chunks(model: ScenarioModel, n: int,
+                     rng: np.random.Generator) -> Iterator[ScenarioSet]:
+    # The gap's normals z1 are drawn whole and each chunk's shift normals z2
+    # after them, the draw standard_normal((2, n)) makes. Rounded as
+    # shift = std_e*(rho*(-z1) + sqrt(1-rho^2)*z2) and rt = da - gap*z1; each
+    # set keeps its chunk's two arrays.
+    z1 = rng.standard_normal(n)
     rho = model.correlation
-    z2 *= math.sqrt(1.0 - rho * rho)
     for lo in range(0, n, _RISK_CHUNK):
-        z2[lo:lo + _RISK_CHUNK] += z1[lo:lo + _RISK_CHUNK] * (-rho)
-    z2 *= model.execution_std
-    if model.execution_limit is not None:
-        np.clip(z2, -model.execution_limit, model.execution_limit, out=z2)
-    z1 *= model.gap_std
-    np.subtract(model.da_price_mean, z1, out=z1)
-    z.flags.writeable = False
-    rt, shift = z
-    return ScenarioSet(model.da_price_mean, rt, shift)
+        z = z1[lo:lo + _RISK_CHUNK]
+        shift = rng.standard_normal(len(z))
+        shift *= math.sqrt(1.0 - rho * rho)
+        shift += z * (-rho)
+        shift *= model.execution_std
+        if model.execution_limit is not None:
+            np.clip(shift, -model.execution_limit, model.execution_limit, out=shift)
+        rt = z * model.gap_std
+        np.subtract(model.da_price_mean, rt, out=rt)
+        rt.flags.writeable = shift.flags.writeable = False
+        yield ScenarioSet(model.da_price_mean, rt, shift)
 
 
 def exhaustive_scenarios(model: ScenarioModel) -> ScenarioSet:

@@ -19,6 +19,10 @@ cannot change an oracle along with the code it judges.
 - ``JointScenario``, ``revenue_unit`` and ``revenue_unit_with_brs`` price
   one draw with scalar arithmetic, the way ``provider`` did before its
   risk moments were taken over arrays of draws.
+- ``whole_scenarios`` is ``provider.generate_scenarios`` as it was before
+  it yielded its draws in chunks: both rows of normals drawn at once and
+  turned in place into one set over a read-only ``(2, n)`` buffer.
+  ``joined`` is one set of the draws of consecutive sets.
 - ``revenue_realized`` and ``revenue_with_brs`` are the producer's settled
   revenue at one realized output, the piecewise payoffs whose expectation
   ``vg.expected_revenue`` takes in closed form.
@@ -65,7 +69,8 @@ from brsim.dataio import POOL, ScenarioConfig, ScenarioError, VgParams
 from brsim.forecast import ForecastDistribution
 from brsim.market import LEDGER_TAGS, SettlementLedger
 from brsim.provider import (
-    _MW_EPS, ContractInfeasibleError, DispatchableUnit, UnitKind, rt_dispatch,
+    _MW_EPS, _RISK_CHUNK, ContractInfeasibleError, DispatchableUnit, ScenarioModel, ScenarioSet,
+    UnitKind, rt_dispatch,
 )
 from brsim.vg import DOWN, UP, BrsPosition, Direction, PenaltyFactors, VgSchedule
 
@@ -272,6 +277,33 @@ def revenue_unit_with_brs(
         )
     out = rt_dispatch(u, sc.rt_price) if rt_output is None else rt_output
     return sc.da_price * shifted + (out - shifted) * sc.rt_price
+
+
+def whole_scenarios(model: ScenarioModel, n: int, seed: int) -> ScenarioSet:
+    """n seeded joint draws in one set, over one read-only (2, n) buffer."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    z = np.random.default_rng(seed).standard_normal((2, n))
+    z1, z2 = z
+    rho = model.correlation
+    z2 *= math.sqrt(1.0 - rho * rho)
+    for lo in range(0, n, _RISK_CHUNK):
+        z2[lo:lo + _RISK_CHUNK] += z1[lo:lo + _RISK_CHUNK] * (-rho)
+    z2 *= model.execution_std
+    if model.execution_limit is not None:
+        np.clip(z2, -model.execution_limit, model.execution_limit, out=z2)
+    z1 *= model.gap_std
+    np.subtract(model.da_price_mean, z1, out=z1)
+    z.flags.writeable = False
+    rt, shift = z
+    return ScenarioSet(model.da_price_mean, rt, shift)
+
+
+def joined(sets) -> ScenarioSet:
+    """The draws of consecutive sets, at the first one's DA price, as one set."""
+    sets = list(sets)
+    return ScenarioSet(sets[0].da, np.concatenate([s.rt for s in sets]),
+                       np.concatenate([s.executed for s in sets]), sets[0].exhaustive)
 
 
 def _check_actual(actual: float, capacity: float | None) -> None:

@@ -383,7 +383,7 @@ def test_criterion_08_shift_payoff_mean_is_centered():
     model = ScenarioModel(
         da_price_mean=30.0, gap_std=5.0, execution_std=10.0, correlation=0.0
     )
-    scenarios = provider.generate_scenarios(model, 100_000, seed=2026)
+    scenarios = oracles.joined(provider.generate_scenarios(model, 100_000, seed=2026))
     deltas = (scenarios.da - scenarios.rt) * scenarios.executed
     mean = float(deltas.mean())
     stderr = float(deltas.std(ddof=1) / np.sqrt(len(deltas)))
@@ -402,7 +402,7 @@ def test_criterion_09_enumeration_exact_and_ordering_stable():
     scenarios = provider.exhaustive_scenarios(model)
     base = DispatchableUnit(UnitKind.BASE_LOAD, 150.0, 250.0, 15.0, 200.0)
     marginal = DispatchableUnit(UnitKind.MARGINAL, 150.0, 250.0, 35.0, 200.0)
-    rep = provider.risk_report(base, scenarios)
+    [rep] = provider.risk_report([base], [scenarios])
     # Four equally likely outcomes, each of weight 1/4.
     assert scenarios.exhaustive and len(scenarios) == 4
     deltas = (scenarios.da - scenarios.rt) * scenarios.executed
@@ -419,7 +419,7 @@ def test_criterion_09_enumeration_exact_and_ordering_stable():
     )
     for seed in range(20):
         sampled = provider.generate_scenarios(corr_model, 20_000, seed=seed)
-        rb, rm = provider.risk_report(base, sampled), provider.risk_report(marginal, sampled)
+        rb, rm = provider.risk_report([base, marginal], sampled)
         assert rm.incremental_variance < rb.incremental_variance, (
             f"seed {seed}: ordering failed"
         )

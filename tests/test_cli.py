@@ -328,7 +328,7 @@ class TestSupplyRisk:
         assert path.read_bytes() == (GOLDEN / "supply_risk_exhaustive.csv").read_bytes()
         code, _, err = run_cli(capsys, "supply-risk", "--samples", "1")
         assert code == 2
-        assert err == "usage error: --samples must be >= 2, got 1\n"
+        assert err == "usage error: --samples must be in [2, 100000000], got 1\n"
 
     def test_negative_seed_is_checked_before_any_draw(self, capsys, monkeypatch):
         def no_draws(*args):
@@ -339,6 +339,30 @@ class TestSupplyRisk:
         assert code == 2
         assert err == "usage error: --seed must be >= 0, got -1\n"
         assert out == ""
+
+    @pytest.mark.parametrize("samples", ["100000001", "10000000000000"])
+    def test_samples_bound_is_checked_before_any_draw(self, capsys, monkeypatch, samples):
+        def no_draws(*args):
+            raise AssertionError("drew scenarios")
+
+        monkeypatch.setattr(provider, "generate_scenarios", no_draws)
+        code, out, err = run_cli(capsys, "supply-risk", "--samples", samples)
+        assert code == 2
+        assert err == f"usage error: --samples must be in [2, 100000000], got {samples}\n"
+        assert out == ""
+
+    def test_single_kind_is_its_row_of_both(self, capsys):
+        # JSON keeps every bit; 300,000 draws span five chunks.
+        flags = ["--samples", "300000", "--seed", "7", "--correlation", "0.4", "--format", "json"]
+        _, both, _ = run_cli(capsys, "supply-risk", "--unit-kind", "both", *flags)
+        rows = []
+        for kind in ("base_load", "marginal"):
+            code, out, _ = run_cli(capsys, "supply-risk", "--unit-kind", kind, *flags)
+            assert code == 0 and out.startswith("[") and out.endswith("]\n")
+            rows.append(out[1:-2])
+        assert both.startswith("[" + ", ".join(rows) + "]\nverdict: ")
+        marginal = (GOLDEN / "supply_risk_samples300000_seed7_marginal.json").read_text()
+        assert marginal == f"[{rows[1]}]\n"
 
     # CSV tables written before risk_report walked the set in chunks; 300,000
     # draws span five chunks. The JSON tables keep every bit of the moments.

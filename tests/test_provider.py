@@ -19,7 +19,7 @@ from brsim.provider import (
     ScenarioSet,
     UnitKind,
 )
-from oracles import JointScenario, revenue_unit, revenue_unit_with_brs
+from oracles import JointScenario, joined, revenue_unit, revenue_unit_with_brs, whole_scenarios
 
 
 def base_unit(schedule=200.0):
@@ -143,6 +143,11 @@ class TestRevenues:
         assert got == pytest.approx(6000.0 + 20.0 * 25.0)
 
 
+def report(u, scs):
+    """u's risk report over the one set scs."""
+    return provider.risk_report([u], [scs])[0]
+
+
 def scenario_set(rows, exhaustive=False):
     """A ScenarioSet from (da, rt, executed) rows at one DA price."""
     da, rt, ex = zip(*rows)
@@ -194,14 +199,21 @@ class TestScenarioSet:
         memory[:8] = np.array([-1.0]).tobytes()
         assert scs.rt[0] == 25.0
 
-    def test_generated_set_shares_one_read_only_buffer(self):
-        scs = provider.generate_scenarios(ScenarioModel(), 100, seed=1)
-        buffer = scs.rt.base
-        assert buffer.shape == (2, 100) and not buffer.flags.writeable
-        for arr in (scs.rt, scs.executed):
-            assert arr.base is buffer
-            with pytest.raises(ValueError):
-                arr.flags.writeable = True
+    def test_generated_chunks_are_read_only_and_kept_without_a_copy(self, monkeypatch):
+        given = []
+
+        def spy(da, rt, executed):
+            given.append((rt, executed))
+            return ScenarioSet(da, rt, executed)
+
+        monkeypatch.setattr(provider, "ScenarioSet", spy)
+        chunks = list(provider.generate_scenarios(ScenarioModel(), C + 1, seed=1))
+        assert len(chunks) == len(given) == 2
+        for scs, arrays in zip(chunks, given):
+            for arr, passed in zip((scs.rt, scs.executed), arrays):
+                assert arr is passed and arr.base is None
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive_da(self, bad):
@@ -238,16 +250,16 @@ class TestScenarioSet:
 class TestRiskReport:
     def test_needs_two_scenarios(self):
         with pytest.raises(ValueError):
-            provider.risk_report(base_unit(), scenario_set([(30.0, 25.0, 0.0)]))
+            report(base_unit(), scenario_set([(30.0, 25.0, 0.0)]))
 
     def test_infeasible_scenario_is_named(self):
         scs = scenario_set([(30.0, 25.0, 0.0), (30.0, 25.0, -80.0)])
         with pytest.raises(ContractInfeasibleError, match="scenario 1"):
-            provider.risk_report(base_unit(), scs)
+            report(base_unit(), scs)
 
     def test_unweighted_uses_sample_variance(self):
         scs = scenario_set([(30.0, 28.0, 5.0), (30.0, 32.0, -5.0), (30.0, 30.0, 0.0)])
-        rep = provider.risk_report(base_unit(), scs)
+        rep = report(base_unit(), scs)
         # Deltas are (da-rt)*shift: 10, 10, 0. Base revenue without cover is
         # flat, so the with-cover variance is the n-1 variance of the deltas.
         deltas = [10.0, 10.0, 0.0]
@@ -263,7 +275,7 @@ class TestRiskReport:
         w = [0.25] * 4
         scs = scenario_set([(30.0, 25.0, 10.0), (30.0, 25.0, 10.0), (30.0, 35.0, 10.0),
                             (30.0, 25.0, -10.0)], exhaustive=True)
-        rep = provider.risk_report(base_unit(), scs)
+        rep = report(base_unit(), scs)
         deltas = [50.0, 50.0, -50.0, -50.0]
         mean = sum(p * x for p, x in zip(w, deltas))
         var = sum(p * (x - mean) ** 2 for p, x in zip(w, deltas))
@@ -281,7 +293,7 @@ class TestEnumeratedLaw:
         # Every (gap, shift) sign pair appears once.
         pairs = sorted(zip(scs.da - scs.rt, scs.executed))
         assert pairs == [(-5.0, -10.0), (-5.0, 10.0), (5.0, -10.0), (5.0, 10.0)]
-        rep = provider.risk_report(base_unit(), scs)
+        rep = report(base_unit(), scs)
         # Payoff is gap*shift = +-50 with equal probability: mean 0, second
         # moment 2500, both exact in binary floating point.
         assert rep.expected_delta == 0.0
@@ -292,8 +304,8 @@ class TestEnumeratedLaw:
     def test_enumeration_indifferent_without_correlation(self):
         model = ScenarioModel(da_price_mean=30.0, gap_std=5.0, execution_std=10.0)
         scs = provider.exhaustive_scenarios(model)
-        base = provider.risk_report(base_unit(), scs)
-        marginal = provider.risk_report(marginal_unit(), scs)
+        base = report(base_unit(), scs)
+        marginal = report(marginal_unit(), scs)
         assert base.incremental_variance == 2500.0
         assert marginal.incremental_variance == 2500.0
         assert not marginal.incremental_variance < base.incremental_variance
@@ -309,7 +321,7 @@ UNITS = [provider.RISK_UNITS["base_load"], provider.RISK_UNITS["marginal"]]
 
 def chunk_test_sets(n):
     """A generated set of n draws, and the same draws as an exhaustive set."""
-    scs = provider.generate_scenarios(RISK_MODEL, n, seed=n)
+    scs = joined(provider.generate_scenarios(RISK_MODEL, n, seed=n))
     return scs, ScenarioSet(scs.da, scs.rt, scs.executed, exhaustive=True)
 
 
@@ -362,7 +374,7 @@ class TestChunkedMoments:
                 mean = fsum_moments(delta, scs.exhaustive)[0]
                 var0 = fsum_moments(rev0, scs.exhaustive)[1]
                 var1 = fsum_moments(rev1, scs.exhaustive)[1]
-                rep = provider.risk_report(u, scs)
+                rep = report(u, scs)
                 assert rep.expected_delta == pytest.approx(mean, rel=1e-9, abs=1e-12 * scale)
                 assert rep.variance_without == pytest.approx(var0, rel=1e-9, abs=tol)
                 assert rep.variance_with == pytest.approx(var1, rel=1e-9, abs=tol)
@@ -373,7 +385,7 @@ class TestChunkedMoments:
     def test_one_chunk_is_bit_for_bit_the_whole_set(self, n):
         for scs in chunk_test_sets(n):
             for u in UNITS:
-                rep = provider.risk_report(u, scs)
+                rep = report(u, scs)
                 mean, var0, var1 = whole_set_report(u, scs)
                 assert rep.expected_delta == mean
                 assert rep.variance_without == var0
@@ -387,7 +399,7 @@ class TestChunkedMoments:
         rt = np.concatenate([np.full(C, 30.0 - 2.0**35), np.full(C, 30.0 - 2.0**-14),
                              [30.0 - 2.0**51]])
         executed = np.concatenate([np.full(C, 32.0), np.ones(C), [-32.0]])
-        rep = provider.risk_report(UNITS[0], ScenarioSet(30.0, rt, executed))
+        rep = report(UNITS[0], ScenarioSet(30.0, rt, executed))
         assert rep.expected_delta == 4.0 / (2 * C + 1)
 
     @pytest.mark.parametrize("exhaustive", [False, True])
@@ -402,7 +414,7 @@ class TestChunkedMoments:
         scs = ScenarioSet(1e5, rt, executed, exhaustive=exhaustive)
         for u in UNITS:
             rev0, rev1 = (rev.tolist() for rev in whole_set_revenues(u, scs))
-            rep = provider.risk_report(u, scs)
+            rep = report(u, scs)
             assert rep.variance_without == pytest.approx(fsum_moments(rev0, exhaustive)[1],
                                                          rel=1e-9)
             assert rep.variance_with == pytest.approx(fsum_moments(rev1, exhaustive)[1],
@@ -410,13 +422,54 @@ class TestChunkedMoments:
 
     @pytest.mark.parametrize("u", UNITS, ids=lambda u: u.kind.value)
     def test_infeasible_draw_is_named_by_its_index_in_the_set(self, u):
-        scs = provider.generate_scenarios(RISK_MODEL, 2 * C + 1, seed=3)
+        scs = joined(provider.generate_scenarios(RISK_MODEL, 2 * C + 1, seed=3))
         executed = scs.executed.copy()
         executed[C + 3] = -80.0
         executed[2 * C] = 80.0
         bad = ScenarioSet(scs.da, scs.rt, executed)
         with pytest.raises(ContractInfeasibleError, match=f"^scenario {C + 3}: "):
-            provider.risk_report(u, bad)
+            report(u, bad)
+        # Split across sets, a draw keeps its index in the walk.
+        parts = [ScenarioSet(bad.da, bad.rt[sl], bad.executed[sl])
+                 for sl in (slice(0, C + 1), slice(C + 1, None))]
+        with pytest.raises(ContractInfeasibleError, match=f"^scenario {C + 3}: "):
+            provider.risk_report([u], parts)
+
+    def test_sets_must_agree_on_exhaustive(self):
+        rows = [(30.0, 25.0, 0.0), (30.0, 35.0, 1.0)]
+        for first in (False, True):
+            sets = [scenario_set(rows, first), scenario_set(rows, not first)]
+            with pytest.raises(ValueError, match="^scenario sets disagree on exhaustive$"):
+                provider.risk_report(UNITS, sets)
+
+
+# The risk units with room for any unclipped shift the tests draw.
+WIDE_UNITS = [dataclasses.replace(u, p_min=0.0, p_max=400.0) for u in UNITS]
+
+
+def bits(reports):
+    return [tuple(map(float.hex, dataclasses.astuple(r))) for r in reports]
+
+
+class TestStreamedDraws:
+    @pytest.mark.parametrize("limit", [None, provider.RISK_HEADROOM])
+    @pytest.mark.parametrize("n", [2, C - 1, C, C + 1, 2 * C + 1])
+    def test_chunks_are_the_whole_buffer_draws(self, n, limit):
+        # Bit for bit against both normal rows drawn at once: the draws, and
+        # both kinds' reports from one walk and from one walk each.
+        model = dataclasses.replace(RISK_MODEL, execution_limit=limit)
+        chunks = list(provider.generate_scenarios(model, n, seed=n))
+        assert [len(scs) for scs in chunks] == [min(C, n - lo) for lo in range(0, n, C)]
+        assert all(scs.da == model.da_price_mean and not scs.exhaustive for scs in chunks)
+        whole = whole_scenarios(model, n, seed=n)
+        for name in ("rt", "executed"):
+            got = np.concatenate([getattr(scs, name) for scs in chunks])
+            assert got.tobytes() == getattr(whole, name).tobytes()
+        want = bits(report(u, whole) for u in WIDE_UNITS)
+        assert bits(provider.risk_report(WIDE_UNITS, chunks)) == want
+        assert bits(provider.risk_report(WIDE_UNITS, [whole])) == want
+        streamed = provider.risk_report(WIDE_UNITS, provider.generate_scenarios(model, n, seed=n))
+        assert bits(streamed) == want
 
 
 def traced_peak(fn):
@@ -434,16 +487,14 @@ def traced_peak(fn):
             tracemalloc.stop()
 
 
-def test_risk_memory_stays_near_the_scenario_set():
-    # The set is two float64 arrays. Generation fills them in place of the
-    # normals, and the reports hold one chunk of temporaries at a time.
-    n = 400_000
-    set_bytes = 2 * 8 * n
+def test_risk_memory_stays_below_both_normal_rows():
+    # Both reports walk the draws as they are made: one whole row of normals
+    # (8n bytes) and a chunk at a time, below the 16n bytes of both rows.
+    n = 1_000_000
     model = ScenarioModel(correlation=0.4, execution_limit=provider.RISK_HEADROOM)
-    scs, generation = traced_peak(lambda: provider.generate_scenarios(model, n, seed=7))
-    _, reports = traced_peak(lambda: [provider.risk_report(u, scs) for u in UNITS])
-    assert generation <= 1.5 * set_bytes
-    assert reports < set_bytes
+    _, peak = traced_peak(
+        lambda: provider.risk_report(UNITS, provider.generate_scenarios(model, n, seed=7)))
+    assert peak < 16 * n
 
 
 def same_draws(a, b):
@@ -454,9 +505,9 @@ def same_draws(a, b):
 class TestScenarioGeneration:
     def test_seeded_and_reproducible(self):
         model = ScenarioModel()
-        a = provider.generate_scenarios(model, 50, seed=3)
-        b = provider.generate_scenarios(model, 50, seed=3)
-        c = provider.generate_scenarios(model, 50, seed=4)
+        a = joined(provider.generate_scenarios(model, 50, seed=3))
+        b = joined(provider.generate_scenarios(model, 50, seed=3))
+        c = joined(provider.generate_scenarios(model, 50, seed=4))
         assert not a.exhaustive
         assert same_draws(a, b)
         assert not np.array_equal(a.rt, c.rt)
@@ -478,7 +529,7 @@ class TestScenarioGeneration:
         if limit is not None:
             assert np.abs(ex).max() > limit
             ex = np.minimum(np.maximum(ex, -limit), limit)
-        scs = provider.generate_scenarios(model, n, seed)
+        scs = joined(provider.generate_scenarios(model, n, seed))
         assert len(scs) == n
         assert same_draws(scs, ScenarioSet(40.0, rt, ex))
 
@@ -488,13 +539,13 @@ class TestScenarioGeneration:
 
     def test_correlation_is_respected(self):
         model = ScenarioModel(correlation=0.7)
-        scs = provider.generate_scenarios(model, 50_000, seed=11)
+        scs = joined(provider.generate_scenarios(model, 50_000, seed=11))
         got = float(np.corrcoef(scs.rt, scs.executed)[0, 1])
         assert got == pytest.approx(0.7, abs=0.05)
 
     def test_execution_limit_clips(self):
         model = ScenarioModel(execution_std=10.0, execution_limit=25.0)
-        scs = provider.generate_scenarios(model, 20_000, seed=5)
+        scs = joined(provider.generate_scenarios(model, 20_000, seed=5))
         assert np.abs(scs.executed).max() <= 25.0
 
     def test_nonpositive_da_price_rejected(self):
@@ -521,9 +572,8 @@ class TestKindComparison:
             correlation=0.5,
             execution_limit=45.0,
         )
-        scs = provider.generate_scenarios(model, 20_000, seed=17)
-        base = provider.risk_report(base_unit(), scs)
-        marginal = provider.risk_report(marginal_unit(), scs)
+        draws = provider.generate_scenarios(model, 20_000, seed=17)
+        base, marginal = provider.risk_report([base_unit(), marginal_unit()], draws)
         assert marginal.incremental_variance < base.incremental_variance
 
 
@@ -584,8 +634,7 @@ def test_shift_payoff_identity_any_rt_output(case, rt_out):
 @settings(max_examples=30, deadline=None)
 def test_zero_shift_means_zero_incremental_risk(seed, n):
     model = ScenarioModel(execution_std=0.0, gap_std=8.0)
-    scs = provider.generate_scenarios(model, n, seed=seed)
-    rep = provider.risk_report(marginal_unit(), scs)
+    [rep] = provider.risk_report([marginal_unit()], provider.generate_scenarios(model, n, seed=seed))
     assert rep.expected_delta == 0.0
     assert rep.incremental_variance == 0.0
     assert math.isfinite(rep.variance_without)
@@ -616,7 +665,7 @@ def test_risk_report_matches_scalar_oracle(case):
     variance = statistics.pvariance if exhaustive else statistics.variance
     mean, var0, var1 = statistics.fmean(delta), variance(rev0), variance(rev1)
     scs = scenario_set([(sc.da_price, sc.rt_price, sc.executed) for sc in draws], exhaustive)
-    rep = provider.risk_report(u, scs)
+    rep = report(u, scs)
     scale = max(1.0, *map(abs, rev0), *map(abs, rev1))
     assert rep.expected_delta == pytest.approx(mean, rel=1e-9, abs=1e-12 * scale)
     tol = 1e-12 * scale**2
