@@ -22,6 +22,11 @@ _FLAG_MAX = 1e6
 # The most draws supply-risk takes: its one whole row of normals is 8 bytes
 # a draw, 800 MB here.
 _SAMPLES_MAX = 10**8
+# The most cells demand-curve's (direction, alpha, point) grid and
+# profit-sweep's (scale, ratio, hour) grid take. Above a base of about 55 MB,
+# a cell costs about 190 bytes in demand-curve and 240 in profit-sweep (peak
+# RSS on day24), so the largest grid stays near 1 GB.
+_CELLS_MAX = 4 * 10**6
 
 
 class UsageError(ValueError):
@@ -66,6 +71,10 @@ def cmd_demand_curve(args) -> None:
             raise UsageError(f"--alpha values must be in [0, 1], got {a}")
     if args.points < 2:
         raise UsageError(f"--points must be >= 2, got {args.points}")
+    n_alpha = len(args.alpha or [None])  # without --alpha, the scenario's penalty
+    if 2 * n_alpha * args.points > _CELLS_MAX:
+        raise UsageError(f"--points ({args.points}) x --alpha ({n_alpha}) x 2 directions "
+                         f"exceeds {_CELLS_MAX} cells")
     cfg = dataio.load_scenario(args.scenario)
     s, _, d = _hour_context(cfg, args.hour)
     alphas = args.alpha or [cfg.penalty.over]
@@ -96,6 +105,9 @@ def cmd_profit_sweep(args) -> None:
     cfg = dataio.load_scenario(args.scenario)
     ratios = args.price_ratios or list(DEFAULT_PRICE_RATIOS)
     scales = args.variance_scales or list(cfg.variance_scale_factors)
+    if len(scales) * len(ratios) * cfg.horizon > _CELLS_MAX:
+        raise UsageError(f"--variance-scales ({len(scales)}) x --price-ratios ({len(ratios)}) x "
+                         f"{cfg.horizon} hours exceeds {_CELLS_MAX} cells")
     _emit(simulation.profit_sweep(cfg, ratios, scales), args)
 
 
@@ -113,6 +125,9 @@ def cmd_simulate_day(args) -> None:
 
 
 def cmd_supply_risk(args) -> None:
+    if args.exhaustive and args.correlation != 0.0:
+        raise UsageError(f"--correlation must be 0 with --exhaustive, whose four-outcome law "
+                         f"has no correlation; got {args.correlation}")
     try:
         model = ScenarioModel(correlation=args.correlation, execution_limit=RISK_HEADROOM)
     except ValueError as exc:  # the correlation is the one argument a user sets
@@ -183,9 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit-kind", choices=["both", "base_load", "marginal"], default="both")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--correlation", type=float, default=0.0)
+    p.add_argument("--correlation", type=float, default=0.0,
+                   help="price/shortage correlation of the sampled law (default 0)")
     p.add_argument("--exhaustive", action="store_true",
-                   help="replace sampling with the two-point joint enumeration")
+                   help="replace sampling with the four-outcome enumeration, which ignores "
+                        "--samples and --seed and has no correlation: --correlation must be 0")
     add_output_flags(p)
     p.set_defaults(func=cmd_supply_risk)
 

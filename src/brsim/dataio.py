@@ -54,12 +54,12 @@ class PenaltyConfig:
 class VgParams:
     capacity_mw: float
     forecast_mean_mw: tuple[float, ...]
-    id: str = "vg"
-    variance_coefficient: float = 0.05
-    variance_scale: float = 1.0
-    da_schedule_mw: tuple[float, ...] = ()  # the loader's default: the means
+    id: str
+    variance_coefficient: float
+    variance_scale: float
+    da_schedule_mw: tuple[float, ...]
+    claim_error_std_mw: float
     realized_mw: tuple[float, ...] | None = None
-    claim_error_std_mw: float = 0.0
     zone: str | None = None
 
 
@@ -71,7 +71,7 @@ class UnitConfig:
     p_max_mw: float
     marginal_cost: float
     da_schedule_mw: tuple[float, ...]
-    rt_mode: str = "merit"
+    rt_mode: str
     zone: str | None = None
 
 
@@ -79,9 +79,9 @@ class UnitConfig:
 class BrsPriceModel:
     """Premium prices either absolute ($/MW) or as a ratio of the DA price."""
 
-    mode: str = "ratio"
-    down: float = 0.1
-    up: float = 0.1
+    mode: str
+    down: float
+    up: float
 
     def prices_at(self, da_price: float) -> tuple[float, float]:
         if self.mode == "ratio":
@@ -103,11 +103,11 @@ class ScenarioConfig:
     rt_price: tuple[float, ...]
     # The offer book as columns, one per offer field, None where absent.
     offers: Mapping[str, tuple]
-    brs_price: BrsPriceModel = BrsPriceModel()
-    units: tuple[UnitConfig, ...] = ()
+    brs_price: BrsPriceModel
+    units: tuple[UnitConfig, ...]
+    variance_scale_factors: tuple[float, ...]
+    seed: int
     zonal_rule: ZonalRuleConfig | None = None
-    variance_scale_factors: tuple[float, ...] = (1.0,)
-    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ _KEYWORDS = {
     "array": {"items", "minItems", "maxItems"},
     "number": set(_BOUNDS), "integer": set(_BOUNDS), "string": set(), "null": set(),
 }
-_ANYWHERE = {"type", "enum", "oneOf", "$schema", "$id", "title", "description"}
+_ANYWHERE = {"type", "enum", "oneOf", "default", "$schema", "$id", "title", "description"}
 _NAMES = {"object": "an object", "array": "a list", "integer": "an integer", "null": "null"}
 _TYPES = {"object": dict, "array": list, "number": (int, float), "integer": (int, float),
           "string": str, "null": type(None)}
@@ -155,12 +155,12 @@ def _rows(table: Mapping[str, Sequence], n: int = 0) -> list[dict]:
 def _compile(node: dict) -> Callable[..., list | dict]:
     """The check of one subschema over a list of values, a lone value being
     a list of one. It returns normalized copies (numbers as float, integers
-    as int, arrays as tuples, objects as dicts without the fields that read
-    None, or with ``columns=True`` as one table with None where a field is
-    absent), or raises _Invalid at the first bad value in document order.
-    Each rule runs over the whole list; only a list that fails is checked
-    again in halves. It refuses what it cannot interpret, so the schema
-    cannot outgrow it unnoticed."""
+    as int, arrays as tuples, objects as dicts with each absent field's
+    default and without the fields that read None, or with ``columns=True``
+    as one table with None where a field is absent), or raises _Invalid at
+    the first bad value in document order. Each rule runs over the whole
+    list; only a list that fails is checked again in halves. It refuses what
+    it cannot interpret, so the schema cannot outgrow it unnoticed."""
     types = [node["type"]] if isinstance(node.get("type"), str) else node.get("type", [])
     kind = next((t for t in types if t != "null"), None)
     branches = [_compile(branch) for branch in node.get("oneOf", ())]
@@ -178,6 +178,8 @@ def _compile(node: dict) -> Callable[..., list | dict]:
     min_items, max_items = node.get("minItems", 0), node.get("maxItems", math.inf)
     props = {key: _compile(sub) for key, sub in node.get("properties", {}).items()}
     required, closed = set(node.get("required", ())), node.get("additionalProperties") is False
+    # An absent field reads its default, which is checked as a written value is.
+    fills = {key: sub.get("default", _ABSENT) for key, sub in node.get("properties", {}).items()}
 
     # On a list of one, each rule names the value's first broken rule.
     def numbers(xs: list) -> list:
@@ -215,10 +217,10 @@ def _compile(node: dict) -> Callable[..., list | dict]:
         keys = set().union(*xs)
         if closed and not keys <= props.keys():
             raise _Invalid(f"unknown field(s) {sorted(keys - props.keys())}")
-        absent = itertools.repeat(_ABSENT)
         try:
             cols = {k: list(map(operator.itemgetter(k), xs)) if k in required
-                    else list(map(dict.get, xs, itertools.repeat(k), absent))
+                    else list(map(dict.get, xs, itertools.repeat(k),
+                                  itertools.repeat(fills.get(k, _ABSENT))))
                     for k in [*props, *sorted(keys - props.keys())]}
         except KeyError:
             raise _Invalid(f"missing required field(s) {sorted(required - xs[0].keys())}") from None
@@ -325,7 +327,7 @@ def _check_rules(doc: dict) -> None:
         raise _Invalid(f"duplicate unit ids {duplicates}", ["units"])
     # Ledgers name parties by id, so the producer, each unit and the pool
     # need distinct ones.
-    vg_id = vg.get("id", VgParams.id)
+    vg_id = vg["id"]
     if vg_id == POOL:
         raise _Invalid(f"id {POOL!r} is reserved for the settlement pool", ["vg", "id"])
     for i, uid in enumerate(ids):
@@ -350,11 +352,9 @@ def _check_rules(doc: dict) -> None:
 def scenario_from_dict(data: Any, source: str = "scenario") -> ScenarioConfig:
     """The config of a parsed scenario document, or a ScenarioError naming
     the field path below ``source``."""
-    if isinstance(data, dict):  # a document without offers has an empty book
-        data = {**data, "offers": data.get("offers", [])}
     try:
         [doc] = _scenario_schema()([data])
-        doc["units"] = _rows(doc.get("units", {}))
+        doc["units"] = _rows(doc["units"])
         _check_rules(doc)
     except _Invalid as exc:
         where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in exc.path)

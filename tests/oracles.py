@@ -65,7 +65,7 @@ import numpy as np
 
 from brsim import forecast, simulation, vg
 from brsim._arrays import unwrap
-from brsim.dataio import POOL, ScenarioConfig, ScenarioError, VgParams
+from brsim.dataio import POOL, ScenarioConfig, ScenarioError
 from brsim.forecast import ForecastDistribution
 from brsim.market import LEDGER_TAGS, SettlementLedger
 from brsim.provider import (
@@ -776,7 +776,7 @@ _KEYWORDS = {
     "array": {"items", "minItems", "maxItems"},
     "number": set(_BOUNDS), "integer": set(_BOUNDS), "string": set(), "null": set(),
 }
-_ANYWHERE = {"type", "enum", "oneOf", "$schema", "$id", "title", "description"}
+_ANYWHERE = {"type", "enum", "oneOf", "default", "$schema", "$id", "title", "description"}
 _NAMES = {"object": "an object", "array": "a list", "integer": "an integer", "null": "null"}
 
 
@@ -789,9 +789,9 @@ class Invalid(Exception):
 
 def compile_schema(node: dict) -> Callable[[Any], Any]:
     """The check of one subschema. It returns a normalized copy of a value
-    (numbers as float, integers as int, arrays as tuples) or raises
-    Invalid. It refuses what it cannot interpret, so the schema cannot
-    outgrow it unnoticed."""
+    (numbers as float, integers as int, arrays as tuples, objects with each
+    absent field's default) or raises Invalid. It refuses what it cannot
+    interpret, so the schema cannot outgrow it unnoticed."""
     types = [node["type"]] if isinstance(node.get("type"), str) else node.get("type", [])
     kind = next((t for t in types if t != "null"), None)
     branches = [compile_schema(branch) for branch in node.get("oneOf", ())]
@@ -808,6 +808,8 @@ def compile_schema(node: dict) -> Callable[[Any], Any]:
     min_items, max_items = node.get("minItems", 0), node.get("maxItems", math.inf)
     props = {key: compile_schema(sub) for key, sub in node.get("properties", {}).items()}
     required, closed = set(node.get("required", ())), node.get("additionalProperties") is False
+    defaults = {key: sub["default"] for key, sub in node.get("properties", {}).items()
+                if "default" in sub}
 
     def check(x):
         if enum is not None and x not in enum:
@@ -850,7 +852,8 @@ def compile_schema(node: dict) -> Callable[[Any], Any]:
                 raise Invalid(f"unknown field(s) {sorted(x.keys() - props.keys())}")
             if not required <= x.keys():
                 raise Invalid(f"missing required field(s) {sorted(required - x.keys())}")
-            pairs = x.items()
+            # An absent field is checked with its default, after the fields given.
+            pairs = {**x, **{k: v for k, v in defaults.items() if k not in x}}.items()
         else:
             raise Invalid(f"expected {wanted}, got {type(x).__name__}")
         out = {}
@@ -867,7 +870,7 @@ def compile_schema(node: dict) -> Callable[[Any], Any]:
 
 def check_rules(doc: dict) -> None:
     """The cross-field rules of docs/schemas.md, on a schema-checked copy."""
-    horizon, vg, units = doc["horizon"], doc["vg"], doc.get("units", ())
+    horizon, vg, units = doc["horizon"], doc["vg"], doc["units"]
     hourly = [(["da_price"], doc["da_price"]), (["rt_price"], doc.get("rt_price"))]
     for key in ("forecast_mean_mw", "da_schedule_mw", "realized_mw"):
         hourly.append((["vg", key], vg.get(key)))
@@ -898,7 +901,7 @@ def check_rules(doc: dict) -> None:
         raise Invalid(f"duplicate unit ids {duplicates}", ["units"])
     # Ledgers name parties by id, so the producer, each unit and the pool
     # need distinct ones.
-    vg_id = vg.get("id", VgParams.id)
+    vg_id = vg["id"]
     if vg_id == POOL:
         raise Invalid(f"id {POOL!r} is reserved for the settlement pool", ["vg", "id"])
     for i, uid in enumerate(ids):
@@ -906,7 +909,7 @@ def check_rules(doc: dict) -> None:
             owner = "the settlement pool" if uid == POOL else "the producer"
             raise Invalid(f"id {uid!r} is taken by {owner}", ["units", i, "id"])
     zones = {unit["id"]: unit.get("zone") for unit in units}
-    for i, offer in enumerate(doc.get("offers", ())):
+    for i, offer in enumerate(doc["offers"]):
         if offer["hour"] >= horizon:
             path = ["offers", i, "hour"]
             raise Invalid(f"hour {offer['hour']} outside horizon {horizon}", path)

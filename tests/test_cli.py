@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from brsim import provider, simulation, vg
+from brsim import cli, provider, simulation, vg
 from brsim.cli import main
 from brsim.dataio import load_scenario
 from oracles import read_table, table_rows
@@ -64,6 +64,24 @@ class TestDemandCurve:
         code, _, err = run_cli(capsys, "demand-curve", SINGLE, "--alpha", "1.5")
         assert code == 2
         assert "usage error" in err
+
+    @pytest.mark.parametrize("value, message", [
+        ("x", "expected comma-separated numbers, got 'x'"),
+        (",", "expected at least one number"),
+    ])
+    def test_alpha_that_is_no_list_of_numbers(self, capsys, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["demand-curve", DAY, f"--alpha={value}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f": error: argument --alpha: {message}\n")
+
+    def test_grid_bound_is_checked_before_the_scenario_is_read(self, capsys, tmp_path):
+        points = cli._CELLS_MAX // 4 + 1  # two alphas, two directions
+        code, out, err = run_cli(capsys, "demand-curve", str(tmp_path / "missing.json"),
+                                 "--alpha", "0.1,0.2", "--points", str(points))
+        assert code == 2 and out == ""
+        assert err == (f"usage error: --points ({points}) x --alpha (2) x 2 directions "
+                       f"exceeds {cli._CELLS_MAX} cells\n")
 
     def test_hour_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "demand-curve", SINGLE, "--hour", "5")
@@ -147,19 +165,28 @@ class TestOptimal:
         assert code == 2
         assert "usage error" in err
 
+    # A golden's flags, or the brs_price block that day24 takes instead.
     GOLDENS = {
         "optimal_day24_hour7": [],
         "optimal_day24_hour7_prices": ["--down-price", "1.5", "--up-price", "2"],
+        "optimal_day24_hour7_prices_absolute": {"mode": "absolute", "down": 1.5, "up": 2},
     }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", GOLDENS)
-    def test_matches_golden(self, capsys, name, fmt):
+    def test_matches_golden(self, capsys, tmp_path, name, fmt):
+        scenario, flags = DAY, self.GOLDENS[name]
+        if isinstance(flags, dict):  # day24 with this brs_price block, and no price flags
+            doc = json.loads(Path(DAY).read_text(encoding="utf-8"))
+            scenario = tmp_path / "day24.json"
+            scenario.write_text(json.dumps({**doc, "brs_price": flags}))
+            flags = []
         code, out, _ = run_cli(
-            capsys, "optimal", DAY, "--hour", "7", *self.GOLDENS[name], "--format", fmt
+            capsys, "optimal", str(scenario), "--hour", "7", *flags, "--format", fmt
         )
         assert code == 0
-        assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
+        golden = GOLDEN / f"{name.removesuffix('_absolute')}.{fmt}"
+        assert out.encode("utf-8") == golden.read_bytes()
 
 
 class TestProfitSweep:
@@ -222,6 +249,20 @@ class TestProfitSweep:
             assert row.keys() == want.keys()
             for key, value in want.items():
                 assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+    def test_grid_bound_is_checked_before_any_array(self, capsys, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(simulation, "profit_sweep", no_sweep)
+        # day24's 24 hours, and one scale-ratio pair more than the bound allows.
+        n = cli._CELLS_MAX // 24 // 1000 + 1
+        scales, ratios = ",".join(["1"] * 1000), ",".join(["0.1"] * n)
+        code, out, err = run_cli(capsys, "profit-sweep", DAY, "--variance-scales", scales,
+                                 "--price-ratios", ratios)
+        assert code == 2 and out == ""
+        assert err == (f"usage error: --variance-scales (1000) x --price-ratios ({n}) x "
+                       f"24 hours exceeds {cli._CELLS_MAX} cells\n")
 
     def test_negative_ratio_rejected(self, capsys):
         code, _, err = run_cli(capsys, "profit-sweep", SINGLE, "--price-ratios", "-0.1")
@@ -330,6 +371,17 @@ class TestSupplyRisk:
         assert code == 2
         assert err == "usage error: --samples must be in [2, 100000000], got 1\n"
 
+    @pytest.mark.parametrize("rho", ["0.8", "-1", "nan"])
+    def test_exhaustive_refuses_a_correlation_before_any_work(self, capsys, monkeypatch, rho):
+        def no_work(*args):
+            raise AssertionError("enumerated scenarios")
+
+        monkeypatch.setattr(provider, "exhaustive_scenarios", no_work)
+        code, out, err = run_cli(capsys, "supply-risk", "--exhaustive", f"--correlation={rho}")
+        assert code == 2 and out == ""
+        assert err == (f"usage error: --correlation must be 0 with --exhaustive, whose "
+                       f"four-outcome law has no correlation; got {float(rho)}\n")
+
     def test_negative_seed_is_checked_before_any_draw(self, capsys, monkeypatch):
         def no_draws(*args):
             raise AssertionError("drew scenarios")
@@ -369,6 +421,7 @@ class TestSupplyRisk:
     @pytest.mark.parametrize("name, flags", [
         ("samples300000_seed7", ["--samples", "300000", "--seed", "7", "--correlation", "0.4"]),
         ("exhaustive", ["--exhaustive"]),
+        ("exhaustive", ["--exhaustive", "--correlation", "0"]),
     ])
     def test_matches_golden(self, capsys, tmp_path, name, flags):
         for fmt in ("csv", "json"):
@@ -472,7 +525,8 @@ BAD_FLAGS = [
     ("--variance-scales", ["profit-sweep", DAY], ["nan", "inf", "-1", "1,nan", "1e308"]),
     ("--down-price", ["optimal", DAY], ["nan", "inf", "-1", "1000001", "1e308"]),
     ("--up-price", ["optimal", DAY], ["nan", "-inf", "-1", "1000001", "1e308"]),
-    ("--points", ["demand-curve", DAY], ["0", "1", "-3"]),
+    ("--points", ["demand-curve", DAY],
+     ["0", "1", "-3", str(cli._CELLS_MAX // 2 + 1), "1000000000"]),
     ("--alpha", ["demand-curve", DAY], ["nan", "1.5"]),
     ("--correlation", ["supply-risk", "--samples", "100"], ["nan", "2.0"]),
     ("--seed", ["supply-risk", "--samples", "100"], ["-1", "-12345678901234567890"]),

@@ -465,6 +465,8 @@ class TestTables:
         # A float subclass keeps the float rule; other types are written as str.
         table = {"f": [np.float64(1234.56789)], "i": [np.int64(7)], "none": [None]}
         assert format_table(table, "csv") == "f,i,none\n1234.57,7,None\n"
+        # A column of mixed types is written cell by cell, each by its own rule.
+        assert format_table({"mixed": [True, 2, 0.5, "x"]}, "csv") == "mixed\ntrue\n2\n0.5\nx\n"
 
 
 def _ledger_like(n):

@@ -83,6 +83,8 @@ class TestOfferAndContractChecks:
             book(("g1", 0, DOWN, -1.0, 5.0))
         with pytest.raises(ValueError):
             book(("g1", -1, DOWN, 1.0, 5.0))
+        with pytest.raises(ValueError, match=r"column price has shape \(1,\), expected \(2,\)"):
+            Book(hour=[0, 0], up=[False, True], seller=[0, 0], price=[1.0], quantity=[5.0, 5.0])
 
     def test_contract_validation(self):
         with pytest.raises(ValueError):

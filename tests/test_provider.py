@@ -50,6 +50,8 @@ class TestUnitValidation:
             DispatchableUnit(UnitKind.BASE_LOAD, 100.0, 50.0, 10.0, 75.0)
         with pytest.raises(ValueError):
             DispatchableUnit(UnitKind.BASE_LOAD, 50.0, 100.0, 10.0, 120.0)
+        with pytest.raises(ValueError, match="marginal_cost must be finite"):
+            DispatchableUnit(UnitKind.BASE_LOAD, 50.0, 100.0, math.inf, 75.0)
 
     def test_kind_is_coerced(self):
         # A kind given as its value dispatches as that kind; another is refused.

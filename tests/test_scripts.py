@@ -140,6 +140,9 @@ BAD_INPUTS = [
     ("run_profit_sweep.py", ["--price-ratios", "inf"], 2, "usage error: --price-ratios "),
     ("run_supply_risk.py", ["--samples", "1"], 2, "usage error: --samples "),
     ("run_supply_risk.py", ["--correlation", "2"], 2, "usage error: --correlation "),
+    # Every run is exhaustive, which has no correlation.
+    ("run_supply_risk.py", ["--exhaustive", "--correlation", "0,0.4"], 2,
+     "usage error: --correlation must be 0 with --exhaustive"),
     ("run_demand_curves.py", ["nope.json"], 1,
      "error: [Errno 2] No such file or directory: 'nope.json'"),
     ("run_demand_curves.py", ["--out", "afile/x.csv"], 1, "error: [Errno 17] File exists: 'afile'"),
