@@ -33,9 +33,13 @@ def run_command(command: str, defaults: str, flag: str, value: str):
 
 
 def exit_code(main) -> int:
-    """``main()``, with an OSError reported as ``cli.main`` reports it: exit 1."""
+    """``main()``, with a ``cli.UsageError`` or an OSError reported as
+    ``cli.main`` reports it: exit 2 or 1."""
     try:
         return main()
+    except cli.UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,12 +31,18 @@ def main() -> int:
             argv[i:i + 2] = [f"--correlation={argv[i + 1]}"]
     own, rest = ap.parse_known_args(argv)
     rhos = ",".join(own.correlation or ["0,0.2,0.4,0.6,0.8"]).split(",")
-    fmt = cli.build_parser().parse_args(["supply-risk", *rest]).format
+    parser = cli.build_parser()
+    fmt = parser.parse_args(["supply-risk", *rest]).format
+    runs = [["supply-risk", *rest, *flags, "--format", "json"]
+            for flags in [["--exhaustive", "--unit-kind", "base_load"],
+                          *(["--correlation", rho, "--unit-kind", "both"] for rho in rhos)]]
+    # Every run's flags pass cli's checks before the first run starts.
+    for argv in runs:
+        cli.supply_risk_model(parser.parse_args(argv))
     reports, verdicts = [], []
-    for flags in [["--exhaustive", "--unit-kind", "base_load"],
-                  *(["--correlation", rho, "--unit-kind", "both"] for rho in rhos)]:
+    for argv in runs:
         with contextlib.redirect_stdout(io.StringIO()) as text:
-            code = cli.main(["supply-risk", *rest, *flags, "--format", "json"])
+            code = cli.main(argv)
         if code:
             return code
         # The table at full precision, then the verdict line of a run on both kinds.

@@ -55,9 +55,10 @@ class DispatchableUnit:
             raise ValueError("marginal_cost must be finite")
 
 
-# Draws per chunk in risk_report's one walk (its temporaries peak at about
-# 3.5 MB for a chunk) and in generate_scenarios.
-_RISK_CHUNK = 65_536
+# Draws per chunk in risk_report's one walk and in generate_scenarios. A
+# chunk's arrays are 128 kB each, so the walk's temporaries stay cache-sized,
+# which pays back most of generate_scenarios' redrawn gap normals.
+_RISK_CHUNK = 16_384
 
 
 def _shareable(value) -> bool:
@@ -232,30 +233,39 @@ def risk_report(units: Sequence[DispatchableUnit],
 
 def generate_scenarios(model: ScenarioModel, n: int, seed: int) -> Iterator[ScenarioSet]:
     """Seeded joint draws, as read-only sets of at most _RISK_CHUNK draws in
-    order. The shift is built from the same normal factor as the price gap
-    so corr(rt_price, executed) equals model.correlation."""
+    order, made as they are asked for in memory that does not grow with n.
+    The draws are those of default_rng(seed).standard_normal((2, n)): the
+    price gap's n normals, then the shift's. The shift is built from the
+    same normal factor as the price gap so corr(rt_price, executed) equals
+    model.correlation."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _scenario_chunks(model, n, np.random.default_rng(seed))
+    return _scenario_chunks(model, n, np.random.default_rng(seed), np.random.default_rng(seed))
 
 
-def _scenario_chunks(model: ScenarioModel, n: int,
-                     rng: np.random.Generator) -> Iterator[ScenarioSet]:
-    # The gap's normals z1 are drawn whole and each chunk's shift normals z2
-    # after them, the draw standard_normal((2, n)) makes. Rounded as
+def _scenario_chunks(model: ScenarioModel, n: int, gaps: np.random.Generator,
+                     shifts: np.random.Generator) -> Iterator[ScenarioSet]:
+    # Two generators from one seed: ``shifts`` draws the gap's n normals z1
+    # into one chunk's buffer to reach the shift normals z2 after them, and
+    # ``gaps`` draws z1 again a chunk at a time. A generator's normals do not
+    # depend on how a count is split into calls. Rounded as
     # shift = std_e*(rho*(-z1) + sqrt(1-rho^2)*z2) and rt = da - gap*z1; each
     # set keeps its chunk's two arrays.
-    z1 = rng.standard_normal(n)
+    skipped = np.empty(min(n, _RISK_CHUNK))
+    for lo in range(0, n, _RISK_CHUNK):
+        shifts.standard_normal(out=skipped[:n - lo])
+    del skipped
     rho = model.correlation
     for lo in range(0, n, _RISK_CHUNK):
-        z = z1[lo:lo + _RISK_CHUNK]
-        shift = rng.standard_normal(len(z))
+        k = min(_RISK_CHUNK, n - lo)
+        rt = gaps.standard_normal(k)  # z1, made the RT price in place
+        shift = shifts.standard_normal(k)
         shift *= math.sqrt(1.0 - rho * rho)
-        shift += z * (-rho)
+        shift += rt * (-rho)
         shift *= model.execution_std
         if model.execution_limit is not None:
             np.clip(shift, -model.execution_limit, model.execution_limit, out=shift)
-        rt = z * model.gap_std
+        rt *= model.gap_std
         np.subtract(model.da_price_mean, rt, out=rt)
         rt.flags.writeable = shift.flags.writeable = False
         yield ScenarioSet(model.da_price_mean, rt, shift)

@@ -404,7 +404,7 @@ class TestSupplyRisk:
         assert out == ""
 
     def test_single_kind_is_its_row_of_both(self, capsys):
-        # JSON keeps every bit; 300,000 draws span five chunks.
+        # JSON keeps every bit; 300,000 draws span 19 chunks.
         flags = ["--samples", "300000", "--seed", "7", "--correlation", "0.4", "--format", "json"]
         _, both, _ = run_cli(capsys, "supply-risk", "--unit-kind", "both", *flags)
         rows = []
@@ -417,7 +417,7 @@ class TestSupplyRisk:
         assert marginal == f"[{rows[1]}]\n"
 
     # CSV tables written before risk_report walked the set in chunks; 300,000
-    # draws span five chunks. The JSON tables keep every bit of the moments.
+    # draws span 19 chunks. The JSON tables keep every bit of the moments.
     @pytest.mark.parametrize("name, flags", [
         ("samples300000_seed7", ["--samples", "300000", "--seed", "7", "--correlation", "0.4"]),
         ("exhaustive", ["--exhaustive"]),

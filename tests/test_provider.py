@@ -319,6 +319,8 @@ RISK_MODEL = ScenarioModel(
     execution_limit=provider.RISK_HEADROOM,
 )
 UNITS = [provider.RISK_UNITS["base_load"], provider.RISK_UNITS["marginal"]]
+# Draw counts at and next to chunk boundaries: walks of one to nine chunks.
+BOUNDARY_SIZES = [2, C - 1, C, C + 1, 2 * C + 1, 4 * C - 1, 4 * C, 4 * C + 1, 8 * C + 1]
 
 
 def chunk_test_sets(n):
@@ -360,7 +362,7 @@ def fsum_moments(xs, exhaustive=False):
 
 class TestChunkedMoments:
     # One draw is an error: TestRiskReport.test_needs_two_scenarios.
-    @pytest.mark.parametrize("n", [2, C - 1, C, C + 1, 2 * C + 1])
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
     def test_matches_scalar_oracle_across_chunk_boundaries(self, n):
         # Same oracle and tolerances as test_risk_report_matches_scalar_oracle.
         sets = chunk_test_sets(n)
@@ -395,10 +397,12 @@ class TestChunkedMoments:
                 assert rep.incremental_variance == var1 - var0
 
     def test_chunk_sums_are_added_exactly(self):
-        # Base-load deltas (da - rt) * shift of 2^40 fill the first chunk,
-        # 2^-14 the second, and one draw of -2^56 the third. The chunk sums
+        # Base-load deltas (da - rt) * shift of 2^56 / C fill the first chunk,
+        # 4 / C the second, and one draw of -2^56 the third. The chunk sums
         # 2^56, 4 and -2^56 cancel to 4, which a plain float sum rounds away.
-        rt = np.concatenate([np.full(C, 30.0 - 2.0**35), np.full(C, 30.0 - 2.0**-14),
+        # A power-of-two C keeps every delta and chunk sum exact.
+        assert C & (C - 1) == 0
+        rt = np.concatenate([np.full(C, 30.0 - 2.0**56 / (32 * C)), np.full(C, 30.0 - 4.0 / C),
                              [30.0 - 2.0**51]])
         executed = np.concatenate([np.full(C, 32.0), np.ones(C), [-32.0]])
         rep = report(UNITS[0], ScenarioSet(30.0, rt, executed))
@@ -455,7 +459,7 @@ def bits(reports):
 
 class TestStreamedDraws:
     @pytest.mark.parametrize("limit", [None, provider.RISK_HEADROOM])
-    @pytest.mark.parametrize("n", [2, C - 1, C, C + 1, 2 * C + 1])
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
     def test_chunks_are_the_whole_buffer_draws(self, n, limit):
         # Bit for bit against both normal rows drawn at once: the draws, and
         # both kinds' reports from one walk and from one walk each.
@@ -489,14 +493,26 @@ def traced_peak(fn):
             tracemalloc.stop()
 
 
-def test_risk_memory_stays_below_both_normal_rows():
-    # Both reports walk the draws as they are made: one whole row of normals
-    # (8n bytes) and a chunk at a time, below the 16n bytes of both rows.
-    n = 1_000_000
+def risk_peak(n):
+    """The traced peak of drawing n draws and both kinds' reports in one walk."""
     model = ScenarioModel(correlation=0.4, execution_limit=provider.RISK_HEADROOM)
-    _, peak = traced_peak(
-        lambda: provider.risk_report(UNITS, provider.generate_scenarios(model, n, seed=7)))
-    assert peak < 16 * n
+    return traced_peak(
+        lambda: provider.risk_report(UNITS, provider.generate_scenarios(model, n, seed=7)))[1]
+
+
+def test_risk_memory_stays_below_both_normal_rows():
+    # Both reports walk the draws as they are made, a chunk at a time, far
+    # below the 16n bytes of both rows of normals.
+    n = 1_000_000
+    assert risk_peak(n) < 16 * n
+
+
+def test_risk_memory_does_not_grow_with_the_draws():
+    # A chunk's arrays are 8C bytes each: the draws, their revenues and the
+    # walk's temporaries hold about ten of them at any n.
+    peak = risk_peak(1_000_000)
+    assert peak < 16 * 8 * C
+    assert peak == pytest.approx(risk_peak(4 * C), rel=0.1)
 
 
 def same_draws(a, b):

@@ -4,6 +4,7 @@ the CLI's flag names, checks and exit codes apply to it."""
 import csv
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,25 @@ def test_supply_risk_tie_is_not_less_risky(tmp_path):
     [row] = read_csv(out)
     assert row["base_incremental"] == row["marginal_incremental"]
     assert row["marginal_less_risky"] == "false"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--exhaustive", "--correlation", "0,0.4"],
+     "--correlation must be 0 with --exhaustive, whose four-outcome law has no correlation; "
+     "got 0.4"),
+    (["--correlation", "0,2"], "--correlation must be in [-1, 1], got 2.0"),
+], ids=["exhaustive_with_correlation", "correlation_out_of_range"])
+def test_supply_risk_flags_are_checked_before_the_first_run(monkeypatch, capsys, args, message):
+    def run(argv):
+        raise AssertionError(f"cli.main ran {argv}")
+
+    monkeypatch.setattr(cli, "main", run)
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    monkeypatch.setattr(sys, "argv", ["run_supply_risk.py", *args])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(ROOT / "scripts" / "run_supply_risk.py"), run_name="__main__")
+    assert exited.value.code == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 # (script, arguments, expected columns, expected row count)
