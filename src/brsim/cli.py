@@ -113,8 +113,8 @@ def cmd_profit_sweep(args) -> None:
 
 
 def cmd_simulate_day(args) -> None:
-    cfg = dataio.load_scenario(args.scenario)
-    result = simulation.simulate_day(cfg)
+    # The config is dropped before the tables are written.
+    result = simulation.simulate_day(dataio.load_scenario(args.scenario))
     tables = {"contracts": simulation.contract_rows, "ledger": simulation.ledger_rows,
               "totals": simulation.totals_rows}
     for name, table in tables.items():

@@ -4,7 +4,8 @@ The field names here are a compatibility surface; see docs/schemas.md. A
 scenario is checked against the packaged ``scenario.schema.json``, each
 list a column at a time, then against the cross-field rules; an error
 names the path of the first bad value in document order. A loaded config
-holds the offers as columns, a tuple per offer field.
+holds each hourly series, and each offer field as a column, in a read-only
+array.
 """
 from __future__ import annotations
 
@@ -16,12 +17,14 @@ import operator
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from importlib import resources
 from pathlib import Path
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 TABLE_FORMATS = ("csv", "json")
 # The settlement pool's party name in ledgers; no unit or producer may take it.
@@ -44,33 +47,59 @@ class ScenarioError(ValueError):
 # scenario config
 # ---------------------------------------------------------------------------
 
+# The schema's offer directions: a loaded direction column holds these strings.
+_DIRECTIONS = ("down", "up")
+
+
+class _ArrayFields:
+    """Equality field by field, an array field's by its dtype and values. A
+    config that holds arrays has no hash."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and np.array_equal(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):  # the offer columns
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
 @dataclass(frozen=True)
 class PenaltyConfig:
     over: float
     under: float
 
 
-@dataclass(frozen=True)
-class VgParams:
+@dataclass(frozen=True, eq=False)
+class VgParams(_ArrayFields):
     capacity_mw: float
-    forecast_mean_mw: tuple[float, ...]
+    forecast_mean_mw: np.ndarray
     id: str
     variance_coefficient: float
     variance_scale: float
-    da_schedule_mw: tuple[float, ...]
+    da_schedule_mw: np.ndarray
     claim_error_std_mw: float
-    realized_mw: tuple[float, ...] | None = None
+    realized_mw: np.ndarray | None = None
     zone: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class UnitConfig:
+@dataclass(frozen=True, eq=False, slots=True)
+class UnitConfig(_ArrayFields):
     id: str
     kind: str
     p_min_mw: float
     p_max_mw: float
     marginal_cost: float
-    da_schedule_mw: tuple[float, ...]
+    da_schedule_mw: np.ndarray
     rt_mode: str
     zone: str | None = None
 
@@ -94,15 +123,21 @@ class ZonalRuleConfig:
     congested_boundaries: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+@dataclass(frozen=True, eq=False)
+class ScenarioConfig(_ArrayFields):
+    """A checked scenario. Each hourly series is a read-only float64 array
+    over the horizon. The offer book is one read-only array per offer
+    field: ``hour`` int64, ``price`` and ``quantity_mw`` float64, and
+    object arrays of strings that the config holds anyway: ``seller`` the
+    units' ids, ``zone`` the units' zones (None where absent), and
+    ``direction`` one string for "down" and one for "up"."""
+
     horizon: int
     vg: VgParams
     penalty: PenaltyConfig
-    da_price: tuple[float, ...]
-    rt_price: tuple[float, ...]
-    # The offer book as columns, one per offer field, None where absent.
-    offers: Mapping[str, tuple]
+    da_price: np.ndarray
+    rt_price: np.ndarray
+    offers: Mapping[str, np.ndarray]
     brs_price: BrsPriceModel
     units: tuple[UnitConfig, ...]
     variance_scale_factors: tuple[float, ...]
@@ -242,7 +277,9 @@ def _compile(node: dict) -> Callable[..., list | dict]:
                 passed += branch([x])
             except _Invalid as exc:
                 del exc.path[0]
-                failed.append(exc)
+                # A kept traceback would make a cycle through this frame and
+                # its callers' frames, which hold the whole parsed document.
+                failed.append(exc.with_traceback(None))
         if len(passed) == 1:
             return passed[0]
         if passed:
@@ -294,33 +331,55 @@ def _scenario_schema() -> Callable[[list], list]:
     return _compile(json.loads(text))
 
 
-def _check_rules(doc: dict) -> None:
-    """The cross-field rules of docs/schemas.md, on a schema-checked copy."""
-    horizon, vg, units = doc["horizon"], doc["vg"], doc["units"]
-    hourly = [(["da_price"], doc["da_price"]), (["rt_price"], doc.get("rt_price"))]
+def _array(values, dtype=np.float64) -> np.ndarray:
+    """A read-only array of ``values``."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _hourly(doc: dict) -> Iterator[tuple[list, dict, str]]:
+    """The path of each hourly series, the object that holds it and its key."""
+    yield ["da_price"], doc, "da_price"
+    yield ["rt_price"], doc, "rt_price"
     for key in ("forecast_mean_mw", "da_schedule_mw", "realized_mw"):
-        hourly.append((["vg", key], vg.get(key)))
-    hourly += [(["units", i, "da_schedule_mw"], u["da_schedule_mw"]) for i, u in enumerate(units)]
-    for path, values in hourly:
-        if isinstance(values, tuple) and len(values) != horizon:
+        yield ["vg", key], doc["vg"], key
+    for i, unit in enumerate(doc["units"]):
+        yield ["units", i, "da_schedule_mw"], unit, "da_schedule_mw"
+
+
+def _refuse_first(bad: np.ndarray, reason: Callable[[int], str], path: list) -> None:
+    """_Invalid at the first true element of ``bad``, with ``reason`` of its
+    index, which ends the path."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _Invalid(reason(i), [*path, i])
+
+
+def _check_rules(doc: dict) -> None:
+    """The cross-field rules of docs/schemas.md, on a schema-checked copy
+    whose hourly series are arrays, 0-d for a unit's one-number schedule.
+    The offers become columns (``_offer_columns``)."""
+    horizon, vg, units = doc["horizon"], doc["vg"], doc["units"]
+    for path, block, key in _hourly(doc):
+        values = block.get(key)
+        if values is not None and values.ndim and len(values) != horizon:
             raise _Invalid(f"expected {horizon} entries, got {len(values)}", path)
-    cap = vg["capacity_mw"]
-    for i, mw in enumerate(vg["forecast_mean_mw"]):
-        if not 0.0 < mw < cap:
-            path = ["vg", "forecast_mean_mw", i]
-            raise _Invalid(f"mean must lie strictly inside (0, {cap})", path)
+    cap, mean = vg["capacity_mw"], vg["forecast_mean_mw"]
+    _refuse_first(~((0.0 < mean) & (mean < cap)),
+                  lambda i: f"mean must lie strictly inside (0, {cap})", ["vg", "forecast_mean_mw"])
     for key, what in (("da_schedule_mw", "schedule"), ("realized_mw", "realized output")):
-        for i, mw in enumerate(vg.get(key, ())):
-            if mw > cap:
-                raise _Invalid(f"{what} {mw} exceeds capacity {cap}", ["vg", key, i])
+        if (mw := vg.get(key)) is not None:
+            _refuse_first(mw > cap, lambda i: f"{what} {mw[i].item()} exceeds capacity {cap}",
+                          ["vg", key])
     for i, unit in enumerate(units):
         lo, hi, schedule = unit["p_min_mw"], unit["p_max_mw"], unit["da_schedule_mw"]
         if hi < lo:
             raise _Invalid(f"p_max_mw {hi} below p_min_mw {lo}", ["units", i, "p_max_mw"])
-        for j, mw in enumerate(schedule if isinstance(schedule, tuple) else (schedule,)):
-            if not lo <= mw <= hi:
-                path = ["units", i, "da_schedule_mw", j]
-                raise _Invalid(f"schedule {mw} outside [{lo}, {hi}]", path)
+        schedule = np.atleast_1d(schedule)
+        _refuse_first(~((lo <= schedule) & (schedule <= hi)),
+                      lambda j: f"schedule {schedule[j].item()} outside [{lo}, {hi}]",
+                      ["units", i, "da_schedule_mw"])
     ids = [unit["id"] for unit in units]
     if len(set(ids)) != len(ids):
         duplicates = sorted({i for i in ids if ids.count(i) > 1})
@@ -334,27 +393,58 @@ def _check_rules(doc: dict) -> None:
         if uid in (POOL, vg_id):
             owner = "the settlement pool" if uid == POOL else "the producer"
             raise _Invalid(f"id {uid!r} is taken by {owner}", ["units", i, "id"])
-    zones, offers = {unit["id"]: unit.get("zone") for unit in units}, doc["offers"]
-    for i, (hour, seller, zone) in enumerate(zip(offers["hour"], offers["seller"], offers["zone"])):
-        if hour >= horizon:
-            raise _Invalid(f"hour {hour} outside horizon {horizon}", ["offers", i, "hour"])
-        if seller not in zones:
-            raise _Invalid(f"unknown unit id {seller!r}", ["offers", i, "seller"])
-        if zone is not None and zone != zones[seller]:
-            path = ["offers", i, "zone"]
-            raise _Invalid(f"zone {zone!r} differs from the seller's zone {zones[seller]!r}", path)
+    doc["offers"] = _offer_columns(doc["offers"], units, horizon)
     for i, (a, b) in enumerate((doc.get("zonal_rule") or {}).get("congested_boundaries", ())):
         if a == b:
             path = ["zonal_rule", "congested_boundaries", i]
             raise _Invalid(f"boundary must join two distinct zones, got {a!r} twice", path)
 
 
+def _offer_columns(offers: dict, units: list[dict], horizon: int) -> dict[str, np.ndarray]:
+    """The schema-checked offer book as read-only columns, once each offer
+    passes its rules in turn: its hour, its seller, then its zone. The
+    string columns hold the units' own strings and those of _DIRECTIONS."""
+    try:
+        hour = _array(offers["hour"], np.int64)
+    except OverflowError:  # an hour past int64, which the horizon rule refuses
+        hour = _array(offers["hour"], object)
+    index = {unit["id"]: j for j, unit in enumerate(units)}
+    # Each seller's index in units, and -1 for an unknown one.
+    owner = np.fromiter(map(index.get, offers["seller"], itertools.repeat(-1)), np.intp, len(hour))
+    # Each seller's zone, and None for an unknown one.
+    zones = np.array([unit.get("zone") for unit in units] + [None], dtype=object)[owner]
+    zone = np.array(offers["zone"], dtype=object)
+    given = np.not_equal(zone, None)
+    hour_bad, seller_bad = hour >= horizon, owner < 0
+    zone_bad = given & ~seller_bad & (zone != zones)
+    bad = hour_bad | seller_bad | zone_bad
+    if bad.any():
+        i = int(np.argmax(bad))
+        if hour_bad[i]:
+            raise _Invalid(f"hour {hour[i]} outside horizon {horizon}", ["offers", i, "hour"])
+        if seller_bad[i]:
+            raise _Invalid(f"unknown unit id {offers['seller'][i]!r}", ["offers", i, "seller"])
+        path = ["offers", i, "zone"]
+        raise _Invalid(f"zone {zone[i]!r} differs from the seller's zone {zones[i]!r}", path)
+    ids = np.array([unit["id"] for unit in units], dtype=object)
+    directions = {name: name for name in _DIRECTIONS}
+    # Every column is replaced; the book keeps the schema's field order.
+    return {**offers, "hour": hour, "price": _array(offers["price"]),
+            "quantity_mw": _array(offers["quantity_mw"]), "seller": _array(ids[owner], object),
+            "zone": _array(np.where(given, zones, None), object),
+            "direction": _array(list(map(directions.__getitem__, offers["direction"])), object)}
+
+
 def scenario_from_dict(data: Any, source: str = "scenario") -> ScenarioConfig:
     """The config of a parsed scenario document, or a ScenarioError naming
-    the field path below ``source``."""
+    the field path below ``source``. The config keeps no value of ``data``
+    that varies by hour or by offer."""
     try:
         [doc] = _scenario_schema()([data])
         doc["units"] = _rows(doc["units"])
+        for _, block, key in _hourly(doc):
+            if key in block:
+                block[key] = _array(block[key])
         _check_rules(doc)
     except _Invalid as exc:
         where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in exc.path)
@@ -364,8 +454,7 @@ def scenario_from_dict(data: Any, source: str = "scenario") -> ScenarioConfig:
     doc["vg"].setdefault("da_schedule_mw", doc["vg"]["forecast_mean_mw"])
     doc.setdefault("rt_price", doc["da_price"])
     for unit in doc["units"]:
-        if not isinstance(unit["da_schedule_mw"], tuple):
-            unit["da_schedule_mw"] = (unit["da_schedule_mw"],) * doc["horizon"]
+        unit["da_schedule_mw"] = np.broadcast_to(unit["da_schedule_mw"], doc["horizon"])
     for key, cls in (("vg", VgParams), ("penalty", PenaltyConfig),
                      ("brs_price", BrsPriceModel), ("zonal_rule", ZonalRuleConfig)):
         if doc.get(key) is not None:

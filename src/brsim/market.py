@@ -316,11 +316,19 @@ class SettlementLedger:
             if tag not in LEDGER_TAGS:
                 raise ValueError(f"unknown ledger tag {tag!r}")
             groups.append(np.broadcast_arrays(*map(np.atleast_1d, columns), LEDGER_TAGS.index(tag)))
-        columns = [np.concatenate(col) for col in zip(*groups)] if groups else [np.zeros(0)] * 5
-        if (same := columns[1] == columns[2]).any():
-            raise ValueError(f"payer and payee must differ, both {parties[columns[1][same][0]]!r}")
-        order = np.argsort(columns[0], kind="stable")
-        hour, payer, payee, amount, tag = (col[order[columns[3][order] != 0.0]] for col in columns)
+        for _, payer, payee, *_ in groups:
+            if (same := payer == payee).any():
+                raise ValueError(f"payer and payee must differ, both {parties[payer[same][0]]!r}")
+
+        def column(k: int) -> np.ndarray:
+            return np.concatenate([group[k] for group in groups]) if groups else np.zeros(0)
+
+        # Each column is concatenated and cut to the kept entries in turn.
+        hour, amount = column(0), column(3)
+        order = np.argsort(hour, kind="stable")
+        keep = order[amount[order] != 0.0]
+        hour, amount = hour[keep], amount[keep]
+        payer, payee, tag = (column(k)[keep] for k in (1, 2, 4))
         if (bad := ~(amount >= 0.0) | (amount == math.inf)).any():
             i = int(np.argmax(bad))
             raise ValueError(f"hour {hour[i]}: {LEDGER_TAGS[tag[i]]} from {parties[payer[i]]!r} to "
@@ -328,23 +336,32 @@ class SettlementLedger:
         hour, payer, payee, tag = (col.astype(np.int64, copy=False) for col in (hour, payer, payee, tag))
         return cls(tuple(parties), hour, payer, payee, amount.astype(float, copy=False), tag)
 
+    def _keys(self, offset=0) -> np.ndarray:
+        """Each entry's payer, then its payee, each plus ``offset``."""
+        keys = np.empty(2 * len(self.payer), dtype=np.int64)
+        np.add(self.payer, offset, out=keys[0::2])
+        np.add(self.payee, offset, out=keys[1::2])
+        return keys
+
     def _nets(self, keys: np.ndarray, size: int) -> np.ndarray:
         # Each entry takes its amount from the payer's net (keys[0::2]), then
         # adds it to the payee's (keys[1::2]); bincount adds in input order.
-        return np.bincount(keys, np.column_stack((-self.amount, self.amount)).ravel(), minlength=size)
+        amounts = np.empty(len(keys))
+        np.negative(self.amount, out=amounts[0::2])
+        amounts[1::2] = self.amount
+        return np.bincount(keys, amounts, minlength=size)
 
     def net_by_party(self) -> dict[str, float]:
         """Each party's net, in order of first appearance (payer before
         payee), summed in entry order."""
-        seen = np.column_stack((self.payer, self.payee)).ravel()
+        seen = self._keys()
         nets = self._nets(seen, len(self.parties)).tolist()
         first = {p: np.argmax(seen == p) for p in np.flatnonzero(np.bincount(seen)).tolist()}
         return {self.parties[p]: nets[p] for p in sorted(first, key=first.get)}
 
     def hourly_nets(self, horizon: int) -> np.ndarray:
         """Each party's (column's) net within each hour (row), in entry order."""
-        at = self.hour * len(self.parties)
-        keys = np.column_stack((at + self.payer, at + self.payee)).ravel()
+        keys = self._keys(self.hour * len(self.parties))
         return self._nets(keys, horizon * len(self.parties)).reshape(horizon, len(self.parties))
 
 

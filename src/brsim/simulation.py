@@ -41,12 +41,7 @@ def _producer_inputs(cfg: ScenarioConfig, mean, schedule, price):
 
 def _horizon_inputs(cfg: ScenarioConfig):
     """Producer-side inputs with one array element per hour."""
-    return _producer_inputs(
-        cfg,
-        np.asarray(cfg.vg.forecast_mean_mw, dtype=float),
-        np.asarray(cfg.vg.da_schedule_mw, dtype=float),
-        np.asarray(cfg.da_price, dtype=float),
-    )
+    return _producer_inputs(cfg, cfg.vg.forecast_mean_mw, cfg.vg.da_schedule_mw, cfg.da_price)
 
 
 def hour_context(
@@ -56,9 +51,8 @@ def hour_context(
     hour outside the horizon raises IndexError."""
     if not 0 <= hour < cfg.horizon:
         raise IndexError(f"hour {hour} outside horizon {cfg.horizon}")
-    return _producer_inputs(
-        cfg, cfg.vg.forecast_mean_mw[hour], cfg.vg.da_schedule_mw[hour], cfg.da_price[hour]
-    )
+    return _producer_inputs(cfg, cfg.vg.forecast_mean_mw[hour].item(),
+                            cfg.vg.da_schedule_mw[hour].item(), cfg.da_price[hour].item())
 
 
 def demand_curve_rows(
@@ -126,17 +120,19 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     )
     # Each hour's claim: the realized output plus the claim-time error.
     noise = np.random.default_rng(cfg.seed).standard_normal(cfg.horizon)
-    realized = np.asarray(cfg.vg.realized_mw, dtype=float)
+    realized = cfg.vg.realized_mw
     claims = np.clip(realized + cfg.vg.claim_error_std_mw * noise, 0.0, cfg.vg.capacity_mw)
     units = {uc.id: DispatchableUnit(uc.kind, uc.p_min_mw, uc.p_max_mw, uc.marginal_cost,
-                                     np.asarray(uc.da_schedule_mw, dtype=float))
+                                     uc.da_schedule_mw)
              for uc in cfg.units}
     unit_list = list(units.values())
-    seller = {uid: j for j, uid in enumerate(units)}
     offers = cfg.offers
-    book = market.Book(offers["hour"], list(map(vg.UP.value.__eq__, offers["direction"])),
-                       [seller[uid] for uid in offers["seller"]], offers["price"],
-                       offers["quantity_mw"])
+    # The loader makes every seller a unit's id.
+    seller = np.zeros(len(offers["seller"]), dtype=np.int64)
+    for j, uid in enumerate(units):
+        seller[offers["seller"] == uid] = j
+    book = market.Book(offers["hour"], offers["direction"] == vg.UP.value, seller,
+                       offers["price"], offers["quantity_mw"])
     s, pf, d = _horizon_inputs(cfg)
 
     contracts = market.match_offers(book, s, pf, d)
@@ -144,7 +140,7 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     contracts = market.claim_execution(contracts, s.da_quantity, claims)
     shifts = market.executed_by_seller(contracts, s.da_quantity, unit_list)
     vg_modified, unit_modified = shifts.vg_modified, shifts.unit_modified
-    rt_price = np.asarray(cfg.rt_price, dtype=float)
+    rt_price = cfg.rt_price
     rt_output = unit_modified.copy()
     for j, (uc, u) in enumerate(zip(cfg.units, unit_list)):
         if uc.rt_mode != "modified_schedule":

@@ -155,14 +155,14 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     vg_block: dict[str, Any] = {
         "id": cfg.vg.id,
         "capacity_mw": cfg.vg.capacity_mw,
-        "forecast_mean_mw": list(cfg.vg.forecast_mean_mw),
+        "forecast_mean_mw": cfg.vg.forecast_mean_mw.tolist(),
         "variance_coefficient": cfg.vg.variance_coefficient,
         "variance_scale": cfg.vg.variance_scale,
-        "da_schedule_mw": list(cfg.vg.da_schedule_mw),
+        "da_schedule_mw": cfg.vg.da_schedule_mw.tolist(),
         "claim_error_std_mw": cfg.vg.claim_error_std_mw,
     }
     if cfg.vg.realized_mw is not None:
-        vg_block["realized_mw"] = list(cfg.vg.realized_mw)
+        vg_block["realized_mw"] = cfg.vg.realized_mw.tolist()
     if cfg.vg.zone is not None:
         vg_block["zone"] = cfg.vg.zone
     out: dict[str, Any] = {
@@ -170,8 +170,8 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "seed": cfg.seed,
         "vg": vg_block,
         "penalty": {"over": cfg.penalty.over, "under": cfg.penalty.under},
-        "da_price": list(cfg.da_price),
-        "rt_price": list(cfg.rt_price),
+        "da_price": cfg.da_price.tolist(),
+        "rt_price": cfg.rt_price.tolist(),
         "brs_price": {
             "mode": cfg.brs_price.mode,
             "down": cfg.brs_price.down,
@@ -187,7 +187,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
                     "p_min_mw": u.p_min_mw,
                     "p_max_mw": u.p_max_mw,
                     "marginal_cost": u.marginal_cost,
-                    "da_schedule_mw": list(u.da_schedule_mw),
+                    "da_schedule_mw": u.da_schedule_mw.tolist(),
                     "rt_mode": u.rt_mode,
                     "zone": u.zone,
                 }.items()

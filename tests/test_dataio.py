@@ -1,5 +1,7 @@
 """Scenario configs, the packaged schema, and table writers/readers."""
 
+import dataclasses
+import gc
 import json
 import os
 import stat
@@ -67,26 +69,31 @@ class TestScenarioParsing:
 
     def test_defaults_fill_in(self):
         cfg = scenario_from_dict(minimal_doc())
-        assert cfg.vg.da_schedule_mw == cfg.vg.forecast_mean_mw
-        assert cfg.rt_price == cfg.da_price
+        assert np.array_equal(cfg.vg.da_schedule_mw, cfg.vg.forecast_mean_mw)
+        assert np.array_equal(cfg.rt_price, cfg.da_price)
         assert cfg.vg.realized_mw is None
         assert cfg.seed == 0
         assert cfg.variance_scale_factors == (1.0,)
         assert cfg.brs_price.mode == "ratio"
-        assert cfg.units[0].da_schedule_mw == (100.0, 100.0)
+        schedule = cfg.units[0].da_schedule_mw
+        assert schedule.dtype == np.float64 and schedule.tolist() == [100.0, 100.0]
 
     def test_offers_load_as_columns(self):
         doc = minimal_doc()
         doc["units"][0]["zone"] = "north"
         doc["offers"].append(dict(doc["offers"][0], hour=1.0, direction="up", zone="north"))
         cfg = scenario_from_dict(doc)
-        assert cfg.offers == {
-            "seller": ("g1", "g1"), "hour": (0, 1), "direction": ("down", "up"),
-            "price": (0.5, 0.5), "quantity_mw": (10.0, 10.0), "zone": (None, "north"),
+        assert {k: col.tolist() for k, col in cfg.offers.items()} == {
+            "seller": ["g1", "g1"], "hour": [0, 1], "direction": ["down", "up"],
+            "price": [0.5, 0.5], "quantity_mw": [10.0, 10.0], "zone": [None, "north"],
         }
-        assert type(cfg.offers["hour"][1]) is int
+        assert {k: col.dtype for k, col in cfg.offers.items()} == {
+            "seller": object, "hour": np.int64, "direction": object,
+            "price": np.float64, "quantity_mw": np.float64, "zone": object,
+        }
         del doc["offers"]
-        assert scenario_from_dict(doc).offers == dict.fromkeys(cfg.offers, ())
+        empty = scenario_from_dict(doc).offers
+        assert {k: col.tolist() for k, col in empty.items()} == dict.fromkeys(cfg.offers, [])
 
     def test_unknown_key_rejected(self):
         doc = minimal_doc()
@@ -182,6 +189,15 @@ class TestScenarioParsing:
         cfg = load_scenario(SCENARIOS / "day24.json")
         again = scenario_from_dict(scenario_to_dict(cfg))
         assert again == cfg
+
+    def test_configs_compare_by_values(self):
+        cfg = load_scenario(SCENARIOS / "day24.json")
+        assert cfg == load_scenario(SCENARIOS / "day24.json")
+        assert cfg != dataclasses.replace(cfg, da_price=cfg.da_price / 2)
+        assert cfg != dataclasses.replace(cfg, offers={**cfg.offers, "zone": cfg.offers["seller"]})
+        assert cfg.units[0] != cfg.units[1] and cfg.vg != cfg
+        with pytest.raises(TypeError):
+            hash(cfg.vg)
 
     def test_file_round_trip(self, tmp_path):
         cfg = load_scenario(SCENARIOS / "single_hour.json")
@@ -317,6 +333,32 @@ class TestFirstErrorInDocumentOrder:
             scenario_from_dict(doc)
         assert str(info.value) == f"scenario.{message}"
 
+    @pytest.mark.parametrize("changes, message", [
+        # Within an offer: the hour, then the seller, then the zone.
+        ({5: dict(hour=2, seller="ghost", zone="x")}, "offers[5].hour: hour 2 outside horizon 2"),
+        ({5: dict(seller="ghost", zone="x")}, "offers[5].seller: unknown unit id 'ghost'"),
+        # The first offer that breaks any rule, whichever rule it breaks.
+        ({6: dict(hour=9), 4: dict(zone="south"), 5: dict(seller="ghost")},
+         "offers[4].zone: zone 'south' differs from the seller's zone None"),
+        # An empty zone is a zone, and no unit gives one here.
+        ({3: dict(zone="")}, "offers[3].zone: zone '' differs from the seller's zone None"),
+        # An hour past int64 is named whole.
+        ({7: dict(hour=10**30)}, f"offers[7].hour: hour {10**30} outside horizon 2"),
+    ], ids=["hour first", "seller before zone", "first offer", "empty zone", "hour past int64"])
+    def test_offer_rules(self, changes, message):
+        doc = many_offers()
+        for i, change in changes.items():
+            doc["offers"][i].update(change)
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value) == f"scenario.{message}"
+
+    def test_offer_zone_is_the_sellers(self):
+        doc = many_offers()
+        doc["units"][0]["zone"] = ""
+        doc["offers"][2]["zone"] = ""
+        assert scenario_from_dict(doc).offers["zone"].tolist() == [None, None, "", *[None] * 5]
+
 
 def _long_doc(repeats=10):
     """day24 repeated: 240 hours and 960 offers."""
@@ -397,6 +439,64 @@ class TestAgainstReferenceInterpreter:
         except ScenarioError as exc:
             got = str(exc)
         assert got == expected
+
+
+def _zoned_long_doc(path: Path) -> Path:
+    """day24 repeated 50 times (1,200 hours and 4,800 offers), every other
+    offer naming its seller's zone, written to ``path``."""
+    doc = _long_doc(repeats=50)
+    zones = {unit["id"]: unit["zone"] for unit in doc["units"]}
+    for offer in doc["offers"][1::2]:
+        offer["zone"] = zones[offer["seller"]]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+class TestLoadedConfigMemory:
+    def test_config_holds_read_only_arrays(self, tmp_path):
+        path = _zoned_long_doc(tmp_path / "long.json")
+        load_scenario(path)  # compiles and caches the schema
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cfg = load_scenario(path)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        n = len(cfg.offers["hour"])
+        # Decoded values kept in tuples held about 290 bytes an offer here.
+        assert n == 4800 and held < 100 * n, f"{held / n:.0f} bytes an offer"
+        series = [cfg.da_price, cfg.rt_price, cfg.vg.forecast_mean_mw, cfg.vg.da_schedule_mw,
+                  cfg.vg.realized_mw, *(unit.da_schedule_mw for unit in cfg.units)]
+        for col in series:
+            assert col.dtype == np.float64 and col.shape == (cfg.horizon,)
+        for col in [*series, *cfg.offers.values()]:
+            assert isinstance(col, np.ndarray) and not col.flags.writeable
+        # The string columns hold no string the JSON decoder made for an
+        # offer: only the units' own, and one for each direction.
+        strings = {
+            "seller": {id(unit.id) for unit in cfg.units},
+            "zone": {id(unit.zone) for unit in cfg.units} | {id(None)},
+            "direction": set(map(id, dataio._DIRECTIONS)),
+        }
+        for key, own in strings.items():
+            assert set(map(id, cfg.offers[key])) <= own, key
+        assert cfg.offers["zone"].tolist()[:2] == [None, "north"]
+
+    def test_load_leaves_no_cycles(self, tmp_path):
+        # A cycle through the loader's frames would keep the whole parsed
+        # document until the next collection.
+        path = _zoned_long_doc(tmp_path / "long.json")
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            load_scenario(path)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestTables:

@@ -134,6 +134,15 @@ class TestLedger:
         with pytest.raises(ValueError, match=msg):
             SettlementLedger.of(("a", "b"), [("premium", 7, 0, 1, float("inf"))])
 
+    def test_self_payment_refused_at_any_amount(self):
+        # Zero amounts are dropped, but every entry is checked first, and an
+        # unknown tag anywhere is named before a self-payment.
+        flows = [("premium", 0, 0, 1, 5.0), ("premium", [0, 1], [0, 1], 1, [2.0, 0.0])]
+        with pytest.raises(ValueError, match=r"^payer and payee must differ, both 'b'$"):
+            SettlementLedger.of(("a", "b"), flows)
+        with pytest.raises(ValueError, match=r"^unknown ledger tag 'rebate'$"):
+            SettlementLedger.of(("a", "b"), [*flows, ("rebate", 0, 0, 1, 1.0)])
+
     def test_zero_amounts_are_dropped(self):
         led = SettlementLedger.of(("a", "b"), [("premium", 0, 0, 1, [0.0, 2.0, -0.0])])
         assert led.amount.tolist() == [2.0]

@@ -16,6 +16,7 @@ import re
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from brsim import dataio
@@ -310,11 +311,12 @@ def test_required_fields_alone_load_to_the_schema_defaults():
         assert value == DEFAULT["vg", key] and type(value) is type(DEFAULT["vg", key]), key
     assert cfg.brs_price == dataio.BrsPriceModel(**DEFAULT["brs_price",])
     assert cfg.units == tuple(DEFAULT["units",])
-    assert DEFAULT["offers",] == [] and cfg.offers == dict.fromkeys(
-        props["offers"]["items"]["properties"], ())
+    assert DEFAULT["offers",] == [] and {k: col.tolist() for k, col in cfg.offers.items()} == \
+        dict.fromkeys(props["offers"]["items"]["properties"], [])
     assert cfg.variance_scale_factors == tuple(DEFAULT["variance_scale_factors",])
     # The derived defaults.
-    assert cfg.vg.da_schedule_mw == cfg.vg.forecast_mean_mw and cfg.rt_price == cfg.da_price
+    assert np.array_equal(cfg.vg.da_schedule_mw, cfg.vg.forecast_mean_mw)
+    assert np.array_equal(cfg.rt_price, cfg.da_price)
     [loaded] = scenario_from_dict({**doc, "units": [unit]}).units
     assert loaded.rt_mode == DEFAULT["units", 0, "rt_mode"]
 
