@@ -8,20 +8,18 @@ perfect), and once the ratio clears both penalty factors the position is
 zero and each scale sits at its own no-cover revenue.
 """
 
-from _run import exit_code, run_command
-from brsim import dataio
+from _run import run_command
+from brsim import cli, dataio
 
 
-def main() -> int:
-    args, code, rows = run_command("profit-sweep", "--out out/profit_sweep.csv",
-                                   "--variance-scales", "0.5,1,1.5,2")
-    if code:
-        return code
+def main() -> None:
+    args, table = run_command("profit-sweep", "--out out/profit_sweep.csv",
+                              "--variance-scales", "0.5,1,1.5,2")
     cfg = dataio.load_scenario(args.scenario)
     ideal = sum(cfg.da_price[h] * cfg.vg.forecast_mean_mw[h] for h in range(cfg.horizon))
     print(f"DA value of the mean profile: {ideal:,.0f} $")
-    # Every cell is a number, and the rows are sorted by (scale, ratio).
-    rows = [{name: float(cell) for name, cell in row.items()} for row in rows]
+    # The rows are sorted by (scale, ratio).
+    rows = [dict(zip(table, cells)) for cells in zip(*table.values())]
     first = {row["variance_scale"]: row for row in reversed(rows)}
     for scale, last in {row["variance_scale"]: row for row in rows}.items():
         # Past both penalty factors no cover is bought: gross is the no-cover revenue.
@@ -29,8 +27,7 @@ def main() -> int:
               f"{first[scale]['price_ratio']} falling to {last['expected_profit']:,.0f} $ at ratio "
               f"{last['price_ratio']} (no-cover level {last['gross_expected_revenue']:,.0f} $)")
     print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(exit_code(main))
+    raise SystemExit(cli.exit_code(main))

@@ -9,17 +9,13 @@ unit, whose RT dispatch already tracks the price, absorbs part of the shift
 payoff and its increment drops below the base-load unit's.
 """
 import argparse
-import contextlib
-import io
-import json
 import sys
 from pathlib import Path
 
-from _run import exit_code
 from brsim import cli, dataio
 
 
-def main() -> int:
+def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--correlation", action="append", help="default 0,0.2,0.4,0.6,0.8")
     ap.add_argument("--out", type=Path, default=Path("out/supply_risk.csv"))
@@ -32,36 +28,27 @@ def main() -> int:
     own, rest = ap.parse_known_args(argv)
     rhos = ",".join(own.correlation or ["0,0.2,0.4,0.6,0.8"]).split(",")
     parser = cli.build_parser()
-    fmt = parser.parse_args(["supply-risk", *rest]).format
-    runs = [["supply-risk", *rest, *flags, "--format", "json"]
+    runs = [parser.parse_args(["supply-risk", *rest, *flags])
             for flags in [["--exhaustive", "--unit-kind", "base_load"],
                           *(["--correlation", rho, "--unit-kind", "both"] for rho in rhos)]]
     # Every run's flags pass cli's checks before the first run starts.
-    for argv in runs:
-        cli.supply_risk_model(parser.parse_args(argv))
-    reports, verdicts = [], []
-    for argv in runs:
-        with contextlib.redirect_stdout(io.StringIO()) as text:
-            code = cli.main(argv)
-        if code:
-            return code
-        # The table at full precision, then the verdict line of a run on both kinds.
-        rows, end = json.JSONDecoder().raw_decode(text.getvalue())
-        reports.append({row["kind"]: row for row in rows})
-        verdicts.append(text.getvalue()[end:].strip() == "verdict: marginal_less_risky=true")
+    for args in runs:
+        cli.supply_risk_model(args)
+    exhaustive, *swept = (cli.supply_risk_table(args) for args in runs)
+    incremental = [dict(zip(run["kind"], run["incremental_variance"])) for run in swept]
     table = {"correlation": [float(rho) for rho in rhos],
-             "base_incremental": [r["base_load"]["incremental_variance"] for r in reports[1:]],
-             "marginal_incremental": [r["marginal"]["incremental_variance"] for r in reports[1:]],
-             "marginal_less_risky": verdicts[1:]}
-    dataio.write_table(table, own.out, fmt)
+             "base_incremental": [run["base_load"] for run in incremental],
+             "marginal_incremental": [run["marginal"] for run in incremental],
+             "marginal_less_risky": [cli.marginal_less_risky(run) for run in swept]}
+    dataio.write_table(table, own.out, runs[0].format)
     print("exhaustive four-outcome check: incremental variance {incremental_variance:.1f} $^2 "
-          "(expected delta {expected_delta:+.1f})".format(**reports[0]["base_load"]))
+          "(expected delta {expected_delta:+.1f})".format(
+              **{name: column[0] for name, column in exhaustive.items()}))
     for row in zip(*table.values()):
         print("  rho={:.1f}: base {:9.1f} $^2, marginal {:9.1f} $^2, "
               "marginal less risky: {}".format(*row))
     print(f"wrote {own.out} ({len(rhos)} rows)")
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(exit_code(main))
+    raise SystemExit(cli.exit_code(main))

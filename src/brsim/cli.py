@@ -66,7 +66,9 @@ def _hour_context(cfg: dataio.ScenarioConfig, hour: int):
         raise UsageError(f"--{exc}") from None
 
 
-def cmd_demand_curve(args) -> None:
+# A table command's function takes the parsed flags and returns the table's
+# columns. It checks every flag it can before any work.
+def demand_curve_table(args) -> dict:
     for a in args.alpha or ():
         if not 0.0 <= a <= 1.0:
             raise UsageError(f"--alpha values must be in [0, 1], got {a}")
@@ -79,10 +81,10 @@ def cmd_demand_curve(args) -> None:
     cfg = dataio.load_scenario(args.scenario)
     s, _, d = _hour_context(cfg, args.hour)
     alphas = args.alpha or [cfg.penalty.over]
-    _emit(simulation.demand_curve_rows(s, d, alphas, args.points), args)
+    return simulation.demand_curve_rows(s, d, alphas, args.points)
 
 
-def cmd_optimal(args) -> None:
+def optimal_table(args) -> dict:
     for flag, price in (("--down-price", args.down_price), ("--up-price", args.up_price)):
         if price is not None:
             _check_nonnegative(flag, price)
@@ -95,10 +97,10 @@ def cmd_optimal(args) -> None:
     row = {"hour": args.hour, "down_qty_mw": pos.down_qty, "up_qty_mw": pos.up_qty,
            "down_price": pos.down_price, "up_price": pos.up_price,
            **vars(vg.oic_report(s, pf, pos, d))}
-    _emit({name: [value] for name, value in row.items()}, args)
+    return {name: [value] for name, value in row.items()}
 
 
-def cmd_profit_sweep(args) -> None:
+def profit_sweep_table(args) -> dict:
     for r in args.price_ratios or ():
         _check_nonnegative("--price-ratios", r)
     for k in args.variance_scales or ():
@@ -109,7 +111,11 @@ def cmd_profit_sweep(args) -> None:
     if len(scales) * len(ratios) * cfg.horizon > _CELLS_MAX:
         raise UsageError(f"--variance-scales ({len(scales)}) x --price-ratios ({len(ratios)}) x "
                          f"{cfg.horizon} hours exceeds {_CELLS_MAX} cells")
-    _emit(simulation.profit_sweep(cfg, ratios, scales), args)
+    return simulation.profit_sweep(cfg, ratios, scales)
+
+
+def cmd_table(args) -> None:
+    _emit(args.table(args), args)
 
 
 def cmd_simulate_day(args) -> None:
@@ -143,22 +149,33 @@ def supply_risk_model(args) -> ScenarioModel:
     return model
 
 
-def cmd_supply_risk(args) -> None:
+def supply_risk_table(args) -> dict:
     model = supply_risk_model(args)
     if args.exhaustive:
         draws = [provider.exhaustive_scenarios(model)]
     else:
         draws = provider.generate_scenarios(model, args.samples, args.seed)
     kinds = list(RISK_UNITS) if args.unit_kind == "both" else [args.unit_kind]
-    reports = dict(zip(kinds, provider.risk_report([RISK_UNITS[k] for k in kinds], draws)))
+    reports = provider.risk_report([RISK_UNITS[k] for k in kinds], draws)
     table = {"kind": kinds}
     for f in fields(RiskReport):
-        table[f.name] = [getattr(report, f.name) for report in reports.values()]
+        table[f.name] = [getattr(report, f.name) for report in reports]
+    return table
+
+
+def marginal_less_risky(table) -> bool:
+    """Whether selling cover adds less cash-flow variance to the marginal
+    unit than to the base-load one, in a supply-risk table of both kinds:
+    a strict ``<``, so a tie is not less risky."""
+    incremental = dict(zip(table["kind"], table["incremental_variance"]))
+    return incremental["marginal"] < incremental["base_load"]
+
+
+def cmd_supply_risk(args) -> None:
+    table = supply_risk_table(args)
     _emit(table, args)
     if args.unit_kind == "both":
-        # Selling cover adds less cash-flow variance to the marginal unit.
-        less = reports["marginal"].incremental_variance < reports["base_load"].incremental_variance
-        print(f"verdict: marginal_less_risky={str(less).lower()}")
+        print(f"verdict: marginal_less_risky={str(marginal_less_risky(table)).lower()}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="penalty factor(s), comma-separated and/or repeated")
     p.add_argument("--points", type=int, default=21)
     add_output_flags(p)
-    p.set_defaults(func=cmd_demand_curve)
+    p.set_defaults(func=cmd_table, table=demand_curve_table)
 
     p = sub.add_parser("optimal", help="optimal cover and its cost report")
     p.add_argument("scenario", type=Path)
@@ -187,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--down-price", type=float, default=None)
     p.add_argument("--up-price", type=float, default=None)
     add_output_flags(p)
-    p.set_defaults(func=cmd_optimal)
+    p.set_defaults(func=cmd_table, table=optimal_table)
 
     p = sub.add_parser("profit-sweep", help="expected profit over premium ratios and variance scales")
     p.add_argument("scenario", type=Path)
@@ -196,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variance-scales", type=_float_list, action="extend",
                    help="variance scale factors (default: scenario's variance_scale_factors)")
     add_output_flags(p)
-    p.set_defaults(func=cmd_profit_sweep)
+    p.set_defaults(func=cmd_table, table=profit_sweep_table)
 
     p = sub.add_parser("simulate-day", help="run the full lifecycle and dump ledger/contracts")
     p.add_argument("scenario", type=Path)
@@ -218,11 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def exit_code(command, *args) -> int:
+    """Run ``command(*args)`` and return its exit code: 0, or 2 for a
+    UsageError and 1 for any other ValueError or an OSError, each reported
+    on stderr."""
     try:
-        args.func(args)
+        command(*args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -230,6 +248,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import operator
 import os
 import stat
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -51,28 +51,6 @@ class ScenarioError(ValueError):
 _DIRECTIONS = ("down", "up")
 
 
-class _ArrayFields:
-    """Equality field by field, an array field's by its dtype and values. A
-    config that holds arrays has no hash."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-
-
-def _same(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-                and a.dtype == b.dtype and np.array_equal(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):  # the offer columns
-        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
-    return a == b
-
-
 @dataclass(frozen=True)
 class PenaltyConfig:
     over: float
@@ -80,7 +58,7 @@ class PenaltyConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class VgParams(_ArrayFields):
+class VgParams:
     capacity_mw: float
     forecast_mean_mw: np.ndarray
     id: str
@@ -93,7 +71,7 @@ class VgParams(_ArrayFields):
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class UnitConfig(_ArrayFields):
+class UnitConfig:
     id: str
     kind: str
     p_min_mw: float
@@ -124,7 +102,7 @@ class ZonalRuleConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class ScenarioConfig(_ArrayFields):
+class ScenarioConfig:
     """A checked scenario. Each hourly series is a read-only float64 array
     over the horizon. The offer book is one read-only array per offer
     field: ``hour`` int64, ``price`` and ``quantity_mw`` float64, and

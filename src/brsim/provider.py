@@ -61,26 +61,13 @@ class DispatchableUnit:
 _RISK_CHUNK = 16_384
 
 
-def _shareable(value) -> bool:
-    """A read-only float64 array over memory that no array can write to."""
-    if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
-        return False
-    while isinstance(value, np.ndarray):
-        if value.flags.writeable:
-            return False
-        value = value.base
-    return value is None
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioSet:
     """Joint draws at one DA price: draw i is (da, rt[i], executed[i]), with
-    ``rt`` and ``executed`` parallel read-only arrays. An ``exhaustive`` set
-    lists the equally likely outcomes of a discrete law; otherwise the set is
-    a sample. Equality is identity; compare the arrays with np.array_equal. A
-    read-only float64 input whose ``.base`` chain is read-only down to the
-    array owning the memory is kept as it is; any other, a read-only view of
-    a writeable array too, is copied."""
+    ``rt`` and ``executed`` parallel read-only float64 copies of the values
+    given. An ``exhaustive`` set lists the equally likely outcomes of a
+    discrete law; otherwise the set is a sample. Equality is identity;
+    compare the arrays with np.array_equal."""
 
     da: float
     rt: np.ndarray
@@ -94,7 +81,7 @@ class ScenarioSet:
         object.__setattr__(self, "da", da)
         for name in ("rt", "executed"):
             value = getattr(self, name)
-            arr = value if _shareable(value) else np.array(value, dtype=np.float64)
+            arr = np.array(value, dtype=np.float64)
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
             if len(arr) != len(self.rt):
@@ -249,8 +236,7 @@ def _scenario_chunks(model: ScenarioModel, n: int, gaps: np.random.Generator,
     # into one chunk's buffer to reach the shift normals z2 after them, and
     # ``gaps`` draws z1 again a chunk at a time. A generator's normals do not
     # depend on how a count is split into calls. Rounded as
-    # shift = std_e*(rho*(-z1) + sqrt(1-rho^2)*z2) and rt = da - gap*z1; each
-    # set keeps its chunk's two arrays.
+    # shift = std_e*(rho*(-z1) + sqrt(1-rho^2)*z2) and rt = da - gap*z1.
     skipped = np.empty(min(n, _RISK_CHUNK))
     for lo in range(0, n, _RISK_CHUNK):
         shifts.standard_normal(out=skipped[:n - lo])
@@ -267,7 +253,6 @@ def _scenario_chunks(model: ScenarioModel, n: int, gaps: np.random.Generator,
             np.clip(shift, -model.execution_limit, model.execution_limit, out=shift)
         rt *= model.gap_std
         np.subtract(model.da_price_mean, rt, out=rt)
-        rt.flags.writeable = shift.flags.writeable = False
         yield ScenarioSet(model.da_price_mean, rt, shift)
 
 

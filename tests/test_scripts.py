@@ -1,7 +1,9 @@
-"""Experiment scripts: each runs end to end through ``brsim.cli.main``, so
-the CLI's flag names, checks and exit codes apply to it."""
+"""Experiment scripts: each takes its tables from the commands in
+``brsim.cli``, so the CLI's flag names, checks, tables and exit codes apply
+to it."""
 
 import csv
+import json
 import math
 import os
 import runpy
@@ -89,10 +91,10 @@ def test_supply_risk_tie_is_not_less_risky(tmp_path):
     (["--correlation", "0,2"], "--correlation must be in [-1, 1], got 2.0"),
 ], ids=["exhaustive_with_correlation", "correlation_out_of_range"])
 def test_supply_risk_flags_are_checked_before_the_first_run(monkeypatch, capsys, args, message):
-    def run(argv):
-        raise AssertionError(f"cli.main ran {argv}")
+    def run(args):
+        raise AssertionError(f"a run started on {args}")
 
-    monkeypatch.setattr(cli, "main", run)
+    monkeypatch.setattr(cli, "supply_risk_table", run)
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     monkeypatch.setattr(sys, "argv", ["run_supply_risk.py", *args])
     with pytest.raises(SystemExit) as exited:
@@ -132,6 +134,33 @@ def test_table_script(tmp_path, script, args, columns, n_rows):
     assert proc.stdout.splitlines()[-1] == f"wrote {out} ({n_rows} rows)"
 
 
+# (script, its command, flags that leave none of the script's defaults in use)
+SAME_FLAGS = [
+    ("run_demand_curves.py", "demand-curve",
+     [DAY24, "--hour", "7", "--alpha", "0.1,0.5", "--points", "4"]),
+    ("run_profit_sweep.py", "profit-sweep",
+     [DAY24, "--price-ratios", "0,0.2,0.5", "--variance-scales", "0.5,2.0"]),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("script, command, flags", SAME_FLAGS, ids=[s[0] for s in SAME_FLAGS])
+def test_table_script_writes_the_command_table(tmp_path, script, command, flags, fmt):
+    want, got = tmp_path / f"command.{fmt}", tmp_path / f"script.{fmt}"
+    assert cli.main([command, *flags, "--format", fmt, "--out", str(want)]) == 0
+    proc = run_script(script, tmp_path, *flags, "--format", fmt, "--out", str(got))
+    assert proc.returncode == 0, proc.stderr
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_table_to_stdout_comes_before_the_summary(tmp_path):
+    proc = run_script("run_profit_sweep.py", tmp_path, "--out", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    summary = (GOLDEN / "run_profit_sweep.stdout").read_text()
+    assert proc.stdout == ((GOLDEN / "run_profit_sweep.csv").read_text()
+                           + summary.replace("out/profit_sweep.csv", "/dev/stdout"))
+
+
 # (script, default table under out/, golden table): a default run prints
 # what the golden ``<script>.stdout`` holds and writes the golden table.
 DEFAULT_RUNS = [
@@ -152,7 +181,8 @@ def test_default_run_matches_golden(tmp_path, script, table, golden):
 # (script, arguments, exit code, the start of the stderr line that reports
 # it): the CLI's checks, with the flag or path they name, and the scripts'
 # own file errors, reported as the CLI reports them. ``afile`` is a regular
-# file, so no directory can be made under it.
+# file, so no directory can be made under it; ``bad.json`` is day24.json
+# with a capacity that its schema refuses.
 BAD_INPUTS = [
     ("run_demand_curves.py", ["--hour", "99"], 2, "usage error: --hour 99 "),
     ("run_demand_curves.py", ["--points", "1"], 2, "usage error: --points "),
@@ -165,14 +195,14 @@ BAD_INPUTS = [
      "usage error: --correlation must be 0 with --exhaustive"),
     ("run_demand_curves.py", ["nope.json"], 1,
      "error: [Errno 2] No such file or directory: 'nope.json'"),
+    ("run_profit_sweep.py", ["bad.json"], 1,
+     "error: bad.json.vg.capacity_mw: must be > 0, got -5.0"),
     ("run_demand_curves.py", ["--out", "afile/x.csv"], 1, "error: [Errno 17] File exists: 'afile'"),
     ("run_profit_sweep.py", ["--out", "afile/x.csv"], 1, "error: [Errno 17] File exists: 'afile'"),
     ("run_supply_risk.py", ["--samples", "2000", "--out", "afile/x.csv"], 1,
      "error: [Errno 17] File exists: 'afile'"),
     ("run_supply_risk.py", ["--samples", "2000", "--out", "."], 1,
      "error: [Errno 21] Is a directory: '.'"),
-    # A table the script cannot read back for its summary.
-    ("run_profit_sweep.py", ["--out", "/dev/stdout"], 2, "usage error: --out /dev/stdout "),
 ]
 
 
@@ -182,6 +212,9 @@ BAD_INPUTS = [
 )
 def test_bad_input_exits_with_message(tmp_path, script, args, code, message):
     (tmp_path / "afile").write_text("")
+    bad = json.loads(Path(DAY24).read_text())
+    bad["vg"]["capacity_mw"] = -5
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
     proc = run_script(script, tmp_path, *args)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
