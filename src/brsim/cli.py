@@ -129,6 +129,8 @@ def cmd_simulate_day(args) -> None:
             path = args.out_dir / f"{name}.{fmt}"
             dataio.write_table(columns, path, fmt)
             print(f"wrote {path}")
+        # Released before the next table's columns are built.
+        del columns
 
 
 def supply_risk_model(args) -> ScenarioModel:

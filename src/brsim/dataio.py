@@ -36,7 +36,7 @@ _SIG_DIGITS_FORMAT = f"{{:.{_CSV_SIG_DIGITS}g}}".format
 # Tables are formatted this many rows at a time, which bounds the rows and
 # the text held while a table is written: a batch's cell and row strings
 # take several times its text.
-_BATCH_ROWS = 512
+_BATCH_ROWS = 256
 
 
 class ScenarioError(ValueError):

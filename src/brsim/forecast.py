@@ -116,18 +116,23 @@ def quantile(d: ForecastDistribution, q):
             "quantile level must be in [0, 1], got {}", q,
         )
     # Far in the lower tail betaincinv also returns nan (from q = 1e-90 for
-    # some shapes) or a point whose CDF misses q (0 at q = 1e-290, a = 29,
-    # b = 0.45). There the CDF is x**a / (a * B(a, b)) to within a relative
-    # O(x): invert that, and keep it where it meets q more closely.
-    # Only those elements are taken: elsewhere the exponent can overflow
-    # (at the variance ceiling's shapes) for a value that is then dropped.
-    redo = lost | (0.0 < q) & (q < _TAIL_LEVEL)
+    # some shapes), a point whose CDF misses q (0 at q = 1e-290, a = 29,
+    # b = 0.45), or, where the quantile lies below the smallest normal
+    # float, that float or 0 whatever q (a = 0.0024, b = 0.046 up to
+    # q = 0.17). There the CDF is x**a / (a * B(a, b)) to within a relative
+    # O(x / a): invert that. Below the smallest normal it is taken as is,
+    # since in level space the normal float can look closer; elsewhere it
+    # is kept where it meets q more closely. Only those elements are taken:
+    # elsewhere the exponent can overflow (at the variance ceiling's shapes)
+    # for a value that is then dropped.
+    below = (0.0 < q) & (x <= np.finfo(float).tiny)
+    redo = lost | below | (0.0 < q) & (q < _TAIL_LEVEL)
     if any_true(redo):
-        a, b, q, near, lost = take(redo, a, b, q, x, lost)
+        a, b, q, near, lost, below = take(redo, a, b, q, x, lost, below)
         lead = np.exp((np.log(q) + np.log(a) + special.betaln(a, b)) / a)
         closer = np.abs(special.betainc(a, b, lead) - q) < np.abs(special.betainc(a, b, near) - q)
         x = np.array(x)
-        x[redo] = np.where(lost | closer, lead, near)
+        x[redo] = np.where(lost | below | closer, lead, near)
     return unwrap(x * d.capacity)
 
 

@@ -36,6 +36,8 @@ REASONS = ("", "headroom", "zonal")
 NO_REASON, HEADROOM, ZONAL = range(len(REASONS))
 # Ledger party codes: the pool, the producer, then the units in order.
 _POOL, _VG, _UNITS = 0, 1, 2
+# Ledger entries summed into nets at a time: bounds the sums' temporaries.
+_NET_SLICE = 4096
 
 
 class PhaseError(RuntimeError):
@@ -294,7 +296,9 @@ class SettlementLedger:
     """Append-only double-entry ledger, one row per entry: in ``hour``,
     ``amount`` moves from ``parties[payer]`` to ``parties[payee]`` under
     ``LEDGER_TAGS[tag]``. Every flow names a payer and a payee, so the
-    parties' nets sum to zero up to rounding. Build one with ``of``."""
+    parties' nets sum to zero up to rounding. ``payer``, ``payee`` and
+    ``tag`` are codes of the smallest unsigned integer type that indexes
+    their tuple (uint8 for any real day). Build one with ``of``."""
 
     parties: tuple[str, ...]
     hour: np.ndarray
@@ -309,60 +313,83 @@ class SettlementLedger:
         of columns or scalars that broadcast, each in hour order, with
         payer and payee indexing ``parties``. Entries run by hour, and
         within an hour in the order of the groups, then of their rows.
-        Zero amounts are dropped; an unknown tag, a payer that is its own
-        payee, or an amount that is negative or not finite is refused."""
+        Zero amounts are dropped; an unknown tag, a party code outside
+        ``parties``, a payer that is its own payee, or an amount that is
+        negative or not finite is refused."""
         groups = []
         for tag, *columns in flows:
             if tag not in LEDGER_TAGS:
                 raise ValueError(f"unknown ledger tag {tag!r}")
             groups.append(np.broadcast_arrays(*map(np.atleast_1d, columns), LEDGER_TAGS.index(tag)))
         for _, payer, payee, *_ in groups:
+            for code in (payer, payee):
+                if (bad := (code < 0) | (code >= len(parties))).any():
+                    raise ValueError(f"party code {code[bad][0]} outside {len(parties)} parties")
             if (same := payer == payee).any():
                 raise ValueError(f"payer and payee must differ, both {parties[payer[same][0]]!r}")
 
-        def column(k: int) -> np.ndarray:
-            return np.concatenate([group[k] for group in groups]) if groups else np.zeros(0)
+        def column(k: int, dtype) -> np.ndarray:
+            # The party codes were checked, so the unsafe cast keeps them.
+            return np.concatenate([group[k] for group in groups] or [np.zeros(0)],
+                                  dtype=dtype, casting="unsafe")
 
-        # Each column is concatenated and cut to the kept entries in turn.
-        hour, amount = column(0), column(3)
-        order = np.argsort(hour, kind="stable")
-        keep = order[amount[order] != 0.0]
-        hour, amount = hour[keep], amount[keep]
-        payer, payee, tag = (column(k)[keep] for k in (1, 2, 4))
+        # The kept entries in hour order; then one column at a time is
+        # concatenated and cut to them.
+        hour = column(0, np.int64)
+        nonzero = np.concatenate([group[3] != 0.0 for group in groups] or [np.zeros(0, bool)])
+        keep = np.argsort(hour, kind="stable")
+        keep = keep[nonzero[keep]]
+        hour = hour[keep]
+        amount = column(3, float)[keep]
+        party = np.min_scalar_type(max(len(parties) - 1, 0))
+        payer, payee = column(1, party)[keep], column(2, party)[keep]
+        tag = column(4, np.min_scalar_type(len(LEDGER_TAGS) - 1))[keep]
         if (bad := ~(amount >= 0.0) | (amount == math.inf)).any():
             i = int(np.argmax(bad))
             raise ValueError(f"hour {hour[i]}: {LEDGER_TAGS[tag[i]]} from {parties[payer[i]]!r} to "
                              f"{parties[payee[i]]!r} must be finite and >= 0, got {amount[i]}")
-        hour, payer, payee, tag = (col.astype(np.int64, copy=False) for col in (hour, payer, payee, tag))
-        return cls(tuple(parties), hour, payer, payee, amount.astype(float, copy=False), tag)
+        return cls(tuple(parties), hour, payer, payee, amount, tag)
 
-    def _keys(self, offset=0) -> np.ndarray:
-        """Each entry's payer, then its payee, each plus ``offset``."""
-        keys = np.empty(2 * len(self.payer), dtype=np.int64)
-        np.add(self.payer, offset, out=keys[0::2])
-        np.add(self.payee, offset, out=keys[1::2])
-        return keys
-
-    def _nets(self, keys: np.ndarray, size: int) -> np.ndarray:
-        # Each entry takes its amount from the payer's net (keys[0::2]), then
-        # adds it to the payee's (keys[1::2]); bincount adds in input order.
-        amounts = np.empty(len(keys))
-        np.negative(self.amount, out=amounts[0::2])
-        amounts[1::2] = self.amount
-        return np.bincount(keys, amounts, minlength=size)
+    def _flows(self, stride: int = 0) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """The entries in slices of at most _NET_SLICE, each as (start,
+        keys, amounts): every entry's payer with minus its amount, then its
+        payee with its amount, the first key at ``start`` in that sequence
+        over the whole ledger. A key is the party's code plus ``stride``
+        times the entry's hour. Each slice is written over the last."""
+        size = min(len(self.amount), _NET_SLICE)
+        keys, amounts = np.empty((size, 2), np.int64), np.empty((size, 2))
+        for lo in range(0, len(self.amount), _NET_SLICE):
+            at = slice(lo, lo + _NET_SLICE)
+            k = len(self.amount[at])
+            keys[:k, 0], keys[:k, 1] = self.payer[at], self.payee[at]
+            if stride:
+                keys[:k] += (self.hour[at] * stride)[:, None]
+            np.negative(self.amount[at], out=amounts[:k, 0])
+            amounts[:k, 1] = self.amount[at]
+            yield 2 * lo, keys[:k].ravel(), amounts[:k].ravel()
 
     def net_by_party(self) -> dict[str, float]:
         """Each party's net, in order of first appearance (payer before
         payee), summed in entry order."""
-        seen = self._keys()
-        nets = self._nets(seen, len(self.parties)).tolist()
-        first = {p: np.argmax(seen == p) for p in np.flatnonzero(np.bincount(seen)).tolist()}
-        return {self.parties[p]: nets[p] for p in sorted(first, key=first.get)}
+        never = 2 * len(self.amount)
+        nets, first = np.zeros(len(self.parties)), np.full(len(self.parties), never)
+        for start, keys, amounts in self._flows():
+            # add.at adds one element at a time, in input order.
+            np.add.at(nets, keys, amounts)
+            np.minimum.at(first, keys, np.arange(start, start + len(keys)))
+        nets, first = nets.tolist(), first.tolist()
+        seen = sorted((p for p, at in enumerate(first) if at < never), key=first.__getitem__)
+        return {self.parties[p]: nets[p] for p in seen}
 
     def hourly_nets(self, horizon: int) -> np.ndarray:
         """Each party's (column's) net within each hour (row), in entry order."""
-        keys = self._keys(self.hour * len(self.parties))
-        return self._nets(keys, horizon * len(self.parties)).reshape(horizon, len(self.parties))
+        if len(self.hour) and not 0 <= self.hour.min() <= self.hour.max() < horizon:
+            raise ValueError(
+                f"hours {self.hour.min()} to {self.hour.max()} outside horizon {horizon}")
+        nets = np.zeros((horizon, len(self.parties)))
+        for _, keys, amounts in self._flows(len(self.parties)):
+            np.add.at(nets.reshape(-1), keys, amounts)
+        return nets
 
 
 def settle(

@@ -237,15 +237,16 @@ def _scenario_chunks(model: ScenarioModel, n: int, gaps: np.random.Generator,
     # ``gaps`` draws z1 again a chunk at a time. A generator's normals do not
     # depend on how a count is split into calls. Rounded as
     # shift = std_e*(rho*(-z1) + sqrt(1-rho^2)*z2) and rt = da - gap*z1.
-    skipped = np.empty(min(n, _RISK_CHUNK))
+    # ScenarioSet copies what it is given, so each chunk is drawn into the
+    # same two buffers.
+    z1, z2 = np.empty(min(n, _RISK_CHUNK)), np.empty(min(n, _RISK_CHUNK))
     for lo in range(0, n, _RISK_CHUNK):
-        shifts.standard_normal(out=skipped[:n - lo])
-    del skipped
+        shifts.standard_normal(out=z2[:n - lo])
     rho = model.correlation
     for lo in range(0, n, _RISK_CHUNK):
         k = min(_RISK_CHUNK, n - lo)
-        rt = gaps.standard_normal(k)  # z1, made the RT price in place
-        shift = shifts.standard_normal(k)
+        rt = gaps.standard_normal(out=z1[:k])  # z1, made the RT price in place
+        shift = shifts.standard_normal(out=z2[:k])
         shift *= math.sqrt(1.0 - rho * rho)
         shift += rt * (-rho)
         shift *= model.execution_std

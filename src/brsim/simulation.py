@@ -186,9 +186,9 @@ def contract_rows(result: DayResult) -> dict[str, np.ndarray]:
     return {
         "id": np.arange(len(c.hour)),
         "hour": c.hour,
-        "buyer": np.full(len(c.hour), result.vg_id, dtype=object),
+        "buyer": np.broadcast_to(np.array(result.vg_id, dtype=object), len(c.hour)),
         "seller": np.array(result.unit_ids, dtype=object)[c.seller],
-        "direction": np.where(c.up, vg.UP.value, vg.DOWN.value),
+        "direction": np.array((vg.DOWN.value, vg.UP.value), dtype=object)[c.up.view(np.uint8)],
         "quantity_mw": c.quantity,
         "premium_price": c.price,
         "status": np.array(market.STATUSES, dtype=object)[c.status],

@@ -246,13 +246,34 @@ def test_quantile_where_betaincinv_misses_its_level():
 def test_quantile_tail_leaves_other_elements_alone():
     # At the variance ceiling's shapes (a = b = 5e-4) the tail's leading-term
     # inverse overflows at levels outside the tail; it is taken only on the
-    # tail element, so no RuntimeWarning (an error under pytest) is raised.
+    # elements in the tail or below the smallest normal float, so no
+    # RuntimeWarning (an error under pytest) is raised. At 0.3 the root,
+    # about 1e-444, underflows.
     d = forecast.from_mean(100.0, np.array([50.0, 50.0]), 0.05, 1000.0)
     assert d.shape_a.tolist() == d.shape_b.tolist() == pytest.approx([5e-4, 5e-4], rel=0.01)
     got = forecast.quantile(d, np.array([1e-14, 0.3]))
-    assert got.tolist() == [0.0, 2.2250738585072008e-306]
+    assert got.tolist() == [0.0, 0.0]
     one = forecast.from_mean(100.0, 50.0, 0.05, 1000.0)
     assert got.tolist() == [forecast.quantile(one, 1e-14), forecast.quantile(one, 0.3)]
+
+
+def test_quantile_below_the_smallest_normal_float():
+    # Up to q = 0.17 the quantile of these shapes lies below the smallest
+    # normal float, where betaincinv returns that float or 0 whatever q: the
+    # leading-term root replaces it. Up to 0.147 the root underflows to 0.
+    a, b = 0.0024, 0.046
+    d = ForecastDistribution(1.0, a / (a + b), 0.0, a, b)
+    low = np.array([1e-6, 0.01, 0.1, 0.147])
+    assert forecast.quantile(d, low).tolist() == [0.0] * 4
+    assert [forecast.quantile(d, q) for q in low.tolist()] == [0.0] * 4
+    x = forecast.quantile(d, 0.17)
+    assert 0.0 < x < np.finfo(float).tiny
+    assert forecast.cdf(d, x) == pytest.approx(0.17, rel=1e-12)
+    for q in (0.2, 0.5):
+        assert forecast.cdf(d, forecast.quantile(d, q)) == pytest.approx(q, rel=1e-12)
+    # Where the root would overflow (0.9), betaincinv's point is kept.
+    ceiling = forecast.from_mean(100.0, 50.0, 0.05, 1000.0)
+    assert forecast.quantile(ceiling, np.array([0.3, 0.9])).tolist() == [0.0, 100.0]
 
 
 @given(d=forecast_dists)

@@ -1,6 +1,7 @@
 """Capacity market over a day: matching, validation, claims, settlement."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,25 @@ class TestOfferAndContractChecks:
             market.validate_contracts(rejected, [g_unit()])
 
 
+def assert_each_net(led: SettlementLedger, horizon: int) -> list[str]:
+    """Check that the ledger's nets, over the day and within each hour,
+    equal the entry-by-entry sums bit for bit, and that net_by_party lists
+    the parties in order of first appearance, payer before payee; return
+    that order."""
+    first_seen = []
+    for e in ledger_entries(led):
+        first_seen += [p for p in (e.payer, e.payee) if p not in first_seen]
+    nets = led.net_by_party()
+    assert list(nets) == first_seen
+    for party in first_seen:
+        assert nets[party] == ledger_net(led, party)
+    hourly = led.hourly_nets(horizon)
+    for hour in range(horizon):
+        for j, party in enumerate(led.parties):
+            assert hourly[hour, j] == ledger_net(led, party, hour=hour)
+    return first_seen
+
+
 class TestLedger:
     def test_entry_validation(self):
         parties = ("a", "b")
@@ -188,7 +208,7 @@ class TestLedger:
     )
     @settings(max_examples=100, deadline=None)
     def test_net_by_party_equals_each_net(self, flows):
-        # np.bincount adds the amounts in input order, so the columnar nets
+        # np.add.at adds the amounts in input order, so the columnar nets
         # equal the entry-by-entry sums bit for bit, over the day and within
         # each hour.
         parties = ("pool", "vg", "g1", "g2")
@@ -196,17 +216,74 @@ class TestLedger:
             ("premium", hour, parties.index(payer), parties.index(payee), amount)
             for (payer, payee, _, _), amount, hour in flows
         ])
-        first_seen = []
-        for e in ledger_entries(led):
-            first_seen += [p for p in (e.payer, e.payee) if p not in first_seen]
-        nets = led.net_by_party()
-        assert list(nets) == first_seen
-        for party in first_seen:
-            assert nets[party] == ledger_net(led, party)
-        hourly = led.hourly_nets(4)
-        for hour in range(4):
-            for j, party in enumerate(parties):
-                assert hourly[hour, j] == ledger_net(led, party, hour=hour)
+        assert_each_net(led, 4)
+
+    @pytest.mark.parametrize("slices, extra", [(0, 0), (1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_net_by_party_equals_each_net_across_slices(self, slices, extra):
+        # The nets are summed a slice of entries at a time: around one and
+        # two slices' worth of entries they still equal the entry-by-entry
+        # sums bit for bit. The last entry brings in two new parties, so
+        # across a slice boundary they come last, the payer first.
+        n = slices * market._NET_SLICE + extra
+        parties = ("pool", "vg", "g1", "g2", "g3")
+        rng = np.random.default_rng(n)
+        payer = rng.integers(0, 3, n)
+        payee = (payer + rng.integers(1, 3, n)) % 3
+        payer[-1:], payee[-1:] = 4, 3
+        # Amounts over twelve decades, so the order of the sums shows in the bits.
+        amount = 10.0 ** rng.uniform(-6, 6, n)
+        led = SettlementLedger.of(
+            parties, [("premium", np.sort(rng.integers(0, 4, n)), payer, payee, amount)])
+        assert len(led.amount) == n
+        assert assert_each_net(led, 4)[-2:] == (["g3", "g2"] if n else [])
+
+    def test_nets_take_memory_bounded_by_a_slice(self):
+        # 100,000 entries: temporaries over the whole ledger would take 32
+        # bytes per entry, 3.2 MB.
+        n, horizon = 100_000, 24
+        rng = np.random.default_rng(5)
+        payer = rng.integers(0, 3, n)
+        led = SettlementLedger.of(("pool", "vg", "g1"), [
+            ("da_energy", np.sort(rng.integers(0, horizon, n)), payer,
+             (payer + rng.integers(1, 3, n)) % 3, rng.uniform(1.0, 2.0, n)),
+        ])
+        bound = 80 * market._NET_SLICE
+        for nets in (led.net_by_party, lambda: led.hourly_nets(horizon)):
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                nets()
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (nets, peak, bound)
+
+    def test_codes_take_one_byte_per_entry(self):
+        parties = ("pool", "vg", *(f"g{j}" for j in range(250)))
+        led = SettlementLedger.of(parties, [
+            ("premium", [0, 0, 1], [1, 1, 1], [2, 251, 30], [1.0, 2.0, 3.0]),
+            ("rt_imbalance", [0, 1], 0, [1, 251], [4.0, 5.0]),
+        ])
+        for codes in (led.payer, led.payee, led.tag):
+            assert codes.dtype == np.uint8 and codes.nbytes == len(led.amount) == 5
+        assert led.payee.tolist() == [2, 251, 1, 30, 251]
+        assert led.tag.tolist() == [0, 0, 3, 0, 3]
+        wide = SettlementLedger.of((*parties, *(f"h{j}" for j in range(10))),
+                                   [("premium", 0, 1, 261, 1.0)])
+        assert wide.payee.dtype == np.uint16 and wide.payee.tolist() == [261]
+        assert wide.tag.dtype == np.uint8
+
+    @pytest.mark.parametrize("code", [-1, 2, 256])
+    def test_party_codes_outside_the_parties_refused(self, code):
+        with pytest.raises(ValueError, match=f"^party code {code} outside 2 parties$"):
+            SettlementLedger.of(("a", "b"), [("premium", [0, 0], [0, 1], [1, code], 5.0)])
+
+    @pytest.mark.parametrize("horizon", [0, 2])
+    def test_hourly_nets_refuse_hours_outside_the_horizon(self, horizon):
+        led = SettlementLedger.of(("a", "b"), [("premium", [0, 2], 0, 1, 5.0)])
+        with pytest.raises(ValueError, match=f"^hours 0 to 2 outside horizon {horizon}$"):
+            led.hourly_nets(horizon)
+        assert led.hourly_nets(3).tolist() == [[-5.0, 5.0], [0.0, 0.0], [-5.0, 5.0]]
 
     def test_nets_that_do_not_cancel_are_unbalanced(self, monkeypatch):
         led = SettlementLedger.of(
