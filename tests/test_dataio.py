@@ -577,7 +577,9 @@ class TestStreamedTables:
     @pytest.mark.parametrize("fmt", dataio.TABLE_FORMATS)
     # The first batch's boundaries, and the same boundaries a few batches in.
     @pytest.mark.parametrize(
-        "n", [0, 1, B - 1, B, B + 1, 2 * B + 1, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B + 1]
+        "n",
+        [0, 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 4 * B - 1, 4 * B,
+         4 * B + 1, 8 * B - 1, 8 * B, 8 * B + 1, 16 * B + 1],
     )
     def test_batch_boundaries(self, tmp_path, fmt, n):
         p = tmp_path / f"table.{fmt}"
