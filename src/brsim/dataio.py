@@ -4,8 +4,8 @@ The field names here are a compatibility surface; see docs/schemas.md. A
 scenario is checked against the packaged ``scenario.schema.json``, each
 list a column at a time, then against the cross-field rules; an error
 names the path of the first bad value in document order. A loaded config
-holds each hourly series, and each offer field as a column, in a read-only
-array.
+holds each hourly series, and the offer book as ``market.Book``'s columns,
+in read-only arrays.
 """
 from __future__ import annotations
 
@@ -46,10 +46,6 @@ class ScenarioError(ValueError):
 # ---------------------------------------------------------------------------
 # scenario config
 # ---------------------------------------------------------------------------
-
-# The schema's offer directions: a loaded direction column holds these strings.
-_DIRECTIONS = ("down", "up")
-
 
 @dataclass(frozen=True)
 class PenaltyConfig:
@@ -104,11 +100,10 @@ class ZonalRuleConfig:
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """A checked scenario. Each hourly series is a read-only float64 array
-    over the horizon. The offer book is one read-only array per offer
-    field: ``hour`` int64, ``price`` and ``quantity_mw`` float64, and
-    object arrays of strings that the config holds anyway: ``seller`` the
-    units' ids, ``zone`` the units' zones (None where absent), and
-    ``direction`` one string for "down" and one for "up"."""
+    over the horizon. The offer book is ``market.Book``'s columns, each a
+    read-only array in posting order: ``hour`` int64, ``up`` bool (an
+    upward offer), ``seller`` int64 (the seller's index in ``units``), and
+    ``price`` and ``quantity`` float64 (the offer's ``quantity_mw``)."""
 
     horizon: int
     vg: VgParams
@@ -379,22 +374,22 @@ def _check_rules(doc: dict) -> None:
 
 
 def _offer_columns(offers: dict, units: list[dict], horizon: int) -> dict[str, np.ndarray]:
-    """The schema-checked offer book as read-only columns, once each offer
-    passes its rules in turn: its hour, its seller, then its zone. The
-    string columns hold the units' own strings and those of _DIRECTIONS."""
+    """The schema-checked offer book in ``market.Book``'s read-only columns,
+    once each offer passes its rules in turn: its hour, its seller, then its
+    zone. The zone is not kept."""
     try:
         hour = _array(offers["hour"], np.int64)
     except OverflowError:  # an hour past int64, which the horizon rule refuses
         hour = _array(offers["hour"], object)
     index = {unit["id"]: j for j, unit in enumerate(units)}
     # Each seller's index in units, and -1 for an unknown one.
-    owner = np.fromiter(map(index.get, offers["seller"], itertools.repeat(-1)), np.intp, len(hour))
+    seller = np.fromiter(map(index.get, offers["seller"], itertools.repeat(-1)), np.int64,
+                         len(hour))
     # Each seller's zone, and None for an unknown one.
-    zones = np.array([unit.get("zone") for unit in units] + [None], dtype=object)[owner]
+    zones = np.array([unit.get("zone") for unit in units] + [None], dtype=object)[seller]
     zone = np.array(offers["zone"], dtype=object)
-    given = np.not_equal(zone, None)
-    hour_bad, seller_bad = hour >= horizon, owner < 0
-    zone_bad = given & ~seller_bad & (zone != zones)
+    hour_bad, seller_bad = hour >= horizon, seller < 0
+    zone_bad = np.not_equal(zone, None) & ~seller_bad & (zone != zones)
     bad = hour_bad | seller_bad | zone_bad
     if bad.any():
         i = int(np.argmax(bad))
@@ -404,13 +399,11 @@ def _offer_columns(offers: dict, units: list[dict], horizon: int) -> dict[str, n
             raise _Invalid(f"unknown unit id {offers['seller'][i]!r}", ["offers", i, "seller"])
         path = ["offers", i, "zone"]
         raise _Invalid(f"zone {zone[i]!r} differs from the seller's zone {zones[i]!r}", path)
-    ids = np.array([unit["id"] for unit in units], dtype=object)
-    directions = {name: name for name in _DIRECTIONS}
-    # Every column is replaced; the book keeps the schema's field order.
-    return {**offers, "hour": hour, "price": _array(offers["price"]),
-            "quantity_mw": _array(offers["quantity_mw"]), "seller": _array(ids[owner], object),
-            "zone": _array(np.where(given, zones, None), object),
-            "direction": _array(list(map(directions.__getitem__, offers["direction"])), object)}
+    seller.flags.writeable = False
+    up = np.fromiter(map("up".__eq__, offers["direction"]), bool, len(hour))
+    up.flags.writeable = False
+    return {"hour": hour, "up": up, "seller": seller, "price": _array(offers["price"]),
+            "quantity": _array(offers["quantity_mw"])}
 
 
 def scenario_from_dict(data: Any, source: str = "scenario") -> ScenarioConfig:

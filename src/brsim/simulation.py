@@ -126,16 +126,9 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
                                      uc.da_schedule_mw)
              for uc in cfg.units}
     unit_list = list(units.values())
-    offers = cfg.offers
-    # The loader makes every seller a unit's id.
-    seller = np.zeros(len(offers["seller"]), dtype=np.int64)
-    for j, uid in enumerate(units):
-        seller[offers["seller"] == uid] = j
-    book = market.Book(offers["hour"], offers["direction"] == vg.UP.value, seller,
-                       offers["price"], offers["quantity_mw"])
     s, pf, d = _horizon_inputs(cfg)
 
-    contracts = market.match_offers(book, s, pf, d)
+    contracts = market.match_offers(market.Book(**cfg.offers), s, pf, d)
     contracts = market.validate_contracts(contracts, unit_list, blocked)
     contracts = market.claim_execution(contracts, s.da_quantity, claims)
     shifts = market.executed_by_seller(contracts, s.da_quantity, unit_list)

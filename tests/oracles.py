@@ -12,7 +12,8 @@ cannot change an oracle along with the code it judges.
   skipped the inverse CDF on cells whose cover is 0: the inverse at every
   cell's level, then the clip.
 - ``scenario_to_dict`` and ``write_scenario`` turn a loaded config back
-  into a scenario document, for round trips through the loader.
+  into a scenario document, for round trips through the loader;
+  ``offer_rows`` reads its coded offer book back as the document's offers.
 - ``read_table`` reads back a CSV or JSON table written by
   ``dataio.write_table``; ``table_rows`` turns a table of columns into row
   dicts.
@@ -151,6 +152,19 @@ def optimal_quantity(s: VgSchedule, pf: PenaltyFactors, d: ForecastDistribution,
     return unwrap(np.where(buys, np.maximum(np.minimum(depth, headroom), 0.0), 0.0))
 
 
+def offer_rows(cfg: ScenarioConfig) -> list[dict]:
+    """The config's offer book as scenario offers, in posting order: each
+    seller code read as the unit's id and each ``up`` flag as a direction.
+    No offer names a zone, which the loader checks and does not keep."""
+    ids = [u.id for u in cfg.units]
+    columns = (cfg.offers[k].tolist() for k in ("seller", "hour", "up", "price", "quantity"))
+    return [
+        {"seller": ids[j], "hour": h, "direction": UP.value if up else DOWN.value, "price": p,
+         "quantity_mw": q}
+        for j, h, up, p, q in zip(*columns)
+    ]
+
+
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     vg_block: dict[str, Any] = {
         "id": cfg.vg.id,
@@ -195,9 +209,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             }
             for u in cfg.units
         ],
-        "offers": [
-            {k: v for k, v in o.items() if v is not None} for o in table_rows(cfg.offers)
-        ],
+        "offers": offer_rows(cfg),
     }
     if cfg.zonal_rule is not None:
         out["zonal_rule"] = {
@@ -723,7 +735,7 @@ def per_hour_day(cfg: ScenarioConfig) -> tuple[list[BrsContract], list[LedgerEnt
     ).tolist()
     contracts: list[BrsContract] = []
     entries: list[LedgerEntry] = []
-    book = table_rows(cfg.offers)
+    book = offer_rows(cfg)
     for h in range(cfg.horizon):
         s, pf, d = simulation.hour_context(cfg, h)
         offers = [

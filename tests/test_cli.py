@@ -585,6 +585,21 @@ class TestParser:
         )
         assert_help(proc)
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["supply-risk", "--samples", "1"], 2),
+    ], ids=["help", "usage error"])
+    def test_python_m_brsim(self, argv, code):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "brsim", *argv], capture_output=True, text=True, timeout=60,
+            env=env,
+        )
+        if code == 0:
+            assert_help(proc)
+        else:
+            assert proc.returncode == code and proc.stdout == ""
+            assert proc.stderr.startswith("usage error:"), proc.stderr
+
     @pytest.mark.skipif(shutil.which("brsim") is None, reason="brsim is not installed on PATH")
     def test_console_script_on_path(self):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Scenario configs, the packaged schema, and table writers/readers."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brsim import dataio
+from brsim import dataio, market
 from brsim.dataio import (
     ScenarioError,
     format_table,
@@ -80,16 +81,29 @@ class TestScenarioParsing:
     def test_offers_load_as_columns(self):
         doc = minimal_doc()
         doc["units"][0]["zone"] = "north"
+        doc["units"].append(dict(doc["units"][0], id="g2"))
         doc["offers"].append(dict(doc["offers"][0], hour=1.0, direction="up", zone="north"))
+        doc["offers"].append(dict(doc["offers"][0], seller="g2", price=0.25))
         cfg = scenario_from_dict(doc)
+        # Book's own columns: each seller's index in units, and an up flag.
         assert {k: col.tolist() for k, col in cfg.offers.items()} == {
-            "seller": ["g1", "g1"], "hour": [0, 1], "direction": ["down", "up"],
-            "price": [0.5, 0.5], "quantity_mw": [10.0, 10.0], "zone": [None, "north"],
+            "hour": [0, 1, 0], "up": [False, True, False], "seller": [0, 0, 1],
+            "price": [0.5, 0.5, 0.25], "quantity": [10.0, 10.0, 10.0],
         }
         assert {k: col.dtype for k, col in cfg.offers.items()} == {
-            "seller": object, "hour": np.int64, "direction": object,
-            "price": np.float64, "quantity_mw": np.float64, "zone": object,
+            "hour": np.int64, "up": bool, "seller": np.int64,
+            "price": np.float64, "quantity": np.float64,
         }
+        assert list(cfg.offers) == [f.name for f in dataclasses.fields(market.Book)]
+        # The market takes the columns as they are, without a copy.
+        book = market.Book(**cfg.offers)
+        for key, col in cfg.offers.items():
+            assert np.shares_memory(getattr(book, key), col), key
+        assert oracles.offer_rows(cfg) == [
+            {"seller": "g1", "hour": 0, "direction": "down", "price": 0.5, "quantity_mw": 10.0},
+            {"seller": "g1", "hour": 1, "direction": "up", "price": 0.5, "quantity_mw": 10.0},
+            {"seller": "g2", "hour": 0, "direction": "down", "price": 0.25, "quantity_mw": 10.0},
+        ]
         del doc["offers"]
         empty = scenario_from_dict(doc).offers
         assert {k: col.tolist() for k, col in empty.items()} == dict.fromkeys(cfg.offers, [])
@@ -347,7 +361,10 @@ class TestFirstErrorInDocumentOrder:
         doc = many_offers()
         doc["units"][0]["zone"] = ""
         doc["offers"][2]["zone"] = ""
-        assert scenario_from_dict(doc).offers["zone"].tolist() == [None, None, "", *[None] * 5]
+        cfg = scenario_from_dict(doc)
+        # The zone is checked and then dropped: the book is as if none were given.
+        del doc["offers"][2]["zone"]
+        assert oracles.offer_rows(cfg) == oracles.offer_rows(scenario_from_dict(doc))
 
 
 def _long_doc(repeats=10):
@@ -455,24 +472,17 @@ class TestLoadedConfigMemory:
         finally:
             tracemalloc.stop()
         n = len(cfg.offers["hour"])
-        # Decoded values kept in tuples held about 290 bytes an offer here.
-        assert n == 4800 and held < 100 * n, f"{held / n:.0f} bytes an offer"
+        # Decoded values kept in tuples held about 290 bytes an offer here,
+        # and string columns about 59; the book's columns take 33.
+        assert n == 4800 and held < 50 * n, f"{held / n:.0f} bytes an offer"
         series = [cfg.da_price, cfg.rt_price, cfg.vg.forecast_mean_mw, cfg.vg.da_schedule_mw,
                   cfg.vg.realized_mw, *(unit.da_schedule_mw for unit in cfg.units)]
         for col in series:
             assert col.dtype == np.float64 and col.shape == (cfg.horizon,)
         for col in [*series, *cfg.offers.values()]:
             assert isinstance(col, np.ndarray) and not col.flags.writeable
-        # The string columns hold no string the JSON decoder made for an
-        # offer: only the units' own, and one for each direction.
-        strings = {
-            "seller": {id(unit.id) for unit in cfg.units},
-            "zone": {id(unit.zone) for unit in cfg.units} | {id(None)},
-            "direction": set(map(id, dataio._DIRECTIONS)),
-        }
-        for key, own in strings.items():
-            assert set(map(id, cfg.offers[key])) <= own, key
-        assert cfg.offers["zone"].tolist()[:2] == [None, "north"]
+        # The book holds no string the JSON decoder made for an offer.
+        assert all(col.dtype != object for col in cfg.offers.values())
 
     def test_load_leaves_no_cycles(self, tmp_path):
         # A cycle through the loader's frames would keep the whole parsed

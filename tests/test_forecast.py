@@ -276,6 +276,36 @@ def test_quantile_below_the_smallest_normal_float():
     assert forecast.quantile(ceiling, np.array([0.3, 0.9])).tolist() == [0.0, 100.0]
 
 
+def test_quantile_replaces_the_smallest_normal_float_itself(monkeypatch):
+    # No shapes were found where betaincinv returns exactly the smallest
+    # normal float (below it, these shapes get the largest subnormal or 0), so
+    # a stand-in returns it for one element: that element takes the
+    # leading-term root too, and the others keep their points.
+    tiny = np.finfo(float).tiny
+    a, b = 0.0024, 0.046
+    d = ForecastDistribution(10.0, a / (a + b), 0.0, a, b)
+    q = np.array([0.2, 0.17, 0.5])
+    before = forecast.quantile(d, q)
+    real = forecast.special
+
+    class Special:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def betaincinv(self, a, b, q):
+            x = real.betaincinv(a, b, q)
+            x[1] = tiny
+            return x
+
+    monkeypatch.setattr(forecast, "special", Special())
+    got = forecast.quantile(d, q)
+    root = np.exp((np.log(0.17) + np.log(a) + real.betaln(a, b)) / a)
+    assert 0.0 < root < tiny
+    assert got[1] == pytest.approx(root * 10.0, rel=1e-12) and got[1] != tiny * 10.0
+    assert forecast.cdf(d, got[1]) == pytest.approx(0.17, rel=1e-12)
+    assert got[[0, 2]].tolist() == before[[0, 2]].tolist()
+
+
 @given(d=forecast_dists)
 @settings(max_examples=60, deadline=None)
 def test_full_partial_expectation_is_the_mean(d: ForecastDistribution):

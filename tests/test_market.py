@@ -154,6 +154,15 @@ class TestLedger:
         with pytest.raises(ValueError, match=msg):
             SettlementLedger.of(("a", "b"), [("premium", 7, 0, 1, float("inf"))])
 
+    @pytest.mark.parametrize("amount", [5.0, 0.0])
+    @pytest.mark.parametrize("hour", [-1, float("nan")])
+    def test_negative_hour_refused(self, hour, amount):
+        # Before net_by_party could count it, at any amount; nan would be
+        # cast to the most negative int64.
+        flows = [("premium", 0, 0, 1, 5.0), ("rt_imbalance", [3, hour], 1, 0, amount)]
+        with pytest.raises(ValueError, match=f"^rt_imbalance hour must be >= 0, got {hour}$"):
+            SettlementLedger.of(("a", "b"), flows)
+
     def test_self_payment_refused_at_any_amount(self):
         # Zero amounts are dropped, but every entry is checked first, and an
         # unknown tag anywhere is named before a self-payment.

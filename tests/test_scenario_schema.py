@@ -19,7 +19,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from brsim import dataio
+from brsim import dataio, market
 from brsim.dataio import ScenarioError, scenario_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -312,7 +312,7 @@ def test_required_fields_alone_load_to_the_schema_defaults():
     assert cfg.brs_price == dataio.BrsPriceModel(**DEFAULT["brs_price",])
     assert cfg.units == tuple(DEFAULT["units",])
     assert DEFAULT["offers",] == [] and {k: col.tolist() for k, col in cfg.offers.items()} == \
-        dict.fromkeys(props["offers"]["items"]["properties"], [])
+        dict.fromkeys((f.name for f in dataclasses.fields(market.Book)), [])
     assert cfg.variance_scale_factors == tuple(DEFAULT["variance_scale_factors",])
     # The derived defaults.
     assert np.array_equal(cfg.vg.da_schedule_mw, cfg.vg.forecast_mean_mw)

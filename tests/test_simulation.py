@@ -363,7 +363,7 @@ class TestDayBatchedDemand:
             offers = [
                 oracles.Offer(oc["seller"], h, vg.Direction(oc["direction"]), oc["price"],
                               oc["quantity_mw"])
-                for oc in oracles.table_rows(cfg.offers)
+                for oc in oracles.offer_rows(cfg)
                 if oc["hour"] == h
             ]
             desired = [vg.optimal_quantity(s, pf, d, o.direction, o.price) for o in offers]
@@ -591,6 +591,24 @@ class TestMarketCalls:
         # The day runs each step once; settle reads the schedules that
         # executed_by_seller moved.
         assert calls == dict.fromkeys(names, 1)
+
+    def test_the_day_matches_the_loaded_book_by_seller_code(self, day24, monkeypatch):
+        # The market gets the config's columns as they are, and a seller is
+        # its index in units: under renamed units, whose ids no offer names,
+        # the day signs the same contracts.
+        books, match = [], market.match_offers
+        monkeypatch.setattr(market, "match_offers",
+                            lambda book, *args: books.append(book) or match(book, *args))
+        units = tuple(dataclasses.replace(u, id=f"x_{u.id}") for u in day24.units)
+        before = simulation.simulate_day(day24)
+        after = simulation.simulate_day(dataclasses.replace(day24, units=units))
+        for key, col in day24.offers.items():
+            assert np.shares_memory(getattr(books[0], key), col), key
+        assert after.unit_ids == tuple(f"x_{uid}" for uid in before.unit_ids)
+        assert len(set(before.contracts.seller.tolist())) > 1
+        for f in dataclasses.fields(market.Contracts):
+            assert np.array_equal(getattr(after.contracts, f.name),
+                                  getattr(before.contracts, f.name)), f.name
 
 
 class TestZonalRuleEndToEnd:
