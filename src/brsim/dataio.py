@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from ._arrays import fail_where
 
 TABLE_FORMATS = ("csv", "json")
 # The settlement pool's party name in ledgers; no unit or producer may take it.
@@ -456,25 +457,6 @@ def _format_float(value: float) -> str:
     return _SIG_DIGITS_FORMAT(value)
 
 
-def _csv_floats(values: list) -> list[str]:
-    # The format writes an integral value as str(int(value)) does, except in
-    # exponent form (from 1e6 on) and -0.0 as "-0"; only then does a batch
-    # take the rule value by value.
-    text = list(map(_SIG_DIGITS_FORMAT, values))
-    joined = ",".join(text) + ","
-    return list(map(_format_float, values)) if "e" in joined or "-0," in joined else text
-
-
-def _json_floats(values: list) -> list[str]:
-    if not all(map(math.isfinite, values)):
-        raise ValueError("Out of range float values are not JSON compliant")
-    return list(map(float.__repr__, values))
-
-
-def _bools(values: list) -> list[str]:
-    return ["true" if v else "false" for v in values]
-
-
 def _format_cell(value: Any) -> str:
     # A float subclass, such as numpy's float64, keeps the float rule.
     if type(value) is bool:
@@ -482,59 +464,120 @@ def _format_cell(value: Any) -> str:
     return _format_float(value) if isinstance(value, float) else str(value)
 
 
-# The text of a column whose cells all have one of these exact types (so a
-# bool never takes the int path), made in one call; any other column is
-# written cell by cell.
-_CSV_TEXT = {str: lambda v: v, int: lambda v: list(map(str, v)), float: _csv_floats, bool: _bools}
-_JSON_TEXT = {
-    str: lambda v: list(map(encode_basestring_ascii, v)), int: lambda v: list(map(int.__repr__, v)),
-    float: _json_floats, bool: _bools, type(None): lambda v: ["null"] * len(v),
-}
+# Each format's text of one cell, for the cells of a list column and for
+# each label of a coded column.
+_CELL = {"csv": _format_cell, "json": functools.partial(json.dumps, allow_nan=False)}
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
 
 
-def _column_text(values: list, by_type: dict, cell: Callable[[Any], str]) -> list[str]:
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    return by_type[kind](values) if kind in by_type else list(map(cell, values))
+@dataclass(frozen=True, eq=False)
+class Coded:
+    """A table column of labels held as codes, a 1-d integer array: row i
+    reads ``labels[codes[i]]``. The writer encodes each label once per
+    table; ``tolist`` gives the column's labels row by row."""
+
+    labels: tuple
+    codes: np.ndarray
+
+    def __post_init__(self) -> None:
+        codes = np.asarray(self.codes)
+        if codes.ndim != 1 or codes.dtype.kind not in "iu":
+            raise TypeError(f"codes must be a 1-d integer array, got {codes.dtype} "
+                            f"of shape {codes.shape}")
+        fail_where((codes < 0) | (codes >= len(self.labels)), "code {} outside {} labels", codes,
+                   len(self.labels))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "codes", codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def tolist(self) -> list:
+        return list(map(self.labels.__getitem__, self.codes.tolist()))
 
 
-def _batches(table: Mapping[str, Sequence]) -> tuple[list[str], Iterator[list]]:
-    """The column names, and the table ``_BATCH_ROWS`` rows at a time, one
-    list of cells per column, each sliced from its column as it is asked
-    for."""
+def _by_code(texts: np.ndarray, codes: np.ndarray) -> Callable[[int, int], tuple[str, list]]:
+    return lambda lo, hi: ("%s", texts[codes[lo:hi]].tolist())
+
+
+def _csv_floats(col: np.ndarray, lo: int, hi: int) -> tuple[str, list]:
+    # The conversion writes an integral value as _format_float does, except
+    # in exponent form (from 1e6 on) and -0.0 as "-0"; only a batch that
+    # holds a value of at least 1e6 or a -0.0 takes the rule value by value.
+    part = col[lo:hi]
+    if ((np.abs(part) >= 1e6) | ((part == 0.0) & np.signbit(part))).any():
+        return "%s", list(map(_format_float, part.tolist()))
+    return f"%.{_CSV_SIG_DIGITS}g", part.tolist()
+
+
+def _json_floats(col: np.ndarray, lo: int, hi: int) -> tuple[str, list]:
+    part = col[lo:hi]
+    if not np.isfinite(part).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return "%r", part.tolist()
+
+
+def _column_cells(col: Sequence, fmt: str) -> Callable[[int, int], tuple[str, list]]:
+    """The template conversion of a column's rows ``lo`` to ``hi``, and the
+    values it takes: a 1-d numpy column's chosen by its dtype, a coded
+    column's label text by code, and any other column's cells as text by
+    the per-cell rule."""
+    if isinstance(col, Coded):
+        return _by_code(np.array(list(map(_CELL[fmt], col.labels)), dtype=object), col.codes)
+    kind = col.dtype.kind if isinstance(col, np.ndarray) and col.ndim == 1 else None
+    if kind == "b":
+        return _by_code(_BOOL_TEXT, col.view(np.uint8))
+    if kind in ("i", "u"):
+        return lambda lo, hi: ("%d", col[lo:hi].tolist())
+    if kind == "f":
+        return functools.partial(_csv_floats if fmt == "csv" else _json_floats, col)
+    cell = _CELL[fmt]
+
+    def cells(lo: int, hi: int) -> tuple[str, list]:
+        part = col[lo:hi]
+        return "%s", list(map(cell, part.tolist() if hasattr(part, "tolist") else part))
+
+    return cells
+
+
+def _table_chunks(table: Mapping[str, Sequence], fmt: str) -> Iterator[str]:
+    """The text of a table, ``_BATCH_ROWS`` rows at a time. A batch is one
+    %-template, its row's conversions once per row, applied to the batch's
+    values, laid out row by row a column at a time."""
+    if fmt not in TABLE_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {TABLE_FORMATS}")
     cols, data = list(table), list(table.values())
     n = len(data[0]) if data else 0
     if any(len(col) != n for col in data):
         raise ValueError(f"columns {cols} differ in length")
-    parts = ([col[lo:lo + _BATCH_ROWS] for col in data] for lo in range(0, n, _BATCH_ROWS))
-    return cols, ([p.tolist() if hasattr(p, "tolist") else p for p in batch] for batch in parts)
-
-
-def _table_chunks(table: Mapping[str, Sequence], fmt: str) -> Iterator[str]:
-    """The text of a table, a batch of rows at a time, each column of a
-    batch formatted by one call chosen by the type of its cells."""
-    if fmt not in TABLE_FORMATS:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {TABLE_FORMATS}")
-    cols, batches = _batches(table)
+    columns = [_column_cells(col, fmt) for col in data]
+    m = len(columns)
     if fmt == "csv":
-        yield ",".join(cols) + "\n"
-        for batch in batches:
-            text = [_column_text(cells, _CSV_TEXT, _format_cell) for cells in batch]
-            yield "\n".join(map(",".join, zip(*text))) + "\n"
-        return
-    # Each batch is the text json.dumps gives its rows, without the list's
-    # brackets; joined by the separator json.dumps puts between items, the
-    # batches read as json.dumps of all the rows.
-    cell = functools.partial(json.dumps, allow_nan=False)
-    row = "{" + ", ".join(json.dumps(c).replace("%", "%%") + ": %s" for c in cols) + "}"
-    yield "["
-    separator = ""
-    for batch in batches:
-        text = [_column_text(cells, _JSON_TEXT, cell) for cells in batch]
-        yield separator
-        yield ", ".join(map(row.__mod__, zip(*text)))
-        separator = ", "
-    yield "]\n"
+        head, between, tail = ",".join(cols) + "\n", "", ""
+
+        def template(convs: list[str], k: int) -> str:
+            return (",".join(convs) + "\n") * k
+    else:
+        # Each batch is the text json.dumps gives its rows, without the
+        # list's brackets; joined by the separator json.dumps puts between
+        # items, the batches read as json.dumps of all the rows.
+        keys = [json.dumps(c).replace("%", "%%") + ": " for c in cols]
+        head, between, tail = "[", ", ", "]\n"
+
+        def template(convs: list[str], k: int) -> str:
+            return ", ".join(["{" + ", ".join(map(operator.add, keys, convs)) + "}"] * k)
+
+    yield head
+    for lo in range(0, n, _BATCH_ROWS):
+        k = min(n - lo, _BATCH_ROWS)
+        values, convs = [None] * (k * m), []
+        for j, column in enumerate(columns):
+            conv, values[j::m] = column(lo, lo + k)
+            convs.append(conv)
+        if lo:
+            yield between
+        yield template(convs, k) % tuple(values)
+    yield tail
 
 
 def format_table(table: Mapping[str, Sequence], fmt: str) -> str:

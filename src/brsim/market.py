@@ -313,9 +313,10 @@ class SettlementLedger:
         of columns or scalars that broadcast, each in hour order, with
         payer and payee indexing ``parties``. Entries run by hour, and
         within an hour in the order of the groups, then of their rows.
-        Zero amounts are dropped; an unknown tag, a negative hour, a party
-        code outside ``parties``, a payer that is its own payee, or an
-        amount that is negative or not finite is refused."""
+        Zero amounts are dropped; an unknown tag, a negative hour or one
+        that int64 cannot hold, a party code outside ``parties``, a payer
+        that is its own payee, or an amount that is negative or not finite
+        is refused."""
         groups = []
         for tag, *columns in flows:
             if tag not in LEDGER_TAGS:
@@ -324,6 +325,10 @@ class SettlementLedger:
         for hour, payer, payee, _, tag in groups:
             if (bad := ~(hour >= 0)).any():
                 raise ValueError(f"{LEDGER_TAGS[tag[0]]} hour must be >= 0, got {hour[bad][0]}")
+            # The hour must survive the cast to int64 unchanged.
+            if (bad := (hour != np.trunc(hour)) | (hour >= 2**63)).any():
+                raise ValueError(
+                    f"{LEDGER_TAGS[tag[0]]} hour must be an integer below 2**63, got {hour[bad][0]}")
             for code in (payer, payee):
                 if (bad := (code < 0) | (code >= len(parties))).any():
                     raise ValueError(f"party code {code[bad][0]} outside {len(parties)} parties")

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import forecast, market, provider, vg
 from ._arrays import fail_where
-from .dataio import ScenarioConfig
+from .dataio import Coded, ScenarioConfig
 from .market import Contracts, SettlementLedger, Shifts
 from .provider import DispatchableUnit
 from .vg import PenaltyFactors, VgSchedule
@@ -173,33 +173,32 @@ def simulate_day(cfg: ScenarioConfig) -> DayResult:
     return DayResult(cfg.vg.id, tuple(units), contracts, ledger, shifts)
 
 
-def contract_rows(result: DayResult) -> dict[str, np.ndarray]:
+def contract_rows(result: DayResult) -> dict[str, np.ndarray | Coded]:
     """Every contract signed during the day, as table columns, in id order."""
     c = result.contracts
     return {
         "id": np.arange(len(c.hour)),
         "hour": c.hour,
-        "buyer": np.broadcast_to(np.array(result.vg_id, dtype=object), len(c.hour)),
-        "seller": np.array(result.unit_ids, dtype=object)[c.seller],
-        "direction": np.array((vg.DOWN.value, vg.UP.value), dtype=object)[c.up.view(np.uint8)],
+        "buyer": Coded((result.vg_id,), np.zeros(len(c.hour), np.uint8)),
+        "seller": Coded(result.unit_ids, c.seller),
+        "direction": Coded((vg.DOWN.value, vg.UP.value), c.up.view(np.uint8)),
         "quantity_mw": c.quantity,
         "premium_price": c.price,
-        "status": np.array(market.STATUSES, dtype=object)[c.status],
+        "status": Coded(market.STATUSES, c.status),
         "executed_mw": c.executed,
         "trimmed_mw": c.trimmed,
     }
 
 
-def ledger_rows(result: DayResult) -> dict[str, np.ndarray]:
+def ledger_rows(result: DayResult) -> dict[str, np.ndarray | Coded]:
     """Every ledger entry of the day, as table columns, in entry order."""
     led = result.ledger
-    parties = np.array(led.parties, dtype=object)
     return {
         "hour": led.hour,
-        "payer": parties[led.payer],
-        "payee": parties[led.payee],
+        "payer": Coded(led.parties, led.payer),
+        "payee": Coded(led.parties, led.payee),
         "amount": led.amount,
-        "tag": np.array(market.LEDGER_TAGS, dtype=object)[led.tag],
+        "tag": Coded(market.LEDGER_TAGS, led.tag),
     }
 
 

@@ -17,6 +17,10 @@ cannot change an oracle along with the code it judges.
 - ``read_table`` reads back a CSV or JSON table written by
   ``dataio.write_table``; ``table_rows`` turns a table of columns into row
   dicts.
+- ``reference_format_table`` is the table writer as it was before it
+  rendered each batch with one %-template: a call per column of a batch,
+  chosen by the exact type of its cells, or a call per cell, then a join
+  or a %-format per row.
 - ``JointScenario``, ``revenue_unit`` and ``revenue_unit_with_brs`` price
   one draw with scalar arithmetic, the way ``provider`` did before its
   risk moments were taken over arrays of draws.
@@ -56,7 +60,8 @@ import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from scipy import special
 from scipy.optimize import brentq
@@ -66,7 +71,10 @@ import numpy as np
 
 from brsim import forecast, simulation, vg
 from brsim._arrays import unwrap
-from brsim.dataio import POOL, ScenarioConfig, ScenarioError
+from brsim.dataio import (
+    _BATCH_ROWS, _SIG_DIGITS_FORMAT, POOL, TABLE_FORMATS, Coded, ScenarioConfig, ScenarioError,
+    _format_cell, _format_float,
+)
 from brsim.forecast import ForecastDistribution
 from brsim.market import LEDGER_TAGS, SettlementLedger
 from brsim.provider import (
@@ -359,6 +367,87 @@ def revenue_with_brs(
     if actual < lo:
         return lam * lo - (1.0 + pf.under) * lam * (lo - actual)
     return lam * actual
+
+
+def _csv_floats(values: list) -> list[str]:
+    # The format writes an integral value as str(int(value)) does, except in
+    # exponent form (from 1e6 on) and -0.0 as "-0"; only then does a batch
+    # take the rule value by value.
+    text = list(map(_SIG_DIGITS_FORMAT, values))
+    joined = ",".join(text) + ","
+    return list(map(_format_float, values)) if "e" in joined or "-0," in joined else text
+
+
+def _json_floats(values: list) -> list[str]:
+    if not all(map(math.isfinite, values)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return list(map(float.__repr__, values))
+
+
+def _bools(values: list) -> list[str]:
+    return ["true" if v else "false" for v in values]
+
+
+# The text of a column whose cells all have one of these exact types (so a
+# bool never takes the int path), made in one call; any other column is
+# written cell by cell.
+_CSV_TEXT = {str: lambda v: v, int: lambda v: list(map(str, v)), float: _csv_floats, bool: _bools}
+_JSON_TEXT = {
+    str: lambda v: list(map(encode_basestring_ascii, v)), int: lambda v: list(map(int.__repr__, v)),
+    float: _json_floats, bool: _bools, type(None): lambda v: ["null"] * len(v),
+}
+
+
+def _column_text(values: list, by_type: dict, cell: Callable[[Any], str]) -> list[str]:
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    return by_type[kind](values) if kind in by_type else list(map(cell, values))
+
+
+def _batches(table: Mapping[str, Sequence]) -> tuple[list[str], Iterator[list]]:
+    """The column names, and the table ``_BATCH_ROWS`` rows at a time, one
+    list of cells per column, each sliced from its column as it is asked
+    for."""
+    cols, data = list(table), list(table.values())
+    n = len(data[0]) if data else 0
+    if any(len(col) != n for col in data):
+        raise ValueError(f"columns {cols} differ in length")
+    parts = ([col[lo:lo + _BATCH_ROWS] for col in data] for lo in range(0, n, _BATCH_ROWS))
+    return cols, ([p.tolist() if hasattr(p, "tolist") else p for p in batch] for batch in parts)
+
+
+def reference_table_chunks(table: Mapping[str, Sequence], fmt: str) -> Iterator[str]:
+    """The text of a table, a batch of rows at a time, each column of a
+    batch formatted by one call chosen by the type of its cells."""
+    if fmt not in TABLE_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {TABLE_FORMATS}")
+    cols, batches = _batches(table)
+    if fmt == "csv":
+        yield ",".join(cols) + "\n"
+        for batch in batches:
+            text = [_column_text(cells, _CSV_TEXT, _format_cell) for cells in batch]
+            yield "\n".join(map(",".join, zip(*text))) + "\n"
+        return
+    # Each batch is the text json.dumps gives its rows, without the list's
+    # brackets; joined by the separator json.dumps puts between items, the
+    # batches read as json.dumps of all the rows.
+    cell = functools.partial(json.dumps, allow_nan=False)
+    row = "{" + ", ".join(json.dumps(c).replace("%", "%%") + ": %s" for c in cols) + "}"
+    yield "["
+    separator = ""
+    for batch in batches:
+        text = [_column_text(cells, _JSON_TEXT, cell) for cells in batch]
+        yield separator
+        yield ", ".join(map(row.__mod__, zip(*text)))
+        separator = ", "
+    yield "]\n"
+
+
+def reference_format_table(table: Mapping[str, Sequence], fmt: str) -> str:
+    """``dataio.format_table`` by the reference writer; a coded column is
+    given to it as its list of labels."""
+    table = {k: col.tolist() if isinstance(col, Coded) else col for k, col in table.items()}
+    return "".join(reference_table_chunks(table, fmt))
 
 
 def table_rows(table: dict) -> list[dict]:

@@ -304,6 +304,19 @@ class TestSimulateDay:
                 want = (GOLDEN / f"simulate_day_{scenario}_{table}.{fmt}").read_bytes()
                 assert got == want, f"{table}.{fmt}"
 
+    def test_ids_that_need_escaping_match_golden(self, capsys, tmp_path):
+        # day24's first eight hours with party ids that hold %, a quote and
+        # non-ASCII letters: CSV writes them as they are, JSON escapes them.
+        # The tables were written by the per-cell table writer.
+        path = str(SCENARIOS / "escaped_ids.json")
+        code, _, _ = run_cli(capsys, "simulate-day", path, "--out-dir", str(tmp_path))
+        assert code == 0
+        for table in ("contracts", "ledger", "totals"):
+            for fmt in ("csv", "json"):
+                got = (tmp_path / f"{table}.{fmt}").read_bytes()
+                want = (GOLDEN / f"simulate_day_escaped_ids_{table}.{fmt}").read_bytes()
+                assert got == want, f"{table}.{fmt}"
+
     def test_noisy_claims_match_golden(self, capsys, tmp_path):
         # The claim-time error is drawn once per day; these tables were
         # written when it was drawn hour by hour.

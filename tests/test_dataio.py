@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import math
 import os
 import stat
 import sys
@@ -568,6 +569,99 @@ class TestTables:
         # A column of mixed types is written cell by cell, each by its own rule.
         assert format_table({"mixed": [True, 2, 0.5, "x"]}, "csv") == "mixed\ntrue\n2\n0.5\nx\n"
 
+    def test_coded_columns_write_their_labels(self):
+        table = {"who": dataio.Coded(("a%s", 'b"é'), np.array([1, 0, 1], np.int8)),
+                 "ok": np.array([True, False, True])}
+        assert table_rows(table) == [{"who": 'b"é', "ok": True}, {"who": "a%s", "ok": False},
+                                     {"who": 'b"é', "ok": True}]
+        assert format_table(table, "csv") == 'who,ok\nb"é,true\na%s,false\nb"é,true\n'
+        assert format_table(table, "json") == json.dumps(table_rows(table)) + "\n"
+
+    @pytest.mark.parametrize("codes, bad", [([0, 2], 2), (np.array([0, -1], np.int8), -1)])
+    def test_code_outside_the_labels_refused(self, codes, bad):
+        with pytest.raises(ValueError, match=f"^code {bad} outside 2 labels$"):
+            dataio.Coded(("a", "b"), codes)
+
+    @pytest.mark.parametrize("codes", [np.array([0.0, 1.0]), np.array([True]), np.zeros((1, 1), int),
+                                       np.int64(0)])
+    def test_codes_must_be_a_1d_integer_array(self, codes):
+        with pytest.raises(TypeError, match="^codes must be a 1-d integer array"):
+            dataio.Coded(("a", "b"), codes)
+
+
+# The edges of the CSV float rule: integral values from 1e6 on (exponent
+# form under %.6g, whole digits by the rule), -0.0, six-digit rounding up
+# to an exponent, and subnormals.
+EDGE_FLOATS = [-0.0, 0.0, 999999.0, 999999.5, 1e6, -1e6, 123456789.0, 1e15, -1e15, 1e16,
+               9.99995e-05, 1e-4, 0.1, -2.5, 5e-324, -1e-310, 2.2250738585072014e-308]
+NON_FINITE = [math.inf, -math.inf, math.nan]
+# Names and labels with %, quotes, backslashes and non-ASCII.
+TEXT = st.text(alphabet='ab%sdr"\\é€ü ,', max_size=6)
+B = dataio._BATCH_ROWS
+
+
+@st.composite
+def mixed_tables(draw):
+    """A table of every kind of column the writer takes, at a batch edge:
+    int64, uint8, bool, float64 and object arrays, float, string and mixed
+    lists, and coded columns. Each column draws a few values and repeats
+    them in a random order."""
+    n = draw(st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 1]))
+    floats = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        floats |= st.sampled_from(NON_FINITE)
+    names = draw(st.lists(TEXT, min_size=1, max_size=6, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def spread(pool):
+        return [pool[i] for i in rng.integers(0, len(pool), n)]
+
+    def pool(values):
+        return draw(st.lists(values, min_size=1, max_size=5))
+
+    kinds = {
+        "int64": lambda: np.array(spread(pool(st.integers(-2**63, 2**63 - 1))), np.int64),
+        "uint8": lambda: np.array(spread(pool(st.integers(0, 255))), np.uint8),
+        "bool": lambda: np.array(spread(pool(st.booleans())), bool),
+        "float64": lambda: np.array(spread(pool(floats)), np.float64),
+        "object": lambda: np.array(spread(pool(TEXT)), dtype=object),
+        "floats": lambda: spread(pool(floats)),
+        "strings": lambda: spread(pool(TEXT)),
+        "mixed": lambda: spread(pool(st.none() | st.booleans() | st.integers() | floats | TEXT)),
+        "coded": lambda: dataio.Coded(
+            (labels := pool(TEXT)),
+            np.array(spread(range(len(labels))), draw(st.sampled_from([np.uint8, np.int8, np.int64])))),
+    }
+    return {name: kinds[draw(st.sampled_from(sorted(kinds)))]() for name in names}
+
+
+def _rendered(render, table, fmt):
+    """The text of a table, or the type and message of the ValueError."""
+    try:
+        return render(table, fmt)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstReferenceWriter:
+    @given(table=mixed_tables())
+    @settings(max_examples=80, deadline=None)
+    @pytest.mark.parametrize("fmt", dataio.TABLE_FORMATS)
+    def test_same_text_as_the_per_cell_writer(self, table, fmt):
+        assert (_rendered(format_table, table, fmt)
+                == _rendered(oracles.reference_format_table, table, fmt))
+
+    @pytest.mark.parametrize("fmt", dataio.TABLE_FORMATS)
+    def test_rule_edges(self, fmt):
+        # Each edge alone in a batch, after a batch of ordinary values, and
+        # all together.
+        ordinary = [0.5 + i for i in range(B)]
+        edges = EDGE_FLOATS + (NON_FINITE if fmt == "csv" else [])
+        for column in (*([*ordinary, x] for x in edges), edges):
+            table = {'x%s"é': np.array(column), "y": column,
+                     "who": dataio.Coded(('w%indé', '50%s "q"'), np.arange(len(column)) % 2)}
+            assert format_table(table, fmt) == oracles.reference_format_table(table, fmt)
+
 
 def _ledger_like(n):
     """Columns shaped like simulate-day's ledger."""
@@ -578,6 +672,20 @@ def _ledger_like(n):
         "payee": [f"u{i % 11}" for i in rows],
         "amount": [1000.0 + i / 7.0 for i in rows],
         "tag": ["da_energy"] * n,
+    }
+
+
+def _ledger_columns(n):
+    """Columns shaped like simulation.ledger_rows: numpy columns and coded
+    labels."""
+    rows = np.arange(n)
+    parties = ("pool", "wind", *(f"g{i}" for i in range(11)))
+    return {
+        "hour": rows // 13,
+        "payer": dataio.Coded(parties, np.where(rows % 3, 0, 2 + rows % 7).astype(np.uint8)),
+        "payee": dataio.Coded(parties, (2 + rows % 11).astype(np.uint8)),
+        "amount": 1000.0 + rows / 7.0,
+        "tag": dataio.Coded(market.LEDGER_TAGS, (rows % 4).astype(np.uint8)),
     }
 
 
@@ -605,16 +713,17 @@ class TestStreamedTables:
 
     @pytest.mark.parametrize("fmt", dataio.TABLE_FORMATS)
     def test_memory_is_bounded_by_a_batch(self, tmp_path, fmt):
-        table = _ledger_like(50_000)
-        size = len(format_table(table, fmt))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            write_table(table, tmp_path / f"table.{fmt}", fmt)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < size / 4, (peak, size)
+        # List columns, and the numpy and coded columns simulate-day writes.
+        for table in (_ledger_like(50_000), _ledger_columns(50_000)):
+            size = len(format_table(table, fmt))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                write_table(table, tmp_path / f"table.{fmt}", fmt)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < size / 4, (peak, size)
 
     @pytest.mark.parametrize(
         "fmt, table, match",

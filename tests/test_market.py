@@ -1,6 +1,7 @@
 """Capacity market over a day: matching, validation, claims, settlement."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -162,6 +163,23 @@ class TestLedger:
         flows = [("premium", 0, 0, 1, 5.0), ("rt_imbalance", [3, hour], 1, 0, amount)]
         with pytest.raises(ValueError, match=f"^rt_imbalance hour must be >= 0, got {hour}$"):
             SettlementLedger.of(("a", "b"), flows)
+
+    @pytest.mark.parametrize("amount", [5.0, 0.0])
+    @pytest.mark.parametrize("hour", [1.5, 2.0**63 + 10, float("inf")])
+    def test_hour_int64_cannot_hold_refused(self, hour, amount):
+        # Before the cast to int64, which would make 1.5 hour 1 and 2**63 + 10
+        # the most negative int64.
+        flows = [("premium", 0, 0, 1, 5.0), ("rt_imbalance", [3, hour], 1, 0, amount)]
+        msg = rf"^rt_imbalance hour must be an integer below 2\*\*63, got {re.escape(str(hour))}$"
+        with pytest.raises(ValueError, match=msg):
+            SettlementLedger.of(("a", "b"), flows)
+
+    def test_integral_hours_pass(self):
+        flows = [("premium", np.array([0, 2, 2**62]), 0, 1, 5.0),
+                 ("da_energy", np.array([1.0, 3.0]), 1, 0, 2.0)]
+        ledger = SettlementLedger.of(("a", "b"), flows)
+        assert ledger.hour.tolist() == [0, 1, 2, 3, 2**62]
+        assert ledger.tag.tolist() == [0, 1, 0, 1, 0]
 
     def test_self_payment_refused_at_any_amount(self):
         # Zero amounts are dropped, but every entry is checked first, and an
