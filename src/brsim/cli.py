@@ -25,8 +25,11 @@ _FLAG_MAX = 1e6
 _SAMPLES_MAX = 10**8
 # The most cells demand-curve's (direction, alpha, point) grid and
 # profit-sweep's (scale, ratio, hour) grid take. Above a base of about 55 MB,
-# a cell costs about 190 bytes in demand-curve and 240 in profit-sweep (peak
-# RSS on day24), so the largest grid stays near 1 GB.
+# a demand-curve cell costs about 190 bytes (peak RSS on day24), so its
+# largest grid stays near 1 GB. profit-sweep holds one block of cells
+# (simulation._SWEEP_BLOCK) and about 110 bytes per output row (71 MB at
+# the cap on day24), so for it the cap bounds time: about 3 s per 1.6 M
+# cells on a 2-core machine.
 _CELLS_MAX = 4 * 10**6
 
 

@@ -15,6 +15,10 @@ from .market import Contracts, SettlementLedger, Shifts
 from .provider import DispatchableUnit
 from .vg import PenaltyFactors, VgSchedule
 
+# The most (scale, ratio, hour) cells profit_sweep evaluates at once; a
+# block holds whole (scale, ratio) rows, and at least one.
+_SWEEP_BLOCK = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class DayResult:
@@ -80,22 +84,42 @@ def profit_sweep(
     """Expected profit summed over the horizon at the optimal cover, for each
     forecast-variance scale and premium ratio (premium = ratio x DA price on
     both sides), as table columns. Rows are sorted by (scale, ratio), equal
-    keys in grid order."""
+    keys in grid order.
+
+    The grid is evaluated in blocks of whole (scale, ratio) rows, at most
+    _SWEEP_BLOCK cells but at least one row, so it holds one block's arrays
+    and the output columns whatever the grid's size. Each row's hours are
+    added in one order, so its values do not depend on the other rows."""
     s, pf, d = _horizon_inputs(cfg)
-    # Axes (scale, ratio, hour); the hour axis is summed away.
-    d = forecast.scale_variance(d, np.asarray(scales, dtype=float)[:, None, None])
-    price = np.asarray(ratios, dtype=float)[:, None] * s.da_price
-    pos = vg.optimal_position(s, pf, d, price, price)
-    gross = vg.expected_revenue(s, pf, pos, d)
-    premium = vg.premium_cost(pos)
+    k, r = np.asarray(scales, dtype=float), np.asarray(ratios, dtype=float)
+    # A block is whole scales when every ratio fits in it, else some of one
+    # scale's ratios.
+    block_rows = max(1, _SWEEP_BLOCK // cfg.horizon)
+    k_step = max(1, block_rows // max(1, len(r)))
+    r_step = max(1, min(block_rows, len(r)))
+    # Profit, gross revenue and premium per (scale, ratio).
+    sums = np.empty((3, len(k), len(r)))
+    for i in range(0, len(k), k_step):
+        # Axes (scale, ratio, hour); the scaled forecast serves every ratio
+        # block of its scales.
+        dk = forecast.scale_variance(d, k[i:i + k_step, None, None])
+        for j in range(0, len(r), r_step):
+            price = r[j:j + r_step, None] * s.da_price
+            pos = vg.optimal_position(s, pf, dk, price, price)
+            gross = vg.expected_revenue(s, pf, pos, dk)
+            premium = vg.premium_cost(pos)
+            for total, x in zip(sums, (gross - premium, gross, premium)):
+                # Summed as a C-contiguous row, whatever layout numpy gave x.
+                total[i:i + k_step, j:j + r_step] = np.ascontiguousarray(x).sum(axis=-1)
     scale, ratio = np.repeat(scales, len(ratios)), np.tile(ratios, len(scales))
     order = np.lexsort((ratio, scale))
+    profit, gross, premium = sums.reshape(3, -1)[:, order]
     return {
         "variance_scale": scale[order],
         "price_ratio": ratio[order],
-        "expected_profit": (gross - premium).sum(axis=-1).ravel()[order],
-        "gross_expected_revenue": gross.sum(axis=-1).ravel()[order],
-        "premium_paid": premium.sum(axis=-1).ravel()[order],
+        "expected_profit": profit,
+        "gross_expected_revenue": gross,
+        "premium_paid": premium,
     }
 
 

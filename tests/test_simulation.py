@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,77 @@ class TestExperiments:
         for command in ("demand-curve", "optimal"):
             assert cli.main([command, str(SCENARIOS / "day24.json"), "--hour", "24"]) == 2
             assert capsys.readouterr().err == f"usage error: --{error.value}\n"
+
+
+def _bits(table):
+    """Each column's bytes: equal only when every value is bit for bit equal."""
+    return {name: column.tobytes() for name, column in table.items()}
+
+
+class TestSweepBlocks:
+    # The variance floor (0) and sub-1 shapes (15); ratios from free cover
+    # to past both penalty factors, out of order.
+    SCALES = [1.0, 0.0, 15.0, 0.3]
+    RATIOS = [0.5, 0.0, 0.07, 0.2, 0.33]
+
+    @pytest.mark.parametrize("one_block", [False, True])
+    def test_rows_do_not_depend_on_the_rest_of_the_grid(self, day24, monkeypatch, one_block):
+        # Over 16 scales x 90 ratios at once numpy lays expected_revenue's
+        # hour axis out strided, where a sum over it would add the hours in
+        # another order than over one scale's rows.
+        scales = np.geomspace(0.1, 15.0, 16).tolist()
+        ratios = np.linspace(0.0, 0.5, 90).tolist()
+        if one_block:
+            monkeypatch.setattr(simulation, "_SWEEP_BLOCK",
+                                len(scales) * len(ratios) * day24.horizon)
+        whole = simulation.profit_sweep(day24, ratios, scales)
+        for i, scale in enumerate(scales):
+            alone = simulation.profit_sweep(day24, ratios, [scale])
+            rows = slice(i * len(ratios), (i + 1) * len(ratios))
+            assert _bits({name: col[rows] for name, col in whole.items()}) == _bits(alone)
+
+    @pytest.mark.parametrize("block, n_scales, n_ratios, blocks", [
+        (24, 1, 1, 1),  # one row
+        (4 * 5 * 24, 4, 5, 1),  # exactly one block
+        (4 * 5 * 24 - 1, 4, 5, 2),  # the grid one cell over a block: 3 scales, then 1
+        (2 * 24, 2, 5, 6),  # ratios split across blocks within one scale
+        (2 * 5 * 24, 3, 5, 2),  # whole scales a block, the last one short
+        (10, 2, 3, 6),  # a horizon longer than a block: one row a block
+    ])
+    def test_blocks_give_the_one_block_sweep(self, day24, monkeypatch, block, n_scales,
+                                             n_ratios, blocks):
+        scales, ratios = self.SCALES[:n_scales], self.RATIOS[:n_ratios]
+        monkeypatch.setattr(simulation, "_SWEEP_BLOCK", n_scales * n_ratios * day24.horizon)
+        whole = simulation.profit_sweep(day24, ratios, scales)
+        cells, expected_revenue = [], vg.expected_revenue
+
+        def recorded(s, pf, pos, d):
+            cells.append(pos.up_qty.size)
+            return expected_revenue(s, pf, pos, d)
+
+        monkeypatch.setattr(simulation.vg, "expected_revenue", recorded)
+        monkeypatch.setattr(simulation, "_SWEEP_BLOCK", block)
+        assert _bits(simulation.profit_sweep(day24, ratios, scales)) == _bits(whole)
+        assert len(cells) == blocks and sum(cells) == n_scales * n_ratios * day24.horizon
+        assert max(cells) <= max(block, day24.horizon)
+
+    def test_memory_is_bounded_by_a_block(self, day24):
+        # Held at once, the cells of the smaller grid traced about 14 MB.
+        # Blocked, the peak is one block's arrays and the output columns,
+        # a few bytes a cell: both grids stay under one bound.
+        simulation.profit_sweep(day24, [0.1], [1.0])
+        for n_scales in (8, 16):
+            scales = np.geomspace(0.1, 15.0, n_scales).tolist()
+            ratios = np.linspace(0.0, 0.5, 521).tolist()
+            assert len(scales) * len(ratios) * day24.horizon >= 10**5
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                simulation.profit_sweep(day24, ratios, scales)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, peak
 
 
 class TestDayRun:
