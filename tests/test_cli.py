@@ -14,6 +14,7 @@ import pytest
 from brsim import cli, provider, simulation, vg
 from brsim.cli import main
 from brsim.dataio import load_scenario
+from goldens import RUNS, check
 from oracles import read_table, table_rows
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -181,6 +182,28 @@ class TestProfitSweep:
             ]
         for scale_rows in by_scale.values():
             assert scale_rows[0.0] >= scale_rows[0.2] - 1e-9
+
+    # The runs that pin tables of the scalar implementation that the broadcast
+    # sweep replaced; the wide grid reaches the variance floor and sub-1 shapes.
+    @pytest.mark.parametrize("name", ["profit_sweep_day24", "profit_sweep_day24_wide"])
+    def test_matches_scalar_implementation(self, tmp_path, name):
+        runs = [run for run in RUNS if {f"{name}.csv", f"{name}.json"} & run.outputs().keys()]
+        assert runs
+        for run in runs:
+            (tmp_path / run.name).mkdir()
+            failures = check(run, tmp_path / run.name)
+            assert not failures, "\n".join(failures)
+
+    def test_wide_grid_keeps_its_bits(self, tmp_path, monkeypatch):
+        # The full-precision JSON of the wide grid (6 scales x 7 ratios x 24
+        # hours), byte for byte, in blocks of one row, of part of one scale's
+        # ratios, of two whole scales, and of the whole grid.
+        [run] = [run for run in RUNS if run.name == "wide-json"]
+        for block in (24, 3 * 24, 14 * 24, simulation._SWEEP_BLOCK):
+            monkeypatch.setattr(simulation, "_SWEEP_BLOCK", block)
+            (tmp_path / str(block)).mkdir()
+            failures = check(run, tmp_path / str(block))
+            assert not failures, f"block {block}: " + "\n".join(failures)
 
     def test_grid_bound_is_checked_before_any_array(self, capsys, monkeypatch):
         def no_sweep(*args):

@@ -103,25 +103,39 @@ def test_supply_risk_flags_are_checked_before_the_first_run(monkeypatch, capsys,
 
 
 # (script, its command, flags that leave none of the script's defaults in use,
-# the table's row count)
-SAME_FLAGS = [
+# the table's columns, its row count)
+TABLE_SCRIPTS = [
     ("run_demand_curves.py", "demand-curve",
-     [DAY24, "--hour", "7", "--alpha", "0.1,0.5", "--points", "4"], 2 * 2 * 4),
+     [DAY24, "--hour", "7", "--alpha", "0.1,0.5", "--points", "4"],
+     {"direction", "alpha", "quantity_mw", "marginal_value"}, 2 * 2 * 4),
     ("run_profit_sweep.py", "profit-sweep",
-     [DAY24, "--price-ratios", "0,0.2,0.5", "--variance-scales", "0.5,2.0"], 2 * 3),
+     [DAY24, "--price-ratios", "0,0.2,0.5", "--variance-scales", "0.5,2.0"],
+     {"variance_scale", "price_ratio", "expected_profit", "gross_expected_revenue",
+      "premium_paid"}, 2 * 3),
 ]
+SCRIPT_IDS = [s[0] for s in TABLE_SCRIPTS]
+
+
+@pytest.mark.parametrize("script, command, flags, columns, n_rows", TABLE_SCRIPTS, ids=SCRIPT_IDS)
+def test_table_script(tmp_path, script, command, flags, columns, n_rows):
+    out = tmp_path / "table.csv"
+    proc = run_script(script, tmp_path, *flags, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = read_csv(out)
+    assert len(rows) == n_rows
+    assert set(rows[0]) == columns
+    assert proc.stdout.splitlines()[-1] == f"wrote {out} ({n_rows} rows)"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("script, command, flags, n_rows", SAME_FLAGS,
-                         ids=[s[0] for s in SAME_FLAGS])
-def test_table_script_writes_the_command_table(tmp_path, script, command, flags, n_rows, fmt):
+@pytest.mark.parametrize("script, command, flags, columns, n_rows", TABLE_SCRIPTS, ids=SCRIPT_IDS)
+def test_table_script_writes_the_command_table(tmp_path, script, command, flags, columns, n_rows,
+                                               fmt):
     want, got = tmp_path / f"command.{fmt}", tmp_path / f"script.{fmt}"
     assert cli.main([command, *flags, "--format", fmt, "--out", str(want)]) == 0
     proc = run_script(script, tmp_path, *flags, "--format", fmt, "--out", str(got))
     assert proc.returncode == 0, proc.stderr
     assert got.read_bytes() == want.read_bytes()
-    assert proc.stdout.splitlines()[-1] == f"wrote {got} ({n_rows} rows)"
 
 
 def test_table_to_stdout_comes_before_the_summary(tmp_path, capsys):
