@@ -474,7 +474,7 @@ _BOOL_TEXT = np.array(["false", "true"], dtype=object)
 class Coded:
     """A table column of labels held as codes, a 1-d integer array: row i
     reads ``labels[codes[i]]``. The writer encodes each label once per
-    table; ``tolist`` gives the column's labels row by row."""
+    table."""
 
     labels: tuple
     codes: np.ndarray
@@ -491,9 +491,6 @@ class Coded:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def tolist(self) -> list:
-        return list(map(self.labels.__getitem__, self.codes.tolist()))
 
 
 def _by_code(texts: np.ndarray, codes: np.ndarray) -> Callable[[int, int], tuple[str, list]]:

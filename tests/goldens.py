@@ -113,11 +113,13 @@ RUNS = [
         f"{DRAWN}_marginal.json"),
     Run("marginal-out-json", f"{RISK} --unit-kind marginal {SAMPLED} --format json --out o",
         f"{DRAWN}_marginal.json"),
-    # Each experiment script with its defaults, writing under ./out.
-    Run("run_demand_curves", "scripts/run_demand_curves.py",
-        {"run_demand_curves.stdout": "stdout", "demand_curve_day24.csv": "out/demand_curves.csv"}),
-    Run("run_profit_sweep", "scripts/run_profit_sweep.py",
-        {"run_profit_sweep.stdout": "stdout", "run_profit_sweep.csv": "out/profit_sweep.csv"}),
+    # The paper's experiments, each listed as README's "Reproducing the paper"
+    # gives it, writing under ./out.
+    Run("paper-curves",
+        f"brsim demand-curve {DAY} --hour 12 --points 41 --alpha 0.1,0.3,0.5"
+        " --out out/demand_curves.csv", "demand_curve_day24.csv"),
+    Run("paper-sweep", f"{SWEEP} --variance-scales 0.5,1,1.5,2 --out out/profit_sweep.csv",
+        "profit_sweep_day24_scales.csv"),
     Run("run_supply_risk", "scripts/run_supply_risk.py",
         {"run_supply_risk.stdout": "stdout", "run_supply_risk.csv": "out/supply_risk.csv"}),
 ]

@@ -16,7 +16,7 @@ cannot change an oracle along with the code it judges.
   ``offer_rows`` reads its coded offer book back as the document's offers.
 - ``read_table`` reads back a CSV or JSON table written by
   ``dataio.write_table``; ``table_rows`` turns a table of columns into row
-  dicts.
+  dicts, and ``labels`` a coded column into its labels.
 - ``reference_format_table`` is the table writer as it was before it
   rendered each batch with one %-template: a call per column of a batch,
   chosen by the exact type of its cells, or a call per cell, then a join
@@ -443,16 +443,23 @@ def reference_table_chunks(table: Mapping[str, Sequence], fmt: str) -> Iterator[
     yield "]\n"
 
 
+def labels(col: Coded) -> list:
+    """A coded column's labels, row by row."""
+    return [col.labels[c] for c in col.codes.tolist()]
+
+
 def reference_format_table(table: Mapping[str, Sequence], fmt: str) -> str:
     """``dataio.format_table`` by the reference writer; a coded column is
     given to it as its list of labels."""
-    table = {k: col.tolist() if isinstance(col, Coded) else col for k, col in table.items()}
+    table = {k: labels(col) if isinstance(col, Coded) else col for k, col in table.items()}
     return "".join(reference_table_chunks(table, fmt))
 
 
 def table_rows(table: dict) -> list[dict]:
-    """A table of columns as row dicts of Python scalars."""
-    columns = [col.tolist() if hasattr(col, "tolist") else list(col) for col in table.values()]
+    """A table of columns as row dicts of Python scalars; a coded column
+    gives its labels."""
+    columns = [labels(col) if isinstance(col, Coded) else
+               col.tolist() if hasattr(col, "tolist") else list(col) for col in table.values()]
     return [dict(zip(table, row)) for row in zip(*columns)]
 
 

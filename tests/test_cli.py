@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -464,6 +465,19 @@ def test_bad_flag_value_is_reported_before_the_scenario_is_read(capsys, tmp_path
     assert out == ""
 
 
+# A table that cannot be written to --out exits 1 with the OS's message.
+# ``afile`` is a regular file, so no directory can be made under it.
+@pytest.mark.parametrize("out, message", [
+    ("afile/x.csv", "[Errno 17] File exists: 'afile'"),
+    (".", "[Errno 21] Is a directory: '.'"),
+], ids=["under-a-file", "a-directory"])
+@pytest.mark.parametrize("command", ["demand-curve", "profit-sweep"])
+def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch, command, out, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    assert run_cli(capsys, command, DAY, "--out", out) == (1, "", f"error: {message}\n")
+
+
 class TestParser:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -473,7 +487,6 @@ class TestParser:
     def test_console_script_installed(self):
         # Check the console script an install would create, without installing:
         # read the declared entry point and call it the way pip's wrapper does.
-        tomllib = pytest.importorskip("tomllib")
         with open(ROOT / "pyproject.toml", "rb") as fh:
             scripts = tomllib.load(fh)["project"].get("scripts", {})
         assert "brsim" in scripts

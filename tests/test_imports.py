@@ -1,12 +1,15 @@
-"""What ``import brsim`` costs: the heavy scipy subpackages stay out; no
-module imports a name that it never uses; and no library or script code
-tests a direction or unit kind by identity."""
+"""What ``import brsim`` costs and needs: the heavy scipy subpackages stay
+out; the declared Python, numpy and scipy floors are what CI runs; no module
+imports a name that it never uses; and no library or script code tests a
+direction or unit kind by identity."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +31,28 @@ def test_import_leaves_out_heavy_scipy_subpackages():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def _version(text: str) -> tuple[int, ...]:
+    return tuple(map(int, text.split(".")))
+
+
+def test_dependency_floors_are_what_ci_runs():
+    # CI pins the builds the goldens were written with; a floor below their
+    # major.minor would name builds that no run has checked.
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    [python] = re.findall(r'python-version: "([\d.]+)"', workflow)
+    [install] = re.findall(r"pip install (.*==.*)", workflow)
+    pins = dict(re.findall(r"([\w-]+)==([\d.]+)", install))
+    floors = dict(re.fullmatch(r"([\w-]+)>=([\d.]+)", dep).groups()
+                  for dep in project["dependencies"])
+    assert project["requires-python"] == f">={python}"
+    assert pins.keys() == floors.keys()
+    for name, pin in pins.items():
+        pin, floor = _version(pin), _version(floors[name])
+        assert pin >= floor and pin[:2] == floor[:2], (name, pin, floor)
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -1,9 +1,8 @@
-"""Experiment scripts: each takes its tables from the commands in
-``brsim.cli``, so the CLI's flag names, checks, tables and exit codes apply
-to it."""
+"""The experiment script run_supply_risk.py: it takes its tables from
+``brsim supply-risk`` in ``brsim.cli``, so the CLI's flag names, checks,
+tables and exit codes apply to it."""
 
 import csv
-import json
 import math
 import os
 import runpy
@@ -16,7 +15,6 @@ import pytest
 from brsim import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-DAY24 = str(ROOT / "scenarios" / "day24.json")
 
 
 def run_script(name, tmp_path, *args):
@@ -102,74 +100,16 @@ def test_supply_risk_flags_are_checked_before_the_first_run(monkeypatch, capsys,
     assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
-# (script, its command, flags that leave none of the script's defaults in use,
-# the table's columns, its row count)
-TABLE_SCRIPTS = [
-    ("run_demand_curves.py", "demand-curve",
-     [DAY24, "--hour", "7", "--alpha", "0.1,0.5", "--points", "4"],
-     {"direction", "alpha", "quantity_mw", "marginal_value"}, 2 * 2 * 4),
-    ("run_profit_sweep.py", "profit-sweep",
-     [DAY24, "--price-ratios", "0,0.2,0.5", "--variance-scales", "0.5,2.0"],
-     {"variance_scale", "price_ratio", "expected_profit", "gross_expected_revenue",
-      "premium_paid"}, 2 * 3),
-]
-SCRIPT_IDS = [s[0] for s in TABLE_SCRIPTS]
-
-
-@pytest.mark.parametrize("script, command, flags, columns, n_rows", TABLE_SCRIPTS, ids=SCRIPT_IDS)
-def test_table_script(tmp_path, script, command, flags, columns, n_rows):
-    out = tmp_path / "table.csv"
-    proc = run_script(script, tmp_path, *flags, "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    rows = read_csv(out)
-    assert len(rows) == n_rows
-    assert set(rows[0]) == columns
-    assert proc.stdout.splitlines()[-1] == f"wrote {out} ({n_rows} rows)"
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("script, command, flags, columns, n_rows", TABLE_SCRIPTS, ids=SCRIPT_IDS)
-def test_table_script_writes_the_command_table(tmp_path, script, command, flags, columns, n_rows,
-                                               fmt):
-    want, got = tmp_path / f"command.{fmt}", tmp_path / f"script.{fmt}"
-    assert cli.main([command, *flags, "--format", fmt, "--out", str(want)]) == 0
-    proc = run_script(script, tmp_path, *flags, "--format", fmt, "--out", str(got))
-    assert proc.returncode == 0, proc.stderr
-    assert got.read_bytes() == want.read_bytes()
-
-
-def test_table_to_stdout_comes_before_the_summary(tmp_path, capsys):
-    proc = run_script("run_profit_sweep.py", tmp_path, "--out", "/dev/stdout")
-    assert proc.returncode == 0, proc.stderr
-    assert cli.main(["profit-sweep", DAY24, "--variance-scales", "0.5,1,1.5,2"]) == 0
-    table = capsys.readouterr().out
-    assert proc.stdout.startswith(table)
-    summary = proc.stdout[len(table):]
-    assert summary.startswith("DA value of the mean profile: ")
-    assert summary.endswith("\nwrote /dev/stdout (44 rows)\n")
-
-
 # (script, arguments, exit code, the start of the stderr line that reports
-# it): the CLI's checks, with the flag or path they name, and the scripts'
-# own file errors, reported as the CLI reports them. ``afile`` is a regular
-# file, so no directory can be made under it; ``bad.json`` is day24.json
-# with a capacity that its schema refuses.
+# it): the CLI's checks, with the flag they name, and the script's own file
+# errors, reported as the CLI reports them. ``afile`` is a regular file, so
+# no directory can be made under it.
 BAD_INPUTS = [
-    ("run_demand_curves.py", ["--hour", "99"], 2, "usage error: --hour 99 "),
-    ("run_demand_curves.py", ["--points", "1"], 2, "usage error: --points "),
-    ("run_profit_sweep.py", ["--price-ratios", "-1"], 2, "usage error: --price-ratios "),
-    ("run_profit_sweep.py", ["--price-ratios", "inf"], 2, "usage error: --price-ratios "),
     ("run_supply_risk.py", ["--samples", "1"], 2, "usage error: --samples "),
     ("run_supply_risk.py", ["--correlation", "2"], 2, "usage error: --correlation "),
     # Every run is exhaustive, which has no correlation.
     ("run_supply_risk.py", ["--exhaustive", "--correlation", "0,0.4"], 2,
      "usage error: --correlation must be 0 with --exhaustive"),
-    ("run_demand_curves.py", ["nope.json"], 1,
-     "error: [Errno 2] No such file or directory: 'nope.json'"),
-    ("run_profit_sweep.py", ["bad.json"], 1,
-     "error: bad.json.vg.capacity_mw: must be > 0, got -5.0"),
-    ("run_demand_curves.py", ["--out", "afile/x.csv"], 1, "error: [Errno 17] File exists: 'afile'"),
-    ("run_profit_sweep.py", ["--out", "afile/x.csv"], 1, "error: [Errno 17] File exists: 'afile'"),
     ("run_supply_risk.py", ["--samples", "2000", "--out", "afile/x.csv"], 1,
      "error: [Errno 17] File exists: 'afile'"),
     ("run_supply_risk.py", ["--samples", "2000", "--out", "."], 1,
@@ -183,9 +123,6 @@ BAD_INPUTS = [
 )
 def test_bad_input_exits_with_message(tmp_path, script, args, code, message):
     (tmp_path / "afile").write_text("")
-    bad = json.loads(Path(DAY24).read_text())
-    bad["vg"]["capacity_mw"] = -5
-    (tmp_path / "bad.json").write_text(json.dumps(bad))
     proc = run_script(script, tmp_path, *args)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
