@@ -136,9 +136,7 @@ def cmd_simulate_day(args) -> None:
         del columns
 
 
-def supply_risk_model(args) -> ScenarioModel:
-    """The law that parsed supply-risk flags ask for. A flag value the
-    command cannot take is a UsageError, raised before any work."""
+def supply_risk_table(args) -> dict:
     if args.exhaustive and args.correlation != 0.0:
         raise UsageError(f"--correlation must be 0 with --exhaustive, whose four-outcome law "
                          f"has no correlation; got {args.correlation}")
@@ -146,19 +144,13 @@ def supply_risk_model(args) -> ScenarioModel:
         model = ScenarioModel(correlation=args.correlation, execution_limit=RISK_HEADROOM)
     except ValueError as exc:  # the correlation is the one argument a user sets
         raise UsageError(f"--{exc}") from None
-    if not args.exhaustive:
+    if args.exhaustive:
+        draws = [provider.exhaustive_scenarios(model)]
+    else:
         if not 2 <= args.samples <= _SAMPLES_MAX:
             raise UsageError(f"--samples must be in [2, {_SAMPLES_MAX}], got {args.samples}")
         if args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    return model
-
-
-def supply_risk_table(args) -> dict:
-    model = supply_risk_model(args)
-    if args.exhaustive:
-        draws = [provider.exhaustive_scenarios(model)]
-    else:
         draws = provider.generate_scenarios(model, args.samples, args.seed)
     kinds = list(RISK_UNITS) if args.unit_kind == "both" else [args.unit_kind]
     reports = provider.risk_report([RISK_UNITS[k] for k in kinds], draws)
@@ -168,19 +160,15 @@ def supply_risk_table(args) -> dict:
     return table
 
 
-def marginal_less_risky(table) -> bool:
-    """Whether selling cover adds less cash-flow variance to the marginal
-    unit than to the base-load one, in a supply-risk table of both kinds:
-    a strict ``<``, so a tie is not less risky."""
-    incremental = dict(zip(table["kind"], table["incremental_variance"]))
-    return incremental["marginal"] < incremental["base_load"]
-
-
 def cmd_supply_risk(args) -> None:
     table = supply_risk_table(args)
     _emit(table, args)
     if args.unit_kind == "both":
-        print(f"verdict: marginal_less_risky={str(marginal_less_risky(table)).lower()}")
+        # Selling cover adds less cash-flow variance to the marginal unit than
+        # to the base-load one: a strict "<", so a tie is not less risky.
+        incremental = dict(zip(table["kind"], table["incremental_variance"]))
+        less = incremental["marginal"] < incremental["base_load"]
+        print(f"verdict: marginal_less_risky={str(less).lower()}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,12 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def exit_code(command, *args) -> int:
-    """Run ``command(*args)`` and return its exit code: 0, or 2 for a
-    UsageError and 1 for any other ValueError or an OSError, each reported
-    on stderr."""
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        command(*args)
+        args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -253,11 +239,6 @@ def exit_code(command, *args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
 """The goldens under tests/golden: the one list of the runs that produce them,
 and the one runner that checks them, under Tier-1 (test_goldens.py) and as
-``python tests/goldens.py``. A ``brsim`` run goes through ``cli.main`` in
-process, a script through a subprocess against the same ``brsim`` package. A
-run must exit 0, and each pinned output must equal its golden byte for byte,
-except ``WITHIN_1E12``'s. A failure names the golden and the produced file,
-with the first differing line, old and new: to regenerate a golden by hand,
-copy that file over it.
+``python tests/goldens.py``. Each run is a ``brsim`` command line, which goes
+through ``cli.main`` in process. A run must exit 0, and each pinned output
+must equal its golden byte for byte, except ``WITHIN_1E12``'s. A failure
+names the golden and the produced file, with the first differing line, old
+and new: to regenerate a golden by hand, copy that file over it.
 """
 
 import contextlib
@@ -14,13 +13,11 @@ import itertools
 import json
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
-import brsim
 from brsim import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,7 +31,7 @@ WITHIN_1E12 = {"profit_sweep_day24.json", "profit_sweep_day24_wide.json"}
 
 class Run(NamedTuple):
     name: str
-    argv: str  # brsim or a script; a scenarios/ argument names a file in the repo
+    argv: str  # a brsim command line; a scenarios/ argument names a file in the repo
     # The golden that the --out file, or else stdout, must equal; or a dict
     # golden -> "stdout", or a file that the run writes under its directory.
     pins: str | dict
@@ -120,8 +117,10 @@ RUNS = [
         " --out out/demand_curves.csv", "demand_curve_day24.csv"),
     Run("paper-sweep", f"{SWEEP} --variance-scales 0.5,1,1.5,2 --out out/profit_sweep.csv",
         "profit_sweep_day24_scales.csv"),
-    Run("run_supply_risk", "scripts/run_supply_risk.py",
-        {"run_supply_risk.stdout": "stdout", "run_supply_risk.csv": "out/supply_risk.csv"}),
+    Run("paper-risk-exhaustive", f"{RISK} --exhaustive --out out/supply_risk_exhaustive.csv",
+        "supply_risk_exhaustive.csv"),
+    *(Run(f"paper-risk-rho{rho}", f"{RISK} --correlation {rho}", f"supply_risk_rho{rho}.stdout")
+      for rho in ("0", "0.2", "0.4", "0.6", "0.8")),
 ]
 
 
@@ -157,25 +156,18 @@ def check(run, workdir):
         doc.update({key: {**doc[key], **value} for key, value in run.patch.items()})
         argv[i] = str(workdir / "scenario.json")
         Path(argv[i]).write_text(json.dumps(doc), encoding="utf-8")
-    if argv[0] == "brsim":
-        out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
-        try:
-            os.chdir(workdir)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv[1:])
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
-        finally:
-            os.chdir(cwd)
-        stdout, stderr = out.getvalue().encode("utf-8"), err.getvalue()
-    else:  # PYTHONPATH: the directory that holds this process's brsim package
-        env = {**os.environ, "PYTHONPATH": str(Path(brsim.__file__).resolve().parents[1])}
-        proc = subprocess.run([sys.executable, str(ROOT / argv[0]), *argv[1:]], cwd=workdir,
-                              env=env, capture_output=True, timeout=120)
-        code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr.decode(errors="replace")
-    (workdir / "stdout").write_bytes(stdout)
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    try:
+        os.chdir(workdir)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv[1:])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    (workdir / "stdout").write_bytes(out.getvalue().encode("utf-8"))
     if code != 0:
-        return [f"{run.name}: `{run.argv}` exited {code}\n{stderr}"]
+        return [f"{run.name}: `{run.argv}` exited {code}\n{err.getvalue()}"]
     return [f"{run.name}: {message}" for golden, output in run.outputs().items()
             if (message := first_difference(golden, workdir / output))]
 

@@ -262,12 +262,14 @@ class TestSupplyRisk:
         assert "verdict: marginal_less_risky=false" in out
 
     def test_correlated_sampling_flips_verdict(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "supply-risk", "--correlation", "0.5",
-            "--samples", "20000", "--seed", "3",
-        )
-        assert code == 0
-        assert "verdict: marginal_less_risky=true" in out
+        # A negative correlation, passed as its own argument, is a value.
+        for rho, verdict in [("0.5", "true"), ("-0.8", "false")]:
+            code, out, _ = run_cli(
+                capsys, "supply-risk", "--correlation", rho,
+                "--samples", "20000", "--seed", "3",
+            )
+            assert code == 0
+            assert out.endswith(f"verdict: marginal_less_risky={verdict}\n"), rho
 
     def test_single_kind_has_no_verdict(self, capsys):
         code, out, _ = run_cli(
@@ -471,11 +473,13 @@ def test_bad_flag_value_is_reported_before_the_scenario_is_read(capsys, tmp_path
     ("afile/x.csv", "[Errno 17] File exists: 'afile'"),
     (".", "[Errno 21] Is a directory: '.'"),
 ], ids=["under-a-file", "a-directory"])
-@pytest.mark.parametrize("command", ["demand-curve", "profit-sweep"])
+@pytest.mark.parametrize("command", [["demand-curve", DAY], ["profit-sweep", DAY],
+                                     ["supply-risk", "--exhaustive"]],
+                         ids=["demand-curve", "profit-sweep", "supply-risk"])
 def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch, command, out, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("")
-    assert run_cli(capsys, command, DAY, "--out", out) == (1, "", f"error: {message}\n")
+    assert run_cli(capsys, *command, "--out", out) == (1, "", f"error: {message}\n")
 
 
 class TestParser:

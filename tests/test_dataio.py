@@ -216,6 +216,13 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=r"broken.json:3: invalid JSON"):
             load_scenario(p)
 
+    def test_invalid_utf8_reports_byte(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"horizon": "\xc3"}')
+        with pytest.raises(ScenarioError,
+                           match=r"bad\.json: invalid UTF-8 at byte 13: invalid continuation byte$"):
+            load_scenario(p)
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ScenarioError):
             scenario_from_dict([1, 2, 3])

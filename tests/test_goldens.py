@@ -11,11 +11,11 @@ def test_every_golden_is_pinned_and_exists():
 
 
 def test_readme_reproduces_the_paper_with_pinned_runs():
-    # The fenced block of README's "Reproducing the paper": each line, with
-    # any leading "python " removed, is the argv of a run.
+    # The fenced block of README's "Reproducing the paper": each line is the
+    # argv of a run.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## Reproducing the paper\n", 1)[1].split("```\n")[1]
-    lines = [line.removeprefix("python ").split() for line in block.splitlines()]
+    lines = [line.split() for line in block.splitlines()]
     argvs = [run.argv.split() for run in RUNS]
     assert lines
     assert [line for line in lines if line not in argvs] == []

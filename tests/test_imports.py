@@ -1,7 +1,7 @@
 """What ``import brsim`` costs and needs: the heavy scipy subpackages stay
 out; the declared Python, numpy and scipy floors are what CI runs; no module
-imports a name that it never uses; and no library or script code tests a
-direction or unit kind by identity."""
+imports a name that it never uses; and no library code tests a direction or
+unit kind by identity."""
 
 import ast
 import json
@@ -79,8 +79,7 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     paths = sorted(
-        path for folder in ("src/brsim", "scripts", "tests")
-        for path in (ROOT / folder).rglob("*.py")
+        path for folder in ("src/brsim", "tests") for path in (ROOT / folder).rglob("*.py")
     )
     assert paths
     assert [entry for path in paths for entry in _unused_imports(path)] == []
@@ -119,9 +118,7 @@ def _identity_tests(source: str) -> list[str]:
 
 
 def test_no_identity_tests_against_enum_members():
-    paths = sorted(
-        path for folder in ("src/brsim", "scripts") for path in (ROOT / folder).rglob("*.py")
-    )
+    paths = sorted((ROOT / "src/brsim").rglob("*.py"))
     assert paths
     assert [f"{path.relative_to(ROOT)}:{hit}" for path in paths
             for hit in _identity_tests(path.read_text(encoding="utf-8"))] == []
