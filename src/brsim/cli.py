@@ -2,7 +2,8 @@
 
 Subcommands: demand-curve, optimal, profit-sweep, simulate-day, supply-risk.
 Exit codes: 0 success, 1 domain error (bad files, infeasible inputs),
-2 usage error. Tables go to --out when given, else CSV to stdout.
+2 usage error. Tables go to --out when given, else to stdout, in --format
+(CSV by default).
 """
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from . import dataio, provider, simulation, vg
 from .provider import RISK_HEADROOM, RISK_UNITS, RiskReport, ScenarioModel
@@ -24,9 +27,11 @@ _FLAG_MAX = 1e6
 # 2-core machine.
 _SAMPLES_MAX = 10**8
 # The most cells demand-curve's (direction, alpha, point) grid and
-# profit-sweep's (scale, ratio, hour) grid take. Above a base of about 55 MB,
-# a demand-curve cell costs about 190 bytes (peak RSS on day24), so its
-# largest grid stays near 1 GB. profit-sweep holds one block of cells
+# profit-sweep's (scale, ratio, hour) grid take. Above a base of about 56 MB,
+# a demand-curve cell costs about 43 bytes (peak RSS on day24, in either
+# format, to stdout or --out), so its largest grid takes about 230 MB, and
+# the cap bounds its time: about 7 s in CSV and 13 s in JSON on a 2-core
+# machine. profit-sweep holds one block of cells
 # (simulation._SWEEP_BLOCK) and about 110 bytes per output row (71 MB at
 # the cap on day24), so for it the cap bounds time: about 3 s per 1.6 M
 # cells on a 2-core machine.
@@ -49,7 +54,7 @@ def _float_list(text: str) -> list[float]:
 
 def _emit(table, args) -> None:
     if args.out is None:
-        sys.stdout.write(dataio.format_table(table, args.format))
+        sys.stdout.writelines(dataio.table_text(table, args.format))
         return
     dataio.write_table(table, args.out, args.format)
     print(f"wrote {args.out}")
@@ -100,7 +105,7 @@ def optimal_table(args) -> dict:
     row = {"hour": args.hour, "down_qty_mw": pos.down_qty, "up_qty_mw": pos.up_qty,
            "down_price": pos.down_price, "up_price": pos.up_price,
            **vars(vg.oic_report(s, pf, pos, d))}
-    return {name: [value] for name, value in row.items()}
+    return {name: np.array([value]) for name, value in row.items()}
 
 
 def profit_sweep_table(args) -> dict:
@@ -152,11 +157,12 @@ def supply_risk_table(args) -> dict:
         if args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
         draws = provider.generate_scenarios(model, args.samples, args.seed)
-    kinds = list(RISK_UNITS) if args.unit_kind == "both" else [args.unit_kind]
+    kinds = tuple(RISK_UNITS) if args.unit_kind == "both" else (args.unit_kind,)
     reports = provider.risk_report([RISK_UNITS[k] for k in kinds], draws)
-    table = {"kind": kinds}
+    # Row i is kind i.
+    table = {"kind": dataio.Coded(kinds, np.arange(len(kinds)))}
     for f in fields(RiskReport):
-        table[f.name] = [getattr(report, f.name) for report in reports]
+        table[f.name] = np.array([getattr(report, f.name) for report in reports])
     return table
 
 
@@ -166,7 +172,7 @@ def cmd_supply_risk(args) -> None:
     if args.unit_kind == "both":
         # Selling cover adds less cash-flow variance to the marginal unit than
         # to the base-load one: a strict "<", so a tie is not less risky.
-        incremental = dict(zip(table["kind"], table["incremental_variance"]))
+        incremental = dict(zip(table["kind"].labels, table["incremental_variance"].tolist()))
         less = incremental["marginal"] < incremental["base_load"]
         print(f"verdict: marginal_less_risky={str(less).lower()}")
 

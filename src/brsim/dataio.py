@@ -459,24 +459,14 @@ def _format_float(value: float) -> str:
     return _SIG_DIGITS_FORMAT(value)
 
 
-def _format_cell(value: Any) -> str:
-    # A float subclass, such as numpy's float64, keeps the float rule.
-    if type(value) is bool:
-        return "true" if value else "false"
-    return _format_float(value) if isinstance(value, float) else str(value)
-
-
-# Each format's text of one cell, for the cells of a list column and for
-# each label of a coded column.
-_CELL = {"csv": _format_cell, "json": functools.partial(json.dumps, allow_nan=False)}
 _BOOL_TEXT = np.array(["false", "true"], dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
 class Coded:
-    """A table column of labels held as codes, a 1-d integer array: row i
-    reads ``labels[codes[i]]``. The writer encodes each label once per
-    table."""
+    """A table column of ``str`` labels held as codes, a 1-d integer array:
+    row i reads ``labels[codes[i]]``. The writer encodes each label once per
+    table: as is in CSV, by ``json.dumps`` in JSON."""
 
     labels: tuple
     codes: np.ndarray
@@ -486,9 +476,13 @@ class Coded:
         if codes.ndim != 1 or codes.dtype.kind not in "iu":
             raise TypeError(f"codes must be a 1-d integer array, got {codes.dtype} "
                             f"of shape {codes.shape}")
-        fail_where((codes < 0) | (codes >= len(self.labels)), "code {} outside {} labels", codes,
-                   len(self.labels))
-        object.__setattr__(self, "labels", tuple(self.labels))
+        labels = tuple(self.labels)
+        for label in labels:
+            if type(label) is not str:
+                raise TypeError(f"labels must be str, got {type(label).__name__} {label!r}")
+        fail_where((codes < 0) | (codes >= len(labels)), "code {} outside {} labels", codes,
+                   len(labels))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "codes", codes)
 
     def __len__(self) -> int:
@@ -516,13 +510,13 @@ def _json_floats(col: np.ndarray, lo: int, hi: int) -> tuple[str, list]:
     return "%r", part.tolist()
 
 
-def _column_cells(col: Sequence, fmt: str) -> Callable[[int, int], tuple[str, list]]:
+def _column_cells(name: str, col, fmt: str) -> Callable[[int, int], tuple[str, list]]:
     """The template conversion of a column's rows ``lo`` to ``hi``, and the
-    values it takes: a 1-d numpy column's chosen by its dtype, a coded
-    column's label text by code, and any other column's cells as text by
-    the per-cell rule."""
+    values it takes: a 1-d numpy column's chosen by its dtype, and a coded
+    column's label text by code."""
     if isinstance(col, Coded):
-        return _by_code(np.array(list(map(_CELL[fmt], col.labels)), dtype=object), col.codes)
+        texts = col.labels if fmt == "csv" else map(json.dumps, col.labels)
+        return _by_code(np.array(list(texts), dtype=object), col.codes)
     kind = col.dtype.kind if isinstance(col, np.ndarray) and col.ndim == 1 else None
     if kind == "b":
         return _by_code(_BOOL_TEXT, col.view(np.uint8))
@@ -530,26 +524,30 @@ def _column_cells(col: Sequence, fmt: str) -> Callable[[int, int], tuple[str, li
         return lambda lo, hi: ("%d", col[lo:hi].tolist())
     if kind == "f":
         return functools.partial(_csv_floats if fmt == "csv" else _json_floats, col)
-    cell = _CELL[fmt]
-
-    def cells(lo: int, hi: int) -> tuple[str, list]:
-        part = col[lo:hi]
-        return "%s", list(map(cell, part.tolist() if hasattr(part, "tolist") else part))
-
-    return cells
+    raise TypeError(f"column {name!r} must be a 1-d bool, integer or float array or Coded, "
+                    f"got {type(col).__name__}")
 
 
-def _table_chunks(table: Mapping[str, Sequence], fmt: str) -> Iterator[str]:
-    """The text of a table, ``_BATCH_ROWS`` rows at a time. A batch is one
-    %-template, its row's conversions once per row, applied to the batch's
-    values, laid out row by row a column at a time."""
+def table_text(table: Mapping[str, np.ndarray | Coded], fmt: str) -> Iterator[str]:
+    """The text of a table, a mapping of column names to equally long
+    columns in column order, as CSV or JSON, ``_BATCH_ROWS`` rows at a time.
+
+    A column is a 1-d bool, integer or float array, or ``Coded``; any other
+    raises ``TypeError``. CSV numbers carry 6 significant digits; JSON
+    keeps full precision. Zero-length columns give a CSV header and an
+    empty JSON list. A non-finite number is written as ``inf``, ``-inf`` or
+    ``nan`` in CSV and raises ``ValueError`` in JSON, which has no such
+    values. Each batch is one %-template, its row's conversions once per
+    row, applied to the batch's values, laid out row by row a column at a
+    time.
+    """
     if fmt not in TABLE_FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {TABLE_FORMATS}")
     cols, data = list(table), list(table.values())
+    columns = [_column_cells(name, col, fmt) for name, col in table.items()]
     n = len(data[0]) if data else 0
     if any(len(col) != n for col in data):
         raise ValueError(f"columns {cols} differ in length")
-    columns = [_column_cells(col, fmt) for col in data]
     m = len(columns)
     if fmt == "csv":
         head, between, tail = ",".join(cols) + "\n", "", ""
@@ -579,20 +577,8 @@ def _table_chunks(table: Mapping[str, Sequence], fmt: str) -> Iterator[str]:
     yield tail
 
 
-def format_table(table: Mapping[str, Sequence], fmt: str) -> str:
-    """Render a table, a mapping of column names to equally long columns
-    (lists or arrays) in column order, as CSV or JSON text.
-
-    CSV numbers carry 6 significant digits; JSON keeps full precision.
-    Zero-length columns give a CSV header and an empty JSON list. A
-    non-finite number is written as ``inf``, ``-inf`` or ``nan`` in CSV and
-    raises ``ValueError`` in JSON, which has no such values.
-    """
-    return "".join(_table_chunks(table, fmt))
-
-
-def write_table(table: Mapping[str, Sequence], path: str | Path, fmt: str) -> None:
-    """format_table to a file with LF endings, written a batch at a time.
+def write_table(table: Mapping[str, np.ndarray | Coded], path: str | Path, fmt: str) -> None:
+    """``table_text`` to a file with LF endings, written a batch at a time.
 
     Missing parent directories are created. A regular file, or a path where
     nothing exists yet, is written to a temporary file beside it that
@@ -600,7 +586,7 @@ def write_table(table: Mapping[str, Sequence], path: str | Path, fmt: str) -> No
     was. Other targets, such as a symlink, a pipe or ``/dev/stdout``, are
     written in place.
     """
-    chunks = _table_chunks(table, fmt)
+    chunks = table_text(table, fmt)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
@@ -611,7 +597,8 @@ def write_table(table: Mapping[str, Sequence], path: str | Path, fmt: str) -> No
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
             fh.writelines(chunks)
         return
-    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    # The temporary name's length does not depend on the target's.
+    temp = path.with_name(f".brsim-{os.urandom(6).hex()}.tmp")
     # Mode "x" creates the file with the permissions a new target gets.
     fh = open(temp, "x", newline="\n", encoding="utf-8")
     try:

@@ -61,7 +61,7 @@ def hour_context(
 
 def demand_curve_rows(
     s: VgSchedule, d: "forecast.ForecastDistribution", alphas: list[float], points: int
-) -> dict[str, list]:
+) -> dict[str, np.ndarray | Coded]:
     """Marginal value of cover against quantity at one hour (its schedule
     and forecast, as from ``hour_context``), per direction and per penalty
     factor (applied to both sides), as table columns: the down curves, then
@@ -70,11 +70,12 @@ def demand_curve_rows(
     directions = np.array([vg.DOWN, vg.UP])[:, None, None]
     alpha = np.asarray(alphas, dtype=float)[:, None]
     curves = vg.demand_curve(s, PenaltyFactors(over=alpha, under=alpha), d, directions, points)
+    codes = np.repeat(np.arange(len(directions), dtype=np.uint8), len(alphas) * points)
     return {
-        "direction": np.repeat(directions, len(alphas) * points).tolist(),
-        "alpha": [a for a in alphas for _ in range(points)] * len(directions),
-        "quantity_mw": curves[..., 0].ravel().tolist(),
-        "marginal_value": curves[..., 1].ravel().tolist(),
+        "direction": Coded((vg.DOWN.value, vg.UP.value), codes),
+        "alpha": np.tile(np.repeat(alpha, points), len(directions)),
+        "quantity_mw": curves[..., 0].ravel(),
+        "marginal_value": curves[..., 1].ravel(),
     }
 
 
@@ -226,7 +227,8 @@ def ledger_rows(result: DayResult) -> dict[str, np.ndarray | Coded]:
     }
 
 
-def totals_rows(result: DayResult) -> dict[str, list]:
+def totals_rows(result: DayResult) -> dict[str, np.ndarray | Coded]:
     """Each party's net cash over the day, as table columns."""
     nets = result.ledger.net_by_party()
-    return {"party": list(nets), "net_cash": list(nets.values())}
+    return {"party": Coded(tuple(nets), np.arange(len(nets))),
+            "net_cash": np.array(list(nets.values()), dtype=float)}

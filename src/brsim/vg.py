@@ -22,6 +22,7 @@ import numpy as np
 from . import forecast
 from ._arrays import fail_where, take, unwrap
 from .forecast import ForecastDistribution
+from .provider import _MW_EPS
 
 # How far (in probability) a fractile's level must lie beyond the CDF at the
 # schedule, on the zero-cover side, before optimal_quantity skips its
@@ -123,10 +124,10 @@ def _check_position_fits(pos: BrsPosition, s: VgSchedule, d: ForecastDistributio
     _check_schedule_fits(s, d)
     headroom = d.capacity - s.da_quantity
     fail_where(
-        pos.down_qty > headroom + 1e-9, "down_qty {} exceeds headroom {}", pos.down_qty, headroom
+        pos.down_qty > headroom + _MW_EPS, "down_qty {} exceeds headroom {}", pos.down_qty, headroom
     )
     fail_where(
-        pos.up_qty > s.da_quantity + 1e-9,
+        pos.up_qty > s.da_quantity + _MW_EPS,
         "up_qty {} exceeds schedule {}", pos.up_qty, s.da_quantity,
     )
 
@@ -216,7 +217,7 @@ def marginal_utility(
     up = _is_up(direction)
     headroom = np.where(up, s.da_quantity, d.capacity - s.da_quantity)
     fail_where(
-        np.logical_not((0.0 <= r) & (r <= headroom + 1e-9)),
+        np.logical_not((0.0 <= r) & (r <= headroom + _MW_EPS)),
         "r={} outside [0, {}]", r, headroom,
     )
     below = forecast.cdf(d, np.where(up, s.da_quantity - r, s.da_quantity + r))

@@ -133,9 +133,12 @@ def close(old, new):
 
 def first_difference(golden, produced):
     """None if ``produced`` matches the golden by its rule, else a message that
-    names both and shows the first differing line (or row), old and new."""
+    names both and shows the first differing line (or row), old and new, or
+    names the produced file to copy to a golden that does not exist yet."""
     if not produced.is_file():
         return f"{golden}: the run wrote no {produced}"
+    if not (GOLDEN / golden).is_file():
+        return f"{golden}: no such golden; to make it, copy {produced}"
     want, got = (GOLDEN / golden).read_bytes(), produced.read_bytes()
     rows = golden in WITHIN_1E12
     split = json.loads if rows else (lambda text: text.splitlines(keepends=True))

@@ -20,7 +20,7 @@ cannot change an oracle along with the code it judges.
 - ``reference_format_table`` is the table writer as it was before it
   rendered each batch with one %-template: a call per column of a batch,
   chosen by the exact type of its cells, or a call per cell, then a join
-  or a %-format per row.
+  or a %-format per row. It keeps its own copy of the CSV cell rule.
 - ``JointScenario``, ``revenue_unit`` and ``revenue_unit_with_brs`` price
   one draw with scalar arithmetic, the way ``provider`` did before its
   risk moments were taken over arrays of draws.
@@ -72,8 +72,7 @@ import numpy as np
 from brsim import forecast, simulation, vg
 from brsim._arrays import unwrap
 from brsim.dataio import (
-    _BATCH_ROWS, _SIG_DIGITS_FORMAT, POOL, TABLE_FORMATS, Coded, ScenarioConfig, ScenarioError,
-    _format_cell, _format_float,
+    _BATCH_ROWS, POOL, TABLE_FORMATS, Coded, ScenarioConfig, ScenarioError,
 )
 from brsim.forecast import ForecastDistribution
 from brsim.market import LEDGER_TAGS, SettlementLedger
@@ -369,6 +368,24 @@ def revenue_with_brs(
     return lam * actual
 
 
+# The CSV cell rule: booleans lowercase, a float (or a float subclass such
+# as numpy's float64) that is integral and below 1e15 as an integer, other
+# floats to 6 significant digits, anything else as str.
+_SIG_DIGITS_FORMAT = "{:.6g}".format
+
+
+def _format_float(value: float) -> str:
+    if value.is_integer() and abs(value) < 1e15:
+        return str(int(value))
+    return _SIG_DIGITS_FORMAT(value)
+
+
+def _format_cell(value: Any) -> str:
+    if type(value) is bool:
+        return "true" if value else "false"
+    return _format_float(value) if isinstance(value, float) else str(value)
+
+
 def _csv_floats(values: list) -> list[str]:
     # The format writes an integral value as str(int(value)) does, except in
     # exponent form (from 1e6 on) and -0.0 as "-0"; only then does a batch
@@ -449,8 +466,8 @@ def labels(col: Coded) -> list:
 
 
 def reference_format_table(table: Mapping[str, Sequence], fmt: str) -> str:
-    """``dataio.format_table`` by the reference writer; a coded column is
-    given to it as its list of labels."""
+    """The text ``dataio.table_text`` yields, by the reference writer; a
+    coded column is given to it as its list of labels."""
     table = {k: labels(col) if isinstance(col, Coded) else col for k, col in table.items()}
     return "".join(reference_table_chunks(table, fmt))
 

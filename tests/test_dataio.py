@@ -17,12 +17,12 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from brsim import dataio, market
+from brsim import cli, dataio, market, vg
 from brsim.dataio import (
     ScenarioError,
-    format_table,
     load_scenario,
     scenario_from_dict,
+    table_text,
     write_table,
 )
 import oracles
@@ -507,54 +507,66 @@ class TestLoadedConfigMemory:
                 gc.enable()
 
 
+def whole_text(table, fmt):
+    """The whole text of a table."""
+    return "".join(table_text(table, fmt))
+
+
+def coded(values):
+    """A coded column of a list of ``str`` labels, coded in order of first
+    appearance."""
+    index = {label: code for code, label in enumerate(dict.fromkeys(values))}
+    return dataio.Coded(tuple(index), np.array([index[v] for v in values], np.int64))
+
+
 class TestTables:
     TABLE = {
-        "id": [0, 1],
-        "name": ["alpha", "beta"],
-        "mw": [12.5, 30.0],
-        "flag": [True, False],
+        "id": np.array([0, 1]),
+        "name": coded(["alpha", "beta"]),
+        "mw": np.array([12.5, 30.0]),
+        "flag": np.array([True, False]),
     }
     ROWS = table_rows(TABLE)
 
     def test_csv_formatting(self):
-        text = format_table(self.TABLE, "csv")
+        text = whole_text(self.TABLE, "csv")
         lines = text.splitlines()
         assert lines[0] == "id,name,mw,flag"
         assert lines[1] == "0,alpha,12.5,true"
         assert lines[2] == "1,beta,30,false"
 
     def test_csv_six_significant_digits(self):
-        text = format_table({"x": [1234.56789]}, "csv")
+        text = whole_text({"x": np.array([1234.56789])}, "csv")
         assert text.splitlines()[1] == "1234.57"
 
     def test_json_keeps_full_precision(self):
-        text = format_table({"x": [1234.56789]}, "json")
+        text = whole_text({"x": np.array([1234.56789])}, "json")
         assert json.loads(text) == [{"x": 1234.56789}]
 
     def test_csv_writes_non_finite_numbers(self):
-        table = {"x": [float("inf"), float("-inf"), float("nan")]}
-        assert format_table(table, "csv") == "x\ninf\n-inf\nnan\n"
+        table = {"x": np.array([float("inf"), float("-inf"), float("nan")])}
+        assert whole_text(table, "csv") == "x\ninf\n-inf\nnan\n"
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_json_rejects_non_finite_numbers(self, value):
-        # A list goes through the json module; a float64 array is checked
-        # before it is rendered.
-        for column in ([1.0, value], np.array([1.0, value])):
+        # A float array of either width is checked before it is rendered.
+        for column in (np.array([1.0, value]), np.array([1.0, value], np.float32)):
             with pytest.raises(ValueError, match="not JSON compliant"):
-                format_table({"x": column}, "json")
+                whole_text({"x": column}, "json")
 
-    @pytest.mark.parametrize("column", [[], np.array([])])
+    @pytest.mark.parametrize("column", [coded([]), np.array([])])
     def test_zero_length_columns_give_a_header_only(self, column):
-        assert format_table({"a": column, "b": []}, "csv") == "a,b\n"
-        assert format_table({"a": column, "b": []}, "json") == "[]\n"
+        empty = np.array([], np.int64)
+        assert whole_text({"a": column, "b": empty}, "csv") == "a,b\n"
+        assert whole_text({"a": column, "b": empty}, "json") == "[]\n"
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="columns"):
-            format_table({"a": [1, 2], "b": [3]}, "csv")
+            whole_text({"a": np.array([1, 2]), "b": np.array([3])}, "csv")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown format"):
-            format_table(self.TABLE, "xml")
+            whole_text(self.TABLE, "xml")
 
     def test_csv_file_round_trip(self, tmp_path):
         p = tmp_path / "table.csv"
@@ -573,19 +585,45 @@ class TestTables:
             read_table(p)
 
     def test_csv_cells_follow_their_type(self):
-        # A float subclass keeps the float rule; other types are written as str.
-        table = {"f": [np.float64(1234.56789)], "i": [np.int64(7)], "none": [None]}
-        assert format_table(table, "csv") == "f,i,none\n1234.57,7,None\n"
-        # A column of mixed types is written cell by cell, each by its own rule.
-        assert format_table({"mixed": [True, 2, 0.5, "x"]}, "csv") == "mixed\ntrue\n2\n0.5\nx\n"
+        # A float array of either width keeps the float rule; an integer
+        # array of any width is written whole.
+        table = {"f": np.array([1234.56789]), "f32": np.array([1234.56789], np.float32),
+                 "i": np.array([7]), "i8": np.array([-7], np.int8),
+                 "u64": np.array([2**64 - 1], np.uint64)}
+        assert whole_text(table, "csv") == ("f,f32,i,i8,u64\n"
+                                            "1234.57,1234.57,7,-7,18446744073709551615\n")
+
+    @pytest.mark.parametrize("column", [
+        [True, 2, 0.5, "x"], [1.0, 2.0], (1, 2), np.array([1, 2], dtype=object),
+        np.array(["a", "b"]), np.array([1j, 2j]), np.zeros((2, 1)), np.float64(1.0)],
+        ids=["mixed-list", "float-list", "tuple", "object", "str", "complex", "2-d", "scalar"])
+    def test_list_column_refused(self, tmp_path, column):
+        # Only a 1-d bool, integer or float array or a Coded column is
+        # written, and nothing is written when another is given.
+        table = {"ok": np.array([1, 2]), "x": column}
+        match = "^column 'x' must be a 1-d bool, integer or float array or Coded, got "
+        for fmt in dataio.TABLE_FORMATS:
+            with pytest.raises(TypeError, match=match):
+                whole_text(table, fmt)
+            with pytest.raises(TypeError, match=match):
+                write_table(table, tmp_path / f"table.{fmt}", fmt)
+        assert os.listdir(tmp_path) == []
+
+    # A str subclass, such as a str-valued enum member, is refused: CSV
+    # writes a label as is, and str() of an enum member is not its value.
+    @pytest.mark.parametrize("label", [1, None, b"a", np.str_("a"), vg.DOWN],
+                             ids=["int", "none", "bytes", "numpy-str", "str-enum"])
+    def test_coded_labels_must_be_str(self, label):
+        with pytest.raises(TypeError, match=f"^labels must be str, got {type(label).__name__} "):
+            dataio.Coded(("a", label), np.array([0, 1]))
 
     def test_coded_columns_write_their_labels(self):
         table = {"who": dataio.Coded(("a%s", 'b"é'), np.array([1, 0, 1], np.int8)),
                  "ok": np.array([True, False, True])}
         assert table_rows(table) == [{"who": 'b"é', "ok": True}, {"who": "a%s", "ok": False},
                                      {"who": 'b"é', "ok": True}]
-        assert format_table(table, "csv") == 'who,ok\nb"é,true\na%s,false\nb"é,true\n'
-        assert format_table(table, "json") == json.dumps(table_rows(table)) + "\n"
+        assert whole_text(table, "csv") == 'who,ok\nb"é,true\na%s,false\nb"é,true\n'
+        assert whole_text(table, "json") == json.dumps(table_rows(table)) + "\n"
 
     @pytest.mark.parametrize("codes, bad", [([0, 2], 2), (np.array([0, -1], np.int8), -1)])
     def test_code_outside_the_labels_refused(self, codes, bad):
@@ -613,13 +651,16 @@ B = dataio._BATCH_ROWS
 @st.composite
 def mixed_tables(draw):
     """A table of every kind of column the writer takes, at a batch edge:
-    int64, uint8, bool, float64 and object arrays, float, string and mixed
-    lists, and coded columns. Each column draws a few values and repeats
-    them in a random order."""
+    int64, int16, uint8, uint64, bool, float64 and float32 arrays, a
+    strided float64 view, and coded columns, their codes drawn or taken
+    from a list of strings. Each column draws a few values and repeats them
+    in a random order."""
     n = draw(st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 1]))
     floats = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    floats32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
     if draw(st.booleans()):
         floats |= st.sampled_from(NON_FINITE)
+        floats32 |= st.sampled_from(NON_FINITE)
     names = draw(st.lists(TEXT, min_size=1, max_size=6, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -634,10 +675,12 @@ def mixed_tables(draw):
         "uint8": lambda: np.array(spread(pool(st.integers(0, 255))), np.uint8),
         "bool": lambda: np.array(spread(pool(st.booleans())), bool),
         "float64": lambda: np.array(spread(pool(floats)), np.float64),
-        "object": lambda: np.array(spread(pool(TEXT)), dtype=object),
-        "floats": lambda: spread(pool(floats)),
-        "strings": lambda: spread(pool(TEXT)),
-        "mixed": lambda: spread(pool(st.none() | st.booleans() | st.integers() | floats | TEXT)),
+        "int16": lambda: np.array(spread(pool(st.integers(-2**15, 2**15 - 1))), np.int16),
+        "uint64": lambda: np.array(spread(pool(st.integers(0, 2**64 - 1))), np.uint64),
+        "float32": lambda: np.array(spread(pool(floats32)), np.float32),
+        # Every second element of an array: a column that is a view.
+        "strided": lambda: np.repeat(np.array(spread(pool(floats)), np.float64), 2)[::2],
+        "strings": lambda: coded(spread(pool(TEXT))),
         "coded": lambda: dataio.Coded(
             (labels := pool(TEXT)),
             np.array(spread(range(len(labels))), draw(st.sampled_from([np.uint8, np.int8, np.int64])))),
@@ -660,7 +703,7 @@ class TestAgainstReferenceWriter:
     @settings(max_examples=80, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @pytest.mark.parametrize("fmt", dataio.TABLE_FORMATS)
     def test_same_text_as_the_per_cell_writer(self, table, fmt):
-        assert (_rendered(format_table, table, fmt)
+        assert (_rendered(whole_text, table, fmt)
                 == _rendered(oracles.reference_format_table, table, fmt))
 
     @pytest.mark.parametrize("fmt", dataio.TABLE_FORMATS)
@@ -670,20 +713,20 @@ class TestAgainstReferenceWriter:
         ordinary = [0.5 + i for i in range(B)]
         edges = EDGE_FLOATS + (NON_FINITE if fmt == "csv" else [])
         for column in (*([*ordinary, x] for x in edges), edges):
-            table = {'x%s"é': np.array(column), "y": column,
+            table = {'x%s"é': np.array(column), "y": np.repeat(np.array(column), 2)[::2],
                      "who": dataio.Coded(('w%indé', '50%s "q"'), np.arange(len(column)) % 2)}
-            assert format_table(table, fmt) == oracles.reference_format_table(table, fmt)
+            assert whole_text(table, fmt) == oracles.reference_format_table(table, fmt)
 
 
 def _ledger_like(n):
-    """Columns shaped like simulate-day's ledger."""
+    """Columns shaped like simulate-day's ledger, built from lists."""
     rows = range(n)
     return {
-        "hour": [i // 13 for i in rows],
-        "payer": ["pool" if i % 3 else f"g{i % 7}" for i in rows],
-        "payee": [f"u{i % 11}" for i in rows],
-        "amount": [1000.0 + i / 7.0 for i in rows],
-        "tag": ["da_energy"] * n,
+        "hour": np.array([i // 13 for i in rows], np.int64),
+        "payer": coded(["pool" if i % 3 else f"g{i % 7}" for i in rows]),
+        "payee": coded([f"u{i % 11}" for i in rows]),
+        "amount": np.array([1000.0 + i / 7.0 for i in rows]),
+        "tag": coded(["da_energy"] * n),
     }
 
 
@@ -715,7 +758,7 @@ class TestStreamedTables:
         p = tmp_path / f"table.{fmt}"
         table = _ledger_like(n)
         write_table(table, p, fmt)
-        text = format_table(table, fmt)
+        text = whole_text(table, fmt)
         assert p.read_bytes() == text.encode("utf-8")
         if fmt == "json":
             assert text == json.dumps(table_rows(table)) + "\n"
@@ -725,9 +768,10 @@ class TestStreamedTables:
 
     @pytest.mark.parametrize("fmt", dataio.TABLE_FORMATS)
     def test_memory_is_bounded_by_a_batch(self, tmp_path, fmt):
-        # List columns, and the numpy and coded columns simulate-day writes.
+        # Columns built from lists, and columns as simulation.ledger_rows
+        # builds them.
         for table in (_ledger_like(50_000), _ledger_columns(50_000)):
-            size = len(format_table(table, fmt))
+            size = len(whole_text(table, fmt))
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -737,14 +781,56 @@ class TestStreamedTables:
                 tracemalloc.stop()
             assert peak < size / 4, (peak, size)
 
+    @pytest.mark.parametrize("fmt", dataio.TABLE_FORMATS)
+    def test_stdout_memory_is_bounded_by_a_batch(self, monkeypatch, fmt):
+        # demand-curve's 12,000 rows to stdout hold no more than building
+        # their columns does, give or take a quarter of their text: the
+        # whole text, held at once, would take all of it and more.
+        argv = ["demand-curve", str(SCENARIOS / "day24.json"), "--hour", "12",
+                "--alpha", "0.1,0.3,0.5", "--points", "2000", "--format", fmt]
+        written = []
+
+        class CountingStdout:
+            def write(self, text):
+                written.append(len(text))
+
+            def writelines(self, texts):
+                written.extend(map(len, texts))
+
+        def traced_peak(work):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                work()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        build = traced_peak(lambda: cli.demand_curve_table(cli.build_parser().parse_args(argv)))
+        monkeypatch.setattr(sys, "stdout", CountingStdout())
+        emit = traced_peak(lambda: cli.main(argv))
+        size = sum(written)
+        assert size > 300_000
+        assert emit < build + size / 4, (emit, build, size)
+
+    @pytest.mark.skipif(not hasattr(os, "pathconf"), reason="no name limit to query here")
+    def test_longest_name_is_written(self, tmp_path):
+        # The temporary file's name does not grow with the target's.
+        name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".csv"
+        p = tmp_path / name
+        for _ in range(2):  # a new file, then its replacement
+            write_table(TestTables.TABLE, p, "csv")
+            assert read_table(p) == TestTables.ROWS
+            assert os.listdir(tmp_path) == [name]
+
     @pytest.mark.parametrize(
         "fmt, table, match",
         [
             # A ragged column, and a NaN in the third JSON batch.
-            ("csv", lambda: {"x": list(range(6_000)), "y": list(range(5_000))},
+            ("csv", lambda: {"x": np.arange(6_000), "y": np.arange(5_000)},
              "columns .* differ in length"),
-            ("json", lambda: {"x": [i / 2 if i != 2 * dataio._BATCH_ROWS + 100 else float("nan")
-                                    for i in range(6_000)]},
+            ("json", lambda: {"x": np.array([i / 2 if i != 2 * dataio._BATCH_ROWS + 100
+                                             else float("nan") for i in range(6_000)])},
              "not JSON compliant"),
         ],
     )
@@ -770,7 +856,7 @@ class TestStreamedTables:
         link.symlink_to(target)
         write_table(TestTables.TABLE, link, "csv")
         assert link.is_symlink()
-        assert target.read_text(encoding="utf-8") == format_table(TestTables.TABLE, "csv")
+        assert target.read_text(encoding="utf-8") == whole_text(TestTables.TABLE, "csv")
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
     def test_pipe_is_written_in_place(self, tmp_path):
@@ -784,7 +870,7 @@ class TestStreamedTables:
         write_table(TestTables.TABLE, fifo, "csv")
         reader.join(timeout=10)
         assert not reader.is_alive()
-        assert got == [format_table(TestTables.TABLE, "csv")]
+        assert got == [whole_text(TestTables.TABLE, "csv")]
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
@@ -811,7 +897,11 @@ def test_table_round_trip_typed(tmp_path_factory, rows):
     base = tmp_path_factory.mktemp("tables")
     for fmt in ("csv", "json"):
         p = base / f"t.{fmt}"
-        write_table({key: [row[key] for row in rows] for key in rows[0]}, p, fmt)
+        table = {"n": np.array([row["n"] for row in rows], np.int64),
+                 "q": np.array([row["q"] for row in rows]),
+                 "label": coded([row["label"] for row in rows]),
+                 "ok": np.array([row["ok"] for row in rows])}
+        write_table(table, p, fmt)
         back = read_table(p)
         assert len(back) == len(rows)
         for got, want in zip(back, rows):

@@ -21,6 +21,12 @@ def test_readme_reproduces_the_paper_with_pinned_runs():
     assert [line for line in lines if line not in argvs] == []
 
 
+def test_missing_golden_names_the_file_to_copy(tmp_path):
+    run = RUNS[0]._replace(pins="no_such_golden.csv")
+    assert check(run, tmp_path) == [
+        f"{run.name}: no_such_golden.csv: no such golden; to make it, copy {tmp_path / 'stdout'}"]
+
+
 @pytest.mark.parametrize("run", RUNS, ids=[run.name for run in RUNS])
 def test_run_matches_its_goldens(tmp_path, run):
     failures = check(run, tmp_path)
